@@ -208,8 +208,9 @@ def cmd_oracle(args) -> int:
 def _verify_divisibility(max_n: int, max_ell: int):
     for N in range(0, max_n + 1):
         for ell in range(0, max_ell + 1):
-            quot, exact = poly.verify_divisibility(N, ell)
-            if not exact:
+            try:
+                poly.verify_divisibility(N, ell)
+            except poly.DivisibilityError:
                 return False, f"N={N} ell={ell}"
     return True, f"N<={max_n}, ell<={max_ell}"
 

@@ -275,6 +275,15 @@ def _variations_at_inf(chain: list[UniPoly], positive: bool) -> int:
     return _variations(signs)
 
 
+def sturm_count(chain: Sequence[UniPoly], lo: Fraction | None = None,
+                hi: Fraction | None = None) -> int:
+    """Number of distinct real roots in (lo, hi] of the squarefree polynomial
+    whose Sturm chain is given; open ends at infinity when a bound is None."""
+    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
+    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
+    return va - vb
+
+
 def count_real_roots(p: UniPoly, lo: Fraction | None = None,
                      hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi]; open ends at infinity
@@ -284,10 +293,7 @@ def count_real_roots(p: UniPoly, lo: Fraction | None = None,
     sf = squarefree_part(p)
     if sf.degree == 0:
         return 0
-    chain = sturm_chain(sf)
-    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
-    return va - vb
+    return sturm_count(sturm_chain(sf), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -401,13 +407,12 @@ def refine_interval(p: UniPoly, iv: RootInterval, tol: Fraction) -> RootInterval
 def refine_root(p: UniPoly, iv: RootInterval, tol: Fraction) -> Fraction:
     """Refine to width <= tol and return one rational point of the final
     interval; a simple rational root nearby is detected and returned exactly."""
-    sf = squarefree_part(p)
     fine = refine_interval(p, iv, tol)
     mid = fine.mid
     # snap to a low-denominator rational root when one hides in the interval
     for cap in (1, 4, 64, 10 ** 6):
         cand = mid.limit_denominator(cap)
-        if fine.lo < cand < fine.hi and sf(cand) == 0:
+        if fine.lo < cand < fine.hi and p(cand) == 0:
             return cand
     return mid
 

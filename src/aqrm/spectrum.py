@@ -11,9 +11,17 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly import constraint_poly
-from .roots import count_real_roots, isolate_real_roots, refine_root
+from .roots import (
+    count_real_roots,
+    isolate_real_roots,
+    refine_root,
+    squarefree_part,
+    sturm_chain,
+    sturm_count,
+)
 from .series import (
     DEFAULT_CONFIG,
     ModelParams,
@@ -211,16 +219,30 @@ def _t_zero_here(N: int, params: ModelParams, sign: str,
     return abs(t0) <= rel_tol * scale
 
 
+@lru_cache(maxsize=512)
+def _juddian_chain(N: int, eps: Fraction, y: Fraction) -> tuple | None:
+    """Sturm chain of the squarefree part of P_N^(N,eps)(x, y) in x; None when
+    there is nothing to count (N = 0 or a constant squarefree part). The
+    polynomial does not depend on g, so a sweep builds each chain once."""
+    if N == 0:
+        return None
+    sf = squarefree_part(constraint_poly(N, eps, N).subs_y(y))
+    return None if sf.degree <= 0 else tuple(sturm_chain(sf))
+
+
 def _juddian_here(N: int, params: ModelParams, branch_eps: float,
                   rel_tol: float = 1e-7) -> bool:
     """Is this coupling a root of the level-N constraint polynomial? Exact
     when the bias is rational, slope-normalized numeric fallback otherwise."""
     frac = exact_bias(branch_eps)
     if frac is not None:
-        for gj, _ in juddian_roots(N, frac, Fraction(params.delta), Fraction(1, 2 ** 52)):
-            if abs(gj - params.g) <= rel_tol * max(1.0, params.g):
-                return True
-        return False
+        chain = _juddian_chain(N, frac, Fraction(params.delta) ** 2)
+        if chain is None:
+            return False
+        # one exact Sturm count of roots x = (2g')^2 with g - t < g' <= g + t
+        g = Fraction(params.g)
+        t = Fraction(rel_tol) * max(1, g)
+        return sturm_count(chain, 4 * max(0, g - t) ** 2, 4 * (g + t) ** 2) > 0
     warnings.warn("irrational bias: quasi-exact detection falls back to "
                   "float root proximity and may be ill-conditioned",
                   RuntimeWarning, stacklevel=2)

@@ -64,6 +64,15 @@ class TestSubcommands:
         assert gval == "nan"                  # raw series has a pole marker
         assert abs(float(calg)) < 1e30        # regularized value is finite
 
+    def test_gfunc_negative_range_readme_form(self, capsys):
+        # a range that starts with '-' must be attached with '=' or argparse
+        # reads it as an option
+        code, out, _ = run(capsys, "gfunc", "--g", "0.5809", "--delta", "0.5",
+                           "--eps", "0.3", "--x=-1:-0.9:0.05")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "x,G,calG" and len(lines) == 4
+
     def test_tfunc_table(self, capsys):
         code, out, _ = run(capsys, "tfunc", "--N", "1", "--eps", "1/2",
                            "--delta", "1", "--g", "1.3:1.5:0.1")
@@ -132,6 +141,18 @@ class TestVerifyAndExitCodes:
         code, out, _ = run(capsys, "verify", "gsymmetry")
         assert code == 1
         assert "FAIL" in out
+
+    def test_divisibility_failure_exit_one(self, capsys, monkeypatch):
+        import aqrm.poly as poly_mod
+
+        def broken(N, ell):
+            raise poly_mod.DivisibilityError(f"forced failure N={N} ell={ell}")
+
+        monkeypatch.setattr(poly_mod, "verify_divisibility", broken)
+        code, out, _ = run(capsys, "verify", "divisibility", "--max-N", "2",
+                           "--max-ell", "1")
+        assert code == 1
+        assert "FAIL" in out and "N=0 ell=0" in out
 
     def test_usage_error_exit_two(self, capsys):
         assert run(capsys, "poly", "--N", "notanint", "--eps", "0")[0] == 2

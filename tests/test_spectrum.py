@@ -229,6 +229,76 @@ class TestSpectra:
                 assert abs(ks[N]) < 1e-8
 
 
+class TestJuddianMembership:
+    """`_juddian_here` on rational bias: one exact Sturm count on a cached
+    chain, checked against the refined-root predicate it replaced."""
+
+    @staticmethod
+    def _old_predicate(roots, g):
+        return any(abs(gj - g) <= 1e-7 * max(1.0, g) for gj, _ in roots)
+
+    def test_matches_refined_root_predicate(self):
+        import random
+        from aqrm.spectrum import _juddian_here
+        rng = random.Random(20171211)
+        checked = 0
+        for N in range(9):
+            for eps in (Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                        Fraction(1), Fraction(3, 2), Fraction(3, 10)):
+                for delta in (0.5, 1.0, 1.5):
+                    roots = juddian_roots(N, eps, Fraction(delta), Fraction(1, 2 ** 52))
+
+                    def here(g):
+                        return _juddian_here(N, ModelParams(g, delta, float(eps)),
+                                             float(eps))
+
+                    for gj, _ in roots:
+                        s = max(1.0, gj)
+                        assert here(gj)
+                        assert here(gj + 3e-8 * s) and here(gj - 3e-8 * s)
+                        assert not here(gj + 3e-7 * s)
+                        assert not here(gj - 3e-7 * s)
+                        checked += 1
+                    for _ in range(10):
+                        g = rng.uniform(0.01, 3.0)
+                        assert here(g) == self._old_predicate(roots, g)
+                    for _ in range(10):
+                        if not roots:
+                            break
+                        gj = rng.choice(roots)[0]
+                        g = gj + rng.uniform(-2e-7, 2e-7) * max(1.0, gj)
+                        assert here(g) == self._old_predicate(roots, g)
+        assert checked > 100
+
+    def test_sweep_builds_each_chain_once(self, monkeypatch):
+        from aqrm import roots as roots_mod
+        from aqrm import spectrum as spectrum_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("root isolation on the spectrum path")
+
+        for mod in (roots_mod, spectrum_mod):
+            monkeypatch.setattr(mod, "isolate_real_roots", forbidden)
+            monkeypatch.setattr(mod, "refine_root", forbidden)
+        monkeypatch.setattr(spectrum_mod, "juddian_roots", forbidden)
+
+        seen = set()
+        real_here = spectrum_mod._juddian_here
+
+        def spy(N, params, branch_eps, *args, **kwargs):
+            seen.add((N, exact_bias(branch_eps)))
+            return real_here(N, params, branch_eps, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "_juddian_here", spy)
+        spectrum_mod._juddian_chain.cache_clear()
+        cfg = SweepConfig(g_grid=(0.5, 0.8, 1.1, 1.4), x_max=4.0)
+        rows = spectral_sweep(1.0, 0.5, cfg, 4)
+        info = spectrum_mod._juddian_chain.cache_info()
+        assert seen and info.misses == len(seen)
+        assert info.hits > 0
+        assert any(r["kind"] == KIND_JUDDIAN and r["g"] == 0.5 for r in rows)
+
+
 class TestSweep:
     def test_small_sweep_degeneracy_flags(self):
         cfg = SweepConfig(g_grid=(0.45, 0.5, 0.55), x_max=4.0)
