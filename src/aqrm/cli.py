@@ -99,14 +99,18 @@ def cmd_poly(args) -> int:
 
 
 def cmd_divide(args) -> int:
-    quot, exact = poly.verify_divisibility(args.N, args.ell)
+    try:
+        quot, exact = poly.verify_divisibility(args.N, args.ell)
+    except poly.DivisibilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        quot, exact = None, False
     obj = {"N": args.N, "ell": args.ell, "exact": exact,
-           "quotient": quot.to_json_obj()}
+           "quotient": quot.to_json_obj() if exact else None}
     if args.format == "json":
         _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
     else:
         _emit(f"exact={exact}\nquotient={quot}\n", args.out)
-    return 0
+    return 0 if exact else 1
 
 
 def cmd_count_roots(args) -> int:

@@ -260,24 +260,53 @@ class RecurrenceConstants:
 # constraint polynomials
 # ---------------------------------------------------------------------------
 
-def constraint_poly(N: int, eps, k: int) -> BivarPoly:
-    """P_k^(N,eps)(x,y) by the three-term recurrence.
+def _add_shifted(acc: dict, terms: dict, w, di: int = 0, dj: int = 0) -> None:
+    """acc += w * x^di * y^dj * terms, in place: a monomial factor only shifts
+    each exponent key, so no product of polynomials is formed."""
+    if not w:
+        return
+    for (i, j), v in terms.items():
+        key = (i + di, j + dj)
+        acc[key] = acc.get(key, 0) + w * v
 
-    P_0 = 1, P_1 = x + y - 1 - 2 eps,
-    P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2}.
+
+def constraint_family(N: int, eps, k_max: int) -> list[BivarPoly]:
+    """[P_0^(N,eps), ..., P_{k_max}^(N,eps)] in one pass of the three-term
+    recurrence
+
+        P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2},
+
+    with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps.
+
+    With eps = p/q in lowest terms the step runs on R_k = q^k P_k, whose
+    coefficients are integers:
+        R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2};
+    each member is divided by q^k once, when it is stored.
     """
     eps = _frac(eps)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    p0 = BivarPoly.const(1)
-    if k == 0:
-        return p0
-    p1 = _X + _Y - BivarPoly.const(1 + 2 * eps)
-    for j in range(2, k + 1):
-        p2 = (j * _X + _Y - BivarPoly.const(c_weight(j, eps))) * p1 \
-            - (lambda_weight(j, N) * _X) * p0
-        p0, p1 = p1, p2
-    return p1
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    p, q = eps.numerator, eps.denominator
+    family = [BivarPoly.const(1)]
+    prev2: dict = {}
+    prev1: dict = {(0, 0): 1}
+    for k in range(1, k_max + 1):
+        acc: dict = {}
+        _add_shifted(acc, prev1, q * k, 1, 0)
+        _add_shifted(acc, prev1, q, 0, 1)
+        _add_shifted(acc, prev1, -k * (k * q + 2 * p))
+        _add_shifted(acc, prev2, -q * q * lambda_weight(k, N), 1, 0)
+        prev2, prev1 = prev1, {key: v for key, v in acc.items() if v}
+        den = q ** k
+        p_k = BivarPoly()
+        p_k.terms = {key: Fraction(v, den) for key, v in prev1.items()}
+        family.append(p_k)
+    return family
+
+
+def constraint_poly(N: int, eps, k: int) -> BivarPoly:
+    """P_k^(N,eps)(x,y), the last member of constraint_family(N, eps, k)."""
+    return constraint_family(N, eps, k)[k]
 
 
 def constraint_value(N: int, eps, k: int, x, y):
@@ -451,18 +480,21 @@ def normalized_constraint_poly(N: int, eps, k: int) -> BivarPoly:
 
 def generating_identity_check(N: int, ell: int, k_max: int) -> bool:
     """Binomial transfer between normalized families: for every k <= k_max,
-    Ptilde_k^(N+l,-l/2) = sum_i binom(l, k-i) Ptilde_i^(N,l/2), exactly."""
-    left_eps = Fraction(-ell, 2)
-    right_eps = Fraction(ell, 2)
-    right = [normalized_constraint_poly(N, right_eps, i) for i in range(k_max + 1)]
+    Ptilde_k^(N+l,-l/2) = sum_i binom(l, k-i) Ptilde_i^(N,l/2), exactly.
+
+    Checked on the unnormalized families after multiplying by k! (k+1)!, which
+    turns each weight into the integer binom(l, k-i) k! (k+1)! / (i! (i+1)!).
+    """
+    left = constraint_family(N + ell, Fraction(-ell, 2), k_max)
+    right = constraint_family(N, Fraction(ell, 2), k_max)
     for k in range(k_max + 1):
-        lhs = normalized_constraint_poly(N + ell, left_eps, k)
-        rhs = BivarPoly()
-        for i in range(k + 1):
-            b = math.comb(ell, k - i)
-            if b:
-                rhs = rhs + right[i] * b
-        if lhs != rhs:
+        norm_k = math.factorial(k) * math.factorial(k + 1)
+        acc: dict = {}
+        for i in range(max(0, k - ell), k + 1):
+            w = math.comb(ell, k - i) * norm_k \
+                // (math.factorial(i) * math.factorial(i + 1))
+            _add_shifted(acc, right[i].terms, w)
+        if {key: v for key, v in acc.items() if v} != left[k].terms:
             return False
     return True
 
@@ -470,18 +502,25 @@ def generating_identity_check(N: int, ell: int, k_max: int) -> bool:
 def ode_coefficient_check(N: int, eps, k_max: int) -> bool:
     """The normalized sequence Ptilde_k solves the second-order ODE of its
     generating function; checked as the exact vanishing, for 2 <= k <= k_max,
-    of the t^(k-1) coefficient of the ODE applied to the series."""
+    of the t^(k-1) coefficient of the ODE applied to the series.
+
+    With m = k - 1 that coefficient is
+        (m+1)(m+2) Pt_{m+1} + (m(m-1) - m(x - 3 - 2 eps) - (x + y - 1 - 2 eps)) Pt_m
+        + (N-m) x Pt_{m-1},
+    tested after multiplying by the nonzero constant m! (m+1)!, which turns
+    every Pt_i into the unnormalized P_i."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     eps = _frac(eps)
-    pt = [normalized_constraint_poly(N, eps, k) for k in range(k_max + 1)]
+    p = constraint_family(N, eps, k_max)
     for k in range(2, k_max + 1):
         m = k - 1
-        mid = BivarPoly.const(m * (m - 1)) \
-            - m * (_X - BivarPoly.const(3 + 2 * eps)) \
-            - (_X + _Y - BivarPoly.const(1 + 2 * eps))
-        resid = (m + 1) * (m + 2) * pt[m + 1] + mid * pt[m] + (N - m) * _X * pt[m - 1]
-        if not resid.is_zero():
+        acc = dict(p[m + 1].terms)
+        _add_shifted(acc, p[m].terms, -m - 1, 1, 0)
+        _add_shifted(acc, p[m].terms, -1, 0, 1)
+        _add_shifted(acc, p[m].terms, m * (m - 1) + m * (3 + 2 * eps) + 1 + 2 * eps)
+        _add_shifted(acc, p[m - 1].terms, m * (m + 1) * (N - m), 1, 0)
+        if any(acc.values()):
             return False
     return True
 

@@ -369,11 +369,12 @@ def isolate_real_roots(p: UniPoly) -> list[RootInterval]:
             stack.append((mid, b, vm, vb))
 
     out.sort()
+    factor_chains = [(sturm_chain(q), m) for q, m in decomp]
     ivs = []
     for a, b in out:
         mult = 1
-        for q, m in decomp:
-            if count_real_roots(q, a, b) == 1:
+        for q_chain, m in factor_chains:
+            if sturm_count(q_chain, a, b) == 1:
                 mult = m
                 break
         ivs.append(RootInterval(a, b, mult))

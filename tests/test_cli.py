@@ -154,6 +154,20 @@ class TestVerifyAndExitCodes:
         assert code == 1
         assert "FAIL" in out and "N=0 ell=0" in out
 
+    def test_divide_failure_exit_one(self, capsys, monkeypatch):
+        import aqrm.poly as poly_mod
+
+        def broken(N, ell):
+            raise poly_mod.DivisibilityError(f"forced failure N={N} ell={ell}")
+
+        monkeypatch.setattr(poly_mod, "verify_divisibility", broken)
+        code, out, err = run(capsys, "divide", "--N", "2", "--ell", "1",
+                             "--format", "json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["exact"] is False and obj["quotient"] is None
+        assert "forced failure" in err
+
     def test_usage_error_exit_two(self, capsys):
         assert run(capsys, "poly", "--N", "notanint", "--eps", "0")[0] == 2
         assert run(capsys, "count-roots", "--N", "3")[0] == 2

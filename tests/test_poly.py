@@ -15,6 +15,7 @@ from aqrm.poly import (
     a_value,
     c_weight,
     coefficient_slices,
+    constraint_family,
     constraint_poly,
     constraint_poly_det,
     constraint_tridiag,
@@ -89,6 +90,62 @@ class TestConstraintPoly:
         exact = p.evaluate(x, y)
         approx = constraint_value(N, float(eps), N, float(x), float(y))
         assert approx == pytest.approx(float(exact), rel=1e-10, abs=1e-9)
+
+
+def generic_recurrence_family(N, eps, k_max):
+    """The three-term recurrence in general BivarPoly arithmetic, one product
+    per step: the independent oracle for the shift-based constraint_family."""
+    eps = Fraction(eps)
+    fam = [ONE]
+    if k_max >= 1:
+        fam.append(X + Y - BivarPoly.const(1 + 2 * eps))
+    for k in range(2, k_max + 1):
+        fam.append((k * X + Y - BivarPoly.const(k * (k + 2 * eps))) * fam[-1]
+                   - (k * (k - 1) * (N - k + 1) * X) * fam[-2])
+    return fam
+
+
+FAMILY_BIASES = (Fraction(0), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2),
+                 Fraction(-1, 2), Fraction(1), Fraction(3, 2))
+
+
+class TestConstraintFamily:
+    @pytest.mark.parametrize("eps", FAMILY_BIASES)
+    def test_matches_generic_recurrence(self, eps):
+        for N in range(11):
+            oracle = generic_recurrence_family(N, eps, 12)
+            for k_max in range(13):
+                assert constraint_family(N, eps, k_max) == oracle[:k_max + 1], \
+                    (N, eps, k_max)
+
+    def test_constraint_poly_is_family_member(self):
+        for N in (0, 3, 7):
+            for eps in FAMILY_BIASES:
+                fam = constraint_family(N, eps, 9)
+                for k in range(10):
+                    assert constraint_poly(N, eps, k) == fam[k]
+
+    def test_rejects_negative_k_max(self):
+        with pytest.raises(ValueError):
+            constraint_family(3, 0, -1)
+
+    def test_corrupted_family_fails_identity_checks(self, monkeypatch, capsys):
+        import aqrm.poly as poly_mod
+        from aqrm.cli import main
+
+        real_family = poly_mod.constraint_family
+
+        def corrupted(N, eps, k_max):
+            fam = real_family(N, eps, k_max)
+            if k_max >= 3:
+                fam[3] = fam[3] + 1
+            return fam
+
+        monkeypatch.setattr(poly_mod, "constraint_family", corrupted)
+        assert not generating_identity_check(2, 2, 8)
+        assert not ode_coefficient_check(2, Fraction(1, 2), 8)
+        assert main(["verify", "generating"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestDeterminantForm:

@@ -108,6 +108,35 @@ class TestIsolation:
         assert ivs[0].lo < -1 <= ivs[0].hi
         assert ivs[1].lo < 1 <= ivs[1].hi
 
+    def test_hint_chains_built_once_per_factor(self, monkeypatch):
+        import aqrm.roots as roots_mod
+        from aqrm.spectrum import juddian_roots
+
+        real_chain = roots_mod.sturm_chain
+        calls = []
+
+        def counting_chain(p):
+            calls.append(p)
+            return real_chain(p)
+
+        monkeypatch.setattr(roots_mod, "sturm_chain", counting_chain)
+        # (x-1)^2 (x-2) (x+3)^3: three square-free factors
+        p = UniPoly([1])
+        for r, m in ((1, 2), (2, 1), (-3, 3)):
+            for _ in range(m):
+                p = p * UniPoly([-r, 1])
+        assert isolate_real_roots(p) == [
+            RootInterval(Fraction(-8), Fraction(1, 2), 3),
+            RootInterval(Fraction(1, 2), Fraction(25, 16), 2),
+            RootInterval(Fraction(25, 16), Fraction(21, 8), 1)]
+        assert len(calls) == 1 + 3
+        # P_2^(2,-1/2)(x, 2^2) = 2 (x + 2)^2: one factor, a negative double root
+        calls.clear()
+        q = constraint_poly(2, Fraction(-1, 2), 2).subs_y(4)
+        assert isolate_real_roots(q) == [RootInterval(Fraction(-3), Fraction(4), 2)]
+        assert len(calls) == 1 + 1
+        assert juddian_roots(2, Fraction(-1, 2), 2) == []
+
     def test_no_real_roots(self):
         assert isolate_real_roots(UniPoly([1, 0, 1])) == []
 
