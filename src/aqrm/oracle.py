@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .roots import bisect_count
 from .series import ModelParams
 
 
@@ -215,79 +216,70 @@ def eigenvalues(m: DenseSymMatrix, count: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# banded fast path for the Hamiltonian (half-bandwidth 3 in this basis)
+# inertia bisection on the parity ladder: eps sigma_x joins the two Z2 parity
+# chains A_k = |k, up if k even else down> and B_k = |k, down if k even else
+# up> rung by rung, so H is block tridiagonal with 2x2 blocks
+# D_k = [[k + (-1)^k delta, eps], [eps, k - (-1)^k delta]] and couplings
+# c_k I, c_k = g sqrt(k+1)
 # ---------------------------------------------------------------------------
 
-_BAND_W = 3
+def _ladder(params: ModelParams, M: int) -> list[tuple[float, float, float, float]]:
+    """Rungs (c_{k-1}^2, D_k[0][0], D_k[1][1], eps) for k = 0..M; c_{-1} = 0."""
+    c = [0.0] + [params.g * math.sqrt(k + 1.0) for k in range(M)]
+    return [(c[k] * c[k], k + (-1) ** k * params.delta, k - (-1) ** k * params.delta,
+             params.eps) for k in range(M + 1)]
 
 
-def _hamiltonian_bands(params: ModelParams, M: int) -> list[list[float]]:
-    """bands[k][i] = H[i, i+k] for k = 0.._BAND_W."""
-    n = 2 * (M + 1)
-    bands = [[0.0] * n for _ in range(_BAND_W + 1)]
-    for k in range(M + 1):
-        bands[0][2 * k] = k + params.delta
-        bands[0][2 * k + 1] = k - params.delta
-        bands[1][2 * k] = params.eps
-        if k < M:
-            c = params.g * math.sqrt(k + 1.0)
-            bands[1][2 * k + 1] = c
-            bands[3][2 * k] = c
-    return bands
-
-
-def _band_count_below(bands: list[list[float]], sigma: float) -> int:
-    """Eigenvalues of the banded symmetric matrix strictly below sigma, by the
-    inertia of the LDL^T factorization of (H - sigma I)."""
-    n = len(bands[0])
-    w = _BAND_W
-    d = [0.0] * n
-    lb = [[0.0] * n for _ in range(w)]
+def _band_count_below(ladder: list[tuple[float, float, float, float]], sigma: float) -> int:
+    """Eigenvalues strictly below sigma: the negative eigenvalues of the Schur
+    complements S_k = D_k - sigma - c_{k-1}^2 S_{k-1}^{-1}, summed (Haynsworth
+    inertia additivity). S_k = [[p, b], [b, d]] has one if det < 0, two if
+    det > 0 and p < 0. An exactly singular S_k is read through its scalar
+    LDL^T pivots instead, a zero pivot nudged to -1e-300."""
     count = 0
-    for j in range(n):
-        s = bands[0][j] - sigma
-        for k in range(1, min(w, j) + 1):
-            s -= lb[k - 1][j - k] ** 2 * d[j - k]
-        if s == 0.0:
-            s = -1e-300
-        d[j] = s
-        if s < 0.0:
-            count += 1
-        for i in range(1, w + 1):
-            r = j + i
-            if r >= n:
-                break
-            t = bands[i][j]
-            for k in range(1, w - i + 1):
-                if j - k >= 0:
-                    t -= lb[k - 1][j - k] * lb[k + i - 1][j - k] * d[j - k]
-            lb[i - 1][j] = t / d[j]
+    u = v = w = 0.0                       # S_{k-1}^{-1} = [[u, v], [v, w]]
+    for c2, da, db, eps in ladder:
+        p = da - sigma - c2 * u
+        b = eps - c2 * v
+        d = db - sigma - c2 * w
+        det = p * d - b * b
+        if det != 0.0:
+            count += 1 if det < 0.0 else 2 * (p < 0.0)
+            r = 1.0 / det
+            u, v, w = d * r, -b * r, p * r
+            continue
+        if p == 0.0:
+            p = -1e-300
+        l = b / p
+        q = d - l * b
+        if q == 0.0:
+            q = -1e-300
+        count += (p < 0.0) + (q < 0.0)
+        w = 1.0 / q
+        v = -l * w
+        u = 1.0 / p - l * v
     return count
 
 
 def lowest_eigenvalues(params: ModelParams, cfg: TruncationConfig,
                        count: int) -> list[float]:
-    """Lowest eigenvalues of the truncated Hamiltonian through banded
-    bisection; agrees with the dense path to solver tolerance but costs
-    O(n) per probe instead of O(n^3) overall."""
-    bands = _hamiltonian_bands(params, cfg.M)
-    n = len(bands[0])
-    count = min(count, n)
-    rad = [sum(abs(bands[k][i - k]) for k in range(1, _BAND_W + 1) if i - k >= 0)
-           + sum(abs(bands[k][i]) for k in range(1, _BAND_W + 1) if i + k < n)
-           for i in range(n)]
-    lo = min(bands[0][i] - rad[i] for i in range(n)) - 1.0
-    hi = max(bands[0][i] + rad[i] for i in range(n)) + 1.0
+    """Lowest eigenvalues of the truncated Hamiltonian through inertia
+    bisection on the parity ladder; agrees with the dense path to solver
+    tolerance but costs O(M) per probe instead of O(M^3) overall."""
+    M, d, e = cfg.M, params.delta, abs(params.eps)
+    ladder = _ladder(params, M)
+    count = min(count, 2 * (M + 1))
+    # Gershgorin radii of the rows |k,up> and |k,down>: couplings left of the
+    # diagonal first, then those right of it
+    c = [0.0] + [abs(params.g * math.sqrt(k + 1.0)) for k in range(M)] + [0.0]
+    rows = [(k + d, c[k] + (e + c[k + 1])) for k in range(M + 1)]
+    rows += [(k - d, (e + c[k]) + c[k + 1]) for k in range(M + 1)]
+    lo = min(a - r for a, r in rows) - 1.0
+    hi = max(a + r for a, r in rows) + 1.0
     out = []
     for k in range(count):
-        a, b = lo, hi
-        while b - a > cfg.tol * 0.01 + 1e-14:
-            mid = 0.5 * (a + b)
-            if _band_count_below(bands, mid) <= k:
-                a = mid
-            else:
-                b = mid
-        out.append(0.5 * (a + b))
+        out.append(bisect_count(lambda s: _band_count_below(ladder, s),
+                                lo, hi, k, cfg.tol * 0.01 + 1e-14))
         lo = out[-1] - 1e-9  # eigenvalues are sorted; restart just below
     return out
 

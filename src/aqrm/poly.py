@@ -270,26 +270,16 @@ def _add_shifted(acc: dict, terms: dict, w, di: int = 0, dj: int = 0) -> None:
         acc[key] = acc.get(key, 0) + w * v
 
 
-def constraint_family(N: int, eps, k_max: int) -> list[BivarPoly]:
-    """[P_0^(N,eps), ..., P_{k_max}^(N,eps)] in one pass of the three-term
-    recurrence
-
-        P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2},
-
-    with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps.
-
-    With eps = p/q in lowest terms the step runs on R_k = q^k P_k, whose
-    coefficients are integers:
-        R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2};
-    each member is divided by q^k once, when it is stored.
-    """
-    eps = _frac(eps)
+def _scaled_family(N: int, eps: Fraction, k_max: int):
+    """Yield (R_k, q^k) for k = 0..k_max, where R_k = q^k P_k^(N,eps) as an
+    integer-coefficient term dict and eps = p/q in lowest terms:
+        R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2}."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     p, q = eps.numerator, eps.denominator
-    family = [BivarPoly.const(1)]
     prev2: dict = {}
     prev1: dict = {(0, 0): 1}
+    yield prev1, 1
     for k in range(1, k_max + 1):
         acc: dict = {}
         _add_shifted(acc, prev1, q * k, 1, 0)
@@ -297,16 +287,33 @@ def constraint_family(N: int, eps, k_max: int) -> list[BivarPoly]:
         _add_shifted(acc, prev1, -k * (k * q + 2 * p))
         _add_shifted(acc, prev2, -q * q * lambda_weight(k, N), 1, 0)
         prev2, prev1 = prev1, {key: v for key, v in acc.items() if v}
-        den = q ** k
-        p_k = BivarPoly()
-        p_k.terms = {key: Fraction(v, den) for key, v in prev1.items()}
-        family.append(p_k)
-    return family
+        yield prev1, q ** k
+
+
+def _unscaled(scaled: dict, den: int) -> BivarPoly:
+    out = BivarPoly()
+    out.terms = {key: Fraction(v, den) for key, v in scaled.items()}
+    return out
+
+
+def constraint_family(N: int, eps, k_max: int) -> list[BivarPoly]:
+    """[P_0^(N,eps), ..., P_{k_max}^(N,eps)] in one pass of the three-term
+    recurrence
+
+        P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2},
+
+    with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps. The step runs on
+    integer-scaled members (see _scaled_family); each is divided by q^k once,
+    when it is stored.
+    """
+    return [_unscaled(r, den) for r, den in _scaled_family(N, _frac(eps), k_max)]
 
 
 def constraint_poly(N: int, eps, k: int) -> BivarPoly:
-    """P_k^(N,eps)(x,y), the last member of constraint_family(N, eps, k)."""
-    return constraint_family(N, eps, k)[k]
+    """P_k^(N,eps)(x,y), the last member of constraint_family(N, eps, k); only
+    that member is converted to Fractions."""
+    *_, (last, den) = _scaled_family(N, _frac(eps), k)
+    return _unscaled(last, den)
 
 
 def constraint_value(N: int, eps, k: int, x, y):

@@ -428,6 +428,19 @@ def real_roots(p: UniPoly, tol: Fraction = Fraction(1, 2 ** 48)) -> list[tuple[F
 # symmetric tridiagonal eigenvalues by Sturm-count bisection
 # ---------------------------------------------------------------------------
 
+def bisect_count(count_below, lo: float, hi: float, k: int, width: float) -> float:
+    """The k-th (0-based) eigenvalue in [lo, hi] of a matrix whose number of
+    eigenvalues strictly below sigma is count_below(sigma): the midpoint of
+    the bisection bracket once it is no wider than width."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if count_below(mid) <= k:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def tridiag_count_below(diag: Sequence[float], off: Sequence[float], sigma: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
     below sigma (Sturm sign-agreement count via the LDL pivot recurrence)."""
@@ -460,15 +473,7 @@ def sym_tridiag_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
              + (abs(offdiag[i]) if i < n - 1 else 0.0) for i in range(n))
     lo -= tol
     hi += tol
-    eigs = []
-    for k in range(n):
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if tridiag_count_below(diag, offdiag, mid) <= k:
-                a = mid
-            else:
-                b = mid
-        eigs.append(0.5 * (a + b))
+    eigs = [bisect_count(lambda s: tridiag_count_below(diag, offdiag, s), lo, hi, k, tol)
+            for k in range(n)]
     eigs.sort()
     return eigs

@@ -1,14 +1,17 @@
 """Truncated-basis Hamiltonian and the self-contained eigensolvers."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aqrm.oracle import (
     DenseSymMatrix,
     TruncationConfig,
+    _band_count_below,
+    _ladder,
     certified_eigenvalues,
     convergence_study,
     eigenvalues,
@@ -132,3 +135,75 @@ class TestDegeneracyStructure:
         assert len(pairs) == 1
         mean = (pairs[0][0] + pairs[0][1]) / 2
         assert mean == pytest.approx(1.25, abs=1e-8)
+
+
+def ladder_count(g, delta, eps, M, sigma):
+    """Ladder inertia count; a namespace stands in for ModelParams so that
+    g <= 0 and delta = 0 can be probed too."""
+    params = SimpleNamespace(g=g, delta=delta, eps=eps)
+    return _band_count_below(_ladder(params, M), sigma)
+
+
+def dense_count(g, delta, eps, M, sigma):
+    eigs = eigenvalues(truncated_hamiltonian(SimpleNamespace(g=g, delta=delta, eps=eps),
+                                             TruncationConfig(M=M)))
+    return sum(e < sigma for e in eigs)
+
+
+class TestLadderCount:
+    @given(g=st.floats(0, 3), delta=st.floats(0, 2),
+           eps=st.one_of(st.just(0.0), st.floats(-2, 2)), M=st.integers(8, 30),
+           data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_count(self, g, delta, eps, M, data):
+        params = SimpleNamespace(g=g, delta=delta, eps=eps)
+        eigs = eigenvalues(truncated_hamiltonian(params, TruncationConfig(M=M)))
+        sigmas = data.draw(st.lists(st.floats(eigs[0] - 1.0, eigs[-1] + 1.0),
+                                    min_size=1, max_size=5))
+        sigmas = [s for s in sigmas if all(abs(s - e) > 1e-9 for e in eigs)]
+        assume(sigmas)
+        ladder = _ladder(params, M)
+        for s in sigmas:
+            assert _band_count_below(ladder, s) == sum(e < s for e in eigs), s
+
+    @pytest.mark.parametrize("g", (1e-14, 0.0))
+    @pytest.mark.parametrize("sign", (+1, -1))
+    def test_exactly_singular_block(self, g, sign):
+        # eps = 0, sigma = +/-delta: the first block is exactly singular. The
+        # nudged pivot counts the level at sigma (exactly there for g = 0,
+        # about g^2 below for g = 1e-14) as below, and nothing overflows
+        delta, M = 0.3, 12
+        sigma = sign * delta
+        below = dense_count(g, delta, 0.0, M, sigma - 1e-9)
+        assert dense_count(g, delta, 0.0, M, sigma + 1e-9) == below + 1
+        assert ladder_count(g, delta, 0.0, M, sigma) == below + 1
+        assert ladder_count(g, delta, 0.0, M, sigma - 1e-9) == below
+        assert ladder_count(g, delta, 0.0, M, sigma + 1e-9) == below + 1
+
+    def test_zero_leading_entry_of_regular_block(self):
+        # delta = 0, sigma = 0: S_0 = [[0, eps], [eps, 0]] is regular although
+        # its leading entry vanishes; no pivot nudge may enter the count
+        for eps in (1.0, -0.6):
+            assert ladder_count(0.5, 0.0, eps, 8, 0.0) == dense_count(0.5, 0.0, eps, 8, 0.0)
+
+    def test_coupling_sign_invariance(self):
+        # (-1)^(a^dag a) maps g to -g: the spectrum, hence every count, is even in g
+        for g, delta, eps in ((0.8, 1.2, 0.3), (2.1, 0.5, -1.1), (1.4, 0.9, 0.0)):
+            for sigma in (-3.1, -0.45, 0.2, 1.7, 4.3):
+                n = ladder_count(g, delta, eps, 20, sigma)
+                assert ladder_count(-g, delta, eps, 20, sigma) == n
+                assert dense_count(-g, delta, eps, 20, sigma) == n
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("g,delta", ((0.5, 1.0), (1.3, 0.7), (2.2, 1.4)))
+    def test_unbiased_spectrum_is_two_parity_chains(self, g, delta):
+        # eps = 0: H splits into the Z2 parity chains with diagonal
+        # k +/- (-1)^k delta and off-diagonal g sqrt(k+1)
+        M, n = 60, 12
+        off = [g * math.sqrt(k + 1.0) for k in range(M)]
+        chains = [sym_tridiag_eigenvalues([k + s * (-1) ** k * delta for k in range(M + 1)], off)
+                  for s in (+1, -1)]
+        merged = sorted(chains[0] + chains[1])[:n]
+        eigs = lowest_eigenvalues(ModelParams(g, delta, 0.0), TruncationConfig(M=M), n)
+        assert eigs == pytest.approx(merged, abs=1e-10)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from aqrm.poly import c_weight, constraint_poly, constraint_value
 from aqrm.roots import (
+    bisect_count,
     refine_interval,
     NotSymmetrizableError,
     RootInterval,
@@ -248,6 +249,20 @@ class TestTridiagEigen:
         eigs = sym_tridiag_eigenvalues(diag, off, tol=1e-13)
         for sigma in (-2.0, 0.0, 0.6, 2.5, 5.0):
             assert tridiag_count_below(diag, off, sigma) == sum(e < sigma for e in eigs)
+
+    def test_bisect_count_brackets_each_level(self):
+        levels = [-1.5, 0.25, 0.25, 2.0]
+        probes = []
+
+        def count_below(sigma):
+            probes.append(sigma)
+            return sum(e < sigma for e in levels)
+
+        for k, e in enumerate(levels):
+            probes.clear()
+            assert bisect_count(count_below, -4.0, 4.0, k, 1e-12) == pytest.approx(e, abs=1e-12)
+            assert len(probes) == 43          # ceil(log2(8 / 1e-12)) halvings
+        assert bisect_count(count_below, 0.0, 1.0, 0, 2.0) == 0.5
 
     def test_symmetrize_requires_nonneg_products(self):
         m = TridiagMatrix((Fraction(0), Fraction(0)), (Fraction(1),), (Fraction(-1),))
