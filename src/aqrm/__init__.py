@@ -13,7 +13,7 @@ from .series import (
     t_function,
 )
 from .spectrum import EigenvalueRecord, SweepConfig, full_spectrum, juddian_roots
-from .oracle import TruncationConfig, truncated_hamiltonian
+from .oracle import TruncationConfig, lowest_eigenvalues
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,6 @@ __all__ = [
     "SeriesConfig", "SweepConfig", "TridiagMatrix", "TruncationConfig",
     "UniPoly", "a_poly", "constraint_poly", "constraint_poly_det",
     "continuant", "full_spectrum", "g_function", "isolate_real_roots",
-    "juddian_roots", "reciprocal_gamma", "regularized_g", "t_function",
-    "truncated_hamiltonian", "verify_divisibility",
+    "juddian_roots", "lowest_eigenvalues", "reciprocal_gamma", "regularized_g",
+    "t_function", "verify_divisibility",
 ]

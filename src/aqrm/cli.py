@@ -18,12 +18,13 @@ from .series import (
     b_residual,
     double_pole_coefficients,
     g_function,
+    is_half_integer,
     regularized_g,
     residue_numeric,
     residue_simple,
     t_function,
 )
-from .spectrum import fmt_float
+from .spectrum import fmt_float, rows_to_csv, rows_to_json
 
 
 def parse_eps(text: str):
@@ -66,17 +67,9 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _rows_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _rows_json(header: list[str], rows: list[list]) -> str:
-    return json.dumps([dict(zip(header, row)) for row in rows],
-                      indent=2, sort_keys=True) + "\n"
+def _emit_rows(rows: list[dict], args, fields=spectrum.SPECTRUM_FIELDS):
+    _emit(rows_to_json(rows) if args.format == "json" else rows_to_csv(rows, fields),
+          args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -122,27 +115,23 @@ def cmd_count_roots(args) -> int:
 
 def cmd_gfunc(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
-    header = ["x", "G", "calG"]
     rows = []
     for x in parse_range(args.x):
         try:
             gval = g_function(x, params)
         except PoleEncountered:
             gval = float("nan")
-        rows.append([x, gval, regularized_g(x, params)])
-    text = _rows_json(header, rows) if args.format == "json" else _rows_csv(header, rows)
-    _emit(text, args.out)
+        rows.append({"x": x, "G": gval, "calG": regularized_g(x, params)})
+    _emit_rows(rows, args, ("x", "G", "calG"))
     return 0
 
 
 def cmd_tfunc(args) -> int:
-    header = ["g", "T"]
     rows = []
     for g in parse_range(args.g):
         params = ModelParams(g, args.delta, float(args.eps))
-        rows.append([g, t_function(args.N, params, args.sign)])
-    text = _rows_json(header, rows) if args.format == "json" else _rows_csv(header, rows)
-    _emit(text, args.out)
+        rows.append({"g": g, "T": t_function(args.N, params, args.sign)})
+    _emit_rows(rows, args, ("g", "T"))
     return 0
 
 
@@ -150,7 +139,7 @@ def cmd_residue(args) -> int:
     eps = float(args.eps)
     params = ModelParams(args.g, args.delta, eps)
     out = {}
-    if spectrum.is_half_integer(eps) and args.sign == "plus":
+    if is_half_integer(eps) and args.sign == "plus":
         ell = round(2 * eps)
         if ell < 0:
             raise ValueError("use the minus sign for negative bias poles")
@@ -176,9 +165,7 @@ def cmd_residue(args) -> int:
 def cmd_spectrum(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
     recs = spectrum.full_spectrum(params, args.x_max, args.scan_step, args.tol)
-    rows = spectrum.records_to_rows(recs, args.g)
-    text = spectrum.rows_to_json(rows) if args.format == "json" else spectrum.rows_to_csv(rows)
-    _emit(text, args.out)
+    _emit_rows(spectrum.records_to_rows(recs, args.g), args)
     return 0
 
 
@@ -188,9 +175,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep grid needs at least one positive coupling")
     cfg = spectrum.SweepConfig(g_grid=grid, scan_step=args.scan_step,
                                refine_tol=args.tol)
-    rows = spectrum.spectral_sweep(args.delta, float(args.eps), cfg, args.levels)
-    text = spectrum.rows_to_json(rows) if args.format == "json" else spectrum.rows_to_csv(rows)
-    _emit(text, args.out)
+    _emit_rows(spectrum.spectral_sweep(args.delta, float(args.eps), cfg, args.levels), args)
     return 0
 
 
@@ -198,11 +183,9 @@ def cmd_oracle(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
     eigs = oracle.lowest_eigenvalues(params, oracle.TruncationConfig(M=args.M),
                                      args.count)
-    rows = [{"g": args.g, "index": i, "lambda": lam, "x": lam + args.g ** 2,
-             "kind": "oracle", "multiplicity": 1, "level_N": None, "branch": None}
-            for i, lam in enumerate(eigs)]
-    text = spectrum.rows_to_json(rows) if args.format == "json" else spectrum.rows_to_csv(rows)
-    _emit(text, args.out)
+    _emit_rows([{"g": args.g, "index": i, "lambda": lam, "x": lam + args.g ** 2,
+                 "kind": "oracle", "multiplicity": 1, "level_N": None, "branch": None}
+                for i, lam in enumerate(eigs)], args)
     return 0
 
 

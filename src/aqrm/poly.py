@@ -6,7 +6,6 @@ variant, the Laguerre limit, and the generating-function identities."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .roots import TridiagMatrix, UniPoly, continuant
@@ -89,6 +88,9 @@ class BivarPoly:
         return BivarPoly(t)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * Fraction(1, other)
 
     @staticmethod
     def _coerce(v) -> "BivarPoly":
@@ -239,23 +241,6 @@ def lambda_weight(k: int, N: int) -> int:
     return k * (k - 1) * (N - k + 1)
 
 
-@dataclass(frozen=True)
-class RecurrenceConstants:
-    """The index triple behind every three-term step, with its two weights."""
-
-    N: int
-    eps: Fraction
-    k: int
-
-    @property
-    def c(self):
-        return c_weight(self.k, self.eps)
-
-    @property
-    def lam(self) -> int:
-        return lambda_weight(self.k, self.N)
-
-
 # ---------------------------------------------------------------------------
 # constraint polynomials
 # ---------------------------------------------------------------------------
@@ -357,42 +342,32 @@ def constraint_poly_det(N: int, eps) -> BivarPoly:
 # the quotient A_N^l and divisibility
 # ---------------------------------------------------------------------------
 
+def _a_tridiag(N: int, ell: int, x, y) -> TridiagMatrix:
+    """The continuant behind A_N^l / ((N+l)!/N!): diagonal
+    x + y/(N+i) - l + 2i - 1, off-diagonal products i(i-l) (unit lower side),
+    for float, Fraction or BivarPoly x and y."""
+    diag = tuple(x + y / (N + i) - ell + 2 * i - 1 for i in range(1, ell + 1))
+    prods = tuple(i * (i - ell) for i in range(1, ell))
+    return TridiagMatrix(diag, prods, (1,) * len(prods))
+
+
 def a_poly(N: int, ell: int) -> BivarPoly:
     """The degree-l quotient A_N^l(x,y) = P_{N+l}^(N+l,-l/2) / P_N^(N,l/2),
     built from its own tridiagonal determinant: the factor (N+l)!/N! times the
-    continuant with diagonal x + y/(N+i) - l + 2i - 1 and off-diagonal
-    products i(i-l). All coefficients are integers (checked)."""
+    continuant of _a_tridiag. All coefficients are integers (checked)."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    if ell == 0:
-        return BivarPoly.const(1)
-    prev2, prev1 = BivarPoly(), BivarPoly.const(1)
-    for i in range(1, ell + 1):
-        a_i = _X + Fraction(1, N + i) * _Y + BivarPoly.const(-ell + 2 * i - 1)
-        cur = a_i * prev1
-        if i >= 2:
-            bc = (i - 1) * (i - 1 - ell)
-            cur = cur - bc * prev2
-        prev2, prev1 = prev1, cur
     scale = math.factorial(N + ell) // math.factorial(N)
-    out = prev1 * scale
+    out = BivarPoly._coerce(continuant(_a_tridiag(N, ell, _X, _Y))) * scale
     if not out.has_integer_coefficients():
         raise DivisibilityError(f"A_{N}^{ell} has a non-integer coefficient")
     return out
 
 
 def a_value(N: int, ell: int, x, y):
-    """A_N^l evaluated numerically through the same continuant recurrence."""
-    if ell == 0:
-        return 1.0 if isinstance(x, float) else 1
-    prev2, prev1 = 0, 1
-    for i in range(1, ell + 1):
-        a_i = x + y / (N + i) - ell + 2 * i - 1
-        cur = a_i * prev1
-        if i >= 2:
-            cur -= (i - 1) * (i - 1 - ell) * prev2
-        prev2, prev1 = prev1, cur
-    return prev1 * (math.factorial(N + ell) // math.factorial(N))
+    """A_N^l evaluated numerically through the same continuant."""
+    scale = math.factorial(N + ell) // math.factorial(N)
+    return continuant(_a_tridiag(N, ell, x, y)) * scale
 
 
 def a_char_matrix(N: int, ell: int, x) -> TridiagMatrix:

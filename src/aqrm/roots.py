@@ -431,9 +431,12 @@ def real_roots(p: UniPoly, tol: Fraction = Fraction(1, 2 ** 48)) -> list[tuple[F
 def bisect_count(count_below, lo: float, hi: float, k: int, width: float) -> float:
     """The k-th (0-based) eigenvalue in [lo, hi] of a matrix whose number of
     eigenvalues strictly below sigma is count_below(sigma): the midpoint of
-    the bisection bracket once it is no wider than width."""
+    the bisection bracket once it is no wider than width, or once no float
+    midpoint lies strictly inside it."""
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if count_below(mid) <= k:
             lo = mid
         else:

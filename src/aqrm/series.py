@@ -67,7 +67,6 @@ DEFAULT_CONFIG = SeriesConfig()
 
 @dataclass
 class SeriesState:
-    coeffs: list[float]
     sum_R: float
     sum_Rbar: float
     truncation_order: int
@@ -80,6 +79,10 @@ class FrobeniusSolution:
     N: int
     coeffs: list[float]
     value_at_half: float
+
+
+def is_half_integer(eps: float) -> bool:
+    return abs(2.0 * eps - round(2.0 * eps)) < _HALF_INT_TOL
 
 
 def _C(n: int) -> float:
@@ -297,26 +300,24 @@ def k_sequence(x: float, params: ModelParams, sign: Sign, n_max: int) -> list[fl
 
 def k_coefficients(x: float, params: ModelParams, sign: Sign,
                    cfg: SeriesConfig = DEFAULT_CONFIG) -> SeriesState:
-    """Coefficients K_n and the partial sums R = sum K_n g^n and
-    Rbar = sum K_n g^n / (x - n +/- eps), adaptively truncated."""
+    """Partial sums R = sum K_n g^n and Rbar = sum K_n g^n / (x - n +/- eps)
+    of the branch's coefficients K_n, adaptively truncated."""
     s = params.eps if sign == "plus" else -params.eps
     g = params.g
-    coeffs = [1.0]
     d0 = x + s
     if abs(d0) < POLE_GUARD:
         raise PoleEncountered(0, d0)
     R = 1.0
     Rbar = 1.0 / d0
-    prev2 = 0.0
+    prev2, prev1 = 0.0, 1.0
     gn = 1.0
     streak = 0
     for n in range(1, cfg.max_terms + 1):
         d = x - n + s
         if abs(d) < POLE_GUARD:
             raise PoleEncountered(n, d)
-        cur = (_f_coeff(n - 1, x, params, s) * coeffs[-1] - prev2) / n
-        prev2 = coeffs[-1]
-        coeffs.append(cur)
+        cur = (_f_coeff(n - 1, x, params, s) * prev1 - prev2) / n
+        prev2, prev1 = prev1, cur
         gn *= g
         tR = cur * gn
         tRbar = tR / d
@@ -325,10 +326,10 @@ def k_coefficients(x: float, params: ModelParams, sign: Sign,
         if abs(tR) <= cfg.tol * (1.0 + abs(R)) and abs(tRbar) <= cfg.tol * (1.0 + abs(Rbar)):
             streak += 1
             if streak >= cfg.consecutive_small:
-                return SeriesState(coeffs, R, Rbar, n, True)
+                return SeriesState(R, Rbar, n, True)
         else:
             streak = 0
-    return SeriesState(coeffs, R, Rbar, cfg.max_terms, False)
+    return SeriesState(R, Rbar, cfg.max_terms, False)
 
 
 def g_function(x: float, params: ModelParams,
@@ -455,35 +456,27 @@ def _pieces_plus(N: int, params: ModelParams, eps: float, cfg: SeriesConfig):
 def frobenius_solution(kind: str, N: int, params: ModelParams,
                        cfg: SeriesConfig = DEFAULT_CONFIG) -> FrobeniusSolution:
     """One of the four local Frobenius solutions, as its series coefficients
-    and its value at the matching point 1/2."""
-    eps = params.eps
+    and its value at the matching point 1/2. Each is read off its _phi*_tail
+    coefficients kb by one rule: with the recurrence started at L + 1 (L = N
+    for phi1, the shift L of phi2, or no shift), the minus kind is kb itself
+    and the plus kind is (L + 1)/Delta at L, then Delta kb_n / (c0 - n), where
+    c0 = L, or N + 2 eps without a shift."""
     if kind in ("phi1_minus", "phi1_plus"):
-        kb, n_max = _phi1_tail(N, params, eps, cfg)
-        coeffs = [0.0] * (n_max + 1)
-        if kind == "phi1_minus":
-            for n in range(N + 1, n_max + 1):
-                coeffs[n] = kb[n]
-        else:
-            coeffs[N] = (N + 1) / params.delta
-            for n in range(N + 1, n_max + 1):
-                coeffs[n] = -params.delta * kb[n] / (n - N)
+        kb, n_max = _phi1_tail(N, params, params.eps, cfg)
+        L = N
     elif kind in ("phi2_minus", "phi2_plus"):
-        kb, n_max, L = _phi2_tail(N, params, eps, cfg)
-        ne = N + 2.0 * eps
-        coeffs = [0.0] * (n_max + 1)
-        if L is None:
-            for n in range(0, n_max + 1):
-                coeffs[n] = kb[n] if kind == "phi2_minus" else params.delta * kb[n] / (ne - n)
-        else:
-            if kind == "phi2_minus":
-                for n in range(L + 1, n_max + 1):
-                    coeffs[n] = kb[n]
-            else:
-                coeffs[L] = (L + 1) / params.delta
-                for n in range(L + 1, n_max + 1):
-                    coeffs[n] = -params.delta * kb[n] / (n - L)
+        kb, n_max, L = _phi2_tail(N, params, params.eps, cfg)
     else:
         raise ValueError(f"unknown Frobenius solution kind {kind!r}")
+    coeffs = [0.0] * (n_max + 1)
+    if L is None:
+        start, c0 = 0, N + 2.0 * params.eps
+    else:
+        start, c0 = L + 1, L
+        if kind.endswith("_plus"):
+            coeffs[L] = (L + 1) / params.delta
+    for n in range(start, n_max + 1):
+        coeffs[n] = kb[n] if kind.endswith("_minus") else params.delta * kb[n] / (c0 - n)
     value = sum(c * 0.5 ** n for n, c in enumerate(coeffs) if c)
     return FrobeniusSolution(kind, N, coeffs, value)
 
@@ -576,7 +569,7 @@ def _gamma_factor_taylor(x0: float, n: int, branch: str, eps: float) -> list[flo
     structure is exact."""
     two_eps = 2.0 * eps
     m2 = round(two_eps)
-    half_int = abs(two_eps - m2) < _HALF_INT_TOL
+    half_int = is_half_integer(eps)
     if branch == "plus_eps":
         z1 = float(-n)                                   # eps - x0
         z2 = float(-(n + m2)) if half_int else -two_eps - n
@@ -655,23 +648,15 @@ def residue_numeric(x0: float, params: ModelParams, order: int = 1,
         gp = g_function(x0 + h, params, cfg)
         gm = g_function(x0 - h, params, cfg)
         if order == 1:
-            return (h * gp - h * gm) / 2.0
+            return ((h * gp - h * gm) / 2.0,)
         return ((h * h * gp + h * h * gm) / 2.0, (h * h * gp - h * h * gm) / (2.0 * h))
 
-    hs = [h0, h0 / 2.0, h0 / 4.0]
-    if order == 1:
-        v = [sym(h) for h in hs]
-        r1 = (4.0 * v[1] - v[0]) / 3.0
-        r2 = (4.0 * v[2] - v[1]) / 3.0
-        return (16.0 * r2 - r1) / 15.0
-    pairs = [sym(h) for h in hs]
     out = []
-    for idx in range(2):
-        v = [p[idx] for p in pairs]
+    for v in zip(*(sym(h) for h in (h0, h0 / 2.0, h0 / 4.0))):
         r1 = (4.0 * v[1] - v[0]) / 3.0
         r2 = (4.0 * v[2] - v[1]) / 3.0
         out.append((16.0 * r2 - r1) / 15.0)
-    return tuple(out)
+    return out[0] if order == 1 else tuple(out)
 
 
 def _require_half_integer(params: ModelParams, ell: int):

@@ -26,6 +26,7 @@ from .series import (
     DEFAULT_CONFIG,
     ModelParams,
     SeriesConfig,
+    is_half_integer,
     log_term_coefficient,
     regularized_g,
     t_function,
@@ -36,7 +37,6 @@ KIND_JUDDIAN = "juddian"
 KIND_NON_JUDDIAN = "non-juddian-exceptional"
 
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
-_HALF_INT_TOL = 1e-9
 
 
 @dataclass
@@ -68,10 +68,6 @@ def exact_bias(eps: float) -> Fraction | None:
         return eps
     cand = Fraction(eps).limit_denominator(_RATIONAL_EPS_CAP)
     return cand if abs(float(cand) - eps) < 1e-12 else None
-
-
-def is_half_integer(eps: float) -> bool:
-    return abs(2.0 * eps - round(2.0 * eps)) < _HALF_INT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +103,36 @@ def count_positive_roots(N: int, eps, y) -> int:
 
 
 # ---------------------------------------------------------------------------
+# float zeros: sign-change bisection and the slope-normalized vanishing test
+# ---------------------------------------------------------------------------
+
+def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
+    """A zero of f between a and b, where fa = f(a) and f(b) differ in sign:
+    the midpoint of the bracket once it is no wider than tol, or once no float
+    midpoint lies strictly inside it."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _vanishes_at(f, g: float, rel_tol: float) -> bool:
+    """Does f vanish at the coupling g, relative to its central-difference
+    slope there?"""
+    h = min(1e-4 * max(1.0, g), g / 2)
+    slope = (f(g + h) - f(g - h)) / (2.0 * h)
+    return abs(f(g)) <= rel_tol * (abs(slope) * max(1.0, g) + 1e-12)
+
+
+# ---------------------------------------------------------------------------
 # non-Juddian exceptional points: zeros of the T-function over g
 # ---------------------------------------------------------------------------
 
@@ -130,18 +156,7 @@ def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
         if f_prev == 0.0:
             out.append(g_prev)
         elif f_prev * f_cur < 0.0:
-            a, b, fa = g_prev, g_cur, f_prev
-            while b - a > refine_tol:
-                mid = 0.5 * (a + b)
-                fm = tval(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fm > 0.0) == (fa > 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            out.append(0.5 * (a + b))
+            out.append(_bisect_sign_change(tval, g_prev, g_cur, f_prev, refine_tol))
         g_prev, f_prev = g_cur, f_cur
     return out
 
@@ -165,18 +180,6 @@ def _scan_zeros(params: ModelParams, lo: float, hi: float, step: float,
 
     zeros: list[float] = []
 
-    def bisect(a, b, fa):
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if (fm > 0.0) == (fa > 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
     def scan(a, b, steps, depth):
         xs = [a + (b - a) * i / steps for i in range(steps + 1)]
         vs = [f(x) for x in xs]
@@ -184,7 +187,7 @@ def _scan_zeros(params: ModelParams, lo: float, hi: float, step: float,
             if vs[i] == 0.0:
                 zeros.append(xs[i])
             elif vs[i] * vs[i + 1] < 0.0:
-                zeros.append(bisect(xs[i], xs[i + 1], vs[i]))
+                zeros.append(_bisect_sign_change(f, xs[i], xs[i + 1], vs[i], tol))
         if vs[-1] == 0.0:
             zeros.append(xs[-1])
         if depth == 0:
@@ -210,13 +213,9 @@ def _scan_zeros(params: ModelParams, lo: float, hi: float, step: float,
 def _t_zero_here(N: int, params: ModelParams, sign: str,
                  cfg: SeriesConfig, rel_tol: float = 1e-6) -> bool:
     """Does the T-function vanish at this coupling, up to slope normalization?"""
-    t0 = t_function(N, params, sign, cfg)
-    h = min(1e-4 * max(1.0, params.g), params.g / 2)
-    tp = t_function(N, ModelParams(params.g + h, params.delta, params.eps), sign, cfg)
-    tm = t_function(N, ModelParams(params.g - h, params.delta, params.eps), sign, cfg)
-    slope = (tp - tm) / (2.0 * h)
-    scale = abs(slope) * max(1.0, params.g) + 1e-12
-    return abs(t0) <= rel_tol * scale
+    return _vanishes_at(
+        lambda g: t_function(N, ModelParams(g, params.delta, params.eps), sign, cfg),
+        params.g, rel_tol)
 
 
 @lru_cache(maxsize=512)
@@ -246,13 +245,9 @@ def _juddian_here(N: int, params: ModelParams, branch_eps: float,
     warnings.warn("irrational bias: quasi-exact detection falls back to "
                   "float root proximity and may be ill-conditioned",
                   RuntimeWarning, stacklevel=2)
-    local = ModelParams(params.g, params.delta, branch_eps)
-    v0 = log_term_coefficient(N, local)
-    h = min(1e-4 * max(1.0, params.g), params.g / 2)
-    vp = log_term_coefficient(N, ModelParams(params.g + h, params.delta, branch_eps))
-    vm = log_term_coefficient(N, ModelParams(params.g - h, params.delta, branch_eps))
-    slope = (vp - vm) / (2.0 * h)
-    return abs(v0) <= rel_tol * (abs(slope) * max(1.0, params.g) + 1e-12)
+    return _vanishes_at(
+        lambda g: log_term_coefficient(N, ModelParams(g, params.delta, branch_eps)),
+        params.g, rel_tol)
 
 
 def exceptional_records(params: ModelParams, x_lo: float, x_max: float,
@@ -318,6 +313,8 @@ def full_spectrum(params: ModelParams, x_max: float,
     Regular zeros are found by sign-change bracketing, so a pair of regular
     eigenvalues closer than scan_step (a tight avoided crossing) needs a
     correspondingly smaller scan_step to be resolved."""
+    if not (scan_step > 0 and refine_tol > 0):
+        raise ValueError("scan_step and refine_tol must be positive")
     if x_lo is None:
         x_lo = -(params.delta + abs(params.eps) + 1.5)
     exc = exceptional_records(params, x_lo, x_max, cfg)
@@ -348,6 +345,8 @@ def spectral_sweep(delta: float, eps: float, sweep: SweepConfig,
     """Rows (g, index, lambda, x, kind, multiplicity, level_N, branch) for the
     lowest n_levels eigenvalues at every grid coupling; grid points are
     independent and assembled in deterministic grid order."""
+    if n_levels < 0:
+        raise ValueError("n_levels must be nonnegative")
     rows = []
     for g in sweep.g_grid:
         params = ModelParams(g, delta, eps)
@@ -357,10 +356,7 @@ def spectral_sweep(delta: float, eps: float, sweep: SweepConfig,
         for r in recs:
             flat.extend([r] * r.multiplicity)
         flat.sort(key=lambda r: r.lam)
-        for i, r in enumerate(flat[:n_levels]):
-            rows.append({"g": g, "index": i, "lambda": r.lam, "x": r.x,
-                         "kind": r.kind, "multiplicity": r.multiplicity,
-                         "level_N": r.level_N, "branch": r.branch})
+        rows.extend(records_to_rows(flat[:n_levels], g))
     return rows
 
 
@@ -368,7 +364,8 @@ def spectral_sweep(delta: float, eps: float, sweep: SweepConfig,
 # emission
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "g,index,lambda,x,kind,multiplicity,level_N,branch"
+SPECTRUM_FIELDS = ("g", "index", "lambda", "x", "kind", "multiplicity",
+                   "level_N", "branch")
 
 
 def fmt_float(v: float) -> str:
@@ -382,15 +379,16 @@ def records_to_rows(records: list[EigenvalueRecord], g: float) -> list[dict]:
             for i, r in enumerate(records)]
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            fmt_float(r["g"]), str(r["index"]), fmt_float(r["lambda"]),
-            fmt_float(r["x"]), r["kind"], str(r["multiplicity"]),
-            "" if r["level_N"] is None else str(r["level_N"]),
-            "" if r["branch"] is None else r["branch"],
-        ]))
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    return fmt_float(v) if isinstance(v, float) else str(v)
+
+
+def rows_to_csv(rows: list[dict], fields=SPECTRUM_FIELDS) -> str:
+    """CSV with a header line: floats to 17 significant digits, None empty."""
+    lines = [",".join(fields)]
+    lines += [",".join(_csv_field(r[k]) for k in fields) for r in rows]
     return "\n".join(lines) + "\n"
 
 

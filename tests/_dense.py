@@ -1,0 +1,73 @@
+"""Dense reference for the oracle tests: the truncated Hamiltonian as a list of
+rows and cyclic Jacobi eigenvalues, independent of the parity-ladder count in
+`aqrm.oracle`. Jacobi is slow (O(n^3) per sweep) but robust, and it is the
+most accurate of the classical dense methods (Demmel & Veselic, SIAM J.
+Matrix Anal. Appl. 13 (1992))."""
+
+from __future__ import annotations
+
+import math
+
+
+# basis ordering: |n, up> at 2n, |n, down> at 2n+1 (spin-major interleaved)
+
+def truncated_hamiltonian(params, cfg) -> list[list[float]]:
+    """Dense 2(M+1)-dimensional truncation of
+    a^dag a + delta sigma_z + g sigma_x (a^dag + a) + eps sigma_x; every
+    off-diagonal entry is written to both triangles, so symmetry is exact."""
+    M = cfg.M
+    n = 2 * (M + 1)
+    rows = [[0.0] * n for _ in range(n)]
+
+    def put(i, j, v):
+        rows[i][j] = rows[j][i] = v
+
+    for k in range(M + 1):
+        rows[2 * k][2 * k] = k + params.delta
+        rows[2 * k + 1][2 * k + 1] = k - params.delta
+        put(2 * k, 2 * k + 1, params.eps)
+        if k < M:
+            c = params.g * math.sqrt(k + 1.0)
+            put(2 * k + 1, 2 * (k + 1), c)       # |k,down> <-> |k+1,up>
+            put(2 * k, 2 * (k + 1) + 1, c)       # |k,up>   <-> |k+1,down>
+    return rows
+
+
+def _jacobi_eigenvalues(rows: list[list[float]], tol: float = 1e-14,
+                        max_sweeps: int = 60) -> list[float]:
+    """Cyclic Jacobi rotations on a copy of the rows; eigenvalues sorted."""
+    n = len(rows)
+    a = [r[:] for r in rows]
+    for _ in range(max_sweeps):
+        off = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
+        norm = max(max(abs(v) for v in row) for row in a) or 1.0
+        if off <= tol * norm * n:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = 0.5 * (a[q][q] - a[p][p]) / apq
+                t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for k in range(n):
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
+                for k in range(n):
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+    return sorted(a[i][i] for i in range(n))
+
+
+def eigenvalues(rows: list[list[float]], count: int | None = None,
+                tol: float = 1e-12) -> list[float]:
+    """Lowest `count` eigenvalues (all when count is None), sorted ascending."""
+    if count is None:
+        count = len(rows)
+    if count > len(rows):
+        raise ValueError("count exceeds dimension")
+    return _jacobi_eigenvalues(rows, tol=min(tol, 1e-14))[:count]

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, output schemas, determinism,
 exit-code contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -185,3 +186,65 @@ class TestVerifyAndExitCodes:
                            "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("g,index,lambda")
+
+
+class TestInputRange:
+    SPEC = ("spectrum", "--g", "0.5", "--delta", "1", "--eps", "0.3", "--x-max", "3")
+    SWEEP = ("sweep", "--delta", "1", "--eps", "0.3", "--g", "0.5")
+    ORACLE = ("oracle", "--g", "1", "--delta", "1", "--eps", "0.2", "--M", "20")
+
+    @pytest.mark.parametrize("argv", (
+        SPEC + ("--tol", "0"),
+        SPEC + ("--tol", "-1e-10"),
+        SPEC + ("--scan-step", "-1"),
+        SPEC + ("--scan-step", "0"),
+        SWEEP + ("--tol", "0"),
+        SWEEP + ("--levels", "-3"),
+        ORACLE + ("--count", "-2"),
+    ), ids=lambda argv: " ".join((argv[0],) + argv[-2:]))
+    def test_out_of_range_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+
+# SHA-256 of stdout for each README command line, with the sweep shortened to
+# g = 0..0.5, plus an irrational-bias spectrum and a simple-pole residue. The
+# digests pin CPython's 17-digit float output on x86-64 Linux; a libm that
+# rounds exp or sin differently in the last bit changes them.
+GOLDEN = (
+    ("poly --N 6 --eps 0 --k 2",
+     "a1197efb01158a381e3f5d86b9b7bcafdd51e6f464b63dad86daaeedbe653c4c"),
+    ("divide --N 5 --ell 3 --format json",
+     "b79638c70de0c5dab3d9febfacd28865cc19f7c1613835959eb75a46c2a482ca"),
+    ("count-roots --N 6 --eps 2/5 --y 209/10",
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:4:0.002",
+     "69b228274b634cb3cf2ed324ced08dbf07b48382a940549ac3553b4927d5e965"),
+    ("tfunc --N 1 --eps 1/2 --delta 1 --g 0.1:2:0.01",
+     "814d0a9e529d66e4dd367013b6b3d9159b55e8c1d9f9068c4f56f9f05c6e11bb"),
+    ("residue --N 1 --eps 1/2 --g 0.9 --delta 1",
+     "7e93b8f502a2ee34eb608789e68d0865b62bbd5b27a633990b1f2c9c354f0b79"),
+    ("residue --N 1 --eps 0.3 --g 0.9 --delta 1",
+     "2716cedd84dc9669c5d51d41be3736b1ff9e62a11dbd2ab3d6752219c9c16835"),
+    ("spectrum --g 0.5 --delta 1 --eps 1/2 --x-max 5",
+     "3c7104547572ac7f75b89e0351fd0d23f0dad880a6a8e1d2f184ad83c51fbc2a"),
+    ("spectrum --g 0.5 --delta 1 --eps 0.123456789 --x-max 5",
+     "da59ce1c907fb37cdde75ce8206840b07a4de07460e6c30c0ac9059ad003fee2"),
+    ("sweep --delta 1 --eps 1/2 --g 0:0.5:0.1 --levels 8",
+     "73018f662a1c6eba90a08c389de8dd176607f860e4b5bb04a8c79f5544af392f"),
+    ("sweep --delta 1 --eps 0.3 --g 0:0.5:0.1 --levels 8",
+     "9eb2a5c7302811a9a70620405ae9e47f51914703d33ec91a55f93b8cd93e9453"),
+    ("oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8",
+     "2db7398b4a8ea98914c1bc1bfc5667e6da5076d8d6bc40e1b4faa5e1f7a4967c"),
+    ("verify all --max-N 10 --max-ell 4",
+     "e103e59f651a064ade795d9fd072b9818ed978c2c866f3301e1f295b9925e6b1"),
+)
+
+
+@pytest.mark.parametrize("cmd,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_readme_stdout_is_byte_identical(capsys, cmd, digest):
+    code, out, _ = run(capsys, *cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
-"""Truncated-basis Hamiltonian and the self-contained eigensolvers."""
+"""Truncated-basis oracle: the parity-ladder inertia count and bisection,
+checked against the dense Jacobi reference in tests/_dense.py."""
 
 import math
 from types import SimpleNamespace
@@ -7,31 +8,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _dense import eigenvalues, truncated_hamiltonian
 from aqrm.oracle import (
-    DenseSymMatrix,
     TruncationConfig,
     _band_count_below,
     _ladder,
     certified_eigenvalues,
     convergence_study,
-    eigenvalues,
     lowest_eigenvalues,
-    truncated_hamiltonian,
 )
 from aqrm.roots import sym_tridiag_eigenvalues
 from aqrm.series import ModelParams
 
 
-def dense_from_rows(rows):
-    n = len(rows)
-    return DenseSymMatrix(n, [rows[i][j] for i in range(n) for j in range(n)])
-
-
 class TestAssembly:
     def test_hermitian_by_construction(self):
-        m = truncated_hamiltonian(ModelParams(1.3, 0.7, 0.4), TruncationConfig(M=20))
-        assert m.max_asymmetry() == 0.0
-        assert m.dim == 42
+        rows = truncated_hamiltonian(ModelParams(1.3, 0.7, 0.4), TruncationConfig(M=20))
+        assert len(rows) == 42 and all(len(r) == 42 for r in rows)
+        assert all(rows[i][j] == rows[j][i] for i in range(42) for j in range(i))
 
     def test_decoupled_limit(self):
         # g ~ 0, eps = 0: spectrum is {n +/- delta}
@@ -59,15 +53,15 @@ class TestAssembly:
 
 class TestEigensolvers:
     def test_diagonal(self):
-        m = dense_from_rows([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        m = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
         assert eigenvalues(m, 3) == pytest.approx([1.0, 2.0, 3.0])
 
     def test_two_by_two(self):
-        m = dense_from_rows([[0.0, 1.0], [1.0, 0.0]])
+        m = [[0.0, 1.0], [1.0, 0.0]]
         assert eigenvalues(m, 2) == pytest.approx([-1.0, 1.0])
 
     def test_count_bound(self):
-        m = dense_from_rows([[0.0, 1.0], [1.0, 0.0]])
+        m = [[0.0, 1.0], [1.0, 0.0]]
         with pytest.raises(ValueError):
             eigenvalues(m, 3)
 
@@ -82,16 +76,15 @@ class TestEigensolvers:
             rows[i][i] = diag[i]
             if i < n - 1:
                 rows[i][i + 1] = rows[i + 1][i] = off[i]
-        dense = eigenvalues(dense_from_rows(rows), n)
+        dense = eigenvalues(rows, n)
         bisect = sym_tridiag_eigenvalues(diag, off, tol=1e-13)
         assert dense == pytest.approx(bisect, abs=1e-9)
 
-    def test_householder_path_vs_jacobi(self):
-        # dim 82 > jacobi threshold; compare against the banded route
+    def test_dense_vs_ladder_at_dim_82(self):
         p = ModelParams(0.9, 1.1, 0.25)
         dense = eigenvalues(truncated_hamiltonian(p, TruncationConfig(M=40)), 8)
-        banded = lowest_eigenvalues(p, TruncationConfig(M=40), 8)
-        assert dense == pytest.approx(banded, abs=1e-10)
+        ladder = lowest_eigenvalues(p, TruncationConfig(M=40), 8)
+        assert dense == pytest.approx(ladder, abs=1e-10)
 
     def test_invariance_under_bias_flip(self):
         cfg = TruncationConfig(M=60)
@@ -179,6 +172,25 @@ class TestLadderCount:
         assert ladder_count(g, delta, 0.0, M, sigma) == below + 1
         assert ladder_count(g, delta, 0.0, M, sigma - 1e-9) == below
         assert ladder_count(g, delta, 0.0, M, sigma + 1e-9) == below + 1
+
+    @pytest.mark.parametrize("delta,eps", ((5e-324, 0.0), (1e-310, 0.0),
+                                           (1e-160, 0.0), (5e-324, 5e-324)))
+    def test_underflowing_determinant(self, delta, eps):
+        # g = 1, sigma = 0: S_0 = diag(delta, -delta) + eps rung, whose
+        # determinant underflows to zero although the block is regular, and
+        # whose inverse overflows; the level nearest sigma is 4e-4 away
+        M = 8
+        assert ladder_count(1.0, delta, eps, M, 0.0) == dense_count(1.0, delta, eps, M, 0.0) == 2
+
+    @pytest.mark.parametrize("g", (0.5, 1.0, 2.0))
+    def test_exactly_singular_coupled_block(self, g):
+        # delta = 0, eps = 1, sigma = 1: S_0 = [[-1, 1], [1, -1]] is singular
+        # along (1, 1), not along an axis; the nudged pivot must leave the
+        # next blocks readable
+        M = 8
+        below = dense_count(g, 0.0, 1.0, M, 1.0)
+        assert dense_count(g, 0.0, 1.0, M, 1.0 - 1e-6) == below
+        assert ladder_count(g, 0.0, 1.0, M, 1.0) == below
 
     def test_zero_leading_entry_of_regular_block(self):
         # delta = 0, sigma = 0: S_0 = [[0, eps], [eps, 0]] is regular although

@@ -23,6 +23,7 @@ from aqrm.poly import (
     generating_identity_check,
     laguerre_check,
     laguerre_poly,
+    lambda_weight,
     normalized_constraint_poly,
     ode_coefficient_check,
     q_poly,
@@ -400,10 +401,8 @@ class TestCoefficientSlices:
 
 class TestRecurrenceConstants:
     def test_weights(self):
-        from aqrm.poly import RecurrenceConstants
-        rc = RecurrenceConstants(N=5, eps=Fraction(1, 2), k=3)
-        assert rc.c == c_weight(3, Fraction(1, 2)) == 12
-        assert rc.lam == 3 * 2 * 3
+        assert c_weight(3, Fraction(1, 2)) == 12
+        assert lambda_weight(3, 5) == 3 * 2 * 3
 
 
 class TestBivarPolyRing:

@@ -264,6 +264,23 @@ class TestTridiagEigen:
             assert len(probes) == 43          # ceil(log2(8 / 1e-12)) halvings
         assert bisect_count(count_below, 0.0, 1.0, 0, 2.0) == 0.5
 
+    def test_bisect_count_stops_at_float_spacing(self):
+        # near 1e4 neighbouring floats are 1.8e-12 apart, so a 1e-12 bracket
+        # is never reached; the bisection must stop when no float midpoint
+        # is left strictly inside, not probe forever
+        level = 1e4 + 0.1
+        probes = []
+
+        def count_below(sigma):
+            probes.append(sigma)
+            if len(probes) > 200:
+                raise AssertionError("bisection does not terminate")
+            return int(level < sigma)
+
+        lam = bisect_count(count_below, 9000.0, 11000.0, 0, 1e-12)
+        assert abs(lam - level) <= 2e-12
+        assert len(probes) < 60
+
     def test_symmetrize_requires_nonneg_products(self):
         m = TridiagMatrix((Fraction(0), Fraction(0)), (Fraction(1),), (Fraction(-1),))
         with pytest.raises(NotSymmetrizableError):

@@ -333,3 +333,39 @@ class TestHelpers:
         lines = text.strip().split("\n")
         assert lines[0] == "g,index,lambda,x,kind,multiplicity,level_N,branch"
         assert all(len(line.split(",")) == 8 for line in lines[1:])
+
+
+class TestFloatBisection:
+    """The sign-change bisection behind both zero scans stops once no float
+    midpoint is left strictly inside its bracket, whatever the tolerance. The
+    stubs are step functions, so no probe ever lands on an exact zero."""
+
+    @staticmethod
+    def limited(f):
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            if len(calls) > 200:
+                raise AssertionError("bisection does not terminate")
+            return f(*args)
+
+        return stub, calls
+
+    def test_t_function_scan(self, monkeypatch):
+        import aqrm.spectrum as spectrum_mod
+        stub, calls = self.limited(lambda N, params, sign, cfg: 1.0 if params.g >= 1.2345 else -1.0)
+        monkeypatch.setattr(spectrum_mod, "t_function", stub)
+        zeros = non_juddian_roots(1, 1.0, 0.3, "plus", 1.0, 1.5,
+                                  scan_step=0.1, refine_tol=1e-20)
+        assert zeros == [pytest.approx(1.2345, abs=1e-15)]
+        assert len(calls) < 80
+
+    def test_regularized_g_scan(self, monkeypatch):
+        import aqrm.spectrum as spectrum_mod
+        stub, calls = self.limited(lambda x, params, cfg: 1.0 if x >= 1.23 else -1.0)
+        monkeypatch.setattr(spectrum_mod, "regularized_g", stub)
+        recs = regular_spectrum(ModelParams(0.5, 1.0, 0.3), (0.0, 2.0),
+                                scan_step=0.1, refine_tol=1e-20)
+        assert [r.x for r in recs] == [pytest.approx(1.23, abs=1e-15)]
+        assert len(calls) < 100
