@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from aqrm.spectrum import SweepConfig, rows_to_csv, spectral_sweep  # noqa: E402
+from aqrm.spectrum import rows_to_csv, spectral_sweep  # noqa: E402
 
 
 def main() -> int:
@@ -32,8 +32,7 @@ def main() -> int:
     while g <= args.g_max + args.step / 2:
         grid.append(round(g, 12))
         g += args.step
-    cfg = SweepConfig(g_grid=tuple(grid))
-    rows = spectral_sweep(args.delta, args.eps, cfg, args.levels)
+    rows = spectral_sweep(args.delta, args.eps, grid, args.levels)
     text = rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(text)

@@ -6,21 +6,19 @@ from .poly import BivarPoly, a_poly, constraint_poly, constraint_poly_det, verif
 from .roots import RootInterval, TridiagMatrix, UniPoly, continuant, isolate_real_roots
 from .series import (
     ModelParams,
-    SeriesConfig,
     g_function,
     reciprocal_gamma,
     regularized_g,
     t_function,
 )
-from .spectrum import EigenvalueRecord, SweepConfig, full_spectrum, juddian_roots
-from .oracle import TruncationConfig, lowest_eigenvalues
+from .spectrum import EigenvalueRecord, full_spectrum, juddian_roots
+from .oracle import lowest_eigenvalues
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BivarPoly", "EigenvalueRecord", "ModelParams", "RootInterval",
-    "SeriesConfig", "SweepConfig", "TridiagMatrix", "TruncationConfig",
-    "UniPoly", "a_poly", "constraint_poly", "constraint_poly_det",
+    "TridiagMatrix", "UniPoly", "a_poly", "constraint_poly", "constraint_poly_det",
     "continuant", "full_spectrum", "g_function", "isolate_real_roots",
     "juddian_roots", "lowest_eigenvalues", "reciprocal_gamma", "regularized_g",
     "t_function", "verify_divisibility",

@@ -173,16 +173,22 @@ def cmd_sweep(args) -> int:
     grid = tuple(g for g in parse_range(args.g) if g > 0)
     if not grid:
         raise ValueError("sweep grid needs at least one positive coupling")
-    cfg = spectrum.SweepConfig(g_grid=grid, scan_step=args.scan_step,
-                               refine_tol=args.tol)
-    _emit_rows(spectrum.spectral_sweep(args.delta, float(args.eps), cfg, args.levels), args)
+    _emit_rows(spectrum.spectral_sweep(args.delta, float(args.eps), grid, args.levels,
+                                       args.scan_step, args.tol), args)
     return 0
 
 
 def cmd_oracle(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
-    eigs = oracle.lowest_eigenvalues(params, oracle.TruncationConfig(M=args.M),
-                                     args.count)
+    eigs = oracle.lowest_eigenvalues(params, args.M, args.count)
+    if eigs:
+        # a truncation that has converged keeps its level count when M grows
+        sigma = eigs[-1] + 1e-6
+        counts = [oracle.count_below(params, m, sigma) for m in (args.M, args.M + 20)]
+        if counts[0] != counts[1]:
+            print(f"warning: truncation M={args.M} not converged: "
+                  f"{counts[0]} eigenvalues below {fmt_float(sigma)} at M={args.M}, "
+                  f"{counts[1]} at M={args.M + 20}", file=sys.stderr)
     _emit_rows([{"g": args.g, "index": i, "lambda": lam, "x": lam + args.g ** 2,
                  "kind": "oracle", "multiplicity": 1, "level_N": None, "branch": None}
                 for i, lam in enumerate(eigs)], args)

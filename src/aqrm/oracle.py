@@ -6,20 +6,11 @@ involved."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .roots import bisect_count
 from .series import ModelParams
 
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    M: int = 80          # highest boson number kept
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.M < 8:
-            raise ValueError("M must be at least 8")
+_WIDTH = 1.01e-12    # bisection width of each eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +68,20 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]], sigma: fl
     return count
 
 
-def lowest_eigenvalues(params: ModelParams, cfg: TruncationConfig,
-                       count: int) -> list[float]:
-    """Lowest eigenvalues of the truncated Hamiltonian through inertia
-    bisection on the parity ladder, O(M) per probe."""
+def count_below(params: ModelParams, M: int, sigma: float) -> int:
+    """Eigenvalues below sigma of the Hamiltonian truncated at boson number M."""
+    return _band_count_below(_ladder(params, M), sigma)
+
+
+def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
+    """Lowest eigenvalues of the Hamiltonian truncated at boson number M
+    (at least 8), through inertia bisection on the parity ladder, O(M) per
+    probe."""
+    if M < 8:
+        raise ValueError("M must be at least 8")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    M, d, e = cfg.M, params.delta, abs(params.eps)
+    d, e = params.delta, abs(params.eps)
     ladder = _ladder(params, M)
     count = min(count, 2 * (M + 1))
     # Gershgorin radii of the rows |k,up> and |k,down>: couplings left of the
@@ -96,7 +94,7 @@ def lowest_eigenvalues(params: ModelParams, cfg: TruncationConfig,
     out = []
     for k in range(count):
         out.append(bisect_count(lambda s: _band_count_below(ladder, s),
-                                lo, hi, k, cfg.tol * 0.01 + 1e-14))
+                                lo, hi, k, _WIDTH))
         lo = out[-1] - 1e-9  # eigenvalues are sorted; restart just below
     return out
 
@@ -110,7 +108,7 @@ def convergence_study(params: ModelParams, M_list: list[int],
     rows = []
     prev = None
     for M in M_list:
-        eigs = lowest_eigenvalues(params, TruncationConfig(M=M), count)
+        eigs = lowest_eigenvalues(params, M, count)
         drift = None if prev is None else max(abs(a - b) for a, b in zip(eigs, prev))
         rows.append({"M": M, "eigenvalues": eigs, "drift": drift})
         prev = eigs
@@ -122,10 +120,10 @@ def certified_eigenvalues(params: ModelParams, count: int, tol: float = 1e-8,
     """Raise the truncation until successive eigenvalue drift falls below tol;
     returns (eigenvalues, certified M)."""
     M = M_start
-    prev = lowest_eigenvalues(params, TruncationConfig(M=M), count)
+    prev = lowest_eigenvalues(params, M, count)
     while M < M_cap:
         M2 = M + max(20, M // 2)
-        cur = lowest_eigenvalues(params, TruncationConfig(M=M2), count)
+        cur = lowest_eigenvalues(params, M2, count)
         if max(abs(a - b) for a, b in zip(cur, prev)) < tol:
             return cur, M2
         M, prev = M2, cur

@@ -329,13 +329,26 @@ def constraint_tridiag(N: int, eps) -> TridiagMatrix:
     return TridiagMatrix(diag, upper, lower)
 
 
+def q_poly(N: int, eps, k: int) -> BivarPoly:
+    """Q_k^(N,eps)(x,y): the continuant of the first k rows of
+    constraint_tridiag(N, eps); Q_N = P_N^(N,eps).
+
+    Q_0 = 1, Q_1 = x + y - (2N - 1 + 2 eps),
+    Q_k = (k x + y - k(2(N+1-k) - 1 + 2 eps)) Q_{k-1}
+          - k(k-1)(N+1-k)(N+1-k+2 eps) Q_{k-2}.
+    """
+    if not 0 <= k <= N:
+        raise ValueError("need 0 <= k <= N")
+    m = constraint_tridiag(N, eps)
+    j = max(k - 1, 0)
+    return BivarPoly._coerce(continuant(TridiagMatrix(m.diag[:k], m.upper[:j], m.lower[:j])))
+
+
 def constraint_poly_det(N: int, eps) -> BivarPoly:
     """P_N^(N,eps)(x,y) by symbolic continuant expansion of its tridiagonal
-    determinant form; must agree with constraint_poly(N, eps, N) identically."""
-    if N == 0:
-        return BivarPoly.const(1)
-    v = continuant(constraint_tridiag(N, eps))
-    return v if isinstance(v, BivarPoly) else BivarPoly.const(v)
+    determinant form, q_poly(N, eps, N); must agree with
+    constraint_poly(N, eps, N) identically."""
+    return q_poly(N, eps, N)
 
 
 # ---------------------------------------------------------------------------
@@ -394,32 +407,6 @@ def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
     if quot != a_poly(N, ell):
         raise DivisibilityError(f"quotient mismatch for N={N}, ell={ell}")
     return quot, True
-
-
-# ---------------------------------------------------------------------------
-# the Q_k family
-# ---------------------------------------------------------------------------
-
-def q_poly(N: int, eps, k: int) -> BivarPoly:
-    """Q_k^(N,eps)(x,y): the continuant expansion of the determinant form of
-    P_N^(N,eps) truncated after k rows; Q_N = P_N^(N,eps).
-
-    Q_0 = 1, Q_1 = x + y - (2N - 1 + 2 eps),
-    Q_k = (k x + y - k(2(N+1-k) - 1 + 2 eps)) Q_{k-1}
-          - k(k-1)(N+1-k)(N+1-k+2 eps) Q_{k-2}.
-    """
-    eps = _frac(eps)
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
-    p0 = BivarPoly.const(1)
-    if k == 0:
-        return p0
-    p1 = _X + _Y - BivarPoly.const(2 * N - 1 + 2 * eps)
-    for j in range(2, k + 1):
-        p2 = (j * _X + _Y - BivarPoly.const(j * (2 * (N + 1 - j) - 1 + 2 * eps))) * p1 \
-            - BivarPoly.const(j * (j - 1) * (N + 1 - j) * (N + 1 - j + 2 * eps)) * p0
-        p0, p1 = p1, p2
-    return p1
 
 
 # ---------------------------------------------------------------------------

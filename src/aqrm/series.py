@@ -18,6 +18,11 @@ Sign = Literal["plus", "minus"]
 POLE_GUARD = 1e-8          # reject direct series evaluation closer than this to a pole
 REMOVABLE_WINDOW = 1e-3    # widest switch to the local expansion (shrunk near close poles)
 _HALF_INT_TOL = 1e-9
+# every adaptive series stops once _STREAK consecutive terms are below _TOL
+# relative to the partial sum, and raises NonConvergent after _MAX_TERMS terms
+_TOL = 1e-14
+_MAX_TERMS = 2000
+_STREAK = 8
 
 
 class PoleEncountered(ArithmeticError):
@@ -29,7 +34,7 @@ class PoleEncountered(ArithmeticError):
 
 
 class NonConvergent(ArithmeticError):
-    """Tail criterion not met within the configured number of terms."""
+    """Tail criterion not met within _MAX_TERMS terms."""
 
 
 class WrongPoleOrder(ValueError):
@@ -38,31 +43,21 @@ class WrongPoleOrder(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters: coupling g > 0, level splitting delta > 0, bias eps."""
+    """Physical parameters: finite coupling g > 0, level splitting delta > 0,
+    bias eps."""
 
     g: float
     delta: float
     eps: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.g) and math.isfinite(self.delta)
+                and math.isfinite(self.eps)):
+            raise ValueError("g, delta and eps must be finite")
         if not self.g > 0:
             raise ValueError("g must be positive")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    tol: float = 1e-14
-    max_terms: int = 2000
-    consecutive_small: int = 8
-
-    def __post_init__(self):
-        if self.max_terms < 32:
-            raise ValueError("max_terms must be at least 32")
-
-
-DEFAULT_CONFIG = SeriesConfig()
 
 
 @dataclass
@@ -276,68 +271,69 @@ class _LJet:
 # K-coefficient series of the G-function
 # ---------------------------------------------------------------------------
 
-def _f_coeff(n: int, x: float, p: ModelParams, s: float) -> float:
-    """f_n = 2g + (n - x + s + Delta^2/(x - n + s)) / (2g) with s = +eps or -eps."""
-    d = x - n + s
-    return 2.0 * p.g + (n - x + s + p.delta * p.delta / d) / (2.0 * p.g)
+def _k_steps(x: float, params: ModelParams, s: float):
+    """Yield (d_n, K_n) for n = 0, 1, 2, ... of the branch with s = +eps or
+    -eps: d_n = x - n + s, K_0 = 1 and n K_n = f_{n-1} K_{n-1} - K_{n-2} with
+    f_n = 2g + (n - x + s + Delta^2/d_n) / (2g). The pole d_{n-1} is checked
+    just before K_n is formed (PoleEncountered), so a consumer that stops at
+    K_n never checks d_n."""
+    two_g = 2.0 * params.g
+    d2 = params.delta * params.delta
+    prev2, prev1 = 0.0, 1.0
+    n = 0
+    d = x + s
+    yield d, prev1
+    while True:
+        if abs(d) < POLE_GUARD:
+            raise PoleEncountered(n, d)
+        f = two_g + (n - x + s + d2 / d) / two_g
+        n += 1
+        prev2, prev1 = prev1, (f * prev1 - prev2) / n
+        d = x - n + s
+        yield d, prev1
+
+
+def _branch_shift(params: ModelParams, sign: Sign) -> float:
+    return params.eps if sign == "plus" else -params.eps
 
 
 def k_sequence(x: float, params: ModelParams, sign: Sign, n_max: int) -> list[float]:
     """Raw coefficients K_0..K_{n_max} of the chosen branch; raises
     PoleEncountered if the recurrence passes through a pole."""
-    s = params.eps if sign == "plus" else -params.eps
-    out = [1.0]
-    prev2 = 0.0
-    for n in range(1, n_max + 1):
-        d = x - (n - 1) + s
-        if abs(d) < POLE_GUARD:
-            raise PoleEncountered(n - 1, d)
-        cur = (_f_coeff(n - 1, x, params, s) * out[-1] - prev2) / n
-        prev2 = out[-1]
-        out.append(cur)
-    return out
+    steps = _k_steps(x, params, _branch_shift(params, sign))
+    return [k for _, (_, k) in zip(range(n_max + 1), steps)]
 
 
-def k_coefficients(x: float, params: ModelParams, sign: Sign,
-                   cfg: SeriesConfig = DEFAULT_CONFIG) -> SeriesState:
+def k_coefficients(x: float, params: ModelParams, sign: Sign) -> SeriesState:
     """Partial sums R = sum K_n g^n and Rbar = sum K_n g^n / (x - n +/- eps)
     of the branch's coefficients K_n, adaptively truncated."""
-    s = params.eps if sign == "plus" else -params.eps
-    g = params.g
-    d0 = x + s
-    if abs(d0) < POLE_GUARD:
-        raise PoleEncountered(0, d0)
-    R = 1.0
-    Rbar = 1.0 / d0
-    prev2, prev1 = 0.0, 1.0
+    g, tol, streak_len, guard = params.g, _TOL, _STREAK, POLE_GUARD
+    R = Rbar = 0.0
     gn = 1.0
     streak = 0
-    for n in range(1, cfg.max_terms + 1):
-        d = x - n + s
-        if abs(d) < POLE_GUARD:
+    steps = _k_steps(x, params, _branch_shift(params, sign))
+    for n, (d, k) in zip(range(_MAX_TERMS + 1), steps):
+        if abs(d) < guard:
             raise PoleEncountered(n, d)
-        cur = (_f_coeff(n - 1, x, params, s) * prev1 - prev2) / n
-        prev2, prev1 = prev1, cur
-        gn *= g
-        tR = cur * gn
+        tR = k * gn
         tRbar = tR / d
         R += tR
         Rbar += tRbar
-        if abs(tR) <= cfg.tol * (1.0 + abs(R)) and abs(tRbar) <= cfg.tol * (1.0 + abs(Rbar)):
+        gn *= g
+        if abs(tR) <= tol * (1.0 + abs(R)) and abs(tRbar) <= tol * (1.0 + abs(Rbar)):
             streak += 1
-            if streak >= cfg.consecutive_small:
+            if streak >= streak_len:
                 return SeriesState(R, Rbar, n, True)
         else:
             streak = 0
-    return SeriesState(R, Rbar, cfg.max_terms, False)
+    return SeriesState(R, Rbar, _MAX_TERMS, False)
 
 
-def g_function(x: float, params: ModelParams,
-               cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
+def g_function(x: float, params: ModelParams) -> float:
     """G(x) = Delta^2 Rbar+ Rbar- - R+ R-; zeros give regular eigenvalues
     lambda = x - g^2."""
-    sp = k_coefficients(x, params, "plus", cfg)
-    sm = k_coefficients(x, params, "minus", cfg)
+    sp = k_coefficients(x, params, "plus")
+    sm = k_coefficients(x, params, "minus")
     if not (sp.converged and sm.converged):
         raise NonConvergent(f"G-function series not converged at x={x}")
     return params.delta ** 2 * sp.sum_Rbar * sm.sum_Rbar - sp.sum_R * sm.sum_R
@@ -359,136 +355,88 @@ def log_term_coefficient(N: int, params: ModelParams) -> float:
 # Frobenius solutions and constraint T-functions
 # ---------------------------------------------------------------------------
 
-def _phi1_tail(N: int, params: ModelParams, eps: float,
-               cfg: SeriesConfig) -> tuple[dict[int, float], int]:
-    """Largest-exponent coefficients at the near singular point: zero through
-    index N, equal to 1 at N+1, then the three-term recurrence."""
-    g2 = 4.0 * params.g * params.g
-    d2 = params.delta * params.delta
-    kb = {N: 0.0, N + 1: 1.0}
-    n = N + 1
-    half_n = 0.5 ** (N + 1)
-    ssum = half_n
-    streak = 0
-    while n - N < cfg.max_terms:
-        kb[n + 1] = ((n - N + g2 - 2.0 * eps + d2 / (N - n)) * kb[n]
-                     - g2 * kb.get(n - 1, 0.0)) / (n + 1)
-        n += 1
-        half_n *= 0.5
-        term = kb[n] * half_n
-        ssum += term
-        if abs(term) <= cfg.tol * (1.0 + abs(ssum)):
-            streak += 1
-            if streak >= cfg.consecutive_small:
-                return kb, n
-        else:
-            streak = 0
-    raise NonConvergent(f"phi1 series not converged (N={N}, eps={eps})")
-
-
-def _phi2_tail(N: int, params: ModelParams, eps: float,
-               cfg: SeriesConfig) -> tuple[dict[int, float], int, int | None]:
-    """Coefficients of the far-point Frobenius solution; when N + 2 eps is a
-    nonnegative integer L the initial conditions shift to start at L+1."""
+def _phi_tail(phi: int, N: int, params: ModelParams,
+              eps: float) -> tuple[dict[int, float], int, int, int | None, float]:
+    """Coefficients kb of phi1 (phi=1, near singular point) or phi2 (phi=2,
+    far point) at bias eps, from kb_{start-1} = 0 and kb_start = 1 by
+        kb_{n+1} = ((n - N + (2g)^2 - shift + Delta^2/(pole - n)) kb_n
+                    - (2g)^2 kb_{n-1}) / (n + 1),
+    until _STREAK terms kb_n 2^-n in a row are negligible. phi1 starts at
+    L + 1 with L = N, shift 2 eps and pole N. phi2 has shift 0 and pole
+    N + 2 eps, and starts at L + 1 when N + 2 eps is within _HALF_INT_TOL of a
+    nonnegative integer L (the pole stays at N + 2 eps, not L), else at 0
+    with L = None. Returns (kb, start, n_max, L, c0): c0 is L, or
+    N + 2 eps without a shift: the plus kind has coefficients
+    Delta kb_n / (c0 - n), plus (L + 1)/Delta at L."""
     g2 = 4.0 * params.g * params.g
     d2 = params.delta * params.delta
     ne = N + 2.0 * eps
-    L = round(ne)
-    shifted = abs(ne - L) < _HALF_INT_TOL and L >= 0
-    if shifted:
-        kb = {L: 0.0, L + 1: 1.0}
-        start = L + 1
+    if phi == 1:
+        L, shift, pole = N, 2.0 * eps, N
     else:
-        kb = {-1: 0.0, 0: 1.0}
-        start = 0
-        L = None
+        L, shift, pole = round(ne), 0.0, ne
+        if not (abs(ne - L) < _HALF_INT_TOL and L >= 0):
+            L = None
+    start = 0 if L is None else L + 1
+    kb = {start - 1: 0.0, start: 1.0}
     n = start
     half_n = 0.5 ** start
     ssum = half_n
     streak = 0
-    while n - start < cfg.max_terms:
-        kb[n + 1] = ((n - N + g2 + d2 / (ne - n)) * kb[n] - g2 * kb[n - 1]) / (n + 1)
+    while n - start < _MAX_TERMS:
+        kb[n + 1] = ((n - N + g2 - shift + d2 / (pole - n)) * kb[n] - g2 * kb[n - 1]) / (n + 1)
         n += 1
         half_n *= 0.5
         term = kb[n] * half_n
         ssum += term
-        if abs(term) <= cfg.tol * (1.0 + abs(ssum)):
+        if abs(term) <= _TOL * (1.0 + abs(ssum)):
             streak += 1
-            if streak >= cfg.consecutive_small:
-                return kb, n, L
+            if streak >= _STREAK:
+                return kb, start, n, L, ne if L is None else L
         else:
             streak = 0
-    raise NonConvergent(f"phi2 series not converged (N={N}, eps={eps})")
+    raise NonConvergent(f"phi{phi} series not converged (N={N}, eps={eps})")
 
 
-def _pieces_minus(N: int, params: ModelParams, eps: float, cfg: SeriesConfig):
-    """(R^(N,-), Rbar^(N,-)) = (phi_{1,-}, phi_{1,+}) evaluated at 1/2."""
-    kb, n_max = _phi1_tail(N, params, eps, cfg)
+def _phi_values(phi: int, N: int, params: ModelParams, eps: float) -> tuple[float, float]:
+    """(phi_minus, phi_plus) of phi1 or phi2 at 1/2: for phi1 these are
+    (R^(N,-), Rbar^(N,-)), for phi2 (R^(N,+), Rbar^(N,+))."""
+    kb, start, n_max, L, c0 = _phi_tail(phi, N, params, eps)
     R = 0.0
-    Rbar = (N + 1) / params.delta * 0.5 ** N
-    for n in range(N + 1, n_max + 1):
+    Rbar = 0.0 if L is None else (L + 1) / params.delta * 0.5 ** L
+    for n in range(start, n_max + 1):
         t = kb[n] * 0.5 ** n
         R += t
-        Rbar -= params.delta * t / (n - N)
-    return R, Rbar, kb, n_max
+        Rbar += params.delta * t / (c0 - n)
+    return R, Rbar
 
 
-def _pieces_plus(N: int, params: ModelParams, eps: float, cfg: SeriesConfig):
-    """(R^(N,+), Rbar^(N,+)) = (phi_{2,-}, phi_{2,+}) evaluated at 1/2."""
-    kb, n_max, L = _phi2_tail(N, params, eps, cfg)
-    ne = N + 2.0 * eps
-    R = 0.0
-    if L is None:
-        Rbar = 0.0
-        for n in range(0, n_max + 1):
-            t = kb[n] * 0.5 ** n
-            R += t
-            Rbar += params.delta * t / (ne - n)
-    else:
-        Rbar = (L + 1) / params.delta * 0.5 ** L
-        for n in range(L + 1, n_max + 1):
-            t = kb[n] * 0.5 ** n
-            R += t
-            Rbar -= params.delta * t / (n - L)
-    return R, Rbar, kb, n_max, L
-
-
-def frobenius_solution(kind: str, N: int, params: ModelParams,
-                       cfg: SeriesConfig = DEFAULT_CONFIG) -> FrobeniusSolution:
+def frobenius_solution(kind: str, N: int, params: ModelParams) -> FrobeniusSolution:
     """One of the four local Frobenius solutions, as its series coefficients
-    and its value at the matching point 1/2. Each is read off its _phi*_tail
-    coefficients kb by one rule: with the recurrence started at L + 1 (L = N
-    for phi1, the shift L of phi2, or no shift), the minus kind is kb itself
-    and the plus kind is (L + 1)/Delta at L, then Delta kb_n / (c0 - n), where
-    c0 = L, or N + 2 eps without a shift."""
-    if kind in ("phi1_minus", "phi1_plus"):
-        kb, n_max = _phi1_tail(N, params, params.eps, cfg)
-        L = N
-    elif kind in ("phi2_minus", "phi2_plus"):
-        kb, n_max, L = _phi2_tail(N, params, params.eps, cfg)
-    else:
+    and its value at the matching point 1/2, read off the _phi_tail
+    coefficients: the minus kind is kb itself, the plus kind
+    Delta kb_n / (c0 - n) with (L + 1)/Delta at L."""
+    phi = {"phi1": 1, "phi2": 2}.get(kind[:4])
+    if phi is None or kind[4:] not in ("_minus", "_plus"):
         raise ValueError(f"unknown Frobenius solution kind {kind!r}")
+    plus = kind.endswith("_plus")
+    kb, start, n_max, L, c0 = _phi_tail(phi, N, params, params.eps)
     coeffs = [0.0] * (n_max + 1)
-    if L is None:
-        start, c0 = 0, N + 2.0 * params.eps
-    else:
-        start, c0 = L + 1, L
-        if kind.endswith("_plus"):
-            coeffs[L] = (L + 1) / params.delta
+    if plus and L is not None:
+        coeffs[L] = (L + 1) / params.delta
     for n in range(start, n_max + 1):
-        coeffs[n] = kb[n] if kind.endswith("_minus") else params.delta * kb[n] / (c0 - n)
+        coeffs[n] = params.delta * kb[n] / (c0 - n) if plus else kb[n]
     value = sum(c * 0.5 ** n for n, c in enumerate(coeffs) if c)
     return FrobeniusSolution(kind, N, coeffs, value)
 
 
-def t_function(N: int, params: ModelParams, sign: Sign = "plus",
-               cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
+def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
     """Constraint function whose zeros in (g, Delta) admit the exceptional
     eigenvalue lambda = N + eps - g^2 (sign="plus") or N - eps - g^2
     (sign="minus") with a non-polynomial eigensolution."""
-    eps = params.eps if sign == "plus" else -params.eps
-    Rm, Rbm, _, _ = _pieces_minus(N, params, eps, cfg)
-    Rp, Rbp, _, _, _ = _pieces_plus(N, params, eps, cfg)
+    eps = _branch_shift(params, sign)
+    Rm, Rbm = _phi_values(1, N, params, eps)
+    Rp, Rbp = _phi_values(2, N, params, eps)
     return Rbp * Rbm - Rp * Rm
 
 
@@ -497,13 +445,12 @@ def t_function(N: int, params: ModelParams, sign: Sign = "plus",
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=512)
-def _branch_jets(x0: float, params: ModelParams, sign: Sign,
-                 cfg: SeriesConfig) -> tuple[_LJet, _LJet]:
+def _branch_jets(x0: float, params: ModelParams, sign: Sign) -> tuple[_LJet, _LJet]:
     """Laurent jets at x = x0 of R and Rbar for one branch; the recurrence is
     propagated with the full local expansion, so residues and finite parts
     come out exact to working precision. Cached: bisection near a pole keeps
     asking for the same expansion center, and jets are only ever read."""
-    s = params.eps if sign == "plus" else -params.eps
+    s = _branch_shift(params, sign)
     g = params.g
     d2 = params.delta * params.delta
     two_g = 2.0 * params.g
@@ -526,7 +473,8 @@ def _branch_jets(x0: float, params: ModelParams, sign: Sign,
     Rbar = inv_at(0)
     gn = 1.0
     streak = 0
-    for n in range(1, cfg.max_terms + 1):
+    tol, streak_len = _TOL, _STREAK
+    for n in range(1, _MAX_TERMS + 1):
         k_cur = (f_jet(n - 1).mul(k_prev).sub(k_prev2)).scale(1.0 / n)
         k_prev2, k_prev = k_prev, k_cur
         gn *= g
@@ -535,20 +483,19 @@ def _branch_jets(x0: float, params: ModelParams, sign: Sign,
         tbar = term.mul(inv_at(n))
         Rbar = Rbar.add(tbar)
         scale = 1.0 + R.maxabs() + Rbar.maxabs()
-        if max(term.maxabs(), tbar.maxabs()) <= cfg.tol * scale:
+        if max(term.maxabs(), tbar.maxabs()) <= tol * scale:
             streak += 1
-            if streak >= cfg.consecutive_small:
+            if streak >= streak_len:
                 return R, Rbar
         else:
             streak = 0
     raise NonConvergent(f"branch jets not converged at x0={x0}")
 
 
-def g_laurent_jet(x0: float, params: ModelParams,
-                  cfg: SeriesConfig = DEFAULT_CONFIG) -> _LJet:
+def g_laurent_jet(x0: float, params: ModelParams) -> _LJet:
     """Laurent jet of the G-function at x0 (orders -2 .. +3)."""
-    Rp, Rbp = _branch_jets(x0, params, "plus", cfg)
-    Rm, Rbm = _branch_jets(x0, params, "minus", cfg)
+    Rp, Rbp = _branch_jets(x0, params, "plus")
+    Rm, Rbm = _branch_jets(x0, params, "minus")
     return Rbp.mul(Rbm).scale(params.delta ** 2).sub(Rp.mul(Rm))
 
 
@@ -589,8 +536,7 @@ def _pole_spacing(eps: float) -> float:
     return min(t, 1.0 - t)
 
 
-def regularized_g(x: float, params: ModelParams,
-                  cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
+def regularized_g(x: float, params: ModelParams) -> float:
     """G(x) / (Gamma(eps-x) Gamma(-eps-x)): entire-behaving, vanishing exactly
     at the full spectrum (x = lambda + g^2). Near the removable points
     x = n +/- eps the value comes from the local Laurent-Taylor product,
@@ -599,14 +545,14 @@ def regularized_g(x: float, params: ModelParams,
     window = min(REMOVABLE_WINDOW, _pole_spacing(params.eps) / 4.0)
     cands = _singular_candidates(x, params, window)
     if not cands:
-        return (g_function(x, params, cfg)
+        return (g_function(x, params)
                 * reciprocal_gamma(params.eps - x)
                 * reciprocal_gamma(-params.eps - x))
     _, n, branch = cands[0]
     e = params.eps if branch == "plus_eps" else -params.eps
     x0 = n + e
     u = x - x0
-    gj = g_laurent_jet(x0, params, cfg)
+    gj = g_laurent_jet(x0, params)
     h = _gamma_factor_taylor(x0, n, branch, params.eps)
     out = 0.0
     for k in range(0, _JET_ORDER + 1):
@@ -627,26 +573,25 @@ def _branch_singular(x0: float, eps: float, sign: Sign) -> bool:
     return n >= 0 and abs(x0 - n + s) < _HALF_INT_TOL
 
 
-def residue_simple(N: int, params: ModelParams, sign: Sign = "plus",
-                   cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
+def residue_simple(N: int, params: ModelParams, sign: Sign = "plus") -> float:
     """Closed-form residue of G at the simple pole x = N + eps (sign="plus")
     or x = N - eps: 1/(N!(N+1)!) Delta^2 P_N((2g)^2, Delta^2) T_N."""
-    e_eff = params.eps if sign == "plus" else -params.eps
+    e_eff = _branch_shift(params, sign)
     x0 = N + e_eff
     if _branch_singular(x0, params.eps, "plus") and _branch_singular(x0, params.eps, "minus"):
         raise WrongPoleOrder(f"x = {x0} is in the double-pole regime")
     pn = constraint_value(N, e_eff, N, 4.0 * params.g ** 2, params.delta ** 2)
-    return _C(N) * params.delta ** 2 * pn * t_function(N, params, sign, cfg)
+    return _C(N) * params.delta ** 2 * pn * t_function(N, params, sign)
 
 
 def residue_numeric(x0: float, params: ModelParams, order: int = 1,
-                    h0: float = 1e-2, cfg: SeriesConfig = DEFAULT_CONFIG):
+                    h0: float = 1e-2):
     """Laurent coefficients at x0 from one-sided limits with Richardson
     extrapolation over the step sequence h, h/2, h/4 (independent of the
     closed-form path). order=1 returns the residue; order=2 returns (A, B)."""
     def sym(h):
-        gp = g_function(x0 + h, params, cfg)
-        gm = g_function(x0 - h, params, cfg)
+        gp = g_function(x0 + h, params)
+        gm = g_function(x0 - h, params)
         if order == 1:
             return ((h * gp - h * gm) / 2.0,)
         return ((h * h * gp + h * h * gm) / 2.0, (h * h * gp - h * h * gm) / (2.0 * h))
@@ -664,8 +609,8 @@ def _require_half_integer(params: ModelParams, ell: int):
         raise ValueError(f"eps must equal ell/2 = {ell / 2.0}, got {params.eps}")
 
 
-def q_functions(N: int, ell: int, params: ModelParams,
-                cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[float, float, float, float]:
+def q_functions(N: int, ell: int,
+                params: ModelParams) -> tuple[float, float, float, float]:
     """Finite parts at x = N + ell/2 of (R-, Rbar-, R+, Rbar+): the four sums
     with their pole term removed, Q = lim (R - Res/(x - x0)).
 
@@ -675,13 +620,13 @@ def q_functions(N: int, ell: int, params: ModelParams,
     """
     _require_half_integer(params, ell)
     x0 = N + ell / 2.0
-    Rm, Rbm = _branch_jets(x0, params, "minus", cfg)
-    Rp, Rbp = _branch_jets(x0, params, "plus", cfg)
+    Rm, Rbm = _branch_jets(x0, params, "minus")
+    Rp, Rbp = _branch_jets(x0, params, "plus")
     return Rm.order(0), Rbm.order(0), Rp.order(0), Rbp.order(0)
 
 
-def double_pole_coefficients(N: int, ell: int, params: ModelParams,
-                             cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def double_pole_coefficients(N: int, ell: int,
+                             params: ModelParams) -> tuple[float, float]:
     """Laurent coefficients A/(x-x0)^2 + B/(x-x0) of G at x0 = N + ell/2 when
     eps = ell/2, in closed form.
 
@@ -696,13 +641,13 @@ def double_pole_coefficients(N: int, ell: int, params: ModelParams,
     d2 = params.delta ** 2
     pn = constraint_value(N, ell / 2.0, N, g2, d2)
     pnl = constraint_value(N + ell, -ell / 2.0, N + ell, g2, d2)
-    tval = t_function(N, params, "plus", cfg)
+    tval = t_function(N, params, "plus")
     A = _C(N) * _C(N + ell) * d2 * d2 * pn * pnl * tval
 
-    qm, qbm, qp, qbp = q_functions(N, ell, params, cfg)
+    qm, qbm, qp, qbp = q_functions(N, ell, params)
     e = ell / 2.0
-    Rm, Rbm, _, _ = _pieces_minus(N, params, e, cfg)
-    Rp, Rbp, _, _, _ = _pieces_plus(N, params, e, cfg)
+    Rm, Rbm = _phi_values(1, N, params, e)
+    Rp, Rbp = _phi_values(2, N, params, e)
     aval = a_value(N, ell, g2, d2)
     bracket = (Rbm * (params.delta * qbp) - Rm * qp) / _C(N + ell) \
         + aval * (Rbp * (params.delta * qbm) - Rp * qm) / _C(N)
@@ -710,24 +655,22 @@ def double_pole_coefficients(N: int, ell: int, params: ModelParams,
     return A, B
 
 
-def b_function(N: int, ell: int, params: ModelParams,
-               cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
+def b_function(N: int, ell: int, params: ModelParams) -> float:
     """Regularized T-function N!(N+1)! (Rbar+ . Delta Qbar- minus R+ . Q-) at
     the point x = N + ell/2 with bias ell/2; defined for signed ell so the
     residue-vanishing combination B(N+l, -l) + A_N^l B(N, l) can be formed."""
     e = ell / 2.0
     local = ModelParams(params.g, params.delta, e)
     x0 = N + e
-    Rm_jet, Rbm_jet = _branch_jets(x0, local, "minus", cfg)
+    Rm_jet, Rbm_jet = _branch_jets(x0, local, "minus")
     qm, qbm = Rm_jet.order(0), Rbm_jet.order(0)
-    Rp, Rbp, _, _, _ = _pieces_plus(N, local, e, cfg)
+    Rp, Rbp = _phi_values(2, N, local, e)
     return (Rbp * (params.delta * qbm) - Rp * qm) / _C(N)
 
 
-def b_residual(N: int, ell: int, params: ModelParams,
-               cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
+def b_residual(N: int, ell: int, params: ModelParams) -> float:
     """Residual of the residue-vanishing relation at the double pole
     x = N + ell/2: B(N+l, -l) + A_N^l((2g)^2, Delta^2) B(N, l)."""
     _require_half_integer(params, ell)
     aval = a_value(N, ell, 4.0 * params.g ** 2, params.delta ** 2)
-    return b_function(N + ell, -ell, params, cfg) + aval * b_function(N, ell, params, cfg)
+    return b_function(N + ell, -ell, params) + aval * b_function(N, ell, params)

@@ -23,9 +23,7 @@ from .roots import (
     sturm_count,
 )
 from .series import (
-    DEFAULT_CONFIG,
     ModelParams,
-    SeriesConfig,
     is_half_integer,
     log_term_coefficient,
     regularized_g,
@@ -37,6 +35,7 @@ KIND_JUDDIAN = "juddian"
 KIND_NON_JUDDIAN = "non-juddian-exceptional"
 
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
+_SWEEP_X_MAX = 6.0               # sweep window above g^2: max(this, n_levels + 2)
 
 
 @dataclass
@@ -47,18 +46,6 @@ class EigenvalueRecord:
     multiplicity: int = 1
     level_N: int | None = None
     branch: str | None = None    # "plus_eps" or "minus_eps" for exceptional kinds
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    g_grid: tuple[float, ...]
-    x_max: float = 6.0
-    scan_step: float = 1e-2
-    refine_tol: float = 1e-10
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.g_grid, self.g_grid[1:])):
-            raise ValueError("g_grid must be strictly increasing")
 
 
 def exact_bias(eps: float) -> Fraction | None:
@@ -138,13 +125,12 @@ def _vanishes_at(f, g: float, rel_tol: float) -> bool:
 
 def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
                       g_lo: float, g_hi: float, scan_step: float = 0.01,
-                      refine_tol: float = 1e-10,
-                      cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:
+                      refine_tol: float = 1e-10) -> list[float]:
     """Zeros of the T-function in (g_lo, g_hi) by sign-change scan plus
     bisection; these admit the exceptional eigenvalue N +/- eps - g^2 with a
     non-polynomial eigensolution, and never coincide with Juddian couplings."""
     def tval(g):
-        return t_function(N, ModelParams(g, delta, eps), sign, cfg)
+        return t_function(N, ModelParams(g, delta, eps), sign)
 
     out = []
     g_prev = g_lo
@@ -170,13 +156,13 @@ _DIP_DEPTH = 4
 
 
 def _scan_zeros(params: ModelParams, lo: float, hi: float, step: float,
-                tol: float, cfg: SeriesConfig) -> list[float]:
+                tol: float) -> list[float]:
     """Zeros of the regularized G-function on [lo, hi] by sign-change
     bracketing, with recursive local refinement wherever |f| dips without a
     sign change: strong-coupling quasi-doublets sit closer than any fixed
     grid, and a dip is the footprint of such an even pair."""
     def f(x):
-        return regularized_g(x, params, cfg)
+        return regularized_g(x, params)
 
     zeros: list[float] = []
 
@@ -211,10 +197,10 @@ def _scan_zeros(params: ModelParams, lo: float, hi: float, step: float,
 
 
 def _t_zero_here(N: int, params: ModelParams, sign: str,
-                 cfg: SeriesConfig, rel_tol: float = 1e-6) -> bool:
+                 rel_tol: float = 1e-6) -> bool:
     """Does the T-function vanish at this coupling, up to slope normalization?"""
     return _vanishes_at(
-        lambda g: t_function(N, ModelParams(g, params.delta, params.eps), sign, cfg),
+        lambda g: t_function(N, ModelParams(g, params.delta, params.eps), sign),
         params.g, rel_tol)
 
 
@@ -250,8 +236,8 @@ def _juddian_here(N: int, params: ModelParams, branch_eps: float,
         params.g, rel_tol)
 
 
-def exceptional_records(params: ModelParams, x_lo: float, x_max: float,
-                        cfg: SeriesConfig = DEFAULT_CONFIG) -> list[EigenvalueRecord]:
+def exceptional_records(params: ModelParams, x_lo: float,
+                        x_max: float) -> list[EigenvalueRecord]:
     """Exceptional eigenvalues x = N +/- eps in [x_lo, x_max]: Juddian points
     (multiplicity 2 at half-integer bias) and non-Juddian T-function zeros."""
     eps = params.eps
@@ -266,7 +252,7 @@ def exceptional_records(params: ModelParams, x_lo: float, x_max: float,
             key = round(x0 * 2 ** 30)
             if x0 >= x_lo and key not in seen:
                 jud = _juddian_here(n, params, e)
-                njud = False if jud else _t_zero_here(n, params, sign, cfg)
+                njud = False if jud else _t_zero_here(n, params, sign)
                 if jud or njud:
                     seen.add(key)
                     mult = 2 if (jud and half) else 1
@@ -280,12 +266,12 @@ def exceptional_records(params: ModelParams, x_lo: float, x_max: float,
 
 
 def regular_spectrum(params: ModelParams, x_range: tuple[float, float],
-                     scan_step: float = 1e-2, refine_tol: float = 1e-10,
-                     cfg: SeriesConfig = DEFAULT_CONFIG) -> list[EigenvalueRecord]:
+                     scan_step: float = 1e-2,
+                     refine_tol: float = 1e-10) -> list[EigenvalueRecord]:
     """Regular eigenvalues in the window: zeros of the regularized G-function
     that do not sit on an exceptional point x = n +/- eps."""
     lo, hi = x_range
-    zeros = _scan_zeros(params, lo, hi, scan_step, refine_tol, cfg)
+    zeros = _scan_zeros(params, lo, hi, scan_step, refine_tol)
     g2 = params.g ** 2
     window = 10.0 * scan_step
     out = []
@@ -304,7 +290,6 @@ def regular_spectrum(params: ModelParams, x_range: tuple[float, float],
 
 def full_spectrum(params: ModelParams, x_max: float,
                   scan_step: float = 1e-2, refine_tol: float = 1e-10,
-                  cfg: SeriesConfig = DEFAULT_CONFIG,
                   x_lo: float | None = None) -> list[EigenvalueRecord]:
     """Merged, sorted eigenvalue records up to x = x_max: regular zeros plus
     classified exceptional points. Degenerate points appear once with
@@ -317,8 +302,8 @@ def full_spectrum(params: ModelParams, x_max: float,
         raise ValueError("scan_step and refine_tol must be positive")
     if x_lo is None:
         x_lo = -(params.delta + abs(params.eps) + 1.5)
-    exc = exceptional_records(params, x_lo, x_max, cfg)
-    reg = regular_spectrum(params, (x_lo, x_max), scan_step, refine_tol, cfg)
+    exc = exceptional_records(params, x_lo, x_max)
+    reg = regular_spectrum(params, (x_lo, x_max), scan_step, refine_tol)
     # drop regular zeros that bisection landed on top of an exceptional record
     out = list(exc)
     for r in reg:
@@ -340,18 +325,20 @@ def expand_multiplicities(records: list[EigenvalueRecord]) -> list[float]:
 # coupling sweeps
 # ---------------------------------------------------------------------------
 
-def spectral_sweep(delta: float, eps: float, sweep: SweepConfig,
-                   n_levels: int, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[dict]:
+def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
+                   scan_step: float = 1e-2, refine_tol: float = 1e-10) -> list[dict]:
     """Rows (g, index, lambda, x, kind, multiplicity, level_N, branch) for the
-    lowest n_levels eigenvalues at every grid coupling; grid points are
-    independent and assembled in deterministic grid order."""
+    lowest n_levels eigenvalues at every coupling of the strictly increasing
+    g_grid; grid points are independent and assembled in grid order."""
     if n_levels < 0:
         raise ValueError("n_levels must be nonnegative")
+    if any(b <= a for a, b in zip(g_grid, g_grid[1:])):
+        raise ValueError("g_grid must be strictly increasing")
     rows = []
-    for g in sweep.g_grid:
+    for g in g_grid:
         params = ModelParams(g, delta, eps)
-        x_hi = g * g + max(sweep.x_max, n_levels + 2.0)
-        recs = full_spectrum(params, x_hi, sweep.scan_step, sweep.refine_tol, cfg)
+        x_hi = g * g + max(_SWEEP_X_MAX, n_levels + 2.0)
+        recs = full_spectrum(params, x_hi, scan_step, refine_tol)
         flat: list[EigenvalueRecord] = []
         for r in recs:
             flat.extend([r] * r.multiplicity)

@@ -11,11 +11,10 @@ import math
 
 # basis ordering: |n, up> at 2n, |n, down> at 2n+1 (spin-major interleaved)
 
-def truncated_hamiltonian(params, cfg) -> list[list[float]]:
+def truncated_hamiltonian(params, M: int) -> list[list[float]]:
     """Dense 2(M+1)-dimensional truncation of
     a^dag a + delta sigma_z + g sigma_x (a^dag + a) + eps sigma_x; every
     off-diagonal entry is written to both triangles, so symmetry is exact."""
-    M = cfg.M
     n = 2 * (M + 1)
     rows = [[0.0] * n for _ in range(n)]
 

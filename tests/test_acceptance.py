@@ -214,8 +214,7 @@ def test_criterion_08_degeneracy_law():
     """Near-degenerate Juddian pair at half-integer bias; no near-crossings
     anywhere on the scanned grid for the two non-half-integer biases."""
     t0 = time.time()
-    eigs = oracle.lowest_eigenvalues(ModelParams(0.5, 1.0, 0.5),
-                                     oracle.TruncationConfig(M=80), 6)
+    eigs = oracle.lowest_eigenvalues(ModelParams(0.5, 1.0, 0.5), 80, 6)
     gap = min(b - a for a, b in zip(eigs, eigs[1:]))
     assert gap <= 1e-8, gap
     min_gap = math.inf
@@ -226,8 +225,7 @@ def test_criterion_08_degeneracy_law():
         min_gap = min(min_gap, min(b - a for a, b in zip(levels, levels[1:])))
         for i in range(1, 28):
             g = 2.7 * i / 27
-            ev = oracle.lowest_eigenvalues(ModelParams(g, 1.0, eps),
-                                           oracle.TruncationConfig(M=70), 8)
+            ev = oracle.lowest_eigenvalues(ModelParams(g, 1.0, eps), 70, 8)
             min_gap = min(min_gap, min(b - a for a, b in zip(ev, ev[1:])))
     assert min_gap >= 1e-4, min_gap
     report(8, True, f"Juddian pair gap = {gap:.1e}; "

@@ -201,12 +201,33 @@ class TestInputRange:
         SWEEP + ("--tol", "0"),
         SWEEP + ("--levels", "-3"),
         ORACLE + ("--count", "-2"),
+        ORACLE[:-1] + ("7",),
+        ("oracle", "--g", "0.5", "--delta", "1", "--eps", "nan"),
+        ("oracle", "--g", "0.5", "--eps", "0.3", "--delta", "inf"),
+        SPEC[:1] + SPEC[3:] + ("--g", "inf"),
     ), ids=lambda argv: " ".join((argv[0],) + argv[-2:]))
     def test_out_of_range_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "error" in err
+
+
+class TestOracleConvergence:
+    def test_unconverged_truncation_warns(self, capsys):
+        # the ground state lies near -g^2 = -1e6; at M = 80 the lowest level
+        # is far above it, and M = 100 has 8 levels below that one
+        code, out, err = run(capsys, "oracle", "--g", "1000", "--delta", "1",
+                             "--eps", "0.2", "--M", "80", "--count", "1")
+        assert code == 0
+        assert out.startswith("g,index,lambda") and len(out.strip().split("\n")) == 2
+        assert err.startswith("warning: truncation M=80 not converged")
+        assert "1 eigenvalues below" in err and "8 at M=100" in err
+
+    def test_converged_truncation_is_silent(self, capsys):
+        code, out, err = run(capsys, *"oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8".split())
+        assert code == 0 and len(out.strip().split("\n")) == 9
+        assert err == ""
 
 
 # SHA-256 of stdout for each README command line, with the sweep shortened to

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from _dense import eigenvalues, truncated_hamiltonian
 from aqrm.oracle import (
-    TruncationConfig,
     _band_count_below,
     _ladder,
     certified_eigenvalues,
     convergence_study,
+    count_below,
     lowest_eigenvalues,
 )
 from aqrm.roots import sym_tridiag_eigenvalues
@@ -23,14 +23,14 @@ from aqrm.series import ModelParams
 
 class TestAssembly:
     def test_hermitian_by_construction(self):
-        rows = truncated_hamiltonian(ModelParams(1.3, 0.7, 0.4), TruncationConfig(M=20))
+        rows = truncated_hamiltonian(ModelParams(1.3, 0.7, 0.4), 20)
         assert len(rows) == 42 and all(len(r) == 42 for r in rows)
         assert all(rows[i][j] == rows[j][i] for i in range(42) for j in range(i))
 
     def test_decoupled_limit(self):
         # g ~ 0, eps = 0: spectrum is {n +/- delta}
         p = ModelParams(1e-14, 1.5, 0.0)
-        eigs = eigenvalues(truncated_hamiltonian(p, TruncationConfig(M=12)), 6)
+        eigs = eigenvalues(truncated_hamiltonian(p, 12), 6)
         expect = sorted([n + s * 1.5 for n in range(4) for s in (+1, -1)])[:6]
         assert eigs == pytest.approx(expect, abs=1e-10)
 
@@ -38,7 +38,7 @@ class TestAssembly:
         # g ~ 0 with bias: blocks give n +/- sqrt(delta^2 + eps^2)
         p = ModelParams(1e-14, 1.0, 0.3)
         r = math.sqrt(1.0 + 0.09)
-        eigs = lowest_eigenvalues(p, TruncationConfig(M=15), 4)
+        eigs = lowest_eigenvalues(p, 15, 4)
         assert eigs == pytest.approx([-r, 1 - r, r, 1 + r][:4] if r < 1 else
                                      sorted([-r, 1 - r, r, 2 - r]), abs=1e-9)
 
@@ -46,7 +46,7 @@ class TestAssembly:
         # delta -> 0: eigenvalues n - g^2 +/- eps after truncation convergence
         g, eps = 0.6, 0.3
         p = ModelParams(g, 1e-13, eps)
-        eigs = lowest_eigenvalues(p, TruncationConfig(M=70), 6)
+        eigs = lowest_eigenvalues(p, 70, 6)
         expect = sorted(n - g * g + s * eps for n in range(3) for s in (+1, -1))
         assert eigs == pytest.approx(expect, abs=1e-9)
 
@@ -82,19 +82,18 @@ class TestEigensolvers:
 
     def test_dense_vs_ladder_at_dim_82(self):
         p = ModelParams(0.9, 1.1, 0.25)
-        dense = eigenvalues(truncated_hamiltonian(p, TruncationConfig(M=40)), 8)
-        ladder = lowest_eigenvalues(p, TruncationConfig(M=40), 8)
+        dense = eigenvalues(truncated_hamiltonian(p, 40), 8)
+        ladder = lowest_eigenvalues(p, 40, 8)
         assert dense == pytest.approx(ladder, abs=1e-10)
 
     def test_invariance_under_bias_flip(self):
-        cfg = TruncationConfig(M=60)
-        a = lowest_eigenvalues(ModelParams(1.0, 1.0, 0.4), cfg, 8)
-        b = lowest_eigenvalues(ModelParams(1.0, 1.0, -0.4), cfg, 8)
+        a = lowest_eigenvalues(ModelParams(1.0, 1.0, 0.4), 60, 8)
+        b = lowest_eigenvalues(ModelParams(1.0, 1.0, -0.4), 60, 8)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_ground_state_simple(self):
         for (g, d, e) in ((0.5, 1.0, 0.5), (1.0, 1.0, 0.2), (1.5, 2.0, 1.0)):
-            eigs = lowest_eigenvalues(ModelParams(g, d, e), TruncationConfig(M=70), 2)
+            eigs = lowest_eigenvalues(ModelParams(g, d, e), 70, 2)
             assert eigs[1] - eigs[0] > 1e-6
 
 
@@ -114,16 +113,26 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_study(ModelParams(1.0, 1.0, 0.0), [40, 40], 4)
 
+    def test_requires_truncation_of_at_least_eight(self):
+        with pytest.raises(ValueError, match="at least 8"):
+            lowest_eigenvalues(ModelParams(1.0, 1.0, 0.0), 7, 4)
+
+    def test_count_below_matches_levels(self):
+        p = ModelParams(1.0, 1.0, 0.2)
+        eigs = lowest_eigenvalues(p, 40, 6)
+        assert count_below(p, 40, eigs[-1] + 1e-6) == 6
+        assert count_below(p, 60, eigs[-1] + 1e-6) == 6
+
     def test_certified(self):
         eigs, M = certified_eigenvalues(ModelParams(1.0, 1.0, 0.2), 6, tol=1e-8)
-        again = lowest_eigenvalues(ModelParams(1.0, 1.0, 0.2), TruncationConfig(M=M + 40), 6)
+        again = lowest_eigenvalues(ModelParams(1.0, 1.0, 0.2), M + 40, 6)
         assert eigs == pytest.approx(again, abs=1e-7)
 
 
 class TestDegeneracyStructure:
     def test_near_degenerate_pair_at_juddian_point(self):
         # bias 1/2, g = 1/2, delta 1: doubly degenerate level at 1.5 - 0.25
-        eigs = lowest_eigenvalues(ModelParams(0.5, 1.0, 0.5), TruncationConfig(M=80), 6)
+        eigs = lowest_eigenvalues(ModelParams(0.5, 1.0, 0.5), 80, 6)
         pairs = [(a, b) for a, b in zip(eigs, eigs[1:]) if b - a < 1e-8]
         assert len(pairs) == 1
         mean = (pairs[0][0] + pairs[0][1]) / 2
@@ -138,8 +147,7 @@ def ladder_count(g, delta, eps, M, sigma):
 
 
 def dense_count(g, delta, eps, M, sigma):
-    eigs = eigenvalues(truncated_hamiltonian(SimpleNamespace(g=g, delta=delta, eps=eps),
-                                             TruncationConfig(M=M)))
+    eigs = eigenvalues(truncated_hamiltonian(SimpleNamespace(g=g, delta=delta, eps=eps), M))
     return sum(e < sigma for e in eigs)
 
 
@@ -150,7 +158,7 @@ class TestLadderCount:
     @settings(max_examples=30, deadline=None)
     def test_matches_dense_count(self, g, delta, eps, M, data):
         params = SimpleNamespace(g=g, delta=delta, eps=eps)
-        eigs = eigenvalues(truncated_hamiltonian(params, TruncationConfig(M=M)))
+        eigs = eigenvalues(truncated_hamiltonian(params, M))
         sigmas = data.draw(st.lists(st.floats(eigs[0] - 1.0, eigs[-1] + 1.0),
                                     min_size=1, max_size=5))
         sigmas = [s for s in sigmas if all(abs(s - e) > 1e-9 for e in eigs)]
@@ -217,5 +225,5 @@ class TestParitySplit:
         chains = [sym_tridiag_eigenvalues([k + s * (-1) ** k * delta for k in range(M + 1)], off)
                   for s in (+1, -1)]
         merged = sorted(chains[0] + chains[1])[:n]
-        eigs = lowest_eigenvalues(ModelParams(g, delta, 0.0), TruncationConfig(M=M), n)
+        eigs = lowest_eigenvalues(ModelParams(g, delta, 0.0), M, n)
         assert eigs == pytest.approx(merged, abs=1e-10)

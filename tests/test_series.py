@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aqrm.series as series_mod
 from aqrm.poly import constraint_value
 from aqrm.series import (
-    DEFAULT_CONFIG,
     ModelParams,
     NonConvergent,
     PoleEncountered,
-    SeriesConfig,
     WrongPoleOrder,
     b_function,
     b_residual,
@@ -37,6 +36,14 @@ from aqrm.series import (
 
 def rel_close(a, b, tol):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1e-300)
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("g,delta,eps", [(math.inf, 1.0, 0.3), (0.5, math.inf, 0.3),
+                                             (0.5, 1.0, math.nan), (0.5, 1.0, -math.inf)])
+    def test_rejects_non_finite(self, g, delta, eps):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(g, delta, eps)
 
 
 class TestKCoefficients:
@@ -86,7 +93,7 @@ class TestKCoefficients:
         p = ModelParams(0.8, 1.0, 0.3)
         st_ = k_coefficients(0.55, p, "plus")
         assert st_.converged
-        assert st_.truncation_order <= DEFAULT_CONFIG.max_terms
+        assert st_.truncation_order <= series_mod._MAX_TERMS
 
 
 class TestGFunction:
@@ -108,17 +115,19 @@ class TestGFunction:
         gm = sum(ks[n] * (1 + delta / (x - n)) * g ** n for n in range(400))
         assert rel_close(g_function(x, p), -(gp * gm), 1e-10)
 
-    def test_truncation_robustness(self):
+    def test_truncation_robustness(self, monkeypatch):
         p = ModelParams(0.9, 1.2, 0.35)
-        v1 = g_function(0.6, p, SeriesConfig(max_terms=400))
-        v2 = g_function(0.6, p, SeriesConfig(max_terms=800))
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 400)
+        v1 = g_function(0.6, p)
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 800)
+        v2 = g_function(0.6, p)
         assert rel_close(v1, v2, 1e-13)
 
     def test_sign_change_across_oracle_eigenvalues(self):
         # G changes sign across each regular eigenvalue point x = lambda + g^2
         from aqrm import oracle
         p = ModelParams(1.0, 1.0, 0.2)
-        eigs = oracle.lowest_eigenvalues(p, oracle.TruncationConfig(M=90), 5)
+        eigs = oracle.lowest_eigenvalues(p, 90, 5)
         d = 1e-4
         for lam in eigs:
             x = lam + p.g ** 2
@@ -200,15 +209,27 @@ class TestFrobenius:
         val = sum(c * 0.5 ** n for n, c in enumerate(sol.coeffs))
         assert sol.value_at_half == pytest.approx(val, rel=1e-14)
 
+    @pytest.mark.parametrize("N,g,delta,eps", [(0, 0.7, 1.0, 0.3), (2, 0.9, 1.3, 0.41),
+                                               (3, 1.2, 0.8, -0.25), (1, 0.9, 1.0, 0.5),
+                                               (2, 1.1, 1.4, 1.5)])
+    def test_t_function_is_matched_solutions(self, N, g, delta, eps):
+        # T = phi2+ phi1+ - phi2- phi1- at 1/2; eps = 1/2 and 3/2 shift phi2
+        p = ModelParams(g, delta, eps)
+        v = {kind: frobenius_solution(kind, N, p).value_at_half
+             for kind in ("phi1_minus", "phi1_plus", "phi2_minus", "phi2_plus")}
+        plus, minus = v["phi2_plus"] * v["phi1_plus"], v["phi2_minus"] * v["phi1_minus"]
+        assert abs(t_function(N, p, "plus") - (plus - minus)) \
+            <= 1e-12 * max(abs(plus), abs(minus))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             frobenius_solution("phi3", 1, ModelParams(0.5, 1.0, 0.0))
 
-    def test_nonconvergent_when_capped(self):
+    def test_nonconvergent_when_capped(self, monkeypatch):
         # 32 terms of a tail decaying like 2^-n cannot reach the streak bound
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 32)
         with pytest.raises(NonConvergent):
-            frobenius_solution("phi1_minus", 1, ModelParams(0.9, 1.0, 0.25),
-                               SeriesConfig(max_terms=32))
+            frobenius_solution("phi1_minus", 1, ModelParams(0.9, 1.0, 0.25))
 
 
 class TestTFunction:
@@ -229,10 +250,10 @@ class TestTFunction:
         assert rel_close(a, b, 1e-13)
 
     def test_zero_bias_factorization(self):
-        from aqrm.series import _pieces_minus
+        from aqrm.series import _phi_values
         N, g, delta = 1, 0.8, 1.0
         p = ModelParams(g, delta, 0.0)
-        Rm, Rbm, _, _ = _pieces_minus(N, p, 0.0, DEFAULT_CONFIG)
+        Rm, Rbm = _phi_values(1, N, p, 0.0)
         tv = t_function(N, p, "plus")
         assert rel_close(tv, (Rbm - Rm) * (Rbm + Rm), 1e-10)
 
@@ -269,7 +290,6 @@ class TestRegularizedG:
         # the local expansion and the raw product must agree where the raw
         # product is still well conditioned
         from aqrm.series import (
-            DEFAULT_CONFIG as DC,
             _gamma_factor_taylor,
             _singular_candidates,
             g_laurent_jet,
@@ -278,7 +298,7 @@ class TestRegularizedG:
         x0s = {n + s for n in range(4) for s in (eps, -eps) if n + s > -1}
         for x0 in sorted(x0s):
             _, n, branch = _singular_candidates(x0, p, 1e-6)[0]
-            gj = g_laurent_jet(x0, p, DC)
+            gj = g_laurent_jet(x0, p)
             h = _gamma_factor_taylor(x0, n, branch, eps)
             for u in (1.5e-3, 3e-3):
                 expansion = sum(
@@ -424,8 +444,8 @@ class TestQFunctions:
         res_est = (h * sp.sum_R - h * sm.sum_R) / 2.0
         fin_est = (sp.sum_R + sm.sum_R) / 2.0
         assert rel_close(qm, fin_est, 1e-5)
-        from aqrm.series import DEFAULT_CONFIG as DC, _branch_jets
-        r_jet, _ = _branch_jets(x0, p, "minus", DC)
+        from aqrm.series import _branch_jets
+        r_jet, _ = _branch_jets(x0, p, "minus")
         assert rel_close(r_jet.order(-1), res_est, 1e-5)
 
 
@@ -469,8 +489,10 @@ class TestBFunction:
         p = ModelParams(0.8, 1.0, 0.0)
         assert b_residual(1, 0, p) == pytest.approx(2 * b_function(1, 0, p), rel=1e-12)
 
-    def test_t_function_truncation_robustness(self):
+    def test_t_function_truncation_robustness(self, monkeypatch):
         p = ModelParams(1.1, 1.0, 0.5)
-        v1 = t_function(1, p, "plus", SeriesConfig(max_terms=300))
-        v2 = t_function(1, p, "plus", SeriesConfig(max_terms=600))
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 300)
+        v1 = t_function(1, p, "plus")
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 600)
+        v2 = t_function(1, p, "plus")
         assert rel_close(v1, v2, 1e-12)

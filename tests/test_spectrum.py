@@ -13,7 +13,6 @@ from aqrm.spectrum import (
     KIND_JUDDIAN,
     KIND_NON_JUDDIAN,
     KIND_REGULAR,
-    SweepConfig,
     count_positive_roots,
     exact_bias,
     exceptional_records,
@@ -129,14 +128,14 @@ class TestSpectra:
         assert jud[0].x == pytest.approx(1.5, abs=1e-9)
         assert jud[0].multiplicity == 2
         lams = expand_multiplicities(recs)[:8]
-        ev = oracle.lowest_eigenvalues(p, oracle.TruncationConfig(M=100), 8)
+        ev = oracle.lowest_eigenvalues(p, 100, 8)
         assert lams == pytest.approx(ev, abs=1e-7)
 
     def test_regular_spectrum_against_oracle(self):
         p = ModelParams(1.0, 1.0, 0.2)
         recs = regular_spectrum(p, (-1.0, 4.0))
         assert all(r.kind == KIND_REGULAR for r in recs)
-        ev = oracle.lowest_eigenvalues(p, oracle.TruncationConfig(M=110), len(recs))
+        ev = oracle.lowest_eigenvalues(p, 110, len(recs))
         assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
 
     def test_no_regular_record_on_exceptional_point(self):
@@ -166,7 +165,7 @@ class TestSpectra:
         assert jud[0].x == pytest.approx(1.0, abs=1e-9)
         assert jud[0].multiplicity == 2
         lams = expand_multiplicities(recs)[:7]
-        ev = oracle.lowest_eigenvalues(p, oracle.TruncationConfig(M=90), 7)
+        ev = oracle.lowest_eigenvalues(p, 90, 7)
         assert lams == pytest.approx(ev, abs=1e-7)
 
     def test_integer_bias_degenerate_level(self):
@@ -181,7 +180,7 @@ class TestSpectra:
         assert jud[0].x == pytest.approx(4.0, abs=1e-9)
         assert jud[0].multiplicity == 2 and jud[0].level_N == 2
         lams = expand_multiplicities(recs)[:9]
-        ev = oracle.lowest_eigenvalues(p, oracle.TruncationConfig(M=110), 9)
+        ev = oracle.lowest_eigenvalues(p, 110, 9)
         assert lams == pytest.approx(ev, abs=1e-7)
 
     def test_bias_flip_symmetry(self):
@@ -209,8 +208,7 @@ class TestSpectra:
             recs = full_spectrum(ModelParams(0.8, 1.0, eps), 3.0)
         assert any(issubclass(c.category, RuntimeWarning) for c in caught)
         assert all(r.kind == KIND_REGULAR for r in recs)
-        ev = oracle.lowest_eigenvalues(ModelParams(0.8, 1.0, eps),
-                                       oracle.TruncationConfig(M=90), len(recs))
+        ev = oracle.lowest_eigenvalues(ModelParams(0.8, 1.0, eps), 90, len(recs))
         assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
 
     def test_tiny_coupling_exceptional_scan(self):
@@ -291,8 +289,7 @@ class TestJuddianMembership:
 
         monkeypatch.setattr(spectrum_mod, "_juddian_here", spy)
         spectrum_mod._juddian_chain.cache_clear()
-        cfg = SweepConfig(g_grid=(0.5, 0.8, 1.1, 1.4), x_max=4.0)
-        rows = spectral_sweep(1.0, 0.5, cfg, 4)
+        rows = spectral_sweep(1.0, 0.5, (0.5, 0.8, 1.1, 1.4), 4)
         info = spectrum_mod._juddian_chain.cache_info()
         assert seen and info.misses == len(seen)
         assert info.hits > 0
@@ -301,8 +298,7 @@ class TestJuddianMembership:
 
 class TestSweep:
     def test_small_sweep_degeneracy_flags(self):
-        cfg = SweepConfig(g_grid=(0.45, 0.5, 0.55), x_max=4.0)
-        rows = spectral_sweep(1.0, 0.5, cfg, 6)
+        rows = spectral_sweep(1.0, 0.5, (0.45, 0.5, 0.55), 6)
         assert {r["g"] for r in rows} == {0.45, 0.5, 0.55}
         jud = [r for r in rows if r["kind"] == KIND_JUDDIAN]
         assert all(abs(r["g"] - 0.5) < 1e-12 for r in jud)
@@ -310,9 +306,12 @@ class TestSweep:
         for g in (0.45, 0.5, 0.55):
             assert sum(1 for r in rows if r["g"] == g) == 6
 
+    def test_grid_must_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            spectral_sweep(1.0, 0.5, (0.5, 0.5), 4)
+
     def test_small_coupling_limit(self):
-        cfg = SweepConfig(g_grid=(0.01,), x_max=4.0)
-        rows = spectral_sweep(1.0, 0.3, cfg, 5)
+        rows = spectral_sweep(1.0, 0.3, (0.01,), 5)
         r = math.sqrt(1.0 + 0.09)
         expect = sorted([n + s * r for n in range(4) for s in (+1, -1)])[:5]
         got = [row["lambda"] for row in rows]
@@ -354,7 +353,7 @@ class TestFloatBisection:
 
     def test_t_function_scan(self, monkeypatch):
         import aqrm.spectrum as spectrum_mod
-        stub, calls = self.limited(lambda N, params, sign, cfg: 1.0 if params.g >= 1.2345 else -1.0)
+        stub, calls = self.limited(lambda N, params, sign: 1.0 if params.g >= 1.2345 else -1.0)
         monkeypatch.setattr(spectrum_mod, "t_function", stub)
         zeros = non_juddian_roots(1, 1.0, 0.3, "plus", 1.0, 1.5,
                                   scan_step=0.1, refine_tol=1e-20)
@@ -363,7 +362,7 @@ class TestFloatBisection:
 
     def test_regularized_g_scan(self, monkeypatch):
         import aqrm.spectrum as spectrum_mod
-        stub, calls = self.limited(lambda x, params, cfg: 1.0 if x >= 1.23 else -1.0)
+        stub, calls = self.limited(lambda x, params: 1.0 if x >= 1.23 else -1.0)
         monkeypatch.setattr(spectrum_mod, "regularized_g", stub)
         recs = regular_spectrum(ModelParams(0.5, 1.0, 0.3), (0.0, 2.0),
                                 scan_step=0.1, refine_tol=1e-20)
