@@ -1,7 +1,8 @@
 """Command-line surface: compute polynomial families, verify the exact
 identities, trace G/T functions, locate spectra, run coupling sweeps, and dump
 oracle eigenvalues. Exit codes: 0 success, 1 a verified identity failed,
-2 usage error."""
+2 usage error, an input out of range, or a spectrum the level count shows to
+be incomplete."""
 
 from __future__ import annotations
 
@@ -164,7 +165,7 @@ def cmd_residue(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
-    recs = spectrum.full_spectrum(params, args.x_max, args.scan_step, args.tol)
+    recs = spectrum.full_spectrum(params, args.x_max, args.tol)
     _emit_rows(spectrum.records_to_rows(recs, args.g), args)
     return 0
 
@@ -174,7 +175,7 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ValueError("sweep grid needs at least one positive coupling")
     _emit_rows(spectrum.spectral_sweep(args.delta, float(args.eps), grid, args.levels,
-                                       args.scan_step, args.tol), args)
+                                       args.tol), args)
     return 0
 
 
@@ -182,13 +183,10 @@ def cmd_oracle(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
     eigs = oracle.lowest_eigenvalues(params, args.M, args.count)
     if eigs:
-        # a truncation that has converged keeps its level count when M grows
-        sigma = eigs[-1] + 1e-6
-        counts = [oracle.count_below(params, m, sigma) for m in (args.M, args.M + 20)]
-        if counts[0] != counts[1]:
-            print(f"warning: truncation M={args.M} not converged: "
-                  f"{counts[0]} eigenvalues below {fmt_float(sigma)} at M={args.M}, "
-                  f"{counts[1]} at M={args.M + 20}", file=sys.stderr)
+        try:
+            oracle.level_counter(params, args.M)(eigs[-1] + 1e-6)
+        except oracle.TruncationError as exc:
+            print(f"warning: {exc}", file=sys.stderr)
     _emit_rows([{"g": args.g, "index": i, "lambda": lam, "x": lam + args.g ** 2,
                  "kind": "oracle", "multiplicity": 1, "level_N": None, "branch": None}
                 for i, lam in enumerate(eigs)], args)
@@ -352,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="full classified spectrum at one coupling")
     common(p, g=True, delta=True, eps=True)
     p.add_argument("--x-max", type=float, default=6.0)
-    p.add_argument("--scan-step", type=float, default=1e-2)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_spectrum)
 
@@ -360,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, delta=True, eps=True)
     p.add_argument("--g", required=True, help="grid a:b:step")
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--scan-step", type=float, default=1e-2)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_sweep)
 

@@ -11,6 +11,7 @@ from .roots import bisect_count
 from .series import ModelParams
 
 _WIDTH = 1.01e-12    # bisection width of each eigenvalue
+M_STEP = 20          # truncation step of the convergence check
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +69,26 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]], sigma: fl
     return count
 
 
-def count_below(params: ModelParams, M: int, sigma: float) -> int:
-    """Eigenvalues below sigma of the Hamiltonian truncated at boson number M."""
-    return _band_count_below(_ladder(params, M), sigma)
+class TruncationError(ArithmeticError):
+    """The eigenvalue count below some sigma changes from M to M + M_STEP."""
+
+
+def level_counter(params: ModelParams, M: int):
+    """sigma -> the number of eigenvalues below sigma of the Hamiltonian
+    truncated at boson number M; raises TruncationError where the count at
+    M + M_STEP differs (the truncation has not converged there)."""
+    rungs = _ladder(params, M + M_STEP)
+    low = rungs[:M + 1]
+
+    def count(sigma: float) -> int:
+        n, m = _band_count_below(low, sigma), _band_count_below(rungs, sigma)
+        if n != m:
+            raise TruncationError(
+                f"truncation M={M} not converged: {n} eigenvalues below "
+                f"{format(sigma, '.17g')} at M={M}, {m} at M={M + M_STEP}")
+        return n
+
+    return count
 
 
 def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:

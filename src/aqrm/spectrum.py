@@ -1,8 +1,9 @@
 """Eigenvalue assembly: quasi-exact (Juddian) points from exact polynomial
 roots, non-polynomial exceptional points from T-function zero scans, the
-regular spectrum from zeros of the regularized G-function, classification with
-multiplicities, positive-root counting, and coupling sweeps that produce
-spectral-curve tables."""
+regular spectrum from zeros of the regularized G-function inside brackets of
+the parity-ladder level count, classification with multiplicities,
+positive-root counting, and coupling sweeps that produce spectral-curve
+tables."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import oracle
 from .poly import constraint_poly
 from .roots import (
+    bisect_count,
     count_real_roots,
     isolate_real_roots,
     refine_root,
@@ -35,7 +38,9 @@ KIND_JUDDIAN = "juddian"
 KIND_NON_JUDDIAN = "non-juddian-exceptional"
 
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
-_SWEEP_X_MAX = 6.0               # sweep window above g^2: max(this, n_levels + 2)
+_BRACKET = 1e-3                  # widest level bracket handed to calG refinement
+_FLOOR = 1e-9                    # narrowest bracket split on the level count
+_M_START, _M_CAP = 40, 400       # truncations tried for the level count
 
 
 @dataclass
@@ -49,8 +54,9 @@ class EigenvalueRecord:
 
 
 def exact_bias(eps: float) -> Fraction | None:
-    """The bias as an exact rational when it is one (all closed-form Juddian
-    machinery needs this); None for irrational-looking values."""
+    """The bias as an exact rational when one with denominator at most
+    _RATIONAL_EPS_CAP matches it (all closed-form Juddian machinery needs
+    this); None otherwise."""
     if isinstance(eps, Fraction):
         return eps
     cand = Fraction(eps).limit_denominator(_RATIONAL_EPS_CAP)
@@ -148,61 +154,8 @@ def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
 
 
 # ---------------------------------------------------------------------------
-# spectrum from zeros of the regularized G-function
+# exceptional points x = N +/- eps
 # ---------------------------------------------------------------------------
-
-_DIP_SUBDIV = 16
-_DIP_DEPTH = 4
-
-
-def _scan_zeros(params: ModelParams, lo: float, hi: float, step: float,
-                tol: float) -> list[float]:
-    """Zeros of the regularized G-function on [lo, hi] by sign-change
-    bracketing, with recursive local refinement wherever |f| dips without a
-    sign change: strong-coupling quasi-doublets sit closer than any fixed
-    grid, and a dip is the footprint of such an even pair."""
-    def f(x):
-        return regularized_g(x, params)
-
-    zeros: list[float] = []
-
-    def scan(a, b, steps, depth):
-        xs = [a + (b - a) * i / steps for i in range(steps + 1)]
-        vs = [f(x) for x in xs]
-        for i in range(steps):
-            if vs[i] == 0.0:
-                zeros.append(xs[i])
-            elif vs[i] * vs[i + 1] < 0.0:
-                zeros.append(_bisect_sign_change(f, xs[i], xs[i + 1], vs[i], tol))
-        if vs[-1] == 0.0:
-            zeros.append(xs[-1])
-        if depth == 0:
-            return
-        last = -2
-        for i in range(1, steps):
-            same_sign = vs[i] != 0.0 and vs[i - 1] * vs[i] > 0.0 and vs[i] * vs[i + 1] > 0.0
-            if same_sign and abs(vs[i]) < abs(vs[i - 1]) and abs(vs[i]) < abs(vs[i + 1]):
-                if i == last + 1:
-                    continue    # overlapping dip window already refined
-                scan(xs[i - 1], xs[i + 1], _DIP_SUBDIV, depth - 1)
-                last = i
-
-    scan(lo, hi, max(2, int(math.ceil((hi - lo) / step))), _DIP_DEPTH)
-    zeros.sort()
-    out = []
-    for z in zeros:
-        if not out or z - out[-1] > max(4.0 * tol, 1e-12):
-            out.append(z)
-    return out
-
-
-def _t_zero_here(N: int, params: ModelParams, sign: str,
-                 rel_tol: float = 1e-6) -> bool:
-    """Does the T-function vanish at this coupling, up to slope normalization?"""
-    return _vanishes_at(
-        lambda g: t_function(N, ModelParams(g, params.delta, params.eps), sign),
-        params.g, rel_tol)
-
 
 @lru_cache(maxsize=512)
 def _juddian_chain(N: int, eps: Fraction, y: Fraction) -> tuple | None:
@@ -228,9 +181,9 @@ def _juddian_here(N: int, params: ModelParams, branch_eps: float,
         g = Fraction(params.g)
         t = Fraction(rel_tol) * max(1, g)
         return sturm_count(chain, 4 * max(0, g - t) ** 2, 4 * (g + t) ** 2) > 0
-    warnings.warn("irrational bias: quasi-exact detection falls back to "
-                  "float root proximity and may be ill-conditioned",
-                  RuntimeWarning, stacklevel=2)
+    warnings.warn("bias is irrational or has a denominator above 10^4: quasi-exact "
+                  "detection falls back to float root proximity and may be "
+                  "ill-conditioned", RuntimeWarning, stacklevel=2)
     return _vanishes_at(
         lambda g: log_term_coefficient(N, ModelParams(g, params.delta, branch_eps)),
         params.g, rel_tol)
@@ -252,7 +205,9 @@ def exceptional_records(params: ModelParams, x_lo: float,
             key = round(x0 * 2 ** 30)
             if x0 >= x_lo and key not in seen:
                 jud = _juddian_here(n, params, e)
-                njud = False if jud else _t_zero_here(n, params, sign)
+                njud = not jud and _vanishes_at(   # a T-function zero at this coupling
+                    lambda g: t_function(n, ModelParams(g, params.delta, eps), sign),
+                    params.g, 1e-6)
                 if jud or njud:
                     seen.add(key)
                     mult = 2 if (jud and half) else 1
@@ -265,60 +220,86 @@ def exceptional_records(params: ModelParams, x_lo: float,
     return out
 
 
-def regular_spectrum(params: ModelParams, x_range: tuple[float, float],
-                     scan_step: float = 1e-2,
-                     refine_tol: float = 1e-10) -> list[EigenvalueRecord]:
-    """Regular eigenvalues in the window: zeros of the regularized G-function
-    that do not sit on an exceptional point x = n +/- eps."""
-    lo, hi = x_range
-    zeros = _scan_zeros(params, lo, hi, scan_step, refine_tol)
-    g2 = params.g ** 2
-    window = 10.0 * scan_step
-    out = []
-    for x in zeros:
-        near = None
-        for e in (params.eps, -params.eps):
-            n = round(x - e)
-            if n >= 0 and abs(x - (n + e)) <= window:
-                near = (n, e)
-                break
-        if near is not None and abs(x - (near[0] + near[1])) <= 1e3 * refine_tol * max(1.0, abs(x)):
-            continue    # the zero is the exceptional point itself
-        out.append(EigenvalueRecord(x=x, lam=x - g2, kind=KIND_REGULAR))
+# ---------------------------------------------------------------------------
+# the spectrum: records plus one calG zero per bracket of the level count
+# ---------------------------------------------------------------------------
+
+class IncompleteSpectrum(ArithmeticError):
+    """The level count and the located levels disagree."""
+
+
+def _counted(params: ModelParams, task):
+    """task(n), with n(x) the number of levels below x = lambda + g^2 of the
+    truncation at the first M = _M_START, _M_START + M_STEP, ... whose every
+    probe agrees with M + M_STEP."""
+    for M in range(_M_START, _M_CAP + 1, oracle.M_STEP):
+        count = oracle.level_counter(params, M)
+        try:
+            return task(lambda x: count(x - params.g ** 2))
+        except oracle.TruncationError:
+            pass
+    raise IncompleteSpectrum(f"level count not converged at M={_M_CAP}")
+
+
+def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
+                      x_max: float) -> list[tuple[float, float]]:
+    """Brackets [a, b), in no order and at most _BRACKET wide, each holding
+    exactly one level counted by n that is not a record. Every record sits
+    alone in its own bracket [x - _FLOOR, x + _FLOOR), which must hold exactly
+    its multiplicity: two levels meet only on a multiplicity-2 Juddian record."""
+    edges = [x_lo] + [x for r in records for x in (r.x - _FLOOR, r.x + _FLOOR)]
+    edges.append(max(x_max, edges[-1]))
+    counts = [n(x) for x in edges]
+    for r, prev, a, na, nb in zip(records, edges[::2], edges[1::2], counts[1::2], counts[2::2]):
+        if a <= prev or nb - na != r.multiplicity:
+            raise IncompleteSpectrum(
+                f"level count does not isolate the {r.kind} record at x = {fmt_float(r.x)}")
+    out, todo = [], list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
+    while todo:
+        a, b, na, nb = todo.pop()
+        if nb == na or (nb == na + 1 and b - a <= _BRACKET):
+            out += [(a, b)] * (nb - na)
+        elif b - a <= _FLOOR:
+            raise IncompleteSpectrum(
+                f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
+        else:
+            mid = 0.5 * (a + b)
+            nm = n(mid)
+            todo += [(a, mid, na, nm), (mid, b, nm, nb)]
     return out
 
 
-def full_spectrum(params: ModelParams, x_max: float,
-                  scan_step: float = 1e-2, refine_tol: float = 1e-10,
+def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
                   x_lo: float | None = None) -> list[EigenvalueRecord]:
-    """Merged, sorted eigenvalue records up to x = x_max: regular zeros plus
-    classified exceptional points. Degenerate points appear once with
-    multiplicity 2; they occur only for half-integer bias and are Juddian.
-
-    Regular zeros are found by sign-change bracketing, so a pair of regular
-    eigenvalues closer than scan_step (a tight avoided crossing) needs a
-    correspondingly smaller scan_step to be resolved."""
-    if not (scan_step > 0 and refine_tol > 0):
-        raise ValueError("scan_step and refine_tol must be positive")
+    """Sorted eigenvalue records in [x_lo, x_max): the exceptional records
+    plus one regular calG zero, refined to refine_tol, in every bracket of the
+    level count. Degenerate points appear once with multiplicity 2; they occur
+    only for half-integer bias and are Juddian. Raises IncompleteSpectrum
+    rather than return a list that the count shows to be short."""
     if x_lo is None:
         x_lo = -(params.delta + abs(params.eps) + 1.5)
+    if not (refine_tol > 0 and math.isfinite(x_max) and x_max > x_lo):
+        raise ValueError("need refine_tol > 0 and a finite x_max above x_lo")
+
+    def f(x):
+        return regularized_g(x, params)
+
     exc = exceptional_records(params, x_lo, x_max)
-    reg = regular_spectrum(params, (x_lo, x_max), scan_step, refine_tol)
-    # drop regular zeros that bisection landed on top of an exceptional record
     out = list(exc)
-    for r in reg:
-        if all(abs(r.x - e.x) > 1e3 * refine_tol * max(1.0, abs(r.x)) for e in exc):
-            out.append(r)
+    for a, b in _counted(params, lambda n: _regular_brackets(n, exc, x_lo, x_max)):
+        fa = f(a)
+        if fa * f(b) > 0.0:
+            raise IncompleteSpectrum(
+                f"no calG sign change on the level bracket [{fmt_float(a)}, {fmt_float(b)}]")
+        x = _bisect_sign_change(f, a, b, fa, refine_tol)
+        out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
     out.sort(key=lambda r: r.x)
     return out
 
 
 def expand_multiplicities(records: list[EigenvalueRecord]) -> list[float]:
     """Sorted eigenvalue list with each record repeated per its multiplicity."""
-    out = []
-    for r in records:
-        out.extend([r.lam] * r.multiplicity)
-    return sorted(out)
+    return sorted(r.lam for r in records for _ in range(r.multiplicity))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +307,11 @@ def expand_multiplicities(records: list[EigenvalueRecord]) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
-                   scan_step: float = 1e-2, refine_tol: float = 1e-10) -> list[dict]:
+                   refine_tol: float = 1e-10) -> list[dict]:
     """Rows (g, index, lambda, x, kind, multiplicity, level_N, branch) for the
     lowest n_levels eigenvalues at every coupling of the strictly increasing
-    g_grid; grid points are independent and assembled in grid order."""
+    g_grid; grid points are independent and assembled in grid order. Each
+    coupling's window ends just above level n_levels - 1 of the level count."""
     if n_levels < 0:
         raise ValueError("n_levels must be nonnegative")
     if any(b <= a for a, b in zip(g_grid, g_grid[1:])):
@@ -337,12 +319,15 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
     rows = []
     for g in g_grid:
         params = ModelParams(g, delta, eps)
-        x_hi = g * g + max(_SWEEP_X_MAX, n_levels + 2.0)
-        recs = full_spectrum(params, x_hi, scan_step, refine_tol)
-        flat: list[EigenvalueRecord] = []
-        for r in recs:
-            flat.extend([r] * r.multiplicity)
-        flat.sort(key=lambda r: r.lam)
+        # Weyl's inequality against the displaced oscillators (levels n - g^2,
+        # each twice) puts level k in -w < x < k // 2 + w
+        w = delta + abs(eps) + 1.0
+        top = _counted(params, lambda n: bisect_count(n, -w, (n_levels - 1) // 2 + w,
+                                                      n_levels - 1, _BRACKET))
+        flat = [r for r in full_spectrum(params, top + _BRACKET, refine_tol)
+                for _ in range(r.multiplicity)]
+        if len(flat) < n_levels:
+            raise IncompleteSpectrum(f"{len(flat)} of {n_levels} levels at g = {fmt_float(g)}")
         rows.extend(records_to_rows(flat[:n_levels], g))
     return rows
 

@@ -265,8 +265,8 @@ def test_criterion_10_symmetry_suite():
         assert err <= 1e-8
     for (g, delta, eps) in ((0.9, 1.1, 0.27), (0.6, 0.8, 0.45), (1.2, 1.5, 0.8),
                             (0.8, 1.0, 0.35)):
-        ra = full_spectrum(ModelParams(g, delta, eps), 3.5, scan_step=0.02)
-        rb = full_spectrum(ModelParams(g, delta, -eps), 3.5, scan_step=0.02)
+        ra = full_spectrum(ModelParams(g, delta, eps), 3.5)
+        rb = full_spectrum(ModelParams(g, delta, -eps), 3.5)
         assert len(ra) == len(rb)
         for u, v in zip(ra, rb):
             assert abs(u.x - v.x) <= 1e-8 * max(1.0, abs(u.x))

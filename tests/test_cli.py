@@ -196,8 +196,10 @@ class TestInputRange:
     @pytest.mark.parametrize("argv", (
         SPEC + ("--tol", "0"),
         SPEC + ("--tol", "-1e-10"),
-        SPEC + ("--scan-step", "-1"),
+        SPEC + ("--scan-step", "-1"),    # removed flag: argparse rejects it
         SPEC + ("--scan-step", "0"),
+        SPEC + ("--x-max", "inf"),
+        SPEC + ("--x-max", "nan"),
         SWEEP + ("--tol", "0"),
         SWEEP + ("--levels", "-3"),
         ORACLE + ("--count", "-2"),
@@ -211,6 +213,14 @@ class TestInputRange:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+
+    def test_incomplete_spectrum_exit_two(self, capsys):
+        # two levels 5e-11 apart: the level count cannot separate them
+        code, out, err = run(capsys, "spectrum", "--g", "3.5", "--delta", "1",
+                             "--eps", "0", "--x-max", "14")
+        assert code == 2 and out == ""
+        assert err.startswith("error: 2 levels within")
 
 
 class TestOracleConvergence:
@@ -250,13 +260,13 @@ GOLDEN = (
     ("residue --N 1 --eps 0.3 --g 0.9 --delta 1",
      "2716cedd84dc9669c5d51d41be3736b1ff9e62a11dbd2ab3d6752219c9c16835"),
     ("spectrum --g 0.5 --delta 1 --eps 1/2 --x-max 5",
-     "3c7104547572ac7f75b89e0351fd0d23f0dad880a6a8e1d2f184ad83c51fbc2a"),
+     "6e00aa4e9722135937e9052ecc7fff05a214bd8e5570e632dabd34b0384f2bbf"),
     ("spectrum --g 0.5 --delta 1 --eps 0.123456789 --x-max 5",
-     "da59ce1c907fb37cdde75ce8206840b07a4de07460e6c30c0ac9059ad003fee2"),
+     "d6713c3425b724cb6df50bfa34c0f6700279e84eb53eff684c49261a9bea6733"),
     ("sweep --delta 1 --eps 1/2 --g 0:0.5:0.1 --levels 8",
-     "73018f662a1c6eba90a08c389de8dd176607f860e4b5bb04a8c79f5544af392f"),
+     "45682f01491dcede33664e2241103f3afa29821619ce1c5eebefbacca73bb759"),
     ("sweep --delta 1 --eps 0.3 --g 0:0.5:0.1 --levels 8",
-     "9eb2a5c7302811a9a70620405ae9e47f51914703d33ec91a55f93b8cd93e9453"),
+     "c974c55d5f83a36d026f08412dbad383bd649e8a9b10f2fa38d6411a2c24308c"),
     ("oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8",
      "2db7398b4a8ea98914c1bc1bfc5667e6da5076d8d6bc40e1b4faa5e1f7a4967c"),
     ("verify all --max-N 10 --max-ell 4",

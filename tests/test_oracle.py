@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from _dense import eigenvalues, truncated_hamiltonian
 from aqrm.oracle import (
+    TruncationError,
     _band_count_below,
     _ladder,
     certified_eigenvalues,
     convergence_study,
-    count_below,
+    level_counter,
     lowest_eigenvalues,
 )
 from aqrm.roots import sym_tridiag_eigenvalues
@@ -120,8 +121,13 @@ class TestConvergence:
     def test_count_below_matches_levels(self):
         p = ModelParams(1.0, 1.0, 0.2)
         eigs = lowest_eigenvalues(p, 40, 6)
-        assert count_below(p, 40, eigs[-1] + 1e-6) == 6
-        assert count_below(p, 60, eigs[-1] + 1e-6) == 6
+        assert level_counter(p, 40)(eigs[-1] + 1e-6) == 6
+        assert level_counter(p, 60)(eigs[-1] + 1e-6) == 6
+        # the ground state at g = 1000 lies near -1e6, far below what M = 80 holds
+        p = ModelParams(1000.0, 1.0, 0.2)
+        sigma = lowest_eigenvalues(p, 80, 1)[0] + 1e-6
+        with pytest.raises(TruncationError, match="1 eigenvalues below .* at M=80, 8 at M=100"):
+            level_counter(p, 80)(sigma)
 
     def test_certified(self):
         eigs, M = certified_eigenvalues(ModelParams(1.0, 1.0, 0.2), 6, tol=1e-8)

@@ -1,10 +1,12 @@
-"""Spectrum assembly: Juddian roots, root counts, T-function zeros, regular
-and full spectra, sweeps."""
+"""Spectrum assembly: Juddian roots, root counts, T-function zeros, the
+count-bracketed full spectrum, sweeps."""
 
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqrm import oracle
 from aqrm.poly import c_weight
@@ -13,6 +15,7 @@ from aqrm.spectrum import (
     KIND_JUDDIAN,
     KIND_NON_JUDDIAN,
     KIND_REGULAR,
+    IncompleteSpectrum,
     count_positive_roots,
     exact_bias,
     exceptional_records,
@@ -21,7 +24,6 @@ from aqrm.spectrum import (
     juddian_roots,
     non_juddian_roots,
     records_to_rows,
-    regular_spectrum,
     rows_to_csv,
     spectral_sweep,
 )
@@ -133,14 +135,14 @@ class TestSpectra:
 
     def test_regular_spectrum_against_oracle(self):
         p = ModelParams(1.0, 1.0, 0.2)
-        recs = regular_spectrum(p, (-1.0, 4.0))
+        recs = full_spectrum(p, 4.0, x_lo=-1.0)
         assert all(r.kind == KIND_REGULAR for r in recs)
         ev = oracle.lowest_eigenvalues(p, 110, len(recs))
         assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
 
     def test_no_regular_record_on_exceptional_point(self):
         p = ModelParams(1.0, 1.0, 0.2)
-        recs = regular_spectrum(p, (-1.0, 4.0))
+        recs = [r for r in full_spectrum(p, 4.0) if r.kind == KIND_REGULAR]
         for r in recs:
             for e in (p.eps, -p.eps):
                 n = round(r.x - e)
@@ -225,6 +227,63 @@ class TestSpectra:
                 assert abs(log_term_coefficient(N, p)) < 1e-8
                 ks = k_sequence(N + float(eps), p, "minus", N)
                 assert abs(ks[N]) < 1e-8
+
+
+class TestCountBrackets:
+    """The level count of the parity ladder brackets every regular level;
+    where it and the located levels disagree the spectrum raises."""
+
+    @pytest.mark.parametrize("params", (ModelParams(3.0, 1.0, 0.0),
+                                        ModelParams(3.0, 0.5, 0.5)))
+    def test_close_pairs_resolved(self, params):
+        # strong-coupling doublets 3.4e-8 and 1.2e-6 apart at (3, 1, 0)
+        lams = expand_multiplicities(full_spectrum(params, 12.0))
+        assert len(lams) == 25
+        assert lams == pytest.approx(oracle.lowest_eigenvalues(params, 150, 25), abs=1e-7)
+
+    def test_unresolved_pair_raises(self):
+        # two levels 5e-11 apart, closer than the narrowest bracket
+        with pytest.raises(IncompleteSpectrum, match="levels within"):
+            full_spectrum(ModelParams(3.5, 1.0, 0.0), 14.0)
+
+    def test_record_must_match_count(self, monkeypatch):
+        # the count must jump by exactly a record's multiplicity at the record:
+        # a simple Juddian level claimed degenerate, or a record off the
+        # spectrum, raises
+        import dataclasses
+        import aqrm.spectrum as spectrum_mod
+        p = ModelParams(math.sqrt(27 / 20) / 2, 0.5, 0.3)
+        (rec,) = [r for r in exceptional_records(p, -2.0, 3.0)
+                  if r.kind == KIND_JUDDIAN and r.level_N == 1]
+        for wrong in (dataclasses.replace(rec, multiplicity=2),
+                      dataclasses.replace(rec, x=rec.x + 0.1, lam=rec.lam + 0.1)):
+            monkeypatch.setattr(spectrum_mod, "exceptional_records", lambda *args: [wrong])
+            with pytest.raises(IncompleteSpectrum, match="does not isolate"):
+                full_spectrum(p, 3.0)
+
+    def test_capped_truncation_raises(self, monkeypatch):
+        import aqrm.spectrum as spectrum_mod
+        monkeypatch.setattr(spectrum_mod, "_M_CAP", 40)
+        with pytest.raises(IncompleteSpectrum, match="not converged at M=40"):
+            full_spectrum(ModelParams(3.0, 1.0, 0.0), 12.0)
+
+    def test_rejects_window_below_floor(self):
+        # non-finite x_max is covered through the CLI input-range cases
+        with pytest.raises(ValueError, match="x_max above x_lo"):
+            full_spectrum(ModelParams(0.5, 1.0, 0.3), -4.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=st.floats(0.1, 2.5), delta=st.floats(0.3, 2.0),
+           eps=st.one_of(st.sampled_from((0.0, 0.5, -0.5)), st.floats(-1.0, 1.0)))
+    def test_matches_certified_oracle(self, g, delta, eps):
+        import warnings as w
+        p = ModelParams(g, delta, eps)
+        with w.catch_warnings():
+            w.simplefilter("ignore", RuntimeWarning)
+            lams = expand_multiplicities(full_spectrum(p, g * g + 4.0))
+        ev, _ = oracle.certified_eigenvalues(p, len(lams) + 1)
+        assert lams == pytest.approx(ev[:-1], abs=1e-7)
+        assert ev[-1] > 4.0 - 1e-7
 
 
 class TestJuddianMembership:
@@ -335,17 +394,18 @@ class TestHelpers:
 
 
 class TestFloatBisection:
-    """The sign-change bisection behind both zero scans stops once no float
-    midpoint is left strictly inside its bracket, whatever the tolerance. The
-    stubs are step functions, so no probe ever lands on an exact zero."""
+    """The sign-change bisection behind the T-function scan and the calG
+    refinement stops once no float midpoint is left strictly inside its
+    bracket, whatever the tolerance. The T-function stub is a step function,
+    so no probe ever lands on an exact zero."""
 
     @staticmethod
-    def limited(f):
+    def limited(f, cap=200):
         calls = []
 
         def stub(*args):
             calls.append(args)
-            if len(calls) > 200:
+            if len(calls) > cap:
                 raise AssertionError("bisection does not terminate")
             return f(*args)
 
@@ -361,10 +421,17 @@ class TestFloatBisection:
         assert len(calls) < 80
 
     def test_regularized_g_scan(self, monkeypatch):
+        # a tolerance below float spacing: each level's refinement stops at
+        # adjacent floats, about 45 calG calls from a 1e-3 bracket
         import aqrm.spectrum as spectrum_mod
-        stub, calls = self.limited(lambda x, params: 1.0 if x >= 1.23 else -1.0)
+        p = ModelParams(0.5, 1.0, 0.3)
+        stub, calls = self.limited(spectrum_mod.regularized_g, cap=600)
         monkeypatch.setattr(spectrum_mod, "regularized_g", stub)
-        recs = regular_spectrum(ModelParams(0.5, 1.0, 0.3), (0.0, 2.0),
-                                scan_step=0.1, refine_tol=1e-20)
-        assert [r.x for r in recs] == [pytest.approx(1.23, abs=1e-15)]
-        assert len(calls) < 100
+        recs = full_spectrum(p, 2.0, refine_tol=1e-20)
+        monkeypatch.undo()
+        coarse = full_spectrum(p, 2.0)
+        assert [r.kind for r in recs] == [r.kind for r in coarse]
+        assert [r.x for r in recs] == pytest.approx([r.x for r in coarse], abs=1e-10)
+        n_regular = sum(r.kind == KIND_REGULAR for r in recs)
+        assert n_regular >= 3
+        assert len(calls) <= 60 * n_regular
