@@ -117,22 +117,6 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     return out
 
 
-def convergence_study(params: ModelParams, M_list: list[int],
-                      count: int) -> list[dict]:
-    """Eigenvalue drift per level across increasing truncations; certifies the
-    truncation error before any spectral comparison."""
-    if any(b <= a for a, b in zip(M_list, M_list[1:])):
-        raise ValueError("M_list must be strictly increasing")
-    rows = []
-    prev = None
-    for M in M_list:
-        eigs = lowest_eigenvalues(params, M, count)
-        drift = None if prev is None else max(abs(a - b) for a, b in zip(eigs, prev))
-        rows.append({"M": M, "eigenvalues": eigs, "drift": drift})
-        prev = eigs
-    return rows
-
-
 def certified_eigenvalues(params: ModelParams, count: int, tol: float = 1e-8,
                           M_start: int = 60, M_cap: int = 400) -> tuple[list[float], int]:
     """Raise the truncation until successive eigenvalue drift falls below tol;

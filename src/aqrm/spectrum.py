@@ -1,9 +1,10 @@
-"""Eigenvalue assembly: quasi-exact (Juddian) points from exact polynomial
-roots, non-polynomial exceptional points from T-function zero scans, the
-regular spectrum from zeros of the regularized G-function inside brackets of
-the parity-ladder level count, classification with multiplicities,
-positive-root counting, and coupling sweeps that produce spectral-curve
-tables."""
+"""Eigenvalue assembly: the parity-ladder level count places every level.
+Exceptional points x = N +/- eps are records where the count jumps across
+them, named Juddian by exact roots of the constraint polynomial and
+non-Juddian otherwise; regular levels are zeros of the regularized G-function
+inside brackets of the same count. Also classification with multiplicities,
+positive-root counting, T-function zero scans over g, and coupling sweeps that
+produce spectral-curve tables."""
 
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ def count_positive_roots(N: int, eps, y) -> int:
 
 
 # ---------------------------------------------------------------------------
-# float zeros: sign-change bisection and the slope-normalized vanishing test
+# float zeros: sign-change bisection
 # ---------------------------------------------------------------------------
 
 def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
@@ -115,14 +116,6 @@ def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
-
-
-def _vanishes_at(f, g: float, rel_tol: float) -> bool:
-    """Does f vanish at the coupling g, relative to its central-difference
-    slope there?"""
-    h = min(1e-4 * max(1.0, g), g / 2)
-    slope = (f(g + h) - f(g - h)) / (2.0 * h)
-    return abs(f(g)) <= rel_tol * (abs(slope) * max(1.0, g) + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -184,39 +177,48 @@ def _juddian_here(N: int, params: ModelParams, branch_eps: float,
     warnings.warn("bias is irrational or has a denominator above 10^4: quasi-exact "
                   "detection falls back to float root proximity and may be "
                   "ill-conditioned", RuntimeWarning, stacklevel=2)
-    return _vanishes_at(
-        lambda g: log_term_coefficient(N, ModelParams(g, params.delta, branch_eps)),
-        params.g, rel_tol)
+
+    def f(g):
+        return log_term_coefficient(N, ModelParams(g, params.delta, branch_eps))
+
+    # does f vanish at g, relative to its central-difference slope there?
+    g = params.g
+    h = min(1e-4 * max(1.0, g), g / 2)
+    slope = (f(g + h) - f(g - h)) / (2.0 * h)
+    return abs(f(g)) <= rel_tol * (abs(slope) * max(1.0, g) + 1e-12)
 
 
-def exceptional_records(params: ModelParams, x_lo: float,
+def exceptional_records(params: ModelParams, n, x_lo: float,
                         x_max: float) -> list[EigenvalueRecord]:
-    """Exceptional eigenvalues x = N +/- eps in [x_lo, x_max]: Juddian points
-    (multiplicity 2 at half-integer bias) and non-Juddian T-function zeros."""
+    """Exceptional eigenvalues x = N +/- eps whose bracket [x - _FLOOR,
+    x + _FLOOR) lies in [x_lo, x_max], placed by the level count alone, with
+    n(x) the number of levels below x: a point is a record when n jumps across
+    its bracket by the multiplicity its kind requires, 2 for a Juddian point
+    at half-integer bias (two levels meet only there) and 1 otherwise. The
+    exact test only names the kind: Juddian at a root of the level-N
+    constraint polynomial, non-Juddian elsewhere. Any other jump makes no
+    record; its levels are left to the regular brackets."""
     eps = params.eps
     half = is_half_integer(eps)
-    g2 = params.g ** 2
+    cands = sorted(((N + e, N, e, branch)
+                    for branch, e in (("plus_eps", eps), ("minus_eps", -eps))
+                    for N in range(int(x_max - e) + 2)
+                    if x_lo <= N + e - _FLOOR and N + e + _FLOOR <= x_max),
+                   key=lambda c: c[0])
     out = []
-    seen: set[int] = set()
-    for branch, sign, e in (("plus_eps", "plus", eps), ("minus_eps", "minus", -eps)):
-        n = 0
-        while n + e <= x_max + 1e-12:
-            x0 = n + e
-            key = round(x0 * 2 ** 30)
-            if x0 >= x_lo and key not in seen:
-                jud = _juddian_here(n, params, e)
-                njud = not jud and _vanishes_at(   # a T-function zero at this coupling
-                    lambda g: t_function(n, ModelParams(g, params.delta, eps), sign),
-                    params.g, 1e-6)
-                if jud or njud:
-                    seen.add(key)
-                    mult = 2 if (jud and half) else 1
-                    out.append(EigenvalueRecord(
-                        x=x0, lam=x0 - g2,
-                        kind=KIND_JUDDIAN if jud else KIND_NON_JUDDIAN,
-                        multiplicity=mult, level_N=n, branch=branch))
-            n += 1
-    out.sort(key=lambda r: r.x)
+    prev = -math.inf
+    for x0, N, e, branch in cands:
+        if x0 - prev < 2 * _FLOOR:      # one bracket per point, N + eps = N' - eps
+            continue
+        prev = x0
+        jump = n(x0 + _FLOOR) - n(x0 - _FLOOR)
+        if jump:
+            jud = _juddian_here(N, params, e)
+            if jump == (2 if jud and half else 1):
+                out.append(EigenvalueRecord(
+                    x=x0, lam=x0 - params.g ** 2,
+                    kind=KIND_JUDDIAN if jud else KIND_NON_JUDDIAN,
+                    multiplicity=jump, level_N=N, branch=branch))
     return out
 
 
@@ -244,16 +246,10 @@ def _counted(params: ModelParams, task):
 def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
                       x_max: float) -> list[tuple[float, float]]:
     """Brackets [a, b), in no order and at most _BRACKET wide, each holding
-    exactly one level counted by n that is not a record. Every record sits
-    alone in its own bracket [x - _FLOOR, x + _FLOOR), which must hold exactly
-    its multiplicity: two levels meet only on a multiplicity-2 Juddian record."""
-    edges = [x_lo] + [x for r in records for x in (r.x - _FLOOR, r.x + _FLOOR)]
-    edges.append(max(x_max, edges[-1]))
+    exactly one level counted by n in [x_lo, x_max) that is not a record;
+    every record owns [x - _FLOOR, x + _FLOOR)."""
+    edges = [x_lo] + [x for r in records for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
     counts = [n(x) for x in edges]
-    for r, prev, a, na, nb in zip(records, edges[::2], edges[1::2], counts[1::2], counts[2::2]):
-        if a <= prev or nb - na != r.multiplicity:
-            raise IncompleteSpectrum(
-                f"level count does not isolate the {r.kind} record at x = {fmt_float(r.x)}")
     out, todo = [], list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
     while todo:
         a, b, na, nb = todo.pop()
@@ -269,24 +265,16 @@ def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
     return out
 
 
-def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
-                  x_lo: float | None = None) -> list[EigenvalueRecord]:
-    """Sorted eigenvalue records in [x_lo, x_max): the exceptional records
-    plus one regular calG zero, refined to refine_tol, in every bracket of the
-    level count. Degenerate points appear once with multiplicity 2; they occur
-    only for half-integer bias and are Juddian. Raises IncompleteSpectrum
-    rather than return a list that the count shows to be short."""
-    if x_lo is None:
-        x_lo = -(params.delta + abs(params.eps) + 1.5)
-    if not (refine_tol > 0 and math.isfinite(x_max) and x_max > x_lo):
-        raise ValueError("need refine_tol > 0 and a finite x_max above x_lo")
-
+def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
+              refine_tol: float) -> list[EigenvalueRecord]:
+    """Sorted records in [x_lo, x_max) for the level count n: the exceptional
+    records plus one regular calG zero, refined to refine_tol, in every
+    bracket of the count."""
     def f(x):
         return regularized_g(x, params)
 
-    exc = exceptional_records(params, x_lo, x_max)
-    out = list(exc)
-    for a, b in _counted(params, lambda n: _regular_brackets(n, exc, x_lo, x_max)):
+    out = exceptional_records(params, n, x_lo, x_max)
+    for a, b in _regular_brackets(n, out, x_lo, x_max):
         fa = f(a)
         if fa * f(b) > 0.0:
             raise IncompleteSpectrum(
@@ -295,6 +283,21 @@ def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
         out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
     out.sort(key=lambda r: r.x)
     return out
+
+
+def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
+                  x_lo: float | None = None) -> list[EigenvalueRecord]:
+    """Sorted eigenvalue records in [x_lo, x_max): the exceptional points
+    where the level count jumps plus one regular calG zero in every other
+    bracket of the count. Degenerate points appear once with multiplicity 2;
+    they occur only for half-integer bias and are Juddian. Raises
+    IncompleteSpectrum rather than return a list that the count shows to be
+    short."""
+    if x_lo is None:
+        x_lo = -(params.delta + abs(params.eps) + 1.5)
+    if not (refine_tol > 0 and math.isfinite(x_max) and x_max > x_lo):
+        raise ValueError("need refine_tol > 0 and a finite x_max above x_lo")
+    return _counted(params, lambda n: _assemble(params, n, x_lo, x_max, refine_tol))
 
 
 def expand_multiplicities(records: list[EigenvalueRecord]) -> list[float]:
@@ -312,20 +315,24 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
     lowest n_levels eigenvalues at every coupling of the strictly increasing
     g_grid; grid points are independent and assembled in grid order. Each
     coupling's window ends just above level n_levels - 1 of the level count."""
-    if n_levels < 0:
-        raise ValueError("n_levels must be nonnegative")
+    if n_levels < 0 or not refine_tol > 0:
+        raise ValueError("need n_levels >= 0 and refine_tol > 0")
     if any(b <= a for a, b in zip(g_grid, g_grid[1:])):
         raise ValueError("g_grid must be strictly increasing")
+    # Weyl's inequality against the displaced oscillators (levels n - g^2,
+    # each twice) puts level k in -w < x < k // 2 + w; each window starts at
+    # full_spectrum's default x_lo
+    w = delta + abs(eps) + 1.0
+    x_lo = -(delta + abs(eps) + 1.5)
     rows = []
     for g in g_grid:
         params = ModelParams(g, delta, eps)
-        # Weyl's inequality against the displaced oscillators (levels n - g^2,
-        # each twice) puts level k in -w < x < k // 2 + w
-        w = delta + abs(eps) + 1.0
-        top = _counted(params, lambda n: bisect_count(n, -w, (n_levels - 1) // 2 + w,
-                                                      n_levels - 1, _BRACKET))
-        flat = [r for r in full_spectrum(params, top + _BRACKET, refine_tol)
-                for _ in range(r.multiplicity)]
+
+        def levels(n):
+            top = bisect_count(n, -w, (n_levels - 1) // 2 + w, n_levels - 1, _BRACKET)
+            return _assemble(params, n, x_lo, top + _BRACKET, refine_tol)
+
+        flat = [r for r in _counted(params, levels) for _ in range(r.multiplicity)]
         if len(flat) < n_levels:
             raise IncompleteSpectrum(f"{len(flat)} of {n_levels} levels at g = {fmt_float(g)}")
         rows.extend(records_to_rows(flat[:n_levels], g))

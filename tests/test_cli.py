@@ -222,6 +222,15 @@ class TestInputRange:
         assert code == 2 and out == ""
         assert err.startswith("error: 2 levels within")
 
+    @pytest.mark.parametrize("argv", (
+        "spectrum --g 0.50000001 --delta 1 --eps 1/2 --x-max 3",   # Juddian g = 1/2
+        "spectrum --g 0.7185851 --delta 1 --eps 0.3 --x-max 4",    # T-zero g = 0.71858511...
+    ))
+    def test_near_exceptional_coupling_exit_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == ""
+        assert out.startswith("g,index,lambda") and len(out.strip().split("\n")) > 5
+
 
 class TestOracleConvergence:
     def test_unconverged_truncation_warns(self, capsys):

@@ -14,7 +14,6 @@ from aqrm.oracle import (
     _band_count_below,
     _ladder,
     certified_eigenvalues,
-    convergence_study,
     level_counter,
     lowest_eigenvalues,
 )
@@ -98,21 +97,21 @@ class TestEigensolvers:
             assert eigs[1] - eigs[0] > 1e-6
 
 
+def drifts(params, M_list, count):
+    """Largest eigenvalue change between successive truncations."""
+    eigs = [lowest_eigenvalues(params, M, count) for M in M_list]
+    return [max(abs(a - b) for a, b in zip(cur, prev)) for prev, cur in zip(eigs, eigs[1:])]
+
+
 class TestConvergence:
     def test_drift_decreases(self):
-        rows = convergence_study(ModelParams(1.0, 1.0, 0.2), [30, 45, 60, 80], 8)
-        drifts = [r["drift"] for r in rows[1:]]
-        assert all(d is not None for d in drifts)
-        assert drifts[-1] < drifts[0]
-        assert drifts[-1] < 1e-8
+        d = drifts(ModelParams(1.0, 1.0, 0.2), [30, 45, 60, 80], 8)
+        assert len(d) == 3
+        assert d[-1] < d[0]
+        assert d[-1] < 1e-8
 
     def test_zero_coupling_no_drift(self):
-        rows = convergence_study(ModelParams(1e-14, 1.0, 0.1), [20, 32, 40], 6)
-        assert all(r["drift"] < 1e-12 for r in rows[1:])
-
-    def test_requires_increasing(self):
-        with pytest.raises(ValueError):
-            convergence_study(ModelParams(1.0, 1.0, 0.0), [40, 40], 4)
+        assert all(d < 1e-12 for d in drifts(ModelParams(1e-14, 1.0, 0.1), [20, 32, 40], 6))
 
     def test_requires_truncation_of_at_least_eight(self):
         with pytest.raises(ValueError, match="at least 8"):

@@ -1,6 +1,7 @@
 """Spectrum assembly: Juddian roots, root counts, T-function zeros, the
 count-bracketed full spectrum, sweeps."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -27,6 +28,24 @@ from aqrm.spectrum import (
     rows_to_csv,
     spectral_sweep,
 )
+
+
+def counter(p, M=80):
+    """The level count of full_spectrum in x = lambda + g^2 at truncation M."""
+    count = oracle.level_counter(p, M)
+    return lambda x: count(x - p.g ** 2)
+
+
+def t_zeros(N, delta, eps, sign):
+    return non_juddian_roots(N, delta, eps, sign, 0.05, 3.0)
+
+
+def assert_complete(p, x_max, recs):
+    """recs are every level below x_max, within 1e-7 of the certified oracle."""
+    lams = expand_multiplicities(recs)
+    ev, _ = oracle.certified_eigenvalues(p, len(lams) + 1)
+    assert lams == pytest.approx(ev[:-1], abs=1e-7)
+    assert ev[-1] > x_max - p.g ** 2 - 1e-7
 
 
 class TestJuddianRoots:
@@ -197,25 +216,28 @@ class TestSpectra:
 
     def test_exceptional_records_juddian_constructed(self):
         # bias 3/10: place the coupling exactly on the level-1 Juddian root
-        g = math.sqrt(27 / 20) / 2
-        recs = exceptional_records(ModelParams(g, 0.5, 0.3), -2.0, 4.0)
+        p = ModelParams(math.sqrt(27 / 20) / 2, 0.5, 0.3)
+        recs = exceptional_records(p, counter(p), -2.0, 4.0)
         assert any(r.kind == KIND_JUDDIAN and r.level_N == 1
                    and r.multiplicity == 1 for r in recs)
 
     def test_irrational_bias_fallback_warns_and_classifies(self):
+        # the fallback runs only where the count jumps: put the coupling on
+        # the level-1 root (2g)^2 = 2 eps of P_1 = x + y - 1 - 2 eps at y = 1
         import warnings as w
         eps = math.sqrt(2) / 4
+        p = ModelParams(math.sqrt(2 * eps) / 2, 1.0, eps)
         with w.catch_warnings(record=True) as caught:
             w.simplefilter("always")
-            recs = full_spectrum(ModelParams(0.8, 1.0, eps), 3.0)
+            recs = full_spectrum(p, 3.0)
         assert any(issubclass(c.category, RuntimeWarning) for c in caught)
-        assert all(r.kind == KIND_REGULAR for r in recs)
-        ev = oracle.lowest_eigenvalues(ModelParams(0.8, 1.0, eps), 90, len(recs))
+        assert [(r.level_N, r.multiplicity) for r in recs if r.kind == KIND_JUDDIAN] == [(1, 1)]
+        ev = oracle.lowest_eigenvalues(p, 90, len(recs))
         assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
 
     def test_tiny_coupling_exceptional_scan(self):
-        recs = exceptional_records(ModelParams(1e-5, 1.0, 0.3), -2.0, 2.5)
-        assert recs == []
+        p = ModelParams(1e-5, 1.0, 0.3)
+        assert exceptional_records(p, counter(p), -2.0, 2.5) == []
 
     def test_log_term_obstruction_vanishes_at_juddian_root(self):
         # at a quasi-exact coupling both routes to the constraint value vanish
@@ -248,18 +270,19 @@ class TestCountBrackets:
 
     def test_record_must_match_count(self, monkeypatch):
         # the count must jump by exactly a record's multiplicity at the record:
-        # a simple Juddian level claimed degenerate, or a record off the
-        # spectrum, raises
-        import dataclasses
+        # at the half-integer T-zero a Juddian claim needs a jump of 2, the
+        # count shows 1, so no record is made and the level stays regular
         import aqrm.spectrum as spectrum_mod
-        p = ModelParams(math.sqrt(27 / 20) / 2, 0.5, 0.3)
-        (rec,) = [r for r in exceptional_records(p, -2.0, 3.0)
-                  if r.kind == KIND_JUDDIAN and r.level_N == 1]
-        for wrong in (dataclasses.replace(rec, multiplicity=2),
-                      dataclasses.replace(rec, x=rec.x + 0.1, lam=rec.lam + 0.1)):
-            monkeypatch.setattr(spectrum_mod, "exceptional_records", lambda *args: [wrong])
-            with pytest.raises(IncompleteSpectrum, match="does not isolate"):
-                full_spectrum(p, 3.0)
+        (g,) = t_zeros(1, 1.0, 0.5, "plus")
+        p = ModelParams(g, 1.0, 0.5)
+        assert [(r.kind, r.x) for r in full_spectrum(p, 3.0)
+                if r.kind != KIND_REGULAR] == [(KIND_NON_JUDDIAN, 1.5)]
+        monkeypatch.setattr(spectrum_mod, "_juddian_here", lambda *args: True)
+        recs = full_spectrum(p, 3.0)
+        assert all(r.kind == KIND_REGULAR for r in recs)
+        assert min(abs(r.x - 1.5) for r in recs) < 1e-9
+        ev = oracle.lowest_eigenvalues(p, 100, len(recs))
+        assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
 
     def test_capped_truncation_raises(self, monkeypatch):
         import aqrm.spectrum as spectrum_mod
@@ -284,6 +307,58 @@ class TestCountBrackets:
         ev, _ = oracle.certified_eigenvalues(p, len(lams) + 1)
         assert lams == pytest.approx(ev[:-1], abs=1e-7)
         assert ev[-1] > 4.0 - 1e-7
+
+
+@functools.lru_cache(maxsize=None)
+def near_exceptional_anchors():
+    """(g*, delta, eps, x*) with an exceptional level x* = N +/- eps at the
+    coupling g*: the Juddian roots of four (N, eps, delta) and the T-zeros of
+    N <= 2 on both signs at delta = 1, eps = 0.3 and 1/2."""
+    out = [(g, float(delta), float(eps), N + float(eps))
+           for N, eps, delta in ((1, Fraction(1, 2), 1), (2, Fraction(1, 2), 1),
+                                 (2, Fraction(1), Fraction(1, 2)), (3, Fraction(3, 2), 1))
+           for g, _ in juddian_roots(N, eps, delta)]
+    out += [(g, 1.0, eps, N + s * eps) for eps in (0.3, 0.5) for N in range(3)
+            for sign, s in (("plus", 1), ("minus", -1)) for g in t_zeros(N, 1.0, eps, sign)]
+    return out
+
+
+class TestNearExceptional:
+    """Couplings just off an exceptional point: the count alone decides
+    whether a level sits on N +/- eps, so nothing raises and every level
+    matches the certified oracle."""
+
+    @pytest.mark.parametrize("dg", (1e-9, 1e-8, 5e-8))
+    def test_near_degenerate_juddian(self, dg):
+        p = ModelParams(0.5 + dg, 1.0, 0.5)
+        assert_complete(p, 3.0, full_spectrum(p, 3.0))
+
+    @pytest.mark.parametrize("sign", ("plus", "minus"))
+    @pytest.mark.parametrize("rel", (1e-8, 1e-7, 5e-7))
+    def test_near_t_zero(self, sign, rel):
+        (g,) = t_zeros(1, 1.0, 0.3, sign)
+        p = ModelParams(g * (1 + rel), 1.0, 0.3)
+        assert_complete(p, 3.0, full_spectrum(p, 3.0))
+
+    @pytest.mark.parametrize("eps", (0.3, 0.5))
+    def test_sweep_without_t_function(self, monkeypatch, eps):
+        import aqrm.spectrum as spectrum_mod
+
+        def forbidden(*args):
+            raise AssertionError("T-function on the sweep path")
+
+        (g_t,) = t_zeros(1, 1.0, eps, "plus")
+        monkeypatch.setattr(spectrum_mod, "t_function", forbidden)
+        rows = spectral_sweep(1.0, eps, (0.5, g_t), 8)
+        assert len(rows) == 16
+        assert [r["g"] for r in rows if r["kind"] == KIND_NON_JUDDIAN] == [g_t]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), side=st.sampled_from((1, -1)), u=st.floats(-12.0, -5.0))
+    def test_matches_certified_oracle(self, data, side, u):
+        g0, delta, eps, x0 = data.draw(st.sampled_from(near_exceptional_anchors()))
+        p = ModelParams(g0 * (1 + side * 10 ** u), delta, eps)
+        assert_complete(p, x0 + 1.25, full_spectrum(p, x0 + 1.25))
 
 
 class TestJuddianMembership:
@@ -348,7 +423,11 @@ class TestJuddianMembership:
 
         monkeypatch.setattr(spectrum_mod, "_juddian_here", spy)
         spectrum_mod._juddian_chain.cache_clear()
-        rows = spectral_sweep(1.0, 0.5, (0.5, 0.8, 1.1, 1.4), 4)
+        # a chain is consulted only where the count jumps at a candidate:
+        # x = 3/2 jumps at g = 1/2 (Juddian) and at the level-1 T-zero g_t
+        # (non-Juddian), both tested against the level-1 chain
+        (g_t,) = t_zeros(1, 1.0, 0.5, "plus")
+        rows = spectral_sweep(1.0, 0.5, (0.5, 0.8, 1.1, g_t, 1.4), 6)
         info = spectrum_mod._juddian_chain.cache_info()
         assert seen and info.misses == len(seen)
         assert info.hits > 0
