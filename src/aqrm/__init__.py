@@ -3,7 +3,7 @@ polynomials, series-defined G- and T-functions, residue formulas at the
 G-function poles, and an independent truncated-Hamiltonian oracle."""
 
 from .poly import BivarPoly, a_poly, constraint_poly, constraint_poly_det, verify_divisibility
-from .roots import RootInterval, TridiagMatrix, UniPoly, continuant, isolate_real_roots
+from .roots import TridiagMatrix, UniPoly, continuant, isolate_real_roots
 from .series import (
     ModelParams,
     g_function,
@@ -17,9 +17,9 @@ from .oracle import lowest_eigenvalues
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivarPoly", "EigenvalueRecord", "ModelParams", "RootInterval",
-    "TridiagMatrix", "UniPoly", "a_poly", "constraint_poly", "constraint_poly_det",
-    "continuant", "full_spectrum", "g_function", "isolate_real_roots",
-    "juddian_roots", "lowest_eigenvalues", "reciprocal_gamma", "regularized_g",
-    "t_function", "verify_divisibility",
+    "BivarPoly", "EigenvalueRecord", "ModelParams", "TridiagMatrix", "UniPoly",
+    "a_poly", "constraint_poly", "constraint_poly_det", "continuant",
+    "full_spectrum", "g_function", "isolate_real_roots", "juddian_roots",
+    "lowest_eigenvalues", "reciprocal_gamma", "regularized_g", "t_function",
+    "verify_divisibility",
 ]

@@ -34,8 +34,16 @@ def parse_eps(text: str):
     float for the series paths."""
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):     # 'p/0' is a usage error
         return float(text)
+
+
+def nonneg_int(text: str) -> int:
+    """Level number, index or bound: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return n
 
 
 def parse_range(text: str) -> list[float]:
@@ -309,15 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=parse_eps, required=True,
                            help="bias; 'p/q' and decimals parse exactly")
         if N:
-            p.add_argument("--N", type=int, required=True)
+            p.add_argument("--N", type=nonneg_int, required=True)
         if ell:
-            p.add_argument("--ell", type=int, default=0)
+            p.add_argument("--ell", type=nonneg_int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("poly", help="print a polynomial family member")
     common(p, eps=True, N=True, ell=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=nonneg_int, default=None)
     p.add_argument("--family", choices=("constraint", "quotient", "q"),
                    default="constraint")
     p.set_defaults(fn=cmd_poly)
@@ -370,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("all", "divisibility", "laguerre",
                                      "generating", "ode", "tidentity",
                                      "gsymmetry", "rootcounts"))
-    p.add_argument("--max-N", type=int, default=10)
-    p.add_argument("--max-ell", type=int, default=4)
+    p.add_argument("--max-N", type=nonneg_int, default=10)
+    p.add_argument("--max-ell", type=nonneg_int, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 

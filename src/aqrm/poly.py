@@ -121,10 +121,6 @@ class BivarPoly:
     def deg_x(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
 
-    @property
-    def deg_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.terms.get((i, j), Fraction(0))
 
@@ -163,14 +159,6 @@ class BivarPoly:
             out[j] = out.get(j, Fraction(0)) + c * xv ** i
         deg = max(out, default=-1)
         return UniPoly([out.get(j, Fraction(0)) for j in range(deg + 1)])
-
-    def x_slices(self) -> list[UniPoly]:
-        """Coefficients of x^i as polynomials in y, i = 0..deg_x."""
-        out = [dict() for _ in range(self.deg_x + 1)]
-        for (i, j), c in self.terms.items():
-            out[i][j] = c
-        return [UniPoly([d.get(j, Fraction(0)) for j in range(max(d, default=-1) + 1)])
-                for d in out]
 
     # -- division in (Q[y])[x] ---------------------------------------------------
 
@@ -383,15 +371,6 @@ def a_value(N: int, ell: int, x, y):
     return continuant(_a_tridiag(N, ell, x, y)) * scale
 
 
-def a_char_matrix(N: int, ell: int, x) -> TridiagMatrix:
-    """Rational tridiagonal matrix M with det(I y + M) = A_N^l(x, y)."""
-    x = _frac(x)
-    diag = tuple((N + i) * (x - ell + 2 * i - 1) for i in range(1, ell + 1))
-    upper = tuple(Fraction(N + i) for i in range(1, ell))
-    lower = tuple(Fraction((N + i + 1) * c_weight(-i, Fraction(ell, 2))) for i in range(1, ell))
-    return TridiagMatrix(diag, upper, lower)
-
-
 def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
     """Exact division of P_{N+l}^(N+l,-l/2) by P_N^(N,l/2).
 
@@ -442,11 +421,6 @@ def laguerre_check(k: int, eps) -> bool:
 # generating-function identities
 # ---------------------------------------------------------------------------
 
-def normalized_constraint_poly(N: int, eps, k: int) -> BivarPoly:
-    """P_k^(N,eps) / (k! (k+1)!)."""
-    return constraint_poly(N, eps, k) * Fraction(1, math.factorial(k) * math.factorial(k + 1))
-
-
 def generating_identity_check(N: int, ell: int, k_max: int) -> bool:
     """Binomial transfer between normalized families: for every k <= k_max,
     Ptilde_k^(N+l,-l/2) = sum_i binom(l, k-i) Ptilde_i^(N,l/2), exactly.
@@ -493,12 +467,3 @@ def ode_coefficient_check(N: int, eps, k_max: int) -> bool:
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# coefficient slices in x
-# ---------------------------------------------------------------------------
-
-def coefficient_slices(N: int, eps) -> list[UniPoly]:
-    """The N+1 coefficient polynomials a_i(y) with P_N^(N,eps) = sum a_i(y) x^i;
-    deg a_i = N - i."""
-    return constraint_poly(N, _frac(eps), N).x_slices()

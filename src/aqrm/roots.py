@@ -1,6 +1,8 @@
-"""Exact real-root machinery: Sturm isolation over the rationals, bisection
-refinement, generic tridiagonal continuants, and bisection eigenvalues of real
-symmetric tridiagonal matrices."""
+"""Exact real roots of rational polynomials: one Sturm chain of the
+square-free part counts them, a split on that count isolates them, and one
+sign-change bisection refines them (the same bisection refines calG zeros in
+floats). Also generic tridiagonal continuants, and the count bisection shared
+by the oracle and the spectrum sweep."""
 
 from __future__ import annotations
 
@@ -12,10 +14,6 @@ from typing import Sequence
 
 class ZeroPolynomialError(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
-
-
-class NotSymmetrizableError(ValueError):
-    """Raised when a tridiagonal matrix has a negative off-diagonal product."""
 
 
 # ---------------------------------------------------------------------------
@@ -60,22 +58,6 @@ def continuant(m: TridiagMatrix):
             cur = cur - (m.upper[i - 1] * m.lower[i - 1]) * prev2
         prev2, prev1 = prev1, cur
     return prev1
-
-
-def symmetrize_tridiag(m: TridiagMatrix) -> tuple[list[float], list[float]]:
-    """Replace off-diagonal pairs (b_i, c_i) by sqrt(b_i c_i) on both sides.
-
-    Valid whenever every product b_i c_i >= 0; the symmetric matrix has the
-    same characteristic polynomial by the continuant equivalence.
-    """
-    diag = [float(a) for a in m.diag]
-    off = []
-    for b, c in zip(m.upper, m.lower):
-        p = float(b) * float(c)
-        if p < 0.0:
-            raise NotSymmetrizableError(f"off-diagonal product {p} < 0")
-        off.append(math.sqrt(p))
-    return diag, off
 
 
 # ---------------------------------------------------------------------------
@@ -196,30 +178,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a * (1 / a.lc)
 
 
-def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: p = prod q_i^i with the q_i squarefree and coprime."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    if p.degree == 0:
-        return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
-    out = []
-    c = p.divmod(g)[0]
-    d = dp.divmod(g)[0] - c.derivative()
-    i = 1
-    while c.degree > 0:
-        q = poly_gcd(c, d)
-        if q.degree > 0:
-            out.append((q, i))
-        c = c.divmod(q)[0]
-        d = d.divmod(q)[0] - c.derivative()
-        i += 1
-    return out
-
-
 def squarefree_part(p: UniPoly) -> UniPoly:
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
@@ -247,15 +205,8 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
 
 
 def _variations(values) -> int:
-    count = 0
-    prev = 0
-    for v in values:
-        s = 0 if v == 0 else (1 if v > 0 else -1)
-        if s != 0:
-            if prev != 0 and s != prev:
-                count += 1
-            prev = s
-    return count
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _variations_at(chain: list[UniPoly], t: Fraction) -> int:
@@ -263,16 +214,7 @@ def _variations_at(chain: list[UniPoly], t: Fraction) -> int:
 
 
 def _variations_at_inf(chain: list[UniPoly], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if q.is_zero():
-            signs.append(0)
-        else:
-            s = 1 if q.lc > 0 else -1
-            if not positive and q.degree % 2 == 1:
-                s = -s
-            signs.append(s)
-    return _variations(signs)
+    return _variations([q.lc if positive or q.degree % 2 == 0 else -q.lc for q in chain])
 
 
 def sturm_count(chain: Sequence[UniPoly], lo: Fraction | None = None,
@@ -296,137 +238,82 @@ def count_real_roots(p: UniPoly, lo: Fraction | None = None,
     return sturm_count(sturm_chain(sf), lo, hi)
 
 
-@dataclass(frozen=True)
-class RootInterval:
-    """Isolating interval (lo, hi] for one distinct real root."""
-
-    lo: Fraction
-    hi: Fraction
-    multiplicity_hint: int = 1
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
 def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B]."""
+    """Cauchy bound B: every root z has |z| < B, so p(-B) and p(B) are
+    nonzero."""
     lc = abs(p.lc)
     m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
     return 1 + m / lc
 
 
-def isolate_real_roots(p: UniPoly) -> list[RootInterval]:
-    """Disjoint isolating intervals for all distinct real roots, by exact
-    Sturm-sequence bisection; multiplicity hints come from the squarefree
-    decomposition."""
+
+
+def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
+    """Sorted isolating intervals (lo, hi), one per distinct real root of p:
+    [-B, B + 1] split at midpoints on the Sturm count of the square-free part
+    sf until each piece holds one root. A split point where sf vanishes moves
+    toward hi, so sf is nonzero at both ends of each interval, with opposite
+    signs."""
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    if p.degree == 0:
+    sf = squarefree_part(p)
+    if sf.degree == 0:
         return []
-    decomp = squarefree_decomposition(p)
-    sf = UniPoly([1])
-    for q, _ in decomp:
-        sf = sf * q
     chain = sturm_chain(sf)
     bound = root_bound(sf)
-
     lo, hi = -bound, bound + 1
-    # make sure endpoints are not roots (the bound guarantees it for lo/hi)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
-            continue
-        if n == 1:
+    out = []
+    todo = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va - vb == 1:
             out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if sf(mid) == 0:
-            # exact rational root at mid: shrink a private interval around it
-            w = b - a
-            while True:
-                w = w / 4
-                l, r = mid - w, mid + w
-                if sf(l) != 0 and sf(r) != 0 and \
-                   _variations_at(chain, l) - _variations_at(chain, r) == 1:
-                    break
-            out.append((l, r))
-            stack.append((a, l, va, _variations_at(chain, l)))
-            stack.append((r, b, _variations_at(chain, r), vb))
-        else:
+        elif va > vb:
+            mid = (a + b) / 2
+            while sf(mid) == 0:
+                mid = (mid + b) / 2
             vm = _variations_at(chain, mid)
-            stack.append((a, mid, va, vm))
-            stack.append((mid, b, vm, vb))
-
+            todo += [(a, mid, va, vm), (mid, b, vm, vb)]
     out.sort()
-    factor_chains = [(sturm_chain(q), m) for q, m in decomp]
-    ivs = []
-    for a, b in out:
-        mult = 1
-        for q_chain, m in factor_chains:
-            if sturm_count(q_chain, a, b) == 1:
-                mult = m
-                break
-        ivs.append(RootInterval(a, b, mult))
-    return ivs
+    return out
 
 
-def refine_interval(p: UniPoly, iv: RootInterval, tol: Fraction) -> RootInterval:
-    """Bisect the isolating interval down to width <= tol; endpoints stay
-    exact rationals and the root stays strictly bracketed."""
-    sf = squarefree_part(p)
-    lo, hi = iv.lo, iv.hi
-    tol = Fraction(tol)
-    flo = sf(lo)
-    while flo == 0:
-        # a root on the open left end is not the isolated one; step inside
-        lo = lo + (hi - lo) / 2 ** 16
-        flo = sf(lo)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fm = sf(mid)
+# ---------------------------------------------------------------------------
+# bisection: on a sign change, and on a count
+# ---------------------------------------------------------------------------
+
+def bisect_sign_change(f, a, b, fa, tol):
+    """A zero of f between a and b, where fa = f(a) and f(b) differ in sign:
+    the midpoint of the bracket once it is no wider than tol, or once no
+    midpoint lies strictly inside it. Exact on Fractions; on floats the
+    midpoint (a + b) / 2 is bitwise 0.5 * (a + b)."""
+    while b - a > tol:
+        mid = (a + b) / 2
+        if not a < mid < b:
+            break
+        fm = f(mid)
         if fm == 0:
-            w = min(tol, hi - mid, mid - lo) / 2
-            return RootInterval(mid - w, mid + w, iv.multiplicity_hint)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
         else:
-            hi = mid
-    return RootInterval(lo, hi, iv.multiplicity_hint)
+            b = mid
+    return (a + b) / 2
 
 
-def refine_root(p: UniPoly, iv: RootInterval, tol: Fraction) -> Fraction:
-    """Refine to width <= tol and return one rational point of the final
-    interval; a simple rational root nearby is detected and returned exactly."""
-    fine = refine_interval(p, iv, tol)
-    mid = fine.mid
-    # snap to a low-denominator rational root when one hides in the interval
+def refine_root(p: UniPoly, iv: tuple[Fraction, Fraction], tol: Fraction) -> Fraction:
+    """The root of p in the isolating interval iv = (lo, hi), across which p
+    changes sign (pass the square-free part when p has repeated roots), to
+    within tol; a low-denominator rational root is returned exactly."""
+    lo, hi = iv
+    mid = bisect_sign_change(p, lo, hi, p(lo), Fraction(tol))
+    # snap to a low-denominator rational root: in iv it is the isolated one
     for cap in (1, 4, 64, 10 ** 6):
         cand = mid.limit_denominator(cap)
-        if fine.lo < cand < fine.hi and p(cand) == 0:
+        if lo < cand < hi and p(cand) == 0:
             return cand
     return mid
 
-
-def real_roots(p: UniPoly, tol: Fraction = Fraction(1, 2 ** 48)) -> list[tuple[Fraction, int]]:
-    """All distinct real roots refined to width tol, with multiplicities."""
-    return [(refine_root(p, iv, tol), iv.multiplicity_hint)
-            for iv in isolate_real_roots(p)]
-
-
-# ---------------------------------------------------------------------------
-# symmetric tridiagonal eigenvalues by Sturm-count bisection
-# ---------------------------------------------------------------------------
 
 def bisect_count(count_below, lo: float, hi: float, k: int, width: float) -> float:
     """The k-th (0-based) eigenvalue in [lo, hi] of a matrix whose number of
@@ -442,41 +329,3 @@ def bisect_count(count_below, lo: float, hi: float, k: int, width: float) -> flo
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def tridiag_count_below(diag: Sequence[float], off: Sequence[float], sigma: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below sigma (Sturm sign-agreement count via the LDL pivot recurrence)."""
-    count = 0
-    d = 1.0
-    tiny = 1e-300
-    for i, a in enumerate(diag):
-        e2 = off[i - 1] * off[i - 1] if i > 0 else 0.0
-        d = (a - sigma) - (e2 / d if d != 0.0 else e2 / tiny)
-        if d < 0.0:
-            count += 1
-        elif d == 0.0:
-            d = -tiny
-            count += 1
-    return count
-
-
-def sym_tridiag_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
-                            tol: float = 1e-12) -> list[float]:
-    """All eigenvalues of a real symmetric tridiagonal matrix, sorted, each
-    bracketed to absolute width tol by bisection from Gershgorin bounds."""
-    n = len(diag)
-    if len(offdiag) != max(n - 1, 0):
-        raise ValueError("offdiag must have length n-1")
-    if n == 0:
-        return []
-    lo = min(diag[i] - (abs(offdiag[i - 1]) if i > 0 else 0.0)
-             - (abs(offdiag[i]) if i < n - 1 else 0.0) for i in range(n))
-    hi = max(diag[i] + (abs(offdiag[i - 1]) if i > 0 else 0.0)
-             + (abs(offdiag[i]) if i < n - 1 else 0.0) for i in range(n))
-    lo -= tol
-    hi += tol
-    eigs = [bisect_count(lambda s: tridiag_count_below(diag, offdiag, s), lo, hi, k, tol)
-            for k in range(n)]
-    eigs.sort()
-    return eigs

@@ -19,6 +19,7 @@ from . import oracle
 from .poly import constraint_poly
 from .roots import (
     bisect_count,
+    bisect_sign_change,
     count_real_roots,
     isolate_real_roots,
     refine_root,
@@ -76,17 +77,15 @@ def juddian_roots(N: int, eps, delta,
     if N == 0:
         return []
     eps = Fraction(eps)
-    y = Fraction(delta) ** 2
-    p = constraint_poly(N, eps, N).subs_y(y)
+    sf = squarefree_part(constraint_poly(N, eps, N).subs_y(Fraction(delta) ** 2))
     mult = 2 if (2 * eps).denominator == 1 else 1
     out = []
-    for iv in isolate_real_roots(p):
-        if iv.hi <= 0:
+    for lo, hi in isolate_real_roots(sf):
+        if hi <= 0:
             continue
-        r = refine_root(p, iv, tol)
+        r = refine_root(sf, (lo, hi), tol)
         if r > 0:
             out.append((math.sqrt(float(r)) / 2.0, mult))
-    out.sort()
     return out
 
 
@@ -94,28 +93,6 @@ def count_positive_roots(N: int, eps, y) -> int:
     """Exact number of distinct positive roots in x of P_N^(N,eps)(x, y)."""
     p = constraint_poly(N, Fraction(eps), N).subs_y(Fraction(y))
     return count_real_roots(p, lo=Fraction(0), hi=None)
-
-
-# ---------------------------------------------------------------------------
-# float zeros: sign-change bisection
-# ---------------------------------------------------------------------------
-
-def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
-    """A zero of f between a and b, where fa = f(a) and f(b) differ in sign:
-    the midpoint of the bracket once it is no wider than tol, or once no float
-    midpoint lies strictly inside it."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +118,7 @@ def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
         if f_prev == 0.0:
             out.append(g_prev)
         elif f_prev * f_cur < 0.0:
-            out.append(_bisect_sign_change(tval, g_prev, g_cur, f_prev, refine_tol))
+            out.append(bisect_sign_change(tval, g_prev, g_cur, f_prev, refine_tol))
         g_prev, f_prev = g_cur, f_cur
     return out
 
@@ -279,7 +256,7 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
         if fa * f(b) > 0.0:
             raise IncompleteSpectrum(
                 f"no calG sign change on the level bracket [{fmt_float(a)}, {fmt_float(b)}]")
-        x = _bisect_sign_change(f, a, b, fa, refine_tol)
+        x = bisect_sign_change(f, a, b, fa, refine_tol)
         out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
     out.sort(key=lambda r: r.x)
     return out

@@ -2,11 +2,16 @@
 rows and cyclic Jacobi eigenvalues, independent of the parity-ladder count in
 `aqrm.oracle`. Jacobi is slow (O(n^3) per sweep) but robust, and it is the
 most accurate of the classical dense methods (Demmel & Veselic, SIAM J.
-Matrix Anal. Appl. 13 (1992))."""
+Matrix Anal. Appl. 13 (1992)). Also all eigenvalues of a real symmetric
+tridiagonal matrix by Sturm-count bisection, the reference for the parity
+chains and for the y-roots of the constraint polynomials."""
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+from aqrm.roots import bisect_count
 
 
 # basis ordering: |n, up> at 2n, |n, down> at 2n+1 (spin-major interleaved)
@@ -70,3 +75,41 @@ def eigenvalues(rows: list[list[float]], count: int | None = None,
     if count > len(rows):
         raise ValueError("count exceeds dimension")
     return _jacobi_eigenvalues(rows, tol=min(tol, 1e-14))[:count]
+
+
+def tridiag_count_below(diag: Sequence[float], off: Sequence[float], sigma: float) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal matrix strictly
+    below sigma (Sturm sign-agreement count via the LDL pivot recurrence)."""
+    count = 0
+    d = 1.0
+    tiny = 1e-300
+    for i, a in enumerate(diag):
+        e2 = off[i - 1] * off[i - 1] if i > 0 else 0.0
+        d = (a - sigma) - (e2 / d if d != 0.0 else e2 / tiny)
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = -tiny
+            count += 1
+    return count
+
+
+def sym_tridiag_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
+                            tol: float = 1e-12) -> list[float]:
+    """All eigenvalues of a real symmetric tridiagonal matrix, sorted, each
+    bracketed to absolute width tol by bisection from Gershgorin bounds."""
+    n = len(diag)
+    if len(offdiag) != max(n - 1, 0):
+        raise ValueError("offdiag must have length n-1")
+    if n == 0:
+        return []
+    lo = min(diag[i] - (abs(offdiag[i - 1]) if i > 0 else 0.0)
+             - (abs(offdiag[i]) if i < n - 1 else 0.0) for i in range(n))
+    hi = max(diag[i] + (abs(offdiag[i - 1]) if i > 0 else 0.0)
+             + (abs(offdiag[i]) if i < n - 1 else 0.0) for i in range(n))
+    lo -= tol
+    hi += tol
+    eigs = [bisect_count(lambda s: tridiag_count_below(diag, offdiag, s), lo, hi, k, tol)
+            for k in range(n)]
+    eigs.sort()
+    return eigs

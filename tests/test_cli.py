@@ -207,6 +207,9 @@ class TestInputRange:
         ("oracle", "--g", "0.5", "--delta", "1", "--eps", "nan"),
         ("oracle", "--g", "0.5", "--eps", "0.3", "--delta", "inf"),
         SPEC[:1] + SPEC[3:] + ("--g", "inf"),
+        ("spectrum", "--g", "1", "--delta", "1", "--eps", "1/0"),   # Fraction('1/0') raises
+        ("sweep", "--delta", "1", "--g", "0.5", "--eps", "1/0"),
+        ("poly", "--N", "1", "--eps", "1/0"),
     ), ids=lambda argv: " ".join((argv[0],) + argv[-2:]))
     def test_out_of_range_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -214,6 +217,21 @@ class TestInputRange:
         assert out == ""
         assert "error" in err
 
+
+    @pytest.mark.parametrize("argv", (
+        "tfunc --N -1 --delta 1 --eps 0.3 --g 0.5",
+        "residue --N -1 --g 0.5 --delta 1 --eps 0.3",
+        "divide --N -1",
+        "divide --N 2 --ell -1",
+        "poly --N 3 --k -1 --eps 0",
+        "count-roots --N -2 --eps 0 --y 1",
+        "verify divisibility --max-N -1 --max-ell 2",
+        "verify divisibility --max-N 2 --max-ell -1",
+    ))
+    def test_negative_level_number_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert "is negative" in err
 
     def test_incomplete_spectrum_exit_two(self, capsys):
         # two levels 5e-11 apart: the level count cannot separate them

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _dense import eigenvalues, truncated_hamiltonian
+from _dense import eigenvalues, sym_tridiag_eigenvalues, truncated_hamiltonian
 from aqrm.oracle import (
     TruncationError,
     _band_count_below,
@@ -17,7 +17,6 @@ from aqrm.oracle import (
     level_counter,
     lowest_eigenvalues,
 )
-from aqrm.roots import sym_tridiag_eigenvalues
 from aqrm.series import ModelParams
 
 

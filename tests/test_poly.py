@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from aqrm.poly import (
     BivarPoly,
-    a_char_matrix,
     a_poly,
     a_value,
     c_weight,
-    coefficient_slices,
     constraint_family,
     constraint_poly,
     constraint_poly_det,
@@ -24,12 +22,18 @@ from aqrm.poly import (
     laguerre_check,
     laguerre_poly,
     lambda_weight,
-    normalized_constraint_poly,
     ode_coefficient_check,
     q_poly,
     verify_divisibility,
 )
-from aqrm.roots import UniPoly, continuant, real_roots
+from aqrm.roots import (
+    UniPoly,
+    continuant,
+    count_real_roots,
+    isolate_real_roots,
+    refine_root,
+    squarefree_part,
+)
 
 X = BivarPoly.x()
 Y = BivarPoly.y()
@@ -261,17 +265,12 @@ class TestAPoly:
         assert min(vals) > 0
 
     def test_char_matrix_spectrum_at_zero(self):
-        # eigenvalues of the companion matrix at x=0 are {i(l-i)}
-        N, ell = 2, 4
-        m = a_char_matrix(N, ell, 0)
-        char = continuant(m)  # = constant term ... det(M), need char poly in y
-        # det(I y + M) equals A_N^l(0, y): isolate its real roots exactly
-        slice_y = a_poly(N, ell).subs_x(0)
-        roots = real_roots(slice_y)
-        vals = sorted([float(r) for r, mult in roots for _ in range(mult)])
-        assert vals == pytest.approx([-4.0, -3.0, -3.0, 0.0], abs=1e-9)
-        # det(M) itself must equal A(0,0) = 0
-        assert char == 0
+        # the quotient's companion matrix at x = 0 has eigenvalues {i(l-i)},
+        # so A_2^4(0, y) = c y (y+3)^2 (y+4), and A(0, 0) = det(M) = 0
+        slice_y = a_poly(2, 4).subs_x(0)
+        expect = UniPoly([0, 1]) * UniPoly([3, 1]) * UniPoly([3, 1]) * UniPoly([4, 1])
+        assert slice_y == expect * slice_y.lc
+        assert slice_y(0) == 0
 
     def test_small_constraint_positivity(self):
         # P_k^(k,-l/2) > 0 on the positive quadrant for 1 <= k <= l
@@ -289,9 +288,9 @@ class TestAPoly:
         p = a_poly(N, ell)
         for xv in (Fraction(1, 4), Fraction(2), Fraction(7)):
             yslice = p.subs_x(xv)
-            roots = real_roots(yslice)
-            assert sum(m for _, m in roots) == ell
-            assert all(r < 0 for r, _ in roots)
+            # ell distinct roots in (-inf, 0], none at 0: all simple and negative
+            assert count_real_roots(yslice, hi=Fraction(0)) == ell
+            assert yslice(0) != 0
 
 
 class TestDivisibility:
@@ -347,7 +346,7 @@ class TestGeneratingIdentities:
     def test_normalized_first_terms(self):
         # Ptilde_1 for the (N+l, -l/2) family is (x + y - 1 + l)/2
         for N, ell in ((3, 2), (0, 1), (2, 4)):
-            p = normalized_constraint_poly(N + ell, Fraction(-ell, 2), 1)
+            p = constraint_poly(N + ell, Fraction(-ell, 2), 1) * Fraction(1, 1 * 2)   # / (1! 2!)
             assert p == (X + Y + BivarPoly.const(ell - 1)) * Fraction(1, 2)
 
     @pytest.mark.parametrize("N,ell", [(3, 2), (0, 3), (2, 1), (1, 4)])
@@ -362,6 +361,12 @@ class TestGeneratingIdentities:
     def test_ode_requires_k_two(self):
         with pytest.raises(ValueError):
             ode_coefficient_check(2, Fraction(0), 1)
+
+
+def coefficient_slices(N, eps):
+    """The N+1 coefficient polynomials a_i(y) with P_N^(N,eps) = sum a_i(y) x^i."""
+    p = constraint_poly(N, eps, N)
+    return [UniPoly([p.coefficient(i, j) for j in range(N + 1)]) for i in range(N + 1)]
 
 
 class TestCoefficientSlices:
@@ -390,7 +395,8 @@ class TestCoefficientSlices:
         # roots of consecutive slices strictly interlace
         slices = coefficient_slices(N, eps)
         tol = Fraction(1, 2 ** 40)
-        all_roots = [sorted(r for r, _ in real_roots(s, tol)) for s in slices[:-1]]
+        all_roots = [[refine_root(squarefree_part(s), iv, tol) for iv in isolate_real_roots(s)]
+                     for s in slices[:-1]]
         for j in range(N - 1):
             lo_r, hi_r = all_roots[j], all_roots[j + 1]
             assert len(lo_r) == N - j

@@ -1,33 +1,44 @@
 """Root machinery: continuants, exact Sturm isolation, bisection refinement,
-tridiagonal eigenvalues."""
+and the count bisection, with tridiagonal eigenvalues from tests/_dense.py as
+the reference."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _dense import sym_tridiag_eigenvalues, tridiag_count_below
 from aqrm.poly import c_weight, constraint_poly, constraint_value
 from aqrm.roots import (
-    bisect_count,
-    refine_interval,
-    NotSymmetrizableError,
-    RootInterval,
     TridiagMatrix,
     UniPoly,
     ZeroPolynomialError,
+    bisect_count,
+    bisect_sign_change,
     continuant,
     count_real_roots,
     isolate_real_roots,
-    real_roots,
     refine_root,
-    squarefree_decomposition,
-    sym_tridiag_eigenvalues,
-    symmetrize_tridiag,
-    tridiag_count_below,
+    squarefree_part,
 )
 
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def exact_roots(p, tol=Fraction(1, 2 ** 48)):
+    """Every distinct real root of p, refined on its square-free part."""
+    sf = squarefree_part(p)
+    return [refine_root(sf, iv, tol) for iv in isolate_real_roots(p)]
+
+
+def from_roots(mults) -> UniPoly:
+    """prod (x - r)^m over the (root, multiplicity) pairs."""
+    p = UniPoly([1])
+    for r, m in mults:
+        for _ in range(m):
+            p = p * UniPoly([-r, 1])
+    return p
 
 
 def dense_det(rows):
@@ -104,12 +115,10 @@ class TestIsolation:
             isolate_real_roots(UniPoly([]))
 
     def test_quadratic(self):
-        ivs = isolate_real_roots(UniPoly([-1, 0, 1]))  # x^2 - 1
-        assert len(ivs) == 2
-        assert ivs[0].lo < -1 <= ivs[0].hi
-        assert ivs[1].lo < 1 <= ivs[1].hi
+        (lo0, hi0), (lo1, hi1) = isolate_real_roots(UniPoly([-1, 0, 1]))  # x^2 - 1
+        assert lo0 < -1 < hi0 <= lo1 < 1 < hi1
 
-    def test_hint_chains_built_once_per_factor(self, monkeypatch):
+    def test_one_chain_per_isolation(self, monkeypatch):
         import aqrm.roots as roots_mod
         from aqrm.spectrum import juddian_roots
 
@@ -121,46 +130,56 @@ class TestIsolation:
             return real_chain(p)
 
         monkeypatch.setattr(roots_mod, "sturm_chain", counting_chain)
-        # (x-1)^2 (x-2) (x+3)^3: three square-free factors
-        p = UniPoly([1])
-        for r, m in ((1, 2), (2, 1), (-3, 3)):
-            for _ in range(m):
-                p = p * UniPoly([-r, 1])
+        # (x-1)^2 (x-2) (x+3)^3: one chain for its square-free part
+        p = from_roots(((1, 2), (2, 1), (-3, 3)))
         assert isolate_real_roots(p) == [
-            RootInterval(Fraction(-8), Fraction(1, 2), 3),
-            RootInterval(Fraction(1, 2), Fraction(25, 16), 2),
-            RootInterval(Fraction(25, 16), Fraction(21, 8), 1)]
-        assert len(calls) == 1 + 3
-        # P_2^(2,-1/2)(x, 2^2) = 2 (x + 2)^2: one factor, a negative double root
+            (Fraction(-8), Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(25, 16)),
+            (Fraction(25, 16), Fraction(21, 8))]
+        assert len(calls) == 1
+        # P_2^(2,-1/2)(x, 2^2) = 2 (x + 2)^2: a negative double root
         calls.clear()
         q = constraint_poly(2, Fraction(-1, 2), 2).subs_y(4)
-        assert isolate_real_roots(q) == [RootInterval(Fraction(-3), Fraction(4), 2)]
-        assert len(calls) == 1 + 1
+        assert isolate_real_roots(q) == [(Fraction(-3), Fraction(4))]
+        assert len(calls) == 1
         assert juddian_roots(2, Fraction(-1, 2), 2) == []
 
     def test_no_real_roots(self):
         assert isolate_real_roots(UniPoly([1, 0, 1])) == []
 
-    def test_multiplicities(self):
-        # (1-x)^2 (x+2)
-        p = UniPoly([1, -1]) * UniPoly([1, -1]) * UniPoly([2, 1])
-        found = sorted(real_roots(p))
-        assert [(r, m) for r, m in found] == [(Fraction(-2), 1), (Fraction(1), 2)]
+    @given(st.dictionaries(
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 5, 8))),
+        st.integers(1, 3), min_size=1, max_size=5))
+    # roots that land on split points, once and twice in a row
+    @example({Fraction(0): 3, Fraction(1, 2): 2})
+    @example({Fraction(-3, 8): 3, Fraction(-1, 4): 2, Fraction(-1, 8): 3,
+              Fraction(1): 3, Fraction(5, 4): 2})
+    @example({Fraction(-1): 1, Fraction(3, 8): 1, Fraction(1, 2): 3, Fraction(3, 2): 2})
+    @settings(max_examples=60, deadline=None)
+    def test_isolates_and_refines_rational_roots(self, mults):
+        p = from_roots(mults.items())
+        sf = squarefree_part(p)
+        ivs = isolate_real_roots(p)
+        roots = sorted(mults)
+        assert len(ivs) == len(roots)
+        for (lo, hi), r in zip(ivs, roots):
+            assert lo < r < hi
+            assert sf(lo) * sf(hi) < 0
+            assert refine_root(sf, (lo, hi), Fraction(1, 2 ** 48)) == r
 
     def test_exact_rational_roots(self):
         # roots at 0, 1/2, -3 exactly
         p = UniPoly([0, 1]) * UniPoly([Fraction(-1, 2), 1]) * UniPoly([3, 1])
-        got = sorted(r for r, _ in real_roots(p, Fraction(1, 2 ** 30)))
-        assert got == [Fraction(-3), Fraction(0), Fraction(1, 2)]
+        assert exact_roots(p, Fraction(1, 2 ** 30)) == [Fraction(-3), Fraction(0), Fraction(1, 2)]
 
     def test_juddian_linear_case(self):
         # P_1 for eps=3/10 at y=1/4 has the single root x = 27/20
         p = constraint_poly(1, Fraction(3, 10), 1).subs_y(Fraction(1, 4))
         ivs = isolate_real_roots(p)
         assert len(ivs) == 1
-        fine = refine_interval(p, ivs[0], Fraction(1, 2 ** 40))
-        assert fine.lo <= Fraction(27, 20) <= fine.hi
-        assert fine.width() <= Fraction(1, 2 ** 40)
+        (lo, hi), = ivs
+        mid = bisect_sign_change(p, lo, hi, p(lo), Fraction(1, 2 ** 40))
+        assert abs(mid - Fraction(27, 20)) <= Fraction(1, 2 ** 41)
         r = refine_root(p, ivs[0], Fraction(1, 2 ** 40))
         assert r == Fraction(27, 20)
         g = (float(r) ** 0.5) / 2
@@ -169,13 +188,13 @@ class TestIsolation:
     def test_quadratic_juddian_case(self):
         # P_2 for eps=1 at y=9/4: roots 0.52605 and 4.09891
         p = constraint_poly(2, Fraction(1), 2).subs_y(Fraction(9, 4))
-        rs = sorted(float(r) for r, _ in real_roots(p, Fraction(1, 2 ** 40)))
+        rs = [float(r) for r in exact_roots(p, Fraction(1, 2 ** 40))]
         assert rs == pytest.approx([0.526051, 4.098949], abs=2e-5)
         assert (rs[1] ** 0.5) / 2 == pytest.approx(1.01229, abs=5e-5)
 
     def test_fig3_larger_root(self):
         p = constraint_poly(2, Fraction(2), 2).subs_y(Fraction(9, 4))
-        rs = sorted(float(r) for r, _ in real_roots(p, Fraction(1, 10 ** 7)))
+        rs = [float(r) for r in exact_roots(p, Fraction(1, 10 ** 7))]
         assert (rs[-1] ** 0.5) / 2 == pytest.approx(1.2836, abs=5e-4)
 
     @given(st.sets(st.integers(-8, 8), min_size=1, max_size=5))
@@ -187,7 +206,7 @@ class TestIsolation:
         assert count_real_roots(p) == len(roots_set)
         ivs = isolate_real_roots(p)
         assert len(ivs) == len(roots_set)
-        assert all(iv.multiplicity_hint == 1 for iv in ivs)
+        assert all(sum(lo < r < hi for r in roots_set) == 1 for lo, hi in ivs)
 
     def test_all_roots_real_for_nonneg_x_slice(self):
         # fixing x >= 0 in P_N^(N,eps), every root in y is real (eps > -1/2)
@@ -209,8 +228,7 @@ class TestIsolation:
 class TestRefine:
     def test_linear(self):
         p = UniPoly([Fraction(-1, 2), 1])
-        iv = RootInterval(Fraction(0), Fraction(1))
-        r = refine_root(p, iv, Fraction(1, 2 ** 20))
+        r = refine_root(p, (Fraction(0), Fraction(1)), Fraction(1, 2 ** 20))
         assert abs(r - Fraction(1, 2)) <= Fraction(1, 2 ** 20)
 
     def test_width_contract(self):
@@ -220,21 +238,13 @@ class TestRefine:
         r = refine_root(p, iv, tol)
         assert abs(float(r) - 2 ** 0.5) < 2 ** -38
 
+    def test_sign_change_bisection_is_exact_on_fractions(self):
+        def f(x):
+            return 3 * x - 1
 
-class TestSquarefree:
-    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=3), st.integers(1, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_decomposition_reconstructs(self, roots_list, extra_mult):
-        p = UniPoly([1])
-        for r in set(roots_list):
-            p = p * UniPoly([-r, 1])
-        for _ in range(extra_mult - 1):
-            p = p * UniPoly([-roots_list[0], 1])
-        recon = UniPoly([1])
-        for q, m in squarefree_decomposition(p):
-            for _ in range(m):
-                recon = recon * q
-        assert recon * p.lc == p * recon.lc
+        x = bisect_sign_change(f, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2 ** 30))
+        assert isinstance(x, Fraction) and abs(x - Fraction(1, 3)) <= Fraction(1, 2 ** 31)
+        assert bisect_sign_change(f, Fraction(0), Fraction(2, 3), Fraction(-1), 0) == Fraction(1, 3)
 
 
 class TestTridiagEigen:
@@ -281,27 +291,6 @@ class TestTridiagEigen:
         assert abs(lam - level) <= 2e-12
         assert len(probes) < 60
 
-    def test_symmetrize_requires_nonneg_products(self):
-        m = TridiagMatrix((Fraction(0), Fraction(0)), (Fraction(1),), (Fraction(-1),))
-        with pytest.raises(NotSymmetrizableError):
-            symmetrize_tridiag(m)
-
-    def test_symmetrize_matches_original_spectrum(self):
-        # nonsymmetric with positive products vs symmetrized eigenvalues,
-        # via the characteristic polynomial
-        m = TridiagMatrix((Fraction(1), Fraction(-2), Fraction(3)),
-                          (Fraction(2), Fraction(1)),
-                          (Fraction(3), Fraction(4)))
-        diag, off = symmetrize_tridiag(m)
-        eigs = sym_tridiag_eigenvalues(diag, off, tol=1e-13)
-        # char poly det(t I - M) via continuant with polynomial entries
-        t = UniPoly([0, 1])
-        char = TridiagMatrix(tuple(t - UniPoly([d]) for d in m.diag),
-                             tuple(UniPoly([-u]) for u in m.upper),
-                             tuple(UniPoly([-l]) for l in m.lower))
-        exact = sorted(float(r) for r, _ in real_roots(continuant(char)))
-        assert eigs == pytest.approx(exact, abs=1e-10)
-
     def test_constraint_y_roots_match_matrix(self):
         # eigenvalues of -(D alpha + S) against exact y-roots of P_N(alpha, y)
         N, eps, alpha = 4, Fraction(1, 2), Fraction(2)
@@ -311,5 +300,5 @@ class TestTridiagEigen:
         off = [-_m.sqrt(i * (i + 1) * float(c_weight(N - i, eps))) for i in range(1, N)]
         eigs = sym_tridiag_eigenvalues(diag, off, tol=1e-13)
         yslice = constraint_poly(N, eps, N).subs_x(alpha)
-        exact = sorted(float(r) for r, _ in real_roots(yslice, Fraction(1, 2 ** 48)))
+        exact = [float(r) for r in exact_roots(yslice)]
         assert eigs == pytest.approx(exact, abs=1e-9)
