@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 
 from . import oracle, poly, spectrum
-from .roots import count_real_roots
 from .series import (
     ModelParams,
     PoleEncountered,
@@ -261,18 +260,13 @@ def _verify_g_symmetry():
 def _verify_root_counts(max_n: int):
     for N in range(1, max_n + 1):
         for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-            p_n = poly.constraint_poly(N, eps, N)
-
-            def positive_roots(y):
-                return count_real_roots(p_n.subs_y(y), lo=Fraction(0))
-
             for k in range(N):
                 lo = poly.c_weight(k, eps)
                 hi = poly.c_weight(k + 1, eps)
                 for y in (lo, lo + (hi - lo) / 3, lo + Fraction(2, 3) * (hi - lo)):
-                    if positive_roots(y) != N - k:
+                    if spectrum.count_positive_roots(N, eps, y) != N - k:
                         return False, f"N={N} eps={eps} y={y}"
-            if positive_roots(poly.c_weight(N, eps)) != 0:
+            if spectrum.count_positive_roots(N, eps, poly.c_weight(N, eps)) != 0:
                 return False, f"N={N} eps={eps} top"
     return True, f"N<={max_n}"
 

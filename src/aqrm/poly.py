@@ -1,12 +1,14 @@
-"""Exact bivariate polynomial arithmetic over arbitrary-precision rationals,
-and every polynomial family attached to the model: the constraint polynomials
+"""Every polynomial family attached to the model: the constraint polynomials
 P_k^(N,eps), their determinant form, the integer quotient A_N^l, the Q_k
-variant, the Laguerre limit, and the generating-function identities."""
+variant, the Laguerre limit, and the exact identities between them. With
+eps = p/q the family runs on the integer members R_k = q^k P_k: the identity
+checks, the divisibility and the x-slices for root counting read those."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .roots import TridiagMatrix, UniPoly, continuant
 
@@ -23,7 +25,8 @@ def _frac(v) -> Fraction:
 
 
 class BivarPoly:
-    """Sparse bivariate polynomial: finite map (deg_x, deg_y) -> Fraction.
+    """Sparse bivariate polynomial: finite map (deg_x, deg_y) -> coefficient,
+    an int or a Fraction.
 
     Zero coefficients are never stored. Instances are immutable in use; all
     arithmetic returns new objects.
@@ -35,7 +38,8 @@ class BivarPoly:
         t = {}
         if terms:
             for (i, j), c in terms.items():
-                c = _frac(c)
+                if type(c) is not int:
+                    c = _frac(c)
                 if c != 0:
                     t[(int(i), int(j))] = c
         self.terms = t
@@ -44,15 +48,15 @@ class BivarPoly:
 
     @staticmethod
     def const(c) -> "BivarPoly":
-        return BivarPoly({(0, 0): _frac(c)})
+        return BivarPoly({(0, 0): c})
 
     @staticmethod
     def x() -> "BivarPoly":
-        return BivarPoly({(1, 0): Fraction(1)})
+        return BivarPoly({(1, 0): 1})
 
     @staticmethod
     def y() -> "BivarPoly":
-        return BivarPoly({(0, 1): Fraction(1)})
+        return BivarPoly({(0, 1): 1})
 
     # -- ring operations ------------------------------------------------------
 
@@ -60,7 +64,7 @@ class BivarPoly:
         other = self._coerce(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + c
+            t[k] = t.get(k, 0) + c
         return BivarPoly(t)
 
     __radd__ = __add__
@@ -84,7 +88,7 @@ class BivarPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                t[k] = t.get(k, Fraction(0)) + c1 * c2
+                t[k] = t.get(k, 0) + c1 * c2
         return BivarPoly(t)
 
     __rmul__ = __mul__
@@ -113,19 +117,8 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=-1)
-
-    @property
-    def deg_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
-
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+    def coefficient(self, i: int, j: int):
+        return self.terms.get((i, j), 0)
 
     def evaluate(self, xv, yv):
         """Evaluate at (xv, yv); exact for int/Fraction arguments, float
@@ -142,48 +135,9 @@ class BivarPoly:
             acc = acc + inner * xv ** i
         return acc
 
-    def subs_y(self, yv) -> UniPoly:
-        """Substitute y = yv, returning a univariate polynomial in x."""
-        yv = _frac(yv)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, Fraction(0)) + c * yv ** j
-        deg = max(out, default=-1)
-        return UniPoly([out.get(i, Fraction(0)) for i in range(deg + 1)])
-
-    def subs_x(self, xv) -> UniPoly:
-        """Substitute x = xv, returning a univariate polynomial in y."""
-        xv = _frac(xv)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[j] = out.get(j, Fraction(0)) + c * xv ** i
-        deg = max(out, default=-1)
-        return UniPoly([out.get(j, Fraction(0)) for j in range(deg + 1)])
-
-    # -- division in (Q[y])[x] ---------------------------------------------------
-
-    def divmod_x(self, divisor: "BivarPoly") -> tuple["BivarPoly", "BivarPoly"]:
-        """Polynomial division along x when the divisor's leading x-coefficient
-        is a nonzero constant (true for every constraint polynomial, whose
-        leading coefficient is N!)."""
-        d = divisor.deg_x
-        lead_term = {j for (i, j) in divisor.terms if i == d}
-        if lead_term != {0}:
-            raise ValueError("divisor leading x-coefficient must be constant in y")
-        lc = divisor.coefficient(d, 0)
-        rem = self
-        quot = BivarPoly()
-        while not rem.is_zero() and rem.deg_x >= d:
-            rd = rem.deg_x
-            piece = BivarPoly({(rd - d, j): c / lc
-                               for (i, j), c in rem.terms.items() if i == rd})
-            quot = quot + piece
-            rem = rem - piece * divisor
-        return quot, rem
-
     # -- serialization -------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[int, int, Fraction]]:
+    def sorted_terms(self) -> list[tuple]:
         """Terms sorted by (deg_x, deg_y)."""
         return [(i, j, self.terms[(i, j)]) for i, j in sorted(self.terms)]
 
@@ -238,55 +192,66 @@ def _add_shifted(acc: dict, terms: dict, w, di: int = 0, dj: int = 0) -> None:
     each exponent key, so no product of polynomials is formed."""
     if not w:
         return
-    for (i, j), v in terms.items():
-        key = (i + di, j + dj)
-        acc[key] = acc.get(key, 0) + w * v
+    get = acc.get
+    if di or dj:
+        for (i, j), v in terms.items():
+            key = (i + di, j + dj)
+            acc[key] = get(key, 0) + w * v
+    else:
+        for key, v in terms.items():
+            acc[key] = get(key, 0) + w * v
 
 
-def _scaled_family(N: int, eps: Fraction, k_max: int):
-    """Yield (R_k, q^k) for k = 0..k_max, where R_k = q^k P_k^(N,eps) as an
-    integer-coefficient term dict and eps = p/q in lowest terms:
+def _scaled_family(N: int, eps: Fraction, k_max: int) -> list[dict]:
+    """[R_0, ..., R_{k_max}], R_k = q^k P_k^(N,eps) as integer term dicts,
+    eps = p/q in lowest terms:
         R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2}."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     p, q = eps.numerator, eps.denominator
-    prev2: dict = {}
-    prev1: dict = {(0, 0): 1}
-    yield prev1, 1
+    fam = [{(0, 0): 1}]
     for k in range(1, k_max + 1):
         acc: dict = {}
-        _add_shifted(acc, prev1, q * k, 1, 0)
-        _add_shifted(acc, prev1, q, 0, 1)
-        _add_shifted(acc, prev1, -k * (k * q + 2 * p))
-        _add_shifted(acc, prev2, -q * q * lambda_weight(k, N), 1, 0)
-        prev2, prev1 = prev1, {key: v for key, v in acc.items() if v}
-        yield prev1, q ** k
-
-
-def _unscaled(scaled: dict, den: int) -> BivarPoly:
-    out = BivarPoly()
-    out.terms = {key: Fraction(v, den) for key, v in scaled.items()}
-    return out
-
-
-def constraint_family(N: int, eps, k_max: int) -> list[BivarPoly]:
-    """[P_0^(N,eps), ..., P_{k_max}^(N,eps)] in one pass of the three-term
-    recurrence
-
-        P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2},
-
-    with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps. The step runs on
-    integer-scaled members (see _scaled_family); each is divided by q^k once,
-    when it is stored.
-    """
-    return [_unscaled(r, den) for r, den in _scaled_family(N, _frac(eps), k_max)]
+        _add_shifted(acc, fam[k - 1], q * k, 1, 0)
+        _add_shifted(acc, fam[k - 1], q, 0, 1)
+        _add_shifted(acc, fam[k - 1], -k * (k * q + 2 * p))
+        if k > 1:
+            _add_shifted(acc, fam[k - 2], -q * q * lambda_weight(k, N), 1, 0)
+        fam.append({key: v for key, v in acc.items() if v})
+    return fam
 
 
 def constraint_poly(N: int, eps, k: int) -> BivarPoly:
-    """P_k^(N,eps)(x,y), the last member of constraint_family(N, eps, k); only
-    that member is converted to Fractions."""
-    *_, (last, den) = _scaled_family(N, _frac(eps), k)
-    return _unscaled(last, den)
+    """P_k^(N,eps)(x,y) by the three-term recurrence
+
+        P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2},
+
+    with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps, run on the
+    integer members R_k = q^k P_k; only the last is divided by q^k."""
+    eps = _frac(eps)
+    last = _scaled_family(N, eps, k)[-1]
+    out = BivarPoly()
+    out.terms = {key: Fraction(v, eps.denominator ** k) for key, v in last.items()}
+    return out
+
+
+@lru_cache(maxsize=128)
+def _top_member(N: int, eps: Fraction) -> tuple:
+    """The terms of R_N, built once for all the slices of one (N, eps)."""
+    return tuple(_scaled_family(N, eps, N)[-1].items())
+
+
+def constraint_slice(N: int, eps, y) -> UniPoly:
+    """b^N R_N(x, a/b) for y = a/b as an integer polynomial in x (R_N has
+    degree N in y): a positive multiple of P_N^(N,eps)(x, y), which is all
+    root counting and isolation need."""
+    y = _frac(y)
+    a, b = y.numerator, y.denominator
+    powers = [a ** j * b ** (N - j) for j in range(N + 1)]
+    out = [0] * (N + 1)
+    for (i, j), v in _top_member(N, _frac(eps)):
+        out[i] += v * powers[j]
+    return UniPoly(out)
 
 
 def constraint_value(N: int, eps, k: int, x, y):
@@ -346,7 +311,7 @@ def constraint_poly_det(N: int, eps) -> BivarPoly:
 def _a_tridiag(N: int, ell: int, x, y) -> TridiagMatrix:
     """The continuant behind A_N^l / ((N+l)!/N!): diagonal
     x + y/(N+i) - l + 2i - 1, off-diagonal products i(i-l) (unit lower side),
-    for float, Fraction or BivarPoly x and y."""
+    for float x and y."""
     diag = tuple(x + y / (N + i) - ell + 2 * i - 1 for i in range(1, ell + 1))
     prods = tuple(i * (i - ell) for i in range(1, ell))
     return TridiagMatrix(diag, prods, (1,) * len(prods))
@@ -354,38 +319,53 @@ def _a_tridiag(N: int, ell: int, x, y) -> TridiagMatrix:
 
 def a_poly(N: int, ell: int) -> BivarPoly:
     """The degree-l quotient A_N^l(x,y) = P_{N+l}^(N+l,-l/2) / P_N^(N,l/2),
-    built from its own tridiagonal determinant: the factor (N+l)!/N! times the
-    continuant of _a_tridiag. All coefficients are integers (checked)."""
+    built from its own tridiagonal determinant: _a_tridiag with row i times
+    N + i, which scales the continuant by (N+l)!/N! and leaves integer entries,
+    diagonal (N+i)(x - l + 2i - 1) + y and off-diagonal products
+    i(i-l)(N+i)(N+i+1)."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    scale = math.factorial(N + ell) // math.factorial(N)
-    out = BivarPoly._coerce(continuant(_a_tridiag(N, ell, _X, _Y))) * scale
-    if not out.has_integer_coefficients():
-        raise DivisibilityError(f"A_{N}^{ell} has a non-integer coefficient")
-    return out
+    diag = tuple((N + i) * (_X - (ell - 2 * i + 1)) + _Y for i in range(1, ell + 1))
+    prods = tuple(i * (i - ell) * (N + i) * (N + i + 1) for i in range(1, ell))
+    return BivarPoly._coerce(continuant(TridiagMatrix(diag, prods, (1,) * len(prods))))
 
 
 def a_value(N: int, ell: int, x, y):
-    """A_N^l evaluated numerically through the same continuant."""
+    """A_N^l evaluated in floats through the continuant of _a_tridiag."""
     scale = math.factorial(N + ell) // math.factorial(N)
     return continuant(_a_tridiag(N, ell, x, y)) * scale
 
 
 def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
-    """Exact division of P_{N+l}^(N+l,-l/2) by P_N^(N,l/2).
+    """Exact division of P_{N+l}^(N+l,-l/2) by P_N^(N,l/2), on the integer
+    members: R_{N+l} / R_N = q^l A_N^l with q the denominator of l/2. The
+    divisor's leading x-coefficient is the constant N! q^N, so each quotient
+    coefficient must be an exact integer division by it.
 
     Returns (quotient, exact). A nonzero remainder, or a quotient different
     from a_poly(N, ell), raises DivisibilityError since either would falsify
     a proven identity.
     """
-    big = constraint_poly(N + ell, Fraction(-ell, 2), N + ell)
-    small = constraint_poly(N, Fraction(ell, 2), N)
-    quot, rem = big.divmod_x(small)
-    if not rem.is_zero():
+    half = Fraction(ell, 2)
+    rem = _scaled_family(N + ell, -half, N + ell)[-1]
+    small = _scaled_family(N, half, N)[-1]
+    lc = small[(N, 0)]
+    quot = {}
+    for s in range(ell, -1, -1):
+        top = [(j, v) for (i, j), v in rem.items() if i == s + N and v]
+        for j, v in top:
+            c, r = divmod(v, lc)
+            if r:
+                raise DivisibilityError(f"non-integer quotient for N={N}, ell={ell}")
+            quot[(s, j)] = c
+            _add_shifted(rem, small, -c, s, j)
+    if any(rem.values()):
         raise DivisibilityError(f"nonzero remainder for N={N}, ell={ell}")
-    if quot != a_poly(N, ell):
+    a = a_poly(N, ell)
+    scale = half.denominator ** ell
+    if quot != {key: v * scale for key, v in a.terms.items()}:
         raise DivisibilityError(f"quotient mismatch for N={N}, ell={ell}")
-    return quot, True
+    return a, True
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +405,22 @@ def generating_identity_check(N: int, ell: int, k_max: int) -> bool:
     """Binomial transfer between normalized families: for every k <= k_max,
     Ptilde_k^(N+l,-l/2) = sum_i binom(l, k-i) Ptilde_i^(N,l/2), exactly.
 
-    Checked on the unnormalized families after multiplying by k! (k+1)!, which
-    turns each weight into the integer binom(l, k-i) k! (k+1)! / (i! (i+1)!).
+    Checked on the integer members R_k = q^k P_k (q the denominator of l/2)
+    after multiplying by q^k k! (k+1)!, which turns each weight into the
+    integer binom(l, k-i) q^(k-i) k! (k+1)! / (i! (i+1)!).
     """
-    left = constraint_family(N + ell, Fraction(-ell, 2), k_max)
-    right = constraint_family(N, Fraction(ell, 2), k_max)
+    half = Fraction(ell, 2)
+    q = half.denominator
+    left = _scaled_family(N + ell, -half, k_max)
+    right = _scaled_family(N, half, k_max)
     for k in range(k_max + 1):
         norm_k = math.factorial(k) * math.factorial(k + 1)
         acc: dict = {}
         for i in range(max(0, k - ell), k + 1):
             w = math.comb(ell, k - i) * norm_k \
                 // (math.factorial(i) * math.factorial(i + 1))
-            _add_shifted(acc, right[i].terms, w)
-        if {key: v for key, v in acc.items() if v} != left[k].terms:
+            _add_shifted(acc, right[i], w * q ** (k - i))
+        if {key: v for key, v in acc.items() if v} != left[k]:
             return False
     return True
 
@@ -450,19 +433,21 @@ def ode_coefficient_check(N: int, eps, k_max: int) -> bool:
     With m = k - 1 that coefficient is
         (m+1)(m+2) Pt_{m+1} + (m(m-1) - m(x - 3 - 2 eps) - (x + y - 1 - 2 eps)) Pt_m
         + (N-m) x Pt_{m-1},
-    tested after multiplying by the nonzero constant m! (m+1)!, which turns
-    every Pt_i into the unnormalized P_i."""
+    tested after multiplying by the nonzero constant q^(m+1) m! (m+1)!
+    (eps = p/q), which turns every Pt_i into the integer member
+    R_i = q^i P_i, times q^(m+1-i)."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     eps = _frac(eps)
-    p = constraint_family(N, eps, k_max)
+    p, q = eps.numerator, eps.denominator
+    r = _scaled_family(N, eps, k_max)
     for k in range(2, k_max + 1):
         m = k - 1
-        acc = dict(p[m + 1].terms)
-        _add_shifted(acc, p[m].terms, -m - 1, 1, 0)
-        _add_shifted(acc, p[m].terms, -1, 0, 1)
-        _add_shifted(acc, p[m].terms, m * (m - 1) + m * (3 + 2 * eps) + 1 + 2 * eps)
-        _add_shifted(acc, p[m - 1].terms, m * (m + 1) * (N - m), 1, 0)
+        acc = dict(r[m + 1])
+        _add_shifted(acc, r[m], -(m + 1) * q, 1, 0)
+        _add_shifted(acc, r[m], -q, 0, 1)
+        _add_shifted(acc, r[m], q * (m * (m - 1) + 3 * m + 1) + 2 * p * (m + 1))
+        _add_shifted(acc, r[m - 1], q * q * m * (m + 1) * (N - m), 1, 0)
         if any(acc.values()):
             return False
     return True

@@ -1,14 +1,18 @@
-"""Exact real roots of rational polynomials: one Sturm chain of the
-square-free part counts them, a split on that count isolates them, and one
-sign-change bisection refines them (the same bisection refines calG zeros in
-floats). Also generic tridiagonal continuants, and the count bisection shared
-by the oracle and the spectrum sweep."""
+"""Exact real roots of rational polynomials, computed on integers: a
+polynomial enters as its primitive integer multiple, its square-free part is
+an exact integer division, one primitive Sturm chain of sign-kept
+pseudo-remainders counts the roots by homogeneous integer evaluation at
+rational points, a split on that count isolates them, and one sign-change
+bisection refines them (the same bisection refines calG zeros in floats).
+Also generic tridiagonal continuants, and the count bisection shared by the
+oracle and the spectrum sweep."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -65,12 +69,13 @@ def continuant(m: TridiagMatrix):
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients, ascending degree."""
+    """Dense univariate polynomial with rational coefficients, ascending
+    degree; int coefficients are stored as ints, the rest as Fractions."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -85,7 +90,7 @@ class UniPoly:
         return not self.coeffs
 
     @property
-    def lc(self) -> Fraction:
+    def lc(self):
         if self.is_zero():
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -105,22 +110,10 @@ class UniPoly:
             acc = acc * t + c
         return acc
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return UniPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -130,59 +123,96 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroPolynomialError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly([]), self
-        quot = [Fraction(0)] * (dq + 1)
-        dlc = other.lc
-        for k in range(dq, -1, -1):
-            if len(rem) - 1 != k + other.degree:
-                while rem and rem[-1] == 0:
-                    rem.pop()
-                if len(rem) - 1 < k + other.degree:
-                    continue
-            c = rem[-1] / dlc
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            rem.pop()
-        return UniPoly(quot), UniPoly(rem)
+# ---------------------------------------------------------------------------
+# the integer core: coefficient lists in Z[x], kept primitive
+# ---------------------------------------------------------------------------
 
-    def primitive(self) -> "UniPoly":
-        """Scale by a positive rational so coefficients are coprime integers
-        (sign of the polynomial is preserved)."""
-        if self.is_zero():
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, abs(c.numerator * (den // c.denominator)))
-        return UniPoly([c * den / g for c in self.coeffs])
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd in Q[x]."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a * (1 / a.lc)
+def _integer_coeffs(p: UniPoly) -> tuple[int, ...]:
+    """The primitive integer coefficients of a positive rational multiple of p."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return tuple(_primitive([c.numerator * (den // c.denominator) for c in p.coeffs]))
+
+
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of -|lc b|^k a mod b: minus the remainder of a by b,
+    scaled by a positive integer (a pseudo-remainder on |lc b|, so no sign is
+    lost; Collins 1967, Brown & Traub 1971). Empty when b divides a."""
+    r = list(a)
+    db = len(b) - 1
+    s = abs(b[-1])
+    while len(r) > db:
+        c = r[-1]
+        if c:
+            f = c if b[-1] > 0 else -c
+            k = len(r) - 1 - db
+            if s != 1:
+                r = [s * v for v in r]
+            for j, bj in enumerate(b):
+                r[k + j] -= f * bj
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return _primitive([-v for v in r]) if r else []
+
+
+@lru_cache(maxsize=16)
+def _chain(a: tuple[int, ...]) -> tuple:
+    """Primitive Sturm sequence of the primitive integer polynomial a, ending
+    in gcd(a, a') up to sign. Cached so that for a square-free a,
+    squarefree_part and the sturm_chain after it share one sequence."""
+    chain = [a]
+    d = _primitive([i * c for i, c in enumerate(a)][1:])
+    if d:
+        chain.append(d)
+        while len(chain[-1]) > 1:
+            r = _neg_prem(chain[-2], chain[-1])
+            if not r:
+                break
+            chain.append(r)
+    return tuple(map(tuple, chain))
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x], where b is primitive and divides a over Q (so, by Gauss's
+    lemma, over Z too): every step of the long division is an exact integer
+    division by lc b."""
+    r = list(a)
+    db = len(b) - 1
+    out = [0] * (len(a) - db)
+    for k in range(len(out) - 1, -1, -1):
+        c = r[k + db] // b[-1]
+        out[k] = c
+        if c:
+            for j, bj in enumerate(b):
+                r[k + j] -= c * bj
+    return out
+
+
+def _value(cs: Sequence, t) -> int:
+    """q^d p(n/q) for t = n/q (q > 0, d = deg p) by homogeneous Horner: an
+    integer with the sign of p(t) when the coefficients are integers."""
+    n, q = t.numerator, t.denominator
+    acc, qk = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        qk *= q
+        acc = acc * n + c * qk
+    return acc
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p
-    return p.divmod(g)[0]
+    """p / gcd(p, p') as a primitive integer polynomial (a nonzero rational
+    multiple of p's square-free part)."""
+    if p.is_zero():
+        raise ZeroPolynomialError("zero polynomial")
+    a = _integer_coeffs(p)
+    g = _chain(a)[-1]
+    return UniPoly(a if len(g) == 1 else _exact_quotient(a, g))
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +220,9 @@ def squarefree_part(p: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sturm sequence of p with content normalization to limit coefficient
-    blow-up; every normalization factor is positive so sign patterns are kept."""
-    chain = [p.primitive()]
-    d = p.derivative()
-    if not d.is_zero():
-        chain.append(d.primitive())
-        while True:
-            r = chain[-2].divmod(chain[-1])[1]
-            if r.is_zero():
-                break
-            chain.append((-r).primitive())
-    return chain
+    """Sturm sequence of p on primitive integer coefficients: p, p', then
+    sign-kept negated pseudo-remainders, each divided by its content."""
+    return [UniPoly(c) for c in _chain(_integer_coeffs(p))]
 
 
 def _variations(values) -> int:
@@ -209,11 +230,11 @@ def _variations(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _variations_at(chain: list[UniPoly], t: Fraction) -> int:
-    return _variations([q(t) for q in chain])
+def _variations_at(chain: Sequence[UniPoly], t) -> int:
+    return _variations([_value(q.coeffs, t) for q in chain])
 
 
-def _variations_at_inf(chain: list[UniPoly], positive: bool) -> int:
+def _variations_at_inf(chain: Sequence[UniPoly], positive: bool) -> int:
     return _variations([q.lc if positive or q.degree % 2 == 0 else -q.lc for q in chain])
 
 
@@ -230,8 +251,6 @@ def count_real_roots(p: UniPoly, lo: Fraction | None = None,
                      hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi]; open ends at infinity
     when a bound is None."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
     sf = squarefree_part(p)
     if sf.degree == 0:
         return 0
@@ -241,11 +260,8 @@ def count_real_roots(p: UniPoly, lo: Fraction | None = None,
 def root_bound(p: UniPoly) -> Fraction:
     """Cauchy bound B: every root z has |z| < B, so p(-B) and p(B) are
     nonzero."""
-    lc = abs(p.lc)
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lc
-
-
+    m = max((abs(c) for c in p.coeffs[:-1]), default=0)
+    return 1 + Fraction(m, abs(p.lc))
 
 
 def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
@@ -254,8 +270,6 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     sf until each piece holds one root. A split point where sf vanishes moves
     toward hi, so sf is nonzero at both ends of each interval, with opposite
     signs."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
     sf = squarefree_part(p)
     if sf.degree == 0:
         return []
@@ -270,7 +284,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
             out.append((a, b))
         elif va > vb:
             mid = (a + b) / 2
-            while sf(mid) == 0:
+            while _value(sf.coeffs, mid) == 0:
                 mid = (mid + b) / 2
             vm = _variations_at(chain, mid)
             todo += [(a, mid, va, vm), (mid, b, vm, vb)]
@@ -306,11 +320,15 @@ def refine_root(p: UniPoly, iv: tuple[Fraction, Fraction], tol: Fraction) -> Fra
     changes sign (pass the square-free part when p has repeated roots), to
     within tol; a low-denominator rational root is returned exactly."""
     lo, hi = iv
-    mid = bisect_sign_change(p, lo, hi, p(lo), Fraction(tol))
+
+    def sign_of(t):
+        return _value(p.coeffs, t)
+
+    mid = bisect_sign_change(sign_of, lo, hi, sign_of(lo), Fraction(tol))
     # snap to a low-denominator rational root: in iv it is the isolated one
     for cap in (1, 4, 64, 10 ** 6):
         cand = mid.limit_denominator(cap)
-        if lo < cand < hi and p(cand) == 0:
+        if lo < cand < hi and sign_of(cand) == 0:
             return cand
     return mid
 

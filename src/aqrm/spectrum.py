@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import oracle
-from .poly import constraint_poly
+from .poly import constraint_slice
 from .roots import (
     bisect_count,
     bisect_sign_change,
@@ -77,7 +77,7 @@ def juddian_roots(N: int, eps, delta,
     if N == 0:
         return []
     eps = Fraction(eps)
-    sf = squarefree_part(constraint_poly(N, eps, N).subs_y(Fraction(delta) ** 2))
+    sf = squarefree_part(constraint_slice(N, eps, Fraction(delta) ** 2))
     mult = 2 if (2 * eps).denominator == 1 else 1
     out = []
     for lo, hi in isolate_real_roots(sf):
@@ -91,8 +91,7 @@ def juddian_roots(N: int, eps, delta,
 
 def count_positive_roots(N: int, eps, y) -> int:
     """Exact number of distinct positive roots in x of P_N^(N,eps)(x, y)."""
-    p = constraint_poly(N, Fraction(eps), N).subs_y(Fraction(y))
-    return count_real_roots(p, lo=Fraction(0), hi=None)
+    return count_real_roots(constraint_slice(N, eps, y), lo=0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def _juddian_chain(N: int, eps: Fraction, y: Fraction) -> tuple | None:
     polynomial does not depend on g, so a sweep builds each chain once."""
     if N == 0:
         return None
-    sf = squarefree_part(constraint_poly(N, eps, N).subs_y(y))
+    sf = squarefree_part(constraint_slice(N, eps, y))
     return None if sf.degree <= 0 else tuple(sturm_chain(sf))
 
 

@@ -12,10 +12,12 @@ from aqrm.poly import (
     BivarPoly,
     a_poly,
     a_value,
+    DivisibilityError,
+    _scaled_family,
     c_weight,
-    constraint_family,
     constraint_poly,
     constraint_poly_det,
+    constraint_slice,
     constraint_tridiag,
     constraint_value,
     generating_identity_check,
@@ -40,6 +42,14 @@ Y = BivarPoly.y()
 ONE = BivarPoly.const(1)
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def y_poly(p, xv) -> UniPoly:
+    """p(xv, y) as a polynomial in y."""
+    out = [0] * (max(j for _, j in p.terms) + 1)
+    for (i, j), c in p.terms.items():
+        out[j] += c * Fraction(xv) ** i
+    return UniPoly(out)
 
 
 class TestConstraintPoly:
@@ -78,14 +88,14 @@ class TestConstraintPoly:
     def test_total_degree_and_leading_coefficient(self):
         for N, eps, k in ((6, Fraction(1, 4), 4), (3, Fraction(0), 3)):
             p = constraint_poly(N, eps, k)
-            assert p.total_degree == k
+            assert max(i + j for i, j in p.terms) == k
             assert p.coefficient(k, 0) == math.factorial(k)
 
     def test_integer_coefficients_at_half_integer_bias(self):
         for twice_eps in (-3, -1, 0, 1, 2, 5):
             for N, k in ((4, 4), (6, 3), (3, 2)):
                 p = constraint_poly(N, Fraction(twice_eps, 2), k)
-                assert p.has_integer_coefficients(), (twice_eps, N, k)
+                assert all(c.denominator == 1 for c in p.terms.values()), (twice_eps, N, k)
 
     @given(eps=small_fracs, N=st.integers(0, 7))
     @settings(max_examples=25, deadline=None)
@@ -99,7 +109,7 @@ class TestConstraintPoly:
 
 def generic_recurrence_family(N, eps, k_max):
     """The three-term recurrence in general BivarPoly arithmetic, one product
-    per step: the independent oracle for the shift-based constraint_family."""
+    per step: the independent oracle for the shift-based integer members."""
     eps = Fraction(eps)
     fam = [ONE]
     if k_max >= 1:
@@ -114,42 +124,76 @@ FAMILY_BIASES = (Fraction(0), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2),
                  Fraction(-1, 2), Fraction(1), Fraction(3, 2))
 
 
+def scaled_family(N, eps, k_max):
+    """P_0, ..., P_{k_max} read off the integer members R_k = q^k P_k."""
+    eps = Fraction(eps)
+    return [BivarPoly({key: Fraction(v, eps.denominator ** k) for key, v in r.items()})
+            for k, r in enumerate(_scaled_family(N, eps, k_max))]
+
+
 class TestConstraintFamily:
     @pytest.mark.parametrize("eps", FAMILY_BIASES)
     def test_matches_generic_recurrence(self, eps):
         for N in range(11):
             oracle = generic_recurrence_family(N, eps, 12)
-            for k_max in range(13):
-                assert constraint_family(N, eps, k_max) == oracle[:k_max + 1], \
-                    (N, eps, k_max)
+            assert scaled_family(N, eps, 12) == oracle, (N, eps)
+            for k in range(13):
+                assert constraint_poly(N, eps, k) == oracle[k], (N, eps, k)
 
     def test_constraint_poly_is_family_member(self):
         for N in (0, 3, 7):
             for eps in FAMILY_BIASES:
-                fam = constraint_family(N, eps, 9)
+                fam = scaled_family(N, eps, 9)
                 for k in range(10):
                     assert constraint_poly(N, eps, k) == fam[k]
 
     def test_rejects_negative_k_max(self):
         with pytest.raises(ValueError):
-            constraint_family(3, 0, -1)
+            constraint_poly(3, 0, -1)
 
     def test_corrupted_family_fails_identity_checks(self, monkeypatch, capsys):
         import aqrm.poly as poly_mod
         from aqrm.cli import main
 
-        real_family = poly_mod.constraint_family
+        real_family = poly_mod._scaled_family
 
         def corrupted(N, eps, k_max):
             fam = real_family(N, eps, k_max)
-            if k_max >= 3:
-                fam[3] = fam[3] + 1
+            if k_max >= 3:              # P_3 + 1, i.e. R_3 + q^3
+                fam[3] = {**fam[3], (0, 0): fam[3].get((0, 0), 0) + eps.denominator ** 3}
             return fam
 
-        monkeypatch.setattr(poly_mod, "constraint_family", corrupted)
+        monkeypatch.setattr(poly_mod, "_scaled_family", corrupted)
         assert not generating_identity_check(2, 2, 8)
         assert not ode_coefficient_check(2, Fraction(1, 2), 8)
         assert main(["verify", "generating"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @given(eps=small_fracs, N=st.integers(0, 7), y=small_fracs)
+    @settings(max_examples=30, deadline=None)
+    def test_slice_is_scaled_member_at_y(self, eps, N, y):
+        # constraint_slice(N, eps, y) = b^N q^N P_N^(N,eps)(x, y), y = a/b
+        s = constraint_slice(N, eps, y)
+        assert all(type(c) is int for c in s.coeffs)
+        scale = (y.denominator * eps.denominator) ** N
+        p = constraint_poly(N, eps, N)
+        for xv in (Fraction(0), Fraction(-2, 3), Fraction(7, 5)):
+            assert s(xv) == scale * p.evaluate(xv, y)
+
+    def test_corrupted_member_fails_root_counts(self, monkeypatch, capsys):
+        import aqrm.poly as poly_mod
+        from aqrm.cli import main
+
+        real_member = poly_mod._top_member
+
+        def corrupted(N, eps):
+            r = dict(real_member(N, eps))
+            if N == 3:                  # P_3 + 1, i.e. R_3 + q^3
+                r[(0, 0)] = r.get((0, 0), 0) + eps.denominator ** 3
+            return tuple(r.items())
+
+        monkeypatch.setattr(poly_mod, "_top_member", corrupted)
+        assert main(["verify", "rootcounts"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -244,7 +288,7 @@ class TestAPoly:
 
     def test_integer_coefficients(self):
         for N, ell in ((3, 4), (5, 3), (2, 5)):
-            assert a_poly(N, ell).has_integer_coefficients()
+            assert all(type(c) is int for c in a_poly(N, ell).terms.values())
 
     def test_numeric_evaluator(self):
         p = a_poly(3, 3)
@@ -267,7 +311,7 @@ class TestAPoly:
     def test_char_matrix_spectrum_at_zero(self):
         # the quotient's companion matrix at x = 0 has eigenvalues {i(l-i)},
         # so A_2^4(0, y) = c y (y+3)^2 (y+4), and A(0, 0) = det(M) = 0
-        slice_y = a_poly(2, 4).subs_x(0)
+        slice_y = y_poly(a_poly(2, 4), 0)
         expect = UniPoly([0, 1]) * UniPoly([3, 1]) * UniPoly([3, 1]) * UniPoly([4, 1])
         assert slice_y == expect * slice_y.lc
         assert slice_y(0) == 0
@@ -287,7 +331,7 @@ class TestAPoly:
         N, ell = 2, 4
         p = a_poly(N, ell)
         for xv in (Fraction(1, 4), Fraction(2), Fraction(7)):
-            yslice = p.subs_x(xv)
+            yslice = y_poly(p, xv)
             # ell distinct roots in (-inf, 0], none at 0: all simple and negative
             assert count_real_roots(yslice, hi=Fraction(0)) == ell
             assert yslice(0) != 0
@@ -311,6 +355,23 @@ class TestDivisibility:
     def test_example_five_three(self):
         quot, exact = verify_divisibility(5, 3)
         assert exact and quot == a_poly(5, 3)
+
+    def test_corrupted_divisor_raises(self, monkeypatch):
+        # P_N + 1 no longer divides P_{N+l}: the exact integer division of the
+        # members must refuse, not return a rounded quotient
+        import aqrm.poly as poly_mod
+
+        real_family = poly_mod._scaled_family
+
+        def corrupted(N, eps, k_max):
+            fam = real_family(N, eps, k_max)
+            if N == 2:                  # P_2 + 1
+                fam[2] = {**fam[2], (0, 0): fam[2].get((0, 0), 0) + eps.denominator ** 2}
+            return fam
+
+        monkeypatch.setattr(poly_mod, "_scaled_family", corrupted)
+        with pytest.raises(DivisibilityError):
+            verify_divisibility(2, 1)
 
 
 class TestQPoly:
@@ -429,7 +490,3 @@ class TestBivarPolyRing:
         assert obj["terms"] == [[0, 0, "4/1"], [0, 1, "-5/1"], [0, 2, "1/1"],
                                 [1, 0, "-16/1"], [1, 1, "3/1"], [2, 0, "2/1"]]
         assert str(p) == "2*x^2 + 3*x*y + y^2 - 16*x - 5*y + 4"
-
-    def test_division_rejects_nonconstant_lead(self):
-        with pytest.raises(ValueError):
-            (X * Y).divmod_x(X * Y + X)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _dense import sym_tridiag_eigenvalues, tridiag_count_below
-from aqrm.poly import c_weight, constraint_poly, constraint_value
+from aqrm.poly import c_weight, constraint_poly, constraint_slice, constraint_value
 from aqrm.roots import (
     TridiagMatrix,
     UniPoly,
@@ -21,15 +21,36 @@ from aqrm.roots import (
     isolate_real_roots,
     refine_root,
     squarefree_part,
+    sturm_chain,
 )
 
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+# rational roots with repeats, and a leading factor of either sign; mirrored
+# root sets give even and odd polynomials, whose remainders skip degrees
+root_mults = st.builds(
+    lambda mults, mirror: {**mults, **{-r: m for r, m in mults.items()}} if mirror else mults,
+    st.dictionaries(
+        st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 5, 7))),
+        st.integers(1, 3), min_size=1, max_size=4),
+    st.booleans())
+leading = st.sampled_from((1, -1, 3, Fraction(-5, 2), Fraction(7, 3)))
+# 52-bit dyadic points, the denominators a float coupling brings in
+dyadic = st.builds(Fraction, st.integers(-13 * 2 ** 52, 13 * 2 ** 52), st.just(2 ** 52))
 
 
 def exact_roots(p, tol=Fraction(1, 2 ** 48)):
     """Every distinct real root of p, refined on its square-free part."""
     sf = squarefree_part(p)
     return [refine_root(sf, iv, tol) for iv in isolate_real_roots(p)]
+
+
+def y_poly(p, xv) -> UniPoly:
+    """p(xv, y) as a polynomial in y."""
+    out = [0] * (max(j for _, j in p.terms) + 1)
+    for (i, j), c in p.terms.items():
+        out[j] += c * Fraction(xv) ** i
+    return UniPoly(out)
 
 
 def from_roots(mults) -> UniPoly:
@@ -139,7 +160,7 @@ class TestIsolation:
         assert len(calls) == 1
         # P_2^(2,-1/2)(x, 2^2) = 2 (x + 2)^2: a negative double root
         calls.clear()
-        q = constraint_poly(2, Fraction(-1, 2), 2).subs_y(4)
+        q = constraint_slice(2, Fraction(-1, 2), 4)
         assert isolate_real_roots(q) == [(Fraction(-3), Fraction(4))]
         assert len(calls) == 1
         assert juddian_roots(2, Fraction(-1, 2), 2) == []
@@ -174,7 +195,7 @@ class TestIsolation:
 
     def test_juddian_linear_case(self):
         # P_1 for eps=3/10 at y=1/4 has the single root x = 27/20
-        p = constraint_poly(1, Fraction(3, 10), 1).subs_y(Fraction(1, 4))
+        p = constraint_slice(1, Fraction(3, 10), Fraction(1, 4))
         ivs = isolate_real_roots(p)
         assert len(ivs) == 1
         (lo, hi), = ivs
@@ -187,13 +208,13 @@ class TestIsolation:
 
     def test_quadratic_juddian_case(self):
         # P_2 for eps=1 at y=9/4: roots 0.52605 and 4.09891
-        p = constraint_poly(2, Fraction(1), 2).subs_y(Fraction(9, 4))
+        p = constraint_slice(2, Fraction(1), Fraction(9, 4))
         rs = [float(r) for r in exact_roots(p, Fraction(1, 2 ** 40))]
         assert rs == pytest.approx([0.526051, 4.098949], abs=2e-5)
         assert (rs[1] ** 0.5) / 2 == pytest.approx(1.01229, abs=5e-5)
 
     def test_fig3_larger_root(self):
-        p = constraint_poly(2, Fraction(2), 2).subs_y(Fraction(9, 4))
+        p = constraint_slice(2, Fraction(2), Fraction(9, 4))
         rs = [float(r) for r in exact_roots(p, Fraction(1, 10 ** 7))]
         assert (rs[-1] ** 0.5) / 2 == pytest.approx(1.2836, abs=5e-4)
 
@@ -213,7 +234,7 @@ class TestIsolation:
         for N, eps, xv in ((5, Fraction(1, 4), Fraction(2)),
                            (4, Fraction(0), Fraction(0)),
                            (6, Fraction(-1, 4), Fraction(7, 2))):
-            q = constraint_poly(N, eps, N).subs_x(xv)
+            q = y_poly(constraint_poly(N, eps, N), xv)
             assert count_real_roots(q) == N
 
     def test_all_roots_real_for_fixed_y_slice(self):
@@ -221,8 +242,54 @@ class TestIsolation:
         for N, eps, yv in ((5, Fraction(1, 4), Fraction(3)),
                            (4, Fraction(1, 2), Fraction(-2)),
                            (6, Fraction(0), Fraction(1, 2))):
-            q = constraint_poly(N, eps, N).subs_y(yv)
+            q = constraint_slice(N, eps, yv)
             assert count_real_roots(q) == N
+
+
+class TestIntegerSturm:
+    @staticmethod
+    def end(data, roots):
+        # a root itself, a 2^-52 neighbour of one, or any dyadic point
+        near = st.builds(lambda r, k: r + Fraction(k, 2 ** 52),
+                         st.sampled_from(roots), st.integers(-2, 2))
+        return data.draw(st.one_of(st.sampled_from(roots), near, dyadic))
+
+    @given(root_mults, leading, st.data())
+    @example({Fraction(0): 2, Fraction(1, 3): 3}, -1, None)
+    @example({Fraction(-3): 1, Fraction(0): 1, Fraction(3): 1}, -1, None)
+    @settings(max_examples=80, deadline=None)
+    def test_counts_distinct_roots_in_half_open_interval(self, mults, lead, data):
+        p = from_roots(mults.items()) * lead
+        roots = sorted(mults)
+        if data is None:
+            lo, hi = roots[0], roots[-1]
+        else:
+            lo, hi = sorted((self.end(data, roots), self.end(data, roots)))
+        assert count_real_roots(p, lo, hi) == sum(lo < r <= hi for r in roots)
+        assert count_real_roots(p, lo=lo) == sum(lo < r for r in roots)
+        assert count_real_roots(p, hi=hi) == sum(r <= hi for r in roots)
+        assert count_real_roots(p) == len(roots)
+
+    @given(root_mults, leading)
+    @example({Fraction(-2): 1, Fraction(-1): 1, Fraction(1): 1, Fraction(2): 1}, -1)
+    @settings(max_examples=60, deadline=None)
+    def test_one_sign_changing_interval_per_distinct_root(self, mults, lead):
+        p = from_roots(mults.items()) * lead
+        sf = squarefree_part(p)
+        assert all(type(c) is int for c in sf.coeffs)
+        assert sf.degree == len(mults)
+        ivs = isolate_real_roots(p)
+        assert [sum(lo < r < hi for r in mults) for lo, hi in ivs] == [1] * len(mults)
+        assert all(sf(lo) * sf(hi) < 0 for lo, hi in ivs)
+
+    def test_chain_is_primitive_and_keeps_signs(self):
+        # -2 (x - 1)(x + 2)(x - 3/2): the chain starts with the primitive
+        # multiple of a positive rescaling, so its leading sign stays negative
+        p = from_roots(((1, 1), (-2, 1), (Fraction(3, 2), 1))) * -2
+        chain = sturm_chain(p)
+        assert chain[0].coeffs == (-6, 7, 1, -2)
+        assert all(type(c) is int for q in chain for c in q.coeffs)
+        assert [q.degree for q in chain] == [3, 2, 1, 0]
 
 
 class TestRefine:
@@ -299,6 +366,6 @@ class TestTridiagEigen:
                 for i in range(1, N + 1)]
         off = [-_m.sqrt(i * (i + 1) * float(c_weight(N - i, eps))) for i in range(1, N)]
         eigs = sym_tridiag_eigenvalues(diag, off, tol=1e-13)
-        yslice = constraint_poly(N, eps, N).subs_x(alpha)
+        yslice = y_poly(constraint_poly(N, eps, N), alpha)
         exact = [float(r) for r in exact_roots(yslice)]
         assert eigs == pytest.approx(exact, abs=1e-9)
