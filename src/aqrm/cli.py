@@ -381,9 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # argparse reads a negative 'p/q' such as '-1/2' as an option, so each
+    # --eps value is attached to its flag: '--eps -1/2' means '--eps=-1/2'
+    attached: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if attached and attached[-1] == "--eps":
+            attached[-1] = f"--eps={arg}"
+        else:
+            attached.append(arg)
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(attached)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -2,7 +2,12 @@
 G-function, Frobenius solutions at the model's regular singular points, the
 constraint T-functions for exceptional eigenvalues, pole expansions of the
 G-function (residues, double-pole coefficients, regularized sums), and the
-gamma-regularized function whose zeros give the complete spectrum."""
+gamma-regularized function calG whose zeros give the complete spectrum.
+
+calG = G / (Gamma(eps-x) Gamma(-eps-x)) has no poles: each branch's series is
+summed with its reciprocal gamma factor folded into every coefficient, and
+1/Gamma is entire, so one series covers every x, the points N +/- eps
+included. G itself keeps its poles (PoleEncountered)."""
 
 from __future__ import annotations
 
@@ -16,7 +21,6 @@ from .poly import a_value, constraint_value
 Sign = Literal["plus", "minus"]
 
 POLE_GUARD = 1e-8          # reject direct series evaluation closer than this to a pole
-REMOVABLE_WINDOW = 1e-3    # widest switch to the local expansion (shrunk near close poles)
 _HALF_INT_TOL = 1e-9
 # every adaptive series stops once _STREAK consecutive terms are below _TOL
 # relative to the partial sum, and raises NonConvergent after _MAX_TERMS terms
@@ -119,93 +123,11 @@ def reciprocal_gamma(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Taylor jets (finite truncation order) and a jet-valued reciprocal gamma
-# ---------------------------------------------------------------------------
-
-_JET_ORDER = 5  # Taylor orders 0..5 carried through the gamma factors
-
-
-def _tmul(a: list[float], b: list[float]) -> list[float]:
-    n = len(a)
-    out = [0.0] * n
-    for i, x in enumerate(a):
-        if x == 0.0:
-            continue
-        for j in range(n - i):
-            out[i + j] += x * b[j]
-    return out
-
-
-def _zeta(k: int, M: int = 128) -> float:
-    """zeta(k) for integer k >= 2 by Euler-Maclaurin."""
-    s = sum(n ** (-float(k)) for n in range(1, M))
-    m = float(M)
-    s += m ** (1.0 - k) / (k - 1.0) + 0.5 * m ** (-float(k))
-    s += k / 12.0 * m ** (-k - 1.0)
-    s -= k * (k + 1) * (k + 2) / 720.0 * m ** (-k - 3.0)
-    s += k * (k + 1) * (k + 2) * (k + 3) * (k + 4) / 30240.0 * m ** (-k - 5.0)
-    return s
-
-
-_EULER_GAMMA = 0.5772156649015328606
-
-
-def _recip_gamma_series(n_terms: int = 64) -> list[float]:
-    """Taylor coefficients of 1/Gamma(1+t) at t = 0 via exponentiating the
-    classical log series (radius 1; used only with |t| <= 1/2)."""
-    s = [0.0] * n_terms
-    s[1] = _EULER_GAMMA
-    for k in range(2, n_terms):
-        s[k] = (-1.0) ** (k + 1) * _zeta(k) / k
-    e = [0.0] * n_terms
-    e[0] = 1.0
-    for n in range(1, n_terms):
-        e[n] = sum(k * s[k] * e[n - k] for k in range(1, n + 1)) / n
-    return e
-
-
-_RG_SERIES = _recip_gamma_series()
-
-
-def recip_gamma_taylor(z0: float, slope: float = 1.0,
-                       order: int = _JET_ORDER) -> list[float]:
-    """Taylor coefficients in u of 1/Gamma(z0 + slope*u), orders 0..order.
-
-    The argument is shifted by the functional equation to 1 + t with
-    |t| <= 1/2; zeros at nonpositive integers come out exact because they
-    arise from multiplication by a linear factor with exact zero constant.
-    """
-    n = order + 1
-    m = math.floor(z0 + 0.5) - 1          # z0 - m lies in [0.5, 1.5)
-    t0 = (z0 - m) - 1.0
-    tjet = [t0, slope] + [0.0] * (n - 2)
-    base = [0.0] * n
-    for c in reversed(_RG_SERIES):
-        base = _tmul(base, tjet)
-        base[0] += c
-    if m >= 1:
-        # 1/Gamma(z) = (1/Gamma(z-m)) / prod_{j=1..m} (z-j)
-        denom = [1.0] + [0.0] * (n - 1)
-        for j in range(1, m + 1):
-            denom = _tmul(denom, [z0 - j, slope] + [0.0] * (n - 2))
-        inv = [0.0] * n
-        inv[0] = 1.0 / denom[0]
-        for k in range(1, n):
-            inv[k] = -sum(denom[i] * inv[k - i] for i in range(1, k + 1)) / denom[0]
-        base = _tmul(base, inv)
-    elif m <= -1:
-        # 1/Gamma(z) = prod_{j=0..-m-1} (z+j) * (1/Gamma(z - m))
-        for j in range(0, -m):
-            base = _tmul(base, [z0 + j, slope] + [0.0] * (n - 2))
-    return base
-
-
-# ---------------------------------------------------------------------------
-# Laurent jets: truncated expansions sum c_k u^k for k in [-2, _JET_ORDER-2]
+# Laurent jets: truncated expansions sum c_k u^k for k in [-2, 5]
 # ---------------------------------------------------------------------------
 
 _L_LO = -2
-_L_LEN = _JET_ORDER + 3    # orders -2 .. _JET_ORDER
+_L_LEN = 8    # orders -2 .. 5
 
 
 class _LJet:
@@ -271,17 +193,18 @@ class _LJet:
 # K-coefficient series of the G-function
 # ---------------------------------------------------------------------------
 
-def _k_steps(x: float, params: ModelParams, s: float):
+def _k_steps(x: float, params: ModelParams, s: float, n: int = 0,
+             prev2: float = 0.0, prev1: float = 1.0):
     """Yield (d_n, K_n) for n = 0, 1, 2, ... of the branch with s = +eps or
     -eps: d_n = x - n + s, K_0 = 1 and n K_n = f_{n-1} K_{n-1} - K_{n-2} with
     f_n = 2g + (n - x + s + Delta^2/d_n) / (2g). The pole d_{n-1} is checked
     just before K_n is formed (PoleEncountered), so a consumer that stops at
-    K_n never checks d_n."""
+    K_n never checks d_n. Seeded with a later n and (K_{n-1}, K_n) as
+    (prev2, prev1), it runs the same recurrence on any multiple of K from
+    there."""
     two_g = 2.0 * params.g
     d2 = params.delta * params.delta
-    prev2, prev1 = 0.0, 1.0
-    n = 0
-    d = x + s
+    d = x - n + s
     yield d, prev1
     while True:
         if abs(d) < POLE_GUARD:
@@ -304,39 +227,94 @@ def k_sequence(x: float, params: ModelParams, sign: Sign, n_max: int) -> list[fl
     return [k for _, (_, k) in zip(range(n_max + 1), steps)]
 
 
-def k_coefficients(x: float, params: ModelParams, sign: Sign) -> SeriesState:
-    """Partial sums R = sum K_n g^n and Rbar = sum K_n g^n / (x - n +/- eps)
-    of the branch's coefficients K_n, adaptively truncated."""
-    g, tol, streak_len, guard = params.g, _TOL, _STREAK, POLE_GUARD
-    R = Rbar = 0.0
-    gn = 1.0
+def _summed(steps, g: float, n: int = 0, gn: float = 1.0, R: float = 0.0,
+            Rbar: float = 0.0) -> SeriesState:
+    """Add K_n g^n to R and K_n g^n / d_n to Rbar over the (d_n, K_n) pairs
+    of steps, from index n with gn = g^n, until the stop rule above holds."""
     streak = 0
-    steps = _k_steps(x, params, _branch_shift(params, sign))
-    for n, (d, k) in zip(range(_MAX_TERMS + 1), steps):
-        if abs(d) < guard:
+    for n, (d, k) in zip(range(n, _MAX_TERMS + 1), steps):
+        if abs(d) < POLE_GUARD:
             raise PoleEncountered(n, d)
         tR = k * gn
         tRbar = tR / d
         R += tR
         Rbar += tRbar
         gn *= g
-        if abs(tR) <= tol * (1.0 + abs(R)) and abs(tRbar) <= tol * (1.0 + abs(Rbar)):
+        if abs(tR) <= _TOL * (1.0 + abs(R)) and abs(tRbar) <= _TOL * (1.0 + abs(Rbar)):
             streak += 1
-            if streak >= streak_len:
+            if streak >= _STREAK:
                 return SeriesState(R, Rbar, n, True)
         else:
             streak = 0
     return SeriesState(R, Rbar, _MAX_TERMS, False)
 
 
-def g_function(x: float, params: ModelParams) -> float:
-    """G(x) = Delta^2 Rbar+ Rbar- - R+ R-; zeros give regular eigenvalues
-    lambda = x - g^2."""
-    sp = k_coefficients(x, params, "plus")
-    sm = k_coefficients(x, params, "minus")
+def k_coefficients(x: float, params: ModelParams, sign: Sign) -> SeriesState:
+    """Partial sums R = sum K_n g^n and Rbar = sum K_n g^n / (x - n +/- eps)
+    of the branch's coefficients K_n, adaptively truncated."""
+    return _summed(_k_steps(x, params, _branch_shift(params, sign)), params.g)
+
+
+def _scaled_sums(x: float, params: ModelParams, sign: Sign) -> SeriesState:
+    """The partial sums of k_coefficients times 1/Gamma(-x - s), s = +eps or
+    -eps: sum c_n g^n and sum c_n g^n / d_n with c_n = K_n / Gamma(-x - s)
+    and d_n = x - n + s. Every term is finite at every x, the branch's poles
+    included.
+
+    With y = x + s, m = floor(y + 1/2) + 1 (at least 0) leaves every d_n with
+    n >= m at most -1/2. Below m, L_n = K_n prod_{j<n} d_j follows
+        n L_n = (f_{n-1} d_{n-1}) L_{n-1} - d_{n-1} d_{n-2} L_{n-2},
+    whose coefficients are polynomials in x, and w_n = 1/Gamma(n - y) runs
+    down from one Lanczos value w_m by w_n = (n - y) w_{n+1}, so
+        c_n = (-1)^n L_n w_n,    c_n / d_n = (-1)^(n+1) L_n w_{n+1}
+    are exact zeros or finite numbers at a pole. These m terms are all
+    added, since at a pole y = N the first N are exact zeros that must not
+    stop the series; from m on, _k_steps continues c_n under the stop rule."""
+    s = _branch_shift(params, sign)
+    g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
+    y = x + s
+    m = max(0, math.floor(y + 0.5) + 1)
+    if m > _MAX_TERMS:          # the tail would start past the term cap
+        raise NonConvergent(f"G-function series not converged at x={x}")
+    w = [0.0] * (m + 1)
+    w[m] = reciprocal_gamma(m - y)
+    for n in range(m - 1, -1, -1):
+        w[n] = (n - y) * w[n + 1]
+    R = Rbar = c = L2 = 0.0
+    L1 = gn = alt = 1.0             # L_0, g^0, (-1)^0
+    for n in range(m):
+        c = alt * L1 * w[n]
+        R += c * gn
+        Rbar -= alt * L1 * w[n + 1] * gn
+        d = y - n
+        L2, L1 = L1, (((two_g + (n - x + s) / two_g) * d + d2 / two_g) * L1
+                      - d * (d + 1.0) * L2) / (n + 1)
+        gn *= g
+        alt = -alt
+    return _summed(_k_steps(x, params, s, m, c, alt * L1 * w[m]), g, m, gn, R, Rbar)
+
+
+def _combined(series, x: float, params: ModelParams) -> float:
+    """Delta^2 Rbar+ Rbar- - R+ R- from the two branches of one series."""
+    sp, sm = series(x, params, "plus"), series(x, params, "minus")
     if not (sp.converged and sm.converged):
         raise NonConvergent(f"G-function series not converged at x={x}")
     return params.delta ** 2 * sp.sum_Rbar * sm.sum_Rbar - sp.sum_R * sm.sum_R
+
+
+def g_function(x: float, params: ModelParams) -> float:
+    """G(x) = Delta^2 Rbar+ Rbar- - R+ R-; zeros give regular eigenvalues
+    lambda = x - g^2. Raises PoleEncountered within POLE_GUARD of x = n +/- eps."""
+    return _combined(k_coefficients, x, params)
+
+
+def regularized_g(x: float, params: ModelParams) -> float:
+    """calG(x) = G(x) / (Gamma(eps-x) Gamma(-eps-x)), the same combination of
+    the _scaled_sums: an entire function of x that vanishes exactly at the
+    full spectrum (x = lambda + g^2). Each branch folds its reciprocal gamma
+    factor into every term, so no value, at or near a point x = n +/- eps,
+    comes from a cancellation or a special case."""
+    return _combined(_scaled_sums, x, params)
 
 
 def log_term_coefficient(N: int, params: ModelParams) -> float:
@@ -490,77 +468,6 @@ def _branch_jets(x0: float, params: ModelParams, sign: Sign) -> tuple[_LJet, _LJ
         else:
             streak = 0
     raise NonConvergent(f"branch jets not converged at x0={x0}")
-
-
-def g_laurent_jet(x0: float, params: ModelParams) -> _LJet:
-    """Laurent jet of the G-function at x0 (orders -2 .. +3)."""
-    Rp, Rbp = _branch_jets(x0, params, "plus")
-    Rm, Rbm = _branch_jets(x0, params, "minus")
-    return Rbp.mul(Rbm).scale(params.delta ** 2).sub(Rp.mul(Rm))
-
-
-def _singular_candidates(x: float, params: ModelParams, window: float):
-    """Candidate singular points n +/- eps within `window` of x, nearest first."""
-    out = []
-    for branch, e in (("plus_eps", params.eps), ("minus_eps", -params.eps)):
-        n = round(x - e)
-        if n >= 0 and abs(x - (n + e)) <= window:
-            out.append((abs(x - (n + e)), n, branch))
-    out.sort()
-    return out
-
-
-def _gamma_factor_taylor(x0: float, n: int, branch: str, eps: float) -> list[float]:
-    """Taylor coefficients in u of 1/Gamma(eps-x) * 1/Gamma(-eps-x) at
-    x = x0 + u, with integer-valued arguments passed exactly so the zero
-    structure is exact."""
-    two_eps = 2.0 * eps
-    m2 = round(two_eps)
-    half_int = is_half_integer(eps)
-    if branch == "plus_eps":
-        z1 = float(-n)                                   # eps - x0
-        z2 = float(-(n + m2)) if half_int else -two_eps - n
-    else:
-        z2 = float(-n)                                   # -eps - x0
-        z1 = float(m2 - n) if half_int else two_eps - n
-    f1 = recip_gamma_taylor(z1, -1.0)
-    f2 = recip_gamma_taylor(z2, -1.0)
-    return _tmul(f1, f2)
-
-
-def _pole_spacing(eps: float) -> float:
-    """Smallest gap between distinct singular points n +/- eps."""
-    t = (2.0 * abs(eps)) % 1.0
-    if t < _HALF_INT_TOL or 1.0 - t < _HALF_INT_TOL:
-        return 1.0
-    return min(t, 1.0 - t)
-
-
-def regularized_g(x: float, params: ModelParams) -> float:
-    """G(x) / (Gamma(eps-x) Gamma(-eps-x)): entire-behaving, vanishing exactly
-    at the full spectrum (x = lambda + g^2). Near the removable points
-    x = n +/- eps the value comes from the local Laurent-Taylor product,
-    never from a naive quotient (which cancels catastrophically when the
-    double-pole coefficient is small)."""
-    window = min(REMOVABLE_WINDOW, _pole_spacing(params.eps) / 4.0)
-    cands = _singular_candidates(x, params, window)
-    if not cands:
-        return (g_function(x, params)
-                * reciprocal_gamma(params.eps - x)
-                * reciprocal_gamma(-params.eps - x))
-    _, n, branch = cands[0]
-    e = params.eps if branch == "plus_eps" else -params.eps
-    x0 = n + e
-    u = x - x0
-    gj = g_laurent_jet(x0, params)
-    h = _gamma_factor_taylor(x0, n, branch, params.eps)
-    out = 0.0
-    for k in range(0, _JET_ORDER + 1):
-        ck = 0.0
-        for i in range(_L_LO, k + 1):
-            ck += gj.order(i) * (h[k - i] if k - i < len(h) else 0.0)
-        out += ck * u ** k
-    return out
 
 
 # ---------------------------------------------------------------------------

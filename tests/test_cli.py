@@ -23,6 +23,14 @@ class TestParsing:
         assert parse_eps("0.3") == Fraction(3, 10)
         assert parse_eps("nan") != parse_eps("nan")  # float fallback
 
+    @pytest.mark.parametrize("cmd", ("poly --N 2", "count-roots --N 2 --y 1",
+                                     "spectrum --g 0.5 --delta 1 --x-max 2"))
+    def test_negative_fraction_bias_with_a_space(self, capsys, cmd):
+        # argparse would read '-1/2' as an option; both spellings parse alike
+        code, out, _ = run(capsys, *cmd.split(), "--eps", "-1/2")
+        assert code == 0 and out
+        assert run(capsys, *cmd.split(), "--eps=-1/2") == (0, out, "")
+
     def test_range(self):
         assert parse_range("0:1:0.25") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert parse_range("1.5") == [1.5]
@@ -249,6 +257,29 @@ class TestInputRange:
         assert code == 0 and err == ""
         assert out.startswith("g,index,lambda") and len(out.strip().split("\n")) > 5
 
+    @pytest.mark.parametrize("argv", (
+        "spectrum --g 0.5 --delta 1 --eps 0.50000001 --x-max 3",
+        "sweep --delta 1 --eps 0.50000001 --g 0.1:1.5:0.1 --levels 6",
+    ))
+    def test_bias_just_off_a_half_integer(self, capsys, argv):
+        # poles N + eps and N + 1 - eps 2e-8 apart, with levels between them
+        from aqrm import oracle
+        from aqrm.series import ModelParams
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == ""
+        levels = {}
+        for row in out.strip().split("\n")[1:]:
+            g, _, lam, _, _, mult = row.split(",")[:6]
+            levels.setdefault(float(g), []).extend([float(lam)] * int(mult))
+        for g, lams in levels.items():
+            ev, _ = oracle.certified_eigenvalues(ModelParams(g, 1.0, 0.50000001),
+                                                 len(lams) + 1)
+            assert lams == pytest.approx(ev[:-1], abs=1e-7)
+            if argv.startswith("spectrum"):
+                assert ev[-1] > 3.0 - g ** 2 - 1e-7     # every level below x-max
+            else:
+                assert len(lams) == 6
+
 
 class TestOracleConvergence:
     def test_unconverged_truncation_warns(self, capsys):
@@ -279,7 +310,7 @@ GOLDEN = (
     ("count-roots --N 6 --eps 2/5 --y 209/10",
      "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:4:0.002",
-     "69b228274b634cb3cf2ed324ced08dbf07b48382a940549ac3553b4927d5e965"),
+     "2328559a06e4060cff45dbd85026a859cb8743830c8c30b08bb47d5b65f61ae7"),
     ("tfunc --N 1 --eps 1/2 --delta 1 --g 0.1:2:0.01",
      "814d0a9e529d66e4dd367013b6b3d9159b55e8c1d9f9068c4f56f9f05c6e11bb"),
     ("residue --N 1 --eps 1/2 --g 0.9 --delta 1",

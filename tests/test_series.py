@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aqrm.series as series_mod
@@ -20,12 +20,10 @@ from aqrm.series import (
     double_pole_coefficients,
     frobenius_solution,
     g_function,
-    g_laurent_jet,
     k_coefficients,
     k_sequence,
     log_term_coefficient,
     q_functions,
-    recip_gamma_taylor,
     reciprocal_gamma,
     regularized_g,
     residue_numeric,
@@ -60,7 +58,6 @@ class TestKCoefficients:
     @settings(max_examples=25, deadline=None)
     def test_sign_symmetry_exact(self, x, g, delta, eps):
         # flipping the bias swaps the two branches, coefficient by coefficient
-        from hypothesis import assume
         assume(all(abs(x - n + s) > 1e-6 for n in range(13) for s in (eps, -eps)))
         p1 = ModelParams(g, delta, eps)
         p2 = ModelParams(g, delta, -eps)
@@ -156,25 +153,6 @@ class TestReciprocalGamma:
             if abs(z - round(z)) > 1e-9:
                 assert rel_close(reciprocal_gamma(z), 1.0 / math.gamma(z), 1e-12), z
             z += 0.13
-
-
-    def test_taylor_jet_matches_scalar(self):
-        for z0 in (0.3, 1.0, 2.6, -0.4, -3.7, 11.2):
-            jet = recip_gamma_taylor(z0, 1.0)
-            assert rel_close(jet[0], reciprocal_gamma(z0), 1e-12)
-
-    def test_taylor_jet_zero_structure(self):
-        # 1/Gamma has a simple zero at -n with derivative (-1)^n n!
-        for n in (0, 1, 2, 5):
-            jet = recip_gamma_taylor(float(-n), 1.0)
-            assert jet[0] == 0.0
-            assert jet[1] == pytest.approx((-1.0) ** n * math.factorial(n), rel=1e-12)
-
-    def test_taylor_jet_derivative_by_differences(self):
-        z0, h = 1.7, 1e-5
-        jet = recip_gamma_taylor(z0, 1.0)
-        fd = (reciprocal_gamma(z0 + h) - reciprocal_gamma(z0 - h)) / (2 * h)
-        assert jet[1] == pytest.approx(fd, rel=1e-8)
 
 
 class TestFrobenius:
@@ -283,31 +261,67 @@ class TestRegularizedG:
             assert abs(left - center) < 1e-6 * (1 + abs(center))
             assert abs(right - center) < 1e-6 * (1 + abs(center))
 
-    @pytest.mark.parametrize("g,delta,eps", [(0.8, 1.0, 0.3), (0.6, 1.2, 0.5),
-                                             (0.7, 0.9, 0.0), (0.9, 1.4, 1.5)])
-    def test_expansion_matches_direct_product(self, g, delta, eps):
-        # evaluate both routes at the same points near every singular point:
-        # the local expansion and the raw product must agree where the raw
-        # product is still well conditioned
-        from aqrm.series import (
-            _gamma_factor_taylor,
-            _singular_candidates,
-            g_laurent_jet,
-        )
+    @given(g=st.floats(0.05, 3.0), delta=st.floats(0.2, 2.0), eps=st.floats(-1.0, 1.0),
+           x=st.floats(-3.0, 10.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_product_off_the_poles(self, g, delta, eps, x):
+        # both sides lose digits to cancellation among the series terms (at
+        # small g and larger x, calG is ~1e-7 of them), so the bound is set by
+        # the sizes of the terms, |1/Gamma 1/Gamma| (Delta^2 |Rbar+||Rbar-| +
+        # |R+||R-|) with each sum taken over |terms|, not by |calG|
+        assume(all(abs(x - n - s) >= 1e-3 for n in range(12) for s in (eps, -eps)))
         p = ModelParams(g, delta, eps)
-        x0s = {n + s for n in range(4) for s in (eps, -eps) if n + s > -1}
-        for x0 in sorted(x0s):
-            _, n, branch = _singular_candidates(x0, p, 1e-6)[0]
-            gj = g_laurent_jet(x0, p)
-            h = _gamma_factor_taylor(x0, n, branch, eps)
-            for u in (1.5e-3, 3e-3):
-                expansion = sum(
-                    sum(gj.order(i) * (h[k - i] if k - i < len(h) else 0.0)
-                        for i in range(-2, k + 1)) * u ** k
-                    for k in range(0, 6))
-                direct = (g_function(x0 + u, p) * reciprocal_gamma(eps - x0 - u)
-                          * reciprocal_gamma(-eps - x0 - u))
-                assert rel_close(expansion, direct, 1e-6), (x0, u)
+        w = reciprocal_gamma(eps - x) * reciprocal_gamma(-eps - x)
+        sizes = []
+        for sign, s in (("plus", eps), ("minus", -eps)):
+            terms = [abs(k) * g ** n for n, k in enumerate(k_sequence(x, p, sign, 80))]
+            sizes.append((sum(terms), sum(t / abs(x - n + s) for n, t in enumerate(terms))))
+        (a, abar), (b, bbar) = sizes
+        scale = abs(w) * (delta ** 2 * abar * bbar + a * b)
+        assert abs(regularized_g(x, p) - g_function(x, p) * w) <= 1e-11 * (1 + scale)
+
+    @given(N=st.integers(0, 5), g=st.floats(0.05, 3.0), delta=st.floats(0.2, 2.0),
+           eps=st.floats(-1.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_simple_pole_value_is_the_residue(self, N, g, delta, eps):
+        # G ~ Res/u and 1/Gamma(eps - x) ~ (-1)^(N+1) N! u at x = N + eps + u
+        assume(abs(2 * eps - round(2 * eps)) > 1e-3)
+        p = ModelParams(g, delta, eps)
+        v = regularized_g(N + eps, p)
+        expect = ((-1) ** (N + 1) * math.factorial(N) * residue_simple(N, p, "plus")
+                  * reciprocal_gamma(-2 * eps - N))
+        assert abs(v - expect) <= 1e-10 * (1 + abs(v))
+
+    @given(N=st.integers(0, 8), ell=st.integers(0, 3), g=st.floats(0.05, 3.0),
+           delta=st.floats(0.2, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_double_pole_value_is_the_leading_coefficient(self, N, ell, g, delta):
+        # G ~ A/u^2 and each 1/Gamma factor vanishes linearly at x = N + ell/2;
+        # for N >= 8 a branch's first N terms are exact zeros, which must not
+        # end the series
+        p = ModelParams(g, delta, ell / 2)
+        v = regularized_g(N + ell / 2, p)
+        A, _ = double_pole_coefficients(N, ell, p)
+        expect = (-1) ** ell * math.factorial(N) * math.factorial(N + ell) * A
+        assert abs(v - expect) <= 1e-10 * (1 + abs(v))
+
+    @given(ell=st.sampled_from((-1, 1, 3)), t=st.floats(-12.0, -6.0),
+           eps_sign=st.sampled_from((1, -1)), N=st.integers(0, 4),
+           branch=st.sampled_from((1, -1)), u=st.floats(-13.0, -3.0),
+           x_sign=st.sampled_from((1, -1)), g=st.floats(0.1, 2.0))
+    @settings(max_examples=80, deadline=None)
+    def test_finite_just_off_a_half_integer_bias(self, ell, t, eps_sign, N, branch,
+                                                 u, x_sign, g):
+        # eps = ell/2 +/- 10^t puts two poles N +/- eps within 2e-6 of each
+        # other; x within 10^u of one of them
+        eps = ell / 2 + eps_sign * 10.0 ** t
+        v = regularized_g(N + branch * eps + x_sign * 10.0 ** u, ModelParams(g, 1.0, eps))
+        assert math.isfinite(v)
+
+    def test_term_cap_refused_before_the_work(self):
+        # at x = 1e12 the series' tail starts past _MAX_TERMS
+        with pytest.raises(NonConvergent):
+            regularized_g(1e12, ModelParams(0.5, 1.0, 0.3))
 
     def test_vanishes_at_juddian_point(self):
         p = ModelParams(0.5, 1.0, 0.5)
@@ -381,7 +395,9 @@ class TestResidues:
 
 class TestDoublePole:
     def test_coefficients_match_numeric_and_jet(self):
-        # (0, 0) exercises the pole at the origin, hit by the first term
+        # (0, 0) exercises the pole at the origin, hit by the first term; the
+        # jet is G's Laurent expansion built from the two branch jets
+        from aqrm.series import _branch_jets
         for (N, ell, g, delta) in ((1, 1, 0.9, 1.0), (0, 2, 0.7, 1.2),
                                    (2, 0, 0.8, 0.9), (0, 0, 0.7, 1.1)):
             p = ModelParams(g, delta, ell / 2.0)
@@ -389,7 +405,9 @@ class TestDoublePole:
             An, Bn = residue_numeric(N + ell / 2.0, p, order=2)
             assert rel_close(A, An, 1e-6)
             assert rel_close(B, Bn, 1e-6)
-            jet = g_laurent_jet(N + ell / 2.0, p)
+            Rp, Rbp = _branch_jets(N + ell / 2.0, p, "plus")
+            Rm, Rbm = _branch_jets(N + ell / 2.0, p, "minus")
+            jet = Rbp.mul(Rbm).scale(delta ** 2).sub(Rp.mul(Rm))
             assert rel_close(A, jet.order(-2), 1e-10)
             assert rel_close(B, jet.order(-1), 1e-10)
 
