@@ -280,6 +280,20 @@ class TestRegularizedG:
         scale = abs(w) * (delta ** 2 * abar * bbar + a * b)
         assert abs(regularized_g(x, p) - g_function(x, p) * w) <= 1e-11 * (1 + scale)
 
+    @pytest.mark.parametrize("g,delta,eps", [(0.8, 1.0, 0.3), (0.6, 1.2, 0.5),
+                                             (0.7, 0.9, 0.0), (0.9, 1.4, 1.5)])
+    def test_expansion_matches_direct_product(self, g, delta, eps):
+        # just off every singular point, simple and double, the pole-free
+        # series and the raw product G/(Gamma Gamma) must agree where the raw
+        # product is still well conditioned
+        p = ModelParams(g, delta, eps)
+        x0s = {n + s for n in range(4) for s in (eps, -eps) if n + s > -1}
+        for x0 in sorted(x0s):
+            for u in (1.5e-3, 3e-3, -1.5e-3, -3e-3):
+                direct = (g_function(x0 + u, p) * reciprocal_gamma(eps - x0 - u)
+                          * reciprocal_gamma(-eps - x0 - u))
+                assert rel_close(regularized_g(x0 + u, p), direct, 1e-6), (x0, u)
+
     @given(N=st.integers(0, 5), g=st.floats(0.05, 3.0), delta=st.floats(0.2, 2.0),
            eps=st.floats(-1.0, 1.0))
     @settings(max_examples=60, deadline=None)
