@@ -3,9 +3,10 @@ polynomial enters as its primitive integer multiple, its square-free part is
 an exact integer division, one primitive Sturm chain of sign-kept
 pseudo-remainders counts the roots by homogeneous integer evaluation at
 rational points, a split on that count isolates them, and one sign-change
-bisection refines them (the same bisection refines calG zeros in floats).
-Also generic tridiagonal continuants, and the count bisection shared by the
-oracle and the spectrum sweep."""
+bisection refines them. Float zeros (of calG) are reported as the midpoint of
+the dyadic cell across which the function changes sign. Also generic
+tridiagonal continuants, and the count bisection shared by the oracle and the
+spectrum sweep."""
 
 from __future__ import annotations
 
@@ -313,6 +314,45 @@ def bisect_sign_change(f, a, b, fa, tol):
         else:
             b = mid
     return (a + b) / 2
+
+
+class NoSignChange(ArithmeticError):
+    """A float function does not change sign where a zero was bracketed."""
+
+
+def dyadic_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """The zero of f between a < b, where fa = f(a) and fb = f(b) are nonzero
+    and of opposite signs, reported as the midpoint (j + 1/2) h of the dyadic
+    cell [j h, (j + 1) h] across which f changes sign: f(j h) has the sign of
+    fa and f((j + 1) h) does not, both evaluated. h is the largest power of two
+    <= tol, but at least twice the float spacing at max(|a|, |b|), so every
+    cell end and midpoint is a float and a tol below that spacing still ends.
+    The result depends on f and h only, not on the bracket: any a < b that
+    holds one zero gives the same cell. Probes lie on the h-grid strictly
+    inside the bracket; an end of the cell outside [a, b] is evaluated last.
+    Raises NoSignChange when fa and fb do not differ in sign, or when f does
+    not change sign across the cell (two zeros in it)."""
+    if not (fa < 0 < fb or fb < 0 < fa):
+        raise NoSignChange(f"no sign change on [{a!r}, {b!r}]")
+    h = max(math.ldexp(0.5, math.frexp(tol)[1]), 2.0 * math.ulp(max(abs(a), abs(b))))
+
+    def below(v):               # v = f(x) puts x below the zero
+        return v != 0 and (v > 0) == (fa > 0)
+
+    lo, hi = a, b
+    while True:
+        k_lo, k_hi = math.floor(lo / h) + 1, math.ceil(hi / h) - 1
+        if k_lo > k_hi:         # no grid point strictly inside: one cell left
+            break
+        c = (k_lo + k_hi) // 2 * h
+        if below(f(c)):
+            lo = c
+        else:
+            hi = c
+    left = math.floor(lo / h) * h
+    if (left != lo and not below(f(left))) or (left + h != hi and below(f(left + h))):
+        raise NoSignChange(f"two zeros within [{left!r}, {left + h!r}]")
+    return left + 0.5 * h
 
 
 def refine_root(p: UniPoly, iv: tuple[Fraction, Fraction], tol: Fraction) -> Fraction:

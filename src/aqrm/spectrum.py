@@ -18,9 +18,11 @@ from functools import lru_cache
 from . import oracle
 from .poly import constraint_slice
 from .roots import (
+    NoSignChange,
     bisect_count,
     bisect_sign_change,
     count_real_roots,
+    dyadic_root,
     isolate_real_roots,
     refine_root,
     squarefree_part,
@@ -244,18 +246,18 @@ def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
 def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
               refine_tol: float) -> list[EigenvalueRecord]:
     """Sorted records in [x_lo, x_max) for the level count n: the exceptional
-    records plus one regular calG zero, refined to refine_tol, in every
-    bracket of the count."""
+    records plus, in every bracket of the count, one regular calG zero at the
+    midpoint of the dyadic cell of width about refine_tol across which calG
+    changes sign."""
     def f(x):
         return regularized_g(x, params)
 
     out = exceptional_records(params, n, x_lo, x_max)
     for a, b in _regular_brackets(n, out, x_lo, x_max):
-        fa = f(a)
-        if fa * f(b) > 0.0:
-            raise IncompleteSpectrum(
-                f"no calG sign change on the level bracket [{fmt_float(a)}, {fmt_float(b)}]")
-        x = bisect_sign_change(f, a, b, fa, refine_tol)
+        try:
+            x = dyadic_root(f, a, b, f(a), f(b), refine_tol)
+        except NoSignChange as exc:
+            raise IncompleteSpectrum(f"calG level bracket: {exc}") from None
         out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
     out.sort(key=lambda r: r.x)
     return out
@@ -271,8 +273,8 @@ def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
     short."""
     if x_lo is None:
         x_lo = -(params.delta + abs(params.eps) + 1.5)
-    if not (refine_tol > 0 and math.isfinite(x_max) and x_max > x_lo):
-        raise ValueError("need refine_tol > 0 and a finite x_max above x_lo")
+    if not (0 < refine_tol < math.inf and math.isfinite(x_max) and x_max > x_lo):
+        raise ValueError("need a finite refine_tol > 0 and a finite x_max above x_lo")
     return _counted(params, lambda n: _assemble(params, n, x_lo, x_max, refine_tol))
 
 
@@ -291,8 +293,8 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
     lowest n_levels eigenvalues at every coupling of the strictly increasing
     g_grid; grid points are independent and assembled in grid order. Each
     coupling's window ends just above level n_levels - 1 of the level count."""
-    if n_levels < 0 or not refine_tol > 0:
-        raise ValueError("need n_levels >= 0 and refine_tol > 0")
+    if n_levels < 0 or not 0 < refine_tol < math.inf:
+        raise ValueError("need n_levels >= 0 and a finite refine_tol > 0")
     if any(b <= a for a, b in zip(g_grid, g_grid[1:])):
         raise ValueError("g_grid must be strictly increasing")
     # Weyl's inequality against the displaced oscillators (levels n - g^2,

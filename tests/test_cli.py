@@ -209,6 +209,7 @@ class TestInputRange:
         SPEC + ("--x-max", "inf"),
         SPEC + ("--x-max", "nan"),
         SWEEP + ("--tol", "0"),
+        SWEEP + ("--tol", "inf"),      # no dyadic reporting grid
         SWEEP + ("--levels", "-3"),
         ORACLE + ("--count", "-2"),
         ORACLE[:-1] + ("7",),
@@ -318,13 +319,13 @@ GOLDEN = (
     ("residue --N 1 --eps 0.3 --g 0.9 --delta 1",
      "2716cedd84dc9669c5d51d41be3736b1ff9e62a11dbd2ab3d6752219c9c16835"),
     ("spectrum --g 0.5 --delta 1 --eps 1/2 --x-max 5",
-     "6e00aa4e9722135937e9052ecc7fff05a214bd8e5570e632dabd34b0384f2bbf"),
+     "3e08d8bc497a56388b6dcce80e2a2e12676327b8b343d6eafdaaefbd607d0250"),
     ("spectrum --g 0.5 --delta 1 --eps 0.123456789 --x-max 5",
-     "d6713c3425b724cb6df50bfa34c0f6700279e84eb53eff684c49261a9bea6733"),
+     "783d03d140b52e573dc308fa825877cde21b5fc3f649fdf107e9e9e492da912a"),
     ("sweep --delta 1 --eps 1/2 --g 0:0.5:0.1 --levels 8",
-     "45682f01491dcede33664e2241103f3afa29821619ce1c5eebefbacca73bb759"),
+     "c8a87f0a851807e9b37988d9e8a02906154389cd1c4d9982a1027aac300f66c8"),
     ("sweep --delta 1 --eps 0.3 --g 0:0.5:0.1 --levels 8",
-     "c974c55d5f83a36d026f08412dbad383bd649e8a9b10f2fa38d6411a2c24308c"),
+     "4a6f04cc7bb1660d2ce3d185d3a1a61f7f1919fc51850042fb86c181a5a3f68e"),
     ("oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8",
      "2db7398b4a8ea98914c1bc1bfc5667e6da5076d8d6bc40e1b4faa5e1f7a4967c"),
     ("verify all --max-N 10 --max-ell 4",
