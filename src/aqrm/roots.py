@@ -327,11 +327,13 @@ def dyadic_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> floa
     fa and f((j + 1) h) does not, both evaluated. h is the largest power of two
     <= tol, but at least twice the float spacing at max(|a|, |b|), so every
     cell end and midpoint is a float and a tol below that spacing still ends.
-    The result depends on f and h only, not on the bracket: any a < b that
-    holds one zero gives the same cell. Probes lie on the h-grid strictly
-    inside the bracket; an end of the cell outside [a, b] is evaluated last.
-    Raises NoSignChange when fa and fb do not differ in sign, or when f does
-    not change sign across the cell (two zeros in it)."""
+    The cell depends on f and h only, not on the bracket or on the probes.
+
+    Each probe is the Illinois false-position point (Dowell & Jarratt, BIT 11
+    (1971) 168) rounded to the h-grid and kept strictly inside the bracket; the
+    grid midpoint stands in where that point is not finite. A cell end outside
+    [a, b] is evaluated last. Raises NoSignChange when fa and fb do not differ
+    in sign, or when f does not change sign across the cell (two zeros in it)."""
     if not (fa < 0 < fb or fb < 0 < fa):
         raise NoSignChange(f"no sign change on [{a!r}, {b!r}]")
     h = max(math.ldexp(0.5, math.frexp(tol)[1]), 2.0 * math.ulp(max(abs(a), abs(b))))
@@ -339,16 +341,27 @@ def dyadic_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> floa
     def below(v):               # v = f(x) puts x below the zero
         return v != 0 and (v > 0) == (fa > 0)
 
-    lo, hi = a, b
+    lo, hi, flo, fhi = a, b, fa, fb
+    side = 0
     while True:
         k_lo, k_hi = math.floor(lo / h) + 1, math.ceil(hi / h) - 1
         if k_lo > k_hi:         # no grid point strictly inside: one cell left
             break
-        c = (k_lo + k_hi) // 2 * h
-        if below(f(c)):
-            lo = c
+        s = lo + (hi - lo) / (1.0 - fhi / flo) if flo else math.nan
+        k = min(max(round(s / h), k_lo), k_hi) if math.isfinite(s) else (k_lo + k_hi) // 2
+        c = k * h
+        fc = f(c)
+        # Illinois: an end kept for a second probe running has its value halved
+        if below(fc):
+            lo, flo = c, fc
+            if side < 0:
+                fhi *= 0.5
+            side = -1
         else:
-            hi = c
+            hi, fhi = c, fc
+            if side > 0:
+                flo *= 0.5
+            side = 1
     left = math.floor(lo / h) * h
     if (left != lo and not below(f(left))) or (left + h != hi and below(f(left + h))):
         raise NoSignChange(f"two zeros within [{left!r}, {left + h!r}]")
