@@ -11,7 +11,7 @@ spectrum sweep."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -25,22 +25,20 @@ class ZeroPolynomialError(ValueError):
 # tridiagonal matrices and continuants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TridiagMatrix:
+class TridiagMatrix(namedtuple("TridiagMatrix", "diag upper lower")):
     """Tridiagonal matrix over an arbitrary commutative ring.
 
     Entries may be Fractions, floats, or exact bivariate polynomials; the only
     requirement is that they support +, - and *.
     """
 
-    diag: tuple
-    upper: tuple
-    lower: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.diag)
-        if len(self.upper) != max(n - 1, 0) or len(self.lower) != max(n - 1, 0):
+    def __new__(cls, diag: tuple, upper: tuple, lower: tuple):
+        n = len(diag)
+        if len(upper) != max(n - 1, 0) or len(lower) != max(n - 1, 0):
             raise ValueError("off-diagonals must have length n-1")
+        return super().__new__(cls, diag, upper, lower)
 
     @property
     def n(self) -> int:

@@ -12,7 +12,7 @@ included. G itself keeps its poles (PoleEncountered)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Literal
 
@@ -45,39 +45,24 @@ class WrongPoleOrder(ValueError):
     """A simple-pole formula was requested in the double-pole regime or vice versa."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "g delta eps")):
     """Physical parameters: finite coupling g > 0, level splitting delta > 0,
     bias eps."""
 
-    g: float
-    delta: float
-    eps: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.g) and math.isfinite(self.delta)
-                and math.isfinite(self.eps)):
+    def __new__(cls, g: float, delta: float, eps: float = 0.0):
+        if not (math.isfinite(g) and math.isfinite(delta) and math.isfinite(eps)):
             raise ValueError("g, delta and eps must be finite")
-        if not self.g > 0:
+        if not g > 0:
             raise ValueError("g must be positive")
-        if not self.delta > 0:
+        if not delta > 0:
             raise ValueError("delta must be positive")
+        return super().__new__(cls, g, delta, eps)
 
 
-@dataclass
-class SeriesState:
-    sum_R: float
-    sum_Rbar: float
-    truncation_order: int
-    converged: bool
-
-
-@dataclass
-class FrobeniusSolution:
-    kind: str
-    N: int
-    coeffs: list[float]
-    value_at_half: float
+SeriesState = namedtuple("SeriesState", "sum_R sum_Rbar truncation_order converged")
+FrobeniusSolution = namedtuple("FrobeniusSolution", "kind N coeffs value_at_half")
 
 
 def is_half_integer(eps: float) -> bool:

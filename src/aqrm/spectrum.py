@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,14 +47,9 @@ _FLOOR = 1e-9                    # narrowest bracket split on the level count
 _M_START, _M_CAP = 40, 400       # truncations tried for the level count
 
 
-@dataclass
-class EigenvalueRecord:
-    x: float                     # lambda + g^2
-    lam: float
-    kind: str
-    multiplicity: int = 1
-    level_N: int | None = None
-    branch: str | None = None    # "plus_eps" or "minus_eps" for exceptional kinds
+# x = lambda + g^2; branch is "plus_eps" or "minus_eps" for exceptional kinds
+EigenvalueRecord = namedtuple("EigenvalueRecord", "x lam kind multiplicity level_N branch",
+                              defaults=(1, None, None))
 
 
 def exact_bias(eps: float) -> Fraction | None:
