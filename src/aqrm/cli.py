@@ -381,12 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse reads a negative 'p/q' such as '-1/2' as an option, so each
-    # --eps value is attached to its flag: '--eps -1/2' means '--eps=-1/2'
+    # argparse reads a negative 'p/q' such as '-1/2', or a grid such as
+    # '-1:4:0.002', as an option, so each --eps and --x value is attached to
+    # its flag: '--eps -1/2' means '--eps=-1/2'
     attached: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if attached and attached[-1] == "--eps":
-            attached[-1] = f"--eps={arg}"
+        if attached and attached[-1] in ("--eps", "--x"):
+            attached[-1] += f"={arg}"
         else:
             attached.append(arg)
     ap = build_parser()

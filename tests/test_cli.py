@@ -74,8 +74,7 @@ class TestSubcommands:
         assert abs(float(calg)) < 1e30        # regularized value is finite
 
     def test_gfunc_negative_range_readme_form(self, capsys):
-        # a range that starts with '-' must be attached with '=' or argparse
-        # reads it as an option
+        # the README form: a range that starts with '-', attached with '='
         code, out, _ = run(capsys, "gfunc", "--g", "0.5809", "--delta", "0.5",
                            "--eps", "0.3", "--x=-1:-0.9:0.05")
         assert code == 0
@@ -338,3 +337,12 @@ def test_readme_stdout_is_byte_identical(capsys, cmd, digest):
     code, out, _ = run(capsys, *cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_negative_grid_with_a_space_gives_the_golden_digest(capsys):
+    # argparse would read '-1:4:0.002' as an option; both spellings parse alike
+    cmd = "gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:4:0.002"
+    for argv in (cmd.split(), cmd.replace("--x=", "--x ").split()):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN)[cmd]
