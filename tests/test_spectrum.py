@@ -514,3 +514,62 @@ class TestFloatBisection:
         n_regular = sum(r.kind == KIND_REGULAR for r in recs)
         assert n_regular >= 3
         assert len(calls) <= 60 * n_regular
+
+
+class TestDyadicReporting:
+    """A regular level is the midpoint of the dyadic cell [j h, (j + 1) h],
+    h = 2^-34 (the largest power of two <= 1e-10), across which calG changes
+    sign; the cell, not the bracket or the probes, fixes the printed value."""
+
+    H = 2.0 ** -34
+
+    @settings(max_examples=20, deadline=None)
+    @given(g=st.floats(0.1, 2.5), delta=st.floats(0.3, 2.0),
+           eps=st.one_of(st.sampled_from((0.0, 0.5, -0.5)), st.floats(-1.0, 1.0)))
+    def test_levels_are_certified_cell_midpoints(self, g, delta, eps):
+        import warnings as w
+        from aqrm.series import regularized_g
+        p = ModelParams(g, delta, eps)
+        with w.catch_warnings():
+            w.simplefilter("ignore", RuntimeWarning)
+            recs = full_spectrum(p, g * g + 4.0)
+        for r in recs:
+            if r.kind == KIND_REGULAR:
+                j = math.floor(r.x / self.H)
+                assert r.x == (j + 0.5) * self.H
+                assert regularized_g(j * self.H, p) * regularized_g((j + 1) * self.H, p) <= 0
+
+    @pytest.mark.parametrize("g,eps,x_max", ((0.5, 0.5, 5.0), (0.5, 0.123456789, 5.0),
+                                             (0.3, 0.3, 4.0)))
+    def test_same_float_from_other_brackets(self, g, eps, x_max):
+        from aqrm.roots import dyadic_root
+        from aqrm.series import regularized_g
+        p = ModelParams(g, 1.0, eps)
+
+        def f(x):
+            return regularized_g(x, p)
+
+        recs = full_spectrum(p, x_max)
+        for r in recs:
+            if r.kind != KIND_REGULAR:
+                continue
+            assert min(abs(o.x - r.x) for o in recs if o is not r) > 2e-3
+            for below, above in ((3e-4, 7e-4), (1e-3, 2e-10), (5e-11, 1e-6)):
+                a, b = r.x - below, r.x + above
+                assert dyadic_root(f, a, b, f(a), f(b), 1e-10) == r.x
+
+    @pytest.mark.parametrize("eps", (0.3, 0.5))
+    def test_calg_evaluations_per_level(self, monkeypatch, eps):
+        # the grid of 'sweep --delta 1 --eps ... --g 0:0.5:0.1 --levels 8'
+        import aqrm.spectrum as spectrum_mod
+        calg, calls = spectrum_mod.regularized_g, []
+
+        def counted(x, params):
+            calls.append(x)
+            return calg(x, params)
+
+        monkeypatch.setattr(spectrum_mod, "regularized_g", counted)
+        rows = spectral_sweep(1.0, eps, [k * 0.1 for k in range(1, 6)], 8)
+        n_regular = sum(r["kind"] == KIND_REGULAR for r in rows)
+        assert n_regular >= 35
+        assert len(calls) <= 10 * n_regular
