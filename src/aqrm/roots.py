@@ -325,7 +325,8 @@ def dyadic_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> floa
     fa and f((j + 1) h) does not, both evaluated. h is the largest power of two
     <= tol, but at least twice the float spacing at max(|a|, |b|), so every
     cell end and midpoint is a float and a tol below that spacing still ends.
-    The cell depends on f and h only, not on the bracket or on the probes.
+    Where f changes sign once on the grid, the cell depends on f and h only,
+    not on the bracket or on the probes.
 
     Each probe is the Illinois false-position point (Dowell & Jarratt, BIT 11
     (1971) 168) rounded to the h-grid and kept strictly inside the bracket; the
