@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from aqrm import oracle
 from aqrm.poly import c_weight
-from aqrm.series import ModelParams
+from aqrm.roots import dyadic_root
+from aqrm.series import ModelParams, regularized_g
 from aqrm.spectrum import (
     KIND_JUDDIAN,
     KIND_NON_JUDDIAN,
@@ -528,7 +529,6 @@ class TestDyadicReporting:
            eps=st.one_of(st.sampled_from((0.0, 0.5, -0.5)), st.floats(-1.0, 1.0)))
     def test_levels_are_certified_cell_midpoints(self, g, delta, eps):
         import warnings as w
-        from aqrm.series import regularized_g
         p = ModelParams(g, delta, eps)
         with w.catch_warnings():
             w.simplefilter("ignore", RuntimeWarning)
@@ -542,8 +542,6 @@ class TestDyadicReporting:
     @pytest.mark.parametrize("g,eps,x_max", ((0.5, 0.5, 5.0), (0.5, 0.123456789, 5.0),
                                              (0.3, 0.3, 4.0)))
     def test_same_float_from_other_brackets(self, g, eps, x_max):
-        from aqrm.roots import dyadic_root
-        from aqrm.series import regularized_g
         p = ModelParams(g, 1.0, eps)
 
         def f(x):
@@ -562,11 +560,11 @@ class TestDyadicReporting:
     def test_calg_evaluations_per_level(self, monkeypatch, eps):
         # the grid of 'sweep --delta 1 --eps ... --g 0:0.5:0.1 --levels 8'
         import aqrm.spectrum as spectrum_mod
-        calg, calls = spectrum_mod.regularized_g, []
+        calls = []
 
         def counted(x, params):
             calls.append(x)
-            return calg(x, params)
+            return regularized_g(x, params)
 
         monkeypatch.setattr(spectrum_mod, "regularized_g", counted)
         rows = spectral_sweep(1.0, eps, [k * 0.1 for k in range(1, 6)], 8)
