@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -46,14 +47,16 @@ def nonneg_int(text: str) -> int:
 
 
 def parse_range(text: str) -> list[float]:
-    """Grid syntax 'a:b:step' (inclusive ends, within half a step); a bare
-    number gives a single-point grid."""
+    """Grid syntax 'a:b:step' (inclusive ends, within half a step; a, b and
+    step finite); a bare number gives a single-point grid."""
     if ":" not in text:
         return [float(text)]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("range must be a:b:step")
     a, b, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError("range ends and step must be finite")
     if step <= 0 or b < a:
         raise ValueError("need step > 0 and b >= a")
     out = []

@@ -302,18 +302,6 @@ def regularized_g(x: float, params: ModelParams) -> float:
     return _combined(_scaled_sums, x, params)
 
 
-def log_term_coefficient(N: int, params: ModelParams) -> float:
-    """The obstruction multiplying the logarithmic branch of the smaller-exponent
-    local solution at level N; it equals P_N((2g)^2, Delta^2) / (N!)^2 and its
-    vanishing is the quasi-exact (Juddian) condition."""
-    g2, d2 = 4.0 * params.g * params.g, params.delta * params.delta
-    k0, k1 = 0.0, 1.0
-    for n in range(1, N + 1):
-        k2 = ((g2 + d2 / (N - n + 1) + n - 1 - N - 2.0 * params.eps) * k1 - g2 * k0) / n
-        k0, k1 = k1, k2
-    return k1
-
-
 # ---------------------------------------------------------------------------
 # Frobenius solutions and constraint T-functions
 # ---------------------------------------------------------------------------

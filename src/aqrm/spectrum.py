@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +31,6 @@ from .roots import (
 from .series import (
     ModelParams,
     is_half_integer,
-    log_term_coefficient,
     regularized_g,
     t_function,
 )
@@ -54,8 +52,8 @@ EigenvalueRecord = namedtuple("EigenvalueRecord", "x lam kind multiplicity level
 
 def exact_bias(eps: float) -> Fraction | None:
     """The bias as an exact rational when one with denominator at most
-    _RATIONAL_EPS_CAP matches it (all closed-form Juddian machinery needs
-    this); None otherwise."""
+    _RATIONAL_EPS_CAP matches it, so a typed 0.3 counts as 3/10 and not as
+    its nearest float; None otherwise."""
     if isinstance(eps, Fraction):
         return eps
     cand = Fraction(eps).limit_denominator(_RATIONAL_EPS_CAP)
@@ -134,31 +132,19 @@ def _juddian_chain(N: int, eps: Fraction, y: Fraction) -> tuple | None:
     return None if sf.degree <= 0 else tuple(sturm_chain(sf))
 
 
-def _juddian_here(N: int, params: ModelParams, branch_eps: float,
-                  rel_tol: float = 1e-7) -> bool:
-    """Is this coupling a root of the level-N constraint polynomial? Exact
-    when the bias is rational, slope-normalized numeric fallback otherwise."""
+def _juddian_here(N: int, params: ModelParams, branch_eps: float) -> bool:
+    """Is this coupling a root of the level-N constraint polynomial? One exact
+    Sturm count for every bias: a float bias with no low-denominator match is
+    taken as the dyadic rational it is."""
     frac = exact_bias(branch_eps)
-    if frac is not None:
-        chain = _juddian_chain(N, frac, Fraction(params.delta) ** 2)
-        if chain is None:
-            return False
-        # one exact Sturm count of roots x = (2g')^2 with g - t < g' <= g + t
-        g = Fraction(params.g)
-        t = Fraction(rel_tol) * max(1, g)
-        return sturm_count(chain, 4 * max(0, g - t) ** 2, 4 * (g + t) ** 2) > 0
-    warnings.warn("bias is irrational or has a denominator above 10^4: quasi-exact "
-                  "detection falls back to float root proximity and may be "
-                  "ill-conditioned", RuntimeWarning, stacklevel=2)
-
-    def f(g):
-        return log_term_coefficient(N, ModelParams(g, params.delta, branch_eps))
-
-    # does f vanish at g, relative to its central-difference slope there?
-    g = params.g
-    h = min(1e-4 * max(1.0, g), g / 2)
-    slope = (f(g + h) - f(g - h)) / (2.0 * h)
-    return abs(f(g)) <= rel_tol * (abs(slope) * max(1.0, g) + 1e-12)
+    chain = _juddian_chain(N, Fraction(branch_eps) if frac is None else frac,
+                           Fraction(params.delta) ** 2)
+    if chain is None:
+        return False
+    # roots x = (2g')^2 with g - t < g' <= g + t
+    g = Fraction(params.g)
+    t = Fraction(1e-7) * max(1, g)
+    return sturm_count(chain, 4 * max(0, g - t) ** 2, 4 * (g + t) ** 2) > 0
 
 
 def exceptional_records(params: ModelParams, n, x_lo: float,

@@ -34,8 +34,9 @@ class TestParsing:
     def test_range(self):
         assert parse_range("0:1:0.25") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert parse_range("1.5") == [1.5]
-        with pytest.raises(ValueError):
-            parse_range("1:0:0.1")
+        for text in ("1:0:0.1", "0:nan:0.1", "0:inf:0.5", "0:1:nan"):
+            with pytest.raises(ValueError):
+                parse_range(text)
 
 
 class TestSubcommands:
@@ -218,6 +219,9 @@ class TestInputRange:
         ("spectrum", "--g", "1", "--delta", "1", "--eps", "1/0"),   # Fraction('1/0') raises
         ("sweep", "--delta", "1", "--g", "0.5", "--eps", "1/0"),
         ("poly", "--N", "1", "--eps", "1/0"),
+        SWEEP[:-2] + ("--g", "0:nan:0.1"),     # non-finite grids never end
+        ("gfunc", "--g", "0.5", "--delta", "1", "--eps", "0.3", "--x", "0:inf:0.5"),
+        ("tfunc", "--N", "1", "--delta", "1", "--eps", "0.3", "--g", "0:1:nan"),
     ), ids=lambda argv: " ".join((argv[0],) + argv[-2:]))
     def test_out_of_range_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -299,9 +303,10 @@ class TestOracleConvergence:
 
 
 # SHA-256 of stdout for each README command line, with the sweep shortened to
-# g = 0..0.5, plus an irrational-bias spectrum and a simple-pole residue. The
-# digests pin CPython's 17-digit float output on x86-64 Linux; a libm that
-# rounds exp or sin differently in the last bit changes them.
+# g = 0..0.5, plus two irrational-bias spectra (one on a Juddian coupling) and
+# a simple-pole residue. The digests pin CPython's 17-digit float output on
+# x86-64 Linux; a libm that rounds exp or sin differently in the last bit
+# changes them.
 GOLDEN = (
     ("poly --N 6 --eps 0 --k 2",
      "a1197efb01158a381e3f5d86b9b7bcafdd51e6f464b63dad86daaeedbe653c4c"),
@@ -321,6 +326,8 @@ GOLDEN = (
      "3e08d8bc497a56388b6dcce80e2a2e12676327b8b343d6eafdaaefbd607d0250"),
     ("spectrum --g 0.5 --delta 1 --eps 0.123456789 --x-max 5",
      "783d03d140b52e573dc308fa825877cde21b5fc3f649fdf107e9e9e492da912a"),
+    ("spectrum --g 0.24845199636952003 --delta 1 --eps 0.123456789 --x-max 3",
+     "3c0e05d1e8043f9354ba65ca169d118d175597190e0629ea5dcf4bab30fdba3e"),
     ("sweep --delta 1 --eps 1/2 --g 0:0.5:0.1 --levels 8",
      "c8a87f0a851807e9b37988d9e8a02906154389cd1c4d9982a1027aac300f66c8"),
     ("sweep --delta 1 --eps 0.3 --g 0:0.5:0.1 --levels 8",

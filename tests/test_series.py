@@ -22,7 +22,6 @@ from aqrm.series import (
     g_function,
     k_coefficients,
     k_sequence,
-    log_term_coefficient,
     q_functions,
     reciprocal_gamma,
     regularized_g,
@@ -79,12 +78,6 @@ class TestKCoefficients:
                                      Fraction(49, 25) * 4 / 4, Fraction(121, 100)))
         rhs = constraint_value(N, 0.25, N, (2 * g) ** 2, delta ** 2)
         assert rel_close(lhs, rhs, 1e-12)
-
-    def test_log_term_matches_constraint(self):
-        N, g, delta, eps = 4, 0.9, 1.3, 0.2
-        p = ModelParams(g, delta, eps)
-        expect = constraint_value(N, eps, N, (2 * g) ** 2, delta ** 2) / math.factorial(N) ** 2
-        assert rel_close(log_term_coefficient(N, p), expect, 1e-12)
 
     def test_state_contract(self):
         p = ModelParams(0.8, 1.0, 0.3)

@@ -222,16 +222,15 @@ class TestSpectra:
         assert any(r.kind == KIND_JUDDIAN and r.level_N == 1
                    and r.multiplicity == 1 for r in recs)
 
-    def test_irrational_bias_fallback_warns_and_classifies(self):
-        # the fallback runs only where the count jumps: put the coupling on
+    def test_irrational_bias_classifies_exactly(self):
+        # the kind test runs only where the count jumps: put the coupling on
         # the level-1 root (2g)^2 = 2 eps of P_1 = x + y - 1 - 2 eps at y = 1
         import warnings as w
         eps = math.sqrt(2) / 4
         p = ModelParams(math.sqrt(2 * eps) / 2, 1.0, eps)
-        with w.catch_warnings(record=True) as caught:
-            w.simplefilter("always")
+        with w.catch_warnings():
+            w.simplefilter("error")
             recs = full_spectrum(p, 3.0)
-        assert any(issubclass(c.category, RuntimeWarning) for c in caught)
         assert [(r.level_N, r.multiplicity) for r in recs if r.kind == KIND_JUDDIAN] == [(1, 1)]
         ev = oracle.lowest_eigenvalues(p, 90, len(recs))
         assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
@@ -240,14 +239,13 @@ class TestSpectra:
         p = ModelParams(1e-5, 1.0, 0.3)
         assert exceptional_records(p, counter(p), -2.0, 2.5) == []
 
-    def test_log_term_obstruction_vanishes_at_juddian_root(self):
-        # at a quasi-exact coupling both routes to the constraint value vanish
-        from aqrm.series import log_term_coefficient, k_sequence
+    def test_k_sequence_vanishes_at_juddian_root(self):
+        # at a quasi-exact coupling the level-N K coefficient vanishes
+        from aqrm.series import k_sequence
         from fractions import Fraction as F
         for (N, eps, delta) in ((2, F(1), F(3, 2)), (1, F(3, 10), F(1, 2))):
             for g, _ in juddian_roots(N, eps, delta):
                 p = ModelParams(g, float(delta), float(eps))
-                assert abs(log_term_coefficient(N, p)) < 1e-8
                 ks = k_sequence(N + float(eps), p, "minus", N)
                 assert abs(ks[N]) < 1e-8
 
@@ -300,11 +298,8 @@ class TestCountBrackets:
     @given(g=st.floats(0.1, 2.5), delta=st.floats(0.3, 2.0),
            eps=st.one_of(st.sampled_from((0.0, 0.5, -0.5)), st.floats(-1.0, 1.0)))
     def test_matches_certified_oracle(self, g, delta, eps):
-        import warnings as w
         p = ModelParams(g, delta, eps)
-        with w.catch_warnings():
-            w.simplefilter("ignore", RuntimeWarning)
-            lams = expand_multiplicities(full_spectrum(p, g * g + 4.0))
+        lams = expand_multiplicities(full_spectrum(p, g * g + 4.0))
         ev, _ = oracle.certified_eigenvalues(p, len(lams) + 1)
         assert lams == pytest.approx(ev[:-1], abs=1e-7)
         assert ev[-1] > 4.0 - 1e-7
@@ -363,45 +358,55 @@ class TestNearExceptional:
 
 
 class TestJuddianMembership:
-    """`_juddian_here` on rational bias: one exact Sturm count on a cached
-    chain, checked against the refined-root predicate it replaced."""
+    """`_juddian_here` is one exact Sturm count on a cached chain for every
+    bias, a float bias with no low-denominator match taken as its exact
+    dyadic value; checked against the refined-root predicate it replaced."""
 
     @staticmethod
     def _old_predicate(roots, g):
         return any(abs(gj - g) <= 1e-7 * max(1.0, g) for gj, _ in roots)
 
+    def _check(self, rng, N, eps, delta):
+        from aqrm.spectrum import _juddian_here
+        roots = juddian_roots(N, Fraction(eps), Fraction(delta), Fraction(1, 2 ** 52))
+
+        def here(g):
+            return _juddian_here(N, ModelParams(g, delta, float(eps)), float(eps))
+
+        for gj, _ in roots:
+            s = max(1.0, gj)
+            assert here(gj)
+            assert here(gj + 3e-8 * s) and here(gj - 3e-8 * s)
+            assert not here(gj + 3e-7 * s)
+            assert not here(gj - 3e-7 * s)
+        for _ in range(10):
+            g = rng.uniform(0.01, 3.0)
+            assert here(g) == self._old_predicate(roots, g)
+        for _ in range(10 if roots else 0):
+            gj = rng.choice(roots)[0]
+            g = gj + rng.uniform(-2e-7, 2e-7) * max(1.0, gj)
+            assert here(g) == self._old_predicate(roots, g)
+        return len(roots)
+
     def test_matches_refined_root_predicate(self):
         import random
-        from aqrm.spectrum import _juddian_here
+        from aqrm.spectrum import exact_bias
         rng = random.Random(20171211)
         checked = 0
         for N in range(9):
             for eps in (Fraction(0), Fraction(1, 2), Fraction(-1, 2),
                         Fraction(1), Fraction(3, 2), Fraction(3, 10)):
                 for delta in (0.5, 1.0, 1.5):
-                    roots = juddian_roots(N, eps, Fraction(delta), Fraction(1, 2 ** 52))
-
-                    def here(g):
-                        return _juddian_here(N, ModelParams(g, delta, float(eps)),
-                                             float(eps))
-
-                    for gj, _ in roots:
-                        s = max(1.0, gj)
-                        assert here(gj)
-                        assert here(gj + 3e-8 * s) and here(gj - 3e-8 * s)
-                        assert not here(gj + 3e-7 * s)
-                        assert not here(gj - 3e-7 * s)
-                        checked += 1
-                    for _ in range(10):
-                        g = rng.uniform(0.01, 3.0)
-                        assert here(g) == self._old_predicate(roots, g)
-                    for _ in range(10):
-                        if not roots:
-                            break
-                        gj = rng.choice(roots)[0]
-                        g = gj + rng.uniform(-2e-7, 2e-7) * max(1.0, gj)
-                        assert here(g) == self._old_predicate(roots, g)
+                    checked += self._check(rng, N, eps, delta)
         assert checked > 100
+        # biases with no low-denominator match, N <= 6
+        checked = 0
+        for eps in (math.sqrt(2) / 4, 0.123456789, 0.30000001):
+            assert exact_bias(eps) is None
+            for N in range(7):
+                for delta in (0.5, 1.0, 1.5):
+                    checked += self._check(rng, N, eps, delta)
+        assert checked > 30
 
     def test_sweep_builds_each_chain_once(self, monkeypatch):
         from aqrm import roots as roots_mod
@@ -528,11 +533,8 @@ class TestDyadicReporting:
     @given(g=st.floats(0.1, 2.5), delta=st.floats(0.3, 2.0),
            eps=st.one_of(st.sampled_from((0.0, 0.5, -0.5)), st.floats(-1.0, 1.0)))
     def test_levels_are_certified_cell_midpoints(self, g, delta, eps):
-        import warnings as w
         p = ModelParams(g, delta, eps)
-        with w.catch_warnings():
-            w.simplefilter("ignore", RuntimeWarning)
-            recs = full_spectrum(p, g * g + 4.0)
+        recs = full_spectrum(p, g * g + 4.0)
         for r in recs:
             if r.kind == KIND_REGULAR:
                 j = math.floor(r.x / self.H)
