@@ -12,6 +12,7 @@ from .series import ModelParams
 
 _WIDTH = 1.01e-12    # bisection width of each eigenvalue
 M_STEP = 20          # truncation step of the convergence check
+M_MAX = 100_000      # largest truncation; checked before any rung is built
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +40,28 @@ def _pivot(x: float, scale: float) -> float:
     return x if abs(x) >= t else (t if x > 0.0 else -t)
 
 
-def _band_count_below(ladder: list[tuple[float, float, float, float]], sigma: float) -> int:
-    """Eigenvalues strictly below sigma: the negative eigenvalues of the Schur
-    complements S_k = D_k - sigma - c_{k-1}^2 S_{k-1}^{-1}, summed (Haynsworth
-    inertia additivity). S_k = [[p, b], [b, d]] has one if det < 0, two if
-    det > 0 and p < 0. When det is zero, below 1e-300 in magnitude (its
-    reciprocal would overflow) or NaN, S_k is read through its scalar LDL^T
-    pivots instead, each kept away from zero by _pivot."""
+def _band_count_below(ladder: list[tuple[float, float, float, float]],
+                      sigma: float) -> tuple[int, int]:
+    """(n, k): n eigenvalues strictly below sigma, counted on rungs 0..k.
+    n sums the negative eigenvalues of the Schur complements
+    S_k = D_k - sigma - c_{k-1}^2 S_{k-1}^{-1} (Haynsworth inertia
+    additivity). S_k = [[p, b], [b, d]] has one if det < 0, two if det > 0
+    and p < 0. When det is zero, below 1e-300 in magnitude (its reciprocal
+    would overflow) or NaN, S_k is read through its scalar LDL^T pivots
+    instead, each kept away from zero by _pivot.
+
+    The count stops at the first rung k whose S_k certifies the tail. With
+    r = sqrt(delta^2 + eps^2), lambda_min(D_j) = j - r, so lambda_min(S_j) >=
+    mu implies S_{j+1} >= ((j + 1)(1 - g^2/mu) - r - sigma) I. Take S_k > 0
+    and mu = det / (2 (p + d)) <= lambda_min(S_k) / 2. If mu > g^2 and
+    (k + 1)(1 - g^2/mu) - r - sigma >= mu, every later S_j >= mu I by
+    induction and adds nothing, for every truncation at or above k. The
+    factor 2 is far more slack than rounding takes, so n is the count of the
+    whole ladder. Without such a rung, k is the last rung."""
+    g2 = ladder[1][0] if len(ladder) > 1 else 0.0     # c_0^2 = g^2
+    h = 0.5 / g2 if g2 > 0.0 else math.inf            # mu > g^2 iff 1/(2 mu) < h
+    _, da, db, eps = ladder[0]
+    s = math.hypot(0.5 * (da - db), eps) + sigma      # r + sigma
     count = 0
     u = v = w = 0.0                       # S_{k-1}^{-1} = [[u, v], [v, w]]
     for c2, da, db, eps in ladder:
@@ -54,9 +70,17 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]], sigma: fl
         d = db - sigma - c2 * w
         det = p * d - b * b
         if det > 1e-300 or det < -1e-300:
-            count += 1 if det < 0.0 else 2 * (p < 0.0)
             r = 1.0 / det
             u, v, w = d * r, -b * r, p * r
+            if det < 0.0:
+                count += 1
+            elif p < 0.0:
+                count += 2
+            elif u + w < h:               # S_k > 0 and u + w = 1/(2 mu)
+                t = u + w
+                k = 0.5 * (da + db)       # D_k = k I + traceless part
+                if 2.0 * t * ((k + 1.0) * (1.0 - 2.0 * g2 * t) - s) >= 1.0:
+                    return count, round(k)
             continue
         scale = max(1.0, abs(p), abs(d))
         p = _pivot(p, scale)
@@ -66,7 +90,7 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]], sigma: fl
         w = 1.0 / q
         v = -l * w
         u = 1.0 / p - l * v
-    return count
+    return count, len(ladder) - 1
 
 
 class TruncationError(ArithmeticError):
@@ -75,13 +99,21 @@ class TruncationError(ArithmeticError):
 
 def level_counter(params: ModelParams, M: int):
     """sigma -> the number of eigenvalues below sigma of the Hamiltonian
-    truncated at boson number M; raises TruncationError where the count at
-    M + M_STEP differs (the truncation has not converged there)."""
+    truncated at boson number M (at most M_MAX); raises TruncationError where
+    the count at M + M_STEP differs (the truncation has not converged there).
+    Each probe counts once on the M + M_STEP ladder. When that count stops at
+    a certified rung k <= M, it holds for every truncation from k on, M
+    included. Only a probe that runs past rung M also counts on the first
+    M + 1 rungs, and only such a probe can raise."""
+    if M > M_MAX:
+        raise ValueError(f"M must be at most {M_MAX}")
     rungs = _ladder(params, M + M_STEP)
-    low = rungs[:M + 1]
 
     def count(sigma: float) -> int:
-        n, m = _band_count_below(low, sigma), _band_count_below(rungs, sigma)
+        m, k = _band_count_below(rungs, sigma)
+        if k <= M:
+            return m
+        n = _band_count_below(rungs[:M + 1], sigma)[0]
         if n != m:
             raise TruncationError(
                 f"truncation M={M} not converged: {n} eigenvalues below "
@@ -93,10 +125,11 @@ def level_counter(params: ModelParams, M: int):
 
 def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     """Lowest eigenvalues of the Hamiltonian truncated at boson number M
-    (at least 8), through inertia bisection on the parity ladder, O(M) per
-    probe."""
-    if M < 8:
-        raise ValueError("M must be at least 8")
+    (at least 8, at most M_MAX), through inertia bisection on the parity
+    ladder. A probe at sigma counts rung by rung up to the certified tail
+    rung of _band_count_below, about sigma + O(g^2), and never past M."""
+    if not 8 <= M <= M_MAX:
+        raise ValueError(f"M must be at least 8 and at most {M_MAX}")
     if count < 0:
         raise ValueError("count must be nonnegative")
     d, e = params.delta, abs(params.eps)
@@ -111,7 +144,7 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     hi = max(a + r for a, r in rows) + 1.0
     out = []
     for k in range(count):
-        out.append(bisect_count(lambda s: _band_count_below(ladder, s),
+        out.append(bisect_count(lambda s: _band_count_below(ladder, s)[0],
                                 lo, hi, k, _WIDTH))
         lo = out[-1] - 1e-9  # eigenvalues are sorted; restart just below
     return out

@@ -4,13 +4,15 @@ rows and cyclic Jacobi eigenvalues, independent of the parity-ladder count in
 most accurate of the classical dense methods (Demmel & Veselic, SIAM J.
 Matrix Anal. Appl. 13 (1992)). Also all eigenvalues of a real symmetric
 tridiagonal matrix by Sturm-count bisection, the reference for the parity
-chains and for the y-roots of the constraint polynomials."""
+chains and for the y-roots of the constraint polynomials, and the parity-ladder
+count run over every rung, the reference for its certified early stop."""
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
+from aqrm.oracle import _pivot
 from aqrm.roots import bisect_count
 
 
@@ -113,3 +115,29 @@ def sym_tridiag_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
             for k in range(n)]
     eigs.sort()
     return eigs
+
+
+def band_count_full(ladder, sigma: float) -> int:
+    """The parity-ladder inertia count of `aqrm.oracle._band_count_below`
+    without its certified stop: the same Schur recursion over every rung."""
+    count = 0
+    u = v = w = 0.0                       # S_{k-1}^{-1} = [[u, v], [v, w]]
+    for c2, da, db, eps in ladder:
+        p = da - sigma - c2 * u
+        b = eps - c2 * v
+        d = db - sigma - c2 * w
+        det = p * d - b * b
+        if det > 1e-300 or det < -1e-300:
+            count += 1 if det < 0.0 else 2 * (p < 0.0)
+            r = 1.0 / det
+            u, v, w = d * r, -b * r, p * r
+            continue
+        scale = max(1.0, abs(p), abs(d))
+        p = _pivot(p, scale)
+        l = b / p
+        q = _pivot(d - l * b, scale)
+        count += (p < 0.0) + (q < 0.0)
+        w = 1.0 / q
+        v = -l * w
+        u = 1.0 / p - l * v
+    return count

@@ -245,6 +245,20 @@ class TestInputRange:
         assert code == 2 and out == ""
         assert "is negative" in err
 
+    def test_truncation_above_the_cap_exit_two(self, capsys, monkeypatch):
+        # refused before any rung is built: a ladder for M = 10^9 would need
+        # about 10^9 tuples, so building one fails this test instead
+        from aqrm import oracle
+
+        def no_ladder(params, M):
+            raise AssertionError(f"ladder built for M={M}")
+
+        monkeypatch.setattr(oracle, "_ladder", no_ladder)
+        code, out, err = run(capsys, "oracle", "--g", "1", "--delta", "1", "--eps", "0.2",
+                             "--M", "1000000000", "--count", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: M must be at least 8 and at most {oracle.M_MAX}\n"
+
     def test_incomplete_spectrum_exit_two(self, capsys):
         # two levels 5e-11 apart: the level count cannot separate them
         code, out, err = run(capsys, "spectrum", "--g", "3.5", "--delta", "1",

@@ -2,14 +2,17 @@
 checked against the dense Jacobi reference in tests/_dense.py."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _dense import eigenvalues, sym_tridiag_eigenvalues, truncated_hamiltonian
+from _dense import band_count_full, eigenvalues, sym_tridiag_eigenvalues, truncated_hamiltonian
+from aqrm import oracle
 from aqrm.oracle import (
+    M_MAX,
     TruncationError,
     _band_count_below,
     _ladder,
@@ -147,7 +150,7 @@ def ladder_count(g, delta, eps, M, sigma):
     """Ladder inertia count; a namespace stands in for ModelParams so that
     g <= 0 and delta = 0 can be probed too."""
     params = SimpleNamespace(g=g, delta=delta, eps=eps)
-    return _band_count_below(_ladder(params, M), sigma)
+    return _band_count_below(_ladder(params, M), sigma)[0]
 
 
 def dense_count(g, delta, eps, M, sigma):
@@ -169,7 +172,7 @@ class TestLadderCount:
         assume(sigmas)
         ladder = _ladder(params, M)
         for s in sigmas:
-            assert _band_count_below(ladder, s) == sum(e < s for e in eigs), s
+            assert _band_count_below(ladder, s)[0] == sum(e < s for e in eigs), s
 
     @pytest.mark.parametrize("g", (1e-14, 0.0))
     @pytest.mark.parametrize("sign", (+1, -1))
@@ -217,6 +220,122 @@ class TestLadderCount:
                 n = ladder_count(g, delta, eps, 20, sigma)
                 assert ladder_count(-g, delta, eps, 20, sigma) == n
                 assert dense_count(-g, delta, eps, 20, sigma) == n
+
+
+class TestTailCertificate:
+    """The count stops at a rung whose Schur complement certifies every later
+    rung positive definite; band_count_full runs the same recursion over all
+    rungs."""
+
+    @given(g=st.floats(0, 4), delta=st.floats(0, 2), eps=st.floats(-2, 2),
+           M=st.integers(8, 400), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_stop_keeps_the_full_count(self, g, delta, eps, M, data):
+        params = SimpleNamespace(g=g, delta=delta, eps=eps)
+        sigma = data.draw(st.floats(-g * g - 3.0, M + 10.0))
+        ladder, longer = _ladder(params, M), _ladder(params, M + 200)
+        n, k = _band_count_below(ladder, sigma)
+        assert n == band_count_full(ladder, sigma) and k <= M
+        n_long, k_long = _band_count_below(longer, sigma)
+        assert n_long == band_count_full(longer, sigma)
+        if k_long <= M:
+            # stopped by rung M: the count holds for both truncations
+            assert (n, k) == (n_long, k_long)
+
+    def test_both_kinds_of_probe(self):
+        # low sigma stops within a few rungs, sigma above the truncation runs
+        # the whole ladder
+        ladder = _ladder(ModelParams(1.0, 1.0, 0.2), 40)
+        for sigma, stops in ((-2.0, True), (3.5, True), (45.0, False)):
+            n, k = _band_count_below(ladder, sigma)
+            assert n == band_count_full(ladder, sigma)
+            assert (k < 40) == stops
+
+    def test_zero_coupling(self):
+        # g = 0: the rungs decouple into levels j +/- r; the stop comes right
+        # after the last rung with a level below sigma
+        delta, eps = 0.7, 0.3
+        r = math.hypot(delta, eps)
+        ladder = _ladder(SimpleNamespace(g=0.0, delta=delta, eps=eps), 30)
+        for sigma in (-1.0, 0.5, 2.5, 7.9):
+            n, k = _band_count_below(ladder, sigma)
+            assert n == band_count_full(ladder, sigma)
+            assert n == sum(j + s * r < sigma for j in range(31) for s in (-1, 1))
+            assert k < 30
+
+    def test_negative_coupling(self):
+        # the ladder holds c^2 only, so -g gives the same count and stop as g
+        for sigma in (-4.0, 0.3, 6.2):
+            ladders = [_ladder(SimpleNamespace(g=g, delta=0.9, eps=-0.4), 60)
+                       for g in (1.7, -1.7)]
+            counts = [_band_count_below(lad, sigma) for lad in ladders]
+            assert counts[0] == counts[1]
+            assert counts[0][0] == band_count_full(ladders[1], sigma)
+            assert counts[0][1] < 60
+
+    def test_one_rung_ladder(self):
+        # M = 0: the 2x2 block alone, levels +/- sqrt(delta^2 + eps^2) = 0.5
+        ladder = _ladder(SimpleNamespace(g=1.0, delta=0.3, eps=0.4), 0)
+        assert len(ladder) == 1
+        for sigma, n in ((-1.0, 0), (0.0, 1), (1.0, 2)):
+            assert _band_count_below(ladder, sigma) == (n, 0)
+
+    def test_never_stops_on_nan(self):
+        ladder = _ladder(ModelParams(1.0, 1.0, 0.2), 40)
+        n, k = _band_count_below(ladder, math.nan)
+        assert k == 40 and n == band_count_full(ladder, math.nan)
+
+
+class TestLevelCounter:
+    def counting_calls(self, monkeypatch):
+        calls = []
+        count = oracle._band_count_below
+
+        def counted(ladder, sigma):
+            calls.append(len(ladder))
+            return count(ladder, sigma)
+
+        monkeypatch.setattr(oracle, "_band_count_below", counted)
+        return calls
+
+    def test_one_pass_when_the_count_stops_by_rung_M(self, monkeypatch):
+        p = ModelParams(1.0, 1.0, 0.2)
+        sigmas = (-3.0, 0.4, 4.2, 12.5)
+        assert all(_band_count_below(_ladder(p, 60), s)[1] <= 40 for s in sigmas)
+        calls = self.counting_calls(monkeypatch)
+        n = level_counter(p, 40)
+        assert [n(s) for s in sigmas] == [band_count_full(_ladder(p, 40), s) for s in sigmas]
+        assert calls == [61] * len(sigmas)
+
+    def test_two_passes_past_rung_M(self, monkeypatch):
+        # the ground state at g = 1000 lies near -1e6: no rung up to 100
+        # certifies the tail, so the probe also counts on the M = 80 ladder
+        p = ModelParams(1000.0, 1.0, 0.2)
+        sigma = lowest_eigenvalues(p, 80, 1)[0] + 1e-6
+        calls = self.counting_calls(monkeypatch)
+        with pytest.raises(TruncationError, match="1 eigenvalues below .* at M=80, 8 at M=100"):
+            level_counter(p, 80)(sigma)
+        assert calls == [101, 81]
+
+    def test_truncation_cap_comes_first(self, monkeypatch):
+        # the cap is checked before a single rung is built: a ladder for
+        # M = 10^9 would hold 10^9 tuples
+        def no_ladder(params, M):
+            raise AssertionError(f"ladder built for M={M}")
+
+        monkeypatch.setattr(oracle, "_ladder", no_ladder)
+        p = ModelParams(1.0, 1.0, 0.2)
+        tracemalloc.start()
+        try:
+            for call in (lambda: lowest_eigenvalues(p, 10 ** 9, 1),
+                         lambda: level_counter(p, 10 ** 9),
+                         lambda: level_counter(p, M_MAX + 1)):
+                with pytest.raises(ValueError, match=f"at most {M_MAX}$"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestParitySplit:
