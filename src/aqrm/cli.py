@@ -7,7 +7,6 @@ be incomplete."""
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -97,6 +96,7 @@ def cmd_poly(args) -> int:
     else:
         p = poly.q_poly(args.N, eps, k)
     if args.format == "json":
+        import json
         _emit(json.dumps(p.to_json_obj()) + "\n", args.out)
     else:
         _emit(str(p) + "\n", args.out)
@@ -112,6 +112,7 @@ def cmd_divide(args) -> int:
     obj = {"N": args.N, "ell": args.ell, "exact": exact,
            "quotient": quot.to_json_obj() if exact else None}
     if args.format == "json":
+        import json
         _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
     else:
         _emit(f"exact={exact}\nquotient={quot}\n", args.out)
@@ -166,6 +167,7 @@ def cmd_residue(args) -> int:
         out = {"x0": x0, "order": 1, "residue": res,
                "residue_numeric": residue_numeric(x0, params, order=1)}
     if args.format == "json":
+        import json
         _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
     else:
         _emit("".join(f"{k}={fmt_float(v) if isinstance(v, float) else v}\n"

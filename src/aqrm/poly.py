@@ -187,38 +187,61 @@ def lambda_weight(k: int, N: int) -> int:
 # constraint polynomials
 # ---------------------------------------------------------------------------
 
-def _add_shifted(acc: dict, terms: dict, w, di: int = 0, dj: int = 0) -> None:
-    """acc += w * x^di * y^dj * terms, in place: a monomial factor only shifts
-    each exponent key, so no product of polynomials is formed."""
-    if not w:
-        return
-    get = acc.get
-    if di or dj:
-        for (i, j), v in terms.items():
-            key = (i + di, j + dj)
-            acc[key] = get(key, 0) + w * v
-    else:
-        for key, v in terms.items():
-            acc[key] = get(key, 0) + w * v
+def _l1_bounds(N: int, eps: Fraction, k_max: int) -> list[int]:
+    """[B_0, ..., B_{k_max}]: B_k bounds the sum of the absolute coefficients
+    of R_k, by the triangle inequality on the recurrence of _family (eps = p/q):
+        B_k = (q k + q + |k(k q + 2 p)|) B_{k-1} + q^2 |lambda_k| B_{k-2}."""
+    p, q = eps.numerator, eps.denominator
+    out, prev = [1], 0
+    for k in range(1, k_max + 1):
+        out.append((q * k + q + abs(k * (k * q + 2 * p))) * out[-1]
+                   + q * q * abs(lambda_weight(k, N)) * prev)
+        prev = out[-2]
+    return out
 
 
-def _scaled_family(N: int, eps: Fraction, k_max: int) -> list[dict]:
-    """[R_0, ..., R_{k_max}], R_k = q^k P_k^(N,eps) as integer term dicts,
-    eps = p/q in lowest terms:
-        R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2}."""
+def _family(N: int, eps: Fraction, k_max: int, s: int, w: int) -> list[int]:
+    """[r_0, ..., r_{k_max}], r_k = R_k(2^s, 2^(s w)) for the integer members
+    R_k = q^k P_k^(N,eps), eps = p/q in lowest terms, by Kronecker substitution
+    into their recurrence, where x and y are shifts:
+        R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2}.
+    Packing is a ring map, so each r_k is exact for any s and w. A polynomial
+    combination of members is 0 exactly when its packed integer is, once
+    2^(s-1) exceeds its l1 bound and w its x-degree: its balanced base-2^s
+    digits, the coefficients of x^i y^j at digit i + w j, are then unique."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     p, q = eps.numerator, eps.denominator
-    fam = [{(0, 0): 1}]
+    fam, prev = [1], 0
     for k in range(1, k_max + 1):
-        acc: dict = {}
-        _add_shifted(acc, fam[k - 1], q * k, 1, 0)
-        _add_shifted(acc, fam[k - 1], q, 0, 1)
-        _add_shifted(acc, fam[k - 1], -k * (k * q + 2 * p))
-        if k > 1:
-            _add_shifted(acc, fam[k - 2], -q * q * lambda_weight(k, N), 1, 0)
-        fam.append({key: v for key, v in acc.items() if v})
+        r = fam[-1]
+        fam.append(((q * k * r - q * q * lambda_weight(k, N) * prev) << s)
+                   + ((q * r) << s * w) - k * (k * q + 2 * p) * r)
+        prev = r
     return fam
+
+
+def _width(bound: int) -> int:
+    """The digit width s, a whole number of bytes, with 2^(s-1) > bound."""
+    return (bound.bit_length() // 8 + 1) * 8
+
+
+def _unpack(v: int, s: int, w: int, n: int) -> dict:
+    """The nonzero coefficients {(i, j): c} of the polynomial packed as
+    v = sum c_ij 2^(s (i + w j)), i < w, j < n, |c_ij| < 2^(s-1), s a multiple
+    of 8. Adding the geometric sum of 2^(s-1) over all w n digits makes every
+    digit nonnegative without a carry, so the bytes of the sum are the digits."""
+    nb, half = s // 8, 1 << (s - 1)
+    raw = (v + int.from_bytes(half.to_bytes(nb, "little") * (w * n), "little")
+           ).to_bytes(nb * w * n, "little")
+    return {(t % w, t // w): c for t in range(w * n)
+            if (c := int.from_bytes(raw[t * nb:(t + 1) * nb], "little") - half)}
+
+
+def _member(N: int, eps: Fraction, k: int) -> dict:
+    """The integer coefficients {(i, j): c} of R_k = q^k P_k^(N,eps)."""
+    s = _width(_l1_bounds(N, eps, k)[-1])
+    return _unpack(_family(N, eps, k, s, k + 1)[-1], s, k + 1, k + 1)
 
 
 def constraint_poly(N: int, eps, k: int) -> BivarPoly:
@@ -226,19 +249,19 @@ def constraint_poly(N: int, eps, k: int) -> BivarPoly:
 
         P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2},
 
-    with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps, run on the
-    integer members R_k = q^k P_k; only the last is divided by q^k."""
+    with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps, run on the packed
+    integer members R_k = q^k P_k; only the last is unpacked and divided."""
     eps = _frac(eps)
-    last = _scaled_family(N, eps, k)[-1]
     out = BivarPoly()
-    out.terms = {key: Fraction(v, eps.denominator ** k) for key, v in last.items()}
+    out.terms = {key: Fraction(v, eps.denominator ** k)
+                 for key, v in _member(N, eps, k).items()}
     return out
 
 
 @lru_cache(maxsize=128)
 def _top_member(N: int, eps: Fraction) -> tuple:
     """The terms of R_N, built once for all the slices of one (N, eps)."""
-    return tuple(_scaled_family(N, eps, N)[-1].items())
+    return tuple(_member(N, eps, N).items())
 
 
 def constraint_slice(N: int, eps, y) -> UniPoly:
@@ -337,34 +360,27 @@ def a_value(N: int, ell: int, x, y):
 
 
 def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
-    """Exact division of P_{N+l}^(N+l,-l/2) by P_N^(N,l/2), on the integer
-    members: R_{N+l} / R_N = q^l A_N^l with q the denominator of l/2. The
-    divisor's leading x-coefficient is the constant N! q^N, so each quotient
-    coefficient must be an exact integer division by it.
+    """Exact division of P_{N+l}^(N+l,-l/2) by P_N^(N,l/2), checked as the
+    product identity R_{N+l} = q^l A_N^l R_N of the integer members (q the
+    denominator of l/2), A_N^l from a_poly, on their packed integers. The
+    divisor's leading x-coefficient is the constant N! q^N, so division by it
+    is unique: the identity holds exactly when the remainder is 0 and the
+    quotient is q^l A_N^l.
 
-    Returns (quotient, exact). A nonzero remainder, or a quotient different
-    from a_poly(N, ell), raises DivisibilityError since either would falsify
-    a proven identity.
+    Returns (quotient, exact). A failed identity raises DivisibilityError
+    since it would falsify a proven theorem.
     """
     half = Fraction(ell, 2)
-    rem = _scaled_family(N + ell, -half, N + ell)[-1]
-    small = _scaled_family(N, half, N)[-1]
-    lc = small[(N, 0)]
-    quot = {}
-    for s in range(ell, -1, -1):
-        top = [(j, v) for (i, j), v in rem.items() if i == s + N and v]
-        for j, v in top:
-            c, r = divmod(v, lc)
-            if r:
-                raise DivisibilityError(f"non-integer quotient for N={N}, ell={ell}")
-            quot[(s, j)] = c
-            _add_shifted(rem, small, -c, s, j)
-    if any(rem.values()):
-        raise DivisibilityError(f"nonzero remainder for N={N}, ell={ell}")
-    a = a_poly(N, ell)
     scale = half.denominator ** ell
-    if quot != {key: v * scale for key, v in a.terms.items()}:
-        raise DivisibilityError(f"quotient mismatch for N={N}, ell={ell}")
+    a = a_poly(N, ell)
+    s = _width(_l1_bounds(N + ell, -half, N + ell)[-1] + scale
+               * sum(map(abs, a.terms.values())) * _l1_bounds(N, half, N)[-1])
+    w = N + ell + 1
+    packed_a = sum(c << s * (i + w * j) for (i, j), c in a.terms.items())
+    if (_family(N + ell, -half, N + ell, s, w)[-1]
+            != scale * packed_a * _family(N, half, N, s, w)[-1]):
+        raise DivisibilityError(f"P_N does not divide P_(N+l) as q^l A_N^l "
+                                f"for N={N}, ell={ell}")
     return a, True
 
 
@@ -374,18 +390,20 @@ def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
 
 def laguerre_poly(k: int, alpha) -> BivarPoly:
     """Generalized Laguerre polynomial L_k^(alpha)(x) as a polynomial in x,
-    via the standard recurrence (independent of the constraint recurrence):
-    (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}."""
+    via the standard recurrence (independent of the constraint recurrence)
+    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}, run on the integer
+    polynomials M_j = b^j j! L_j, alpha = a/b:
+        M_{j+1} = ((2j+1) b + a - b x) M_j - b j (j b + a) M_{j-1};
+    only M_k is divided, by b^k k!."""
     alpha = _frac(alpha)
-    p0 = BivarPoly.const(1)
-    if k == 0:
-        return p0
-    p1 = BivarPoly.const(1 + alpha) - _X
-    for j in range(1, k):
-        p2 = ((BivarPoly.const(2 * j + 1 + alpha) - _X) * p1
-              - BivarPoly.const(j + alpha) * p0) * Fraction(1, j + 1)
-        p0, p1 = p1, p2
-    return p1
+    a, b = alpha.numerator, alpha.denominator
+    m0, m1 = [], [1]
+    for j in range(k):
+        c, e = (2 * j + 1) * b + a, b * j * (j * b + a)
+        m0, m1 = m1, [c * u - b * v - e * t
+                      for u, v, t in zip(m1 + [0], [0] + m1, m0 + [0, 0])]
+    den = b ** k * math.factorial(k)
+    return BivarPoly({(i, 0): Fraction(c, den) for i, c in enumerate(m1)})
 
 
 def laguerre_check(k: int, eps) -> bool:
@@ -405,24 +423,20 @@ def generating_identity_check(N: int, ell: int, k_max: int) -> bool:
     """Binomial transfer between normalized families: for every k <= k_max,
     Ptilde_k^(N+l,-l/2) = sum_i binom(l, k-i) Ptilde_i^(N,l/2), exactly.
 
-    Checked on the integer members R_k = q^k P_k (q the denominator of l/2)
-    after multiplying by q^k k! (k+1)!, which turns each weight into the
-    integer binom(l, k-i) q^(k-i) k! (k+1)! / (i! (i+1)!).
+    Checked on the packed integer members R_k = q^k P_k (q the denominator
+    of l/2) after multiplying by q^k k! (k+1)!, which turns each weight into
+    the integer binom(l, k-i) q^(k-i) k! (k+1)! / (i! (i+1)!).
     """
     half = Fraction(ell, 2)
     q = half.denominator
-    left = _scaled_family(N + ell, -half, k_max)
-    right = _scaled_family(N, half, k_max)
-    for k in range(k_max + 1):
-        norm_k = math.factorial(k) * math.factorial(k + 1)
-        acc: dict = {}
-        for i in range(max(0, k - ell), k + 1):
-            w = math.comb(ell, k - i) * norm_k \
-                // (math.factorial(i) * math.factorial(i + 1))
-            _add_shifted(acc, right[i], w * q ** (k - i))
-        if {key: v for key, v in acc.items() if v} != left[k]:
-            return False
-    return True
+    weights = [[(i, math.comb(ell, k - i) * math.factorial(k) * math.factorial(k + 1)
+                 // (math.factorial(i) * math.factorial(i + 1)) * q ** (k - i))
+                for i in range(max(0, k - ell), k + 1)] for k in range(k_max + 1)]
+    lb, rb = _l1_bounds(N + ell, -half, k_max), _l1_bounds(N, half, k_max)
+    s = _width(max(lb[k] + sum(v * rb[i] for i, v in ws) for k, ws in enumerate(weights)))
+    left = _family(N + ell, -half, k_max, s, k_max + 1)
+    right = _family(N, half, k_max, s, k_max + 1)
+    return all(left[k] == sum(v * right[i] for i, v in ws) for k, ws in enumerate(weights))
 
 
 def ode_coefficient_check(N: int, eps, k_max: int) -> bool:
@@ -435,20 +449,17 @@ def ode_coefficient_check(N: int, eps, k_max: int) -> bool:
         + (N-m) x Pt_{m-1},
     tested after multiplying by the nonzero constant q^(m+1) m! (m+1)!
     (eps = p/q), which turns every Pt_i into the integer member
-    R_i = q^i P_i, times q^(m+1-i)."""
+    R_i = q^i P_i, times q^(m+1-i), on the packed members."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     eps = _frac(eps)
     p, q = eps.numerator, eps.denominator
-    r = _scaled_family(N, eps, k_max)
-    for k in range(2, k_max + 1):
-        m = k - 1
-        acc = dict(r[m + 1])
-        _add_shifted(acc, r[m], -(m + 1) * q, 1, 0)
-        _add_shifted(acc, r[m], -q, 0, 1)
-        _add_shifted(acc, r[m], q * (m * (m - 1) + 3 * m + 1) + 2 * p * (m + 1))
-        _add_shifted(acc, r[m - 1], q * q * m * (m + 1) * (N - m), 1, 0)
-        if any(acc.values()):
-            return False
-    return True
-
+    # R_{m+1} - (a x + q y - c) R_m + d x R_{m-1}
+    steps = [(m, (m + 1) * q, q * (m * (m - 1) + 3 * m + 1) + 2 * p * (m + 1),
+              q * q * m * (m + 1) * (N - m)) for m in range(1, k_max)]
+    bd = _l1_bounds(N, eps, k_max)
+    s = _width(max(bd[m + 1] + (a + q + abs(c)) * bd[m] + abs(d) * bd[m - 1]
+                   for m, a, c, d in steps))
+    r = _family(N, eps, k_max, s, k_max + 1)
+    return all(r[m + 1] + c * r[m] == ((a * r[m] - d * r[m - 1]) << s)
+               + ((q * r[m]) << s * (k_max + 1)) for m, a, c, d in steps)

@@ -141,20 +141,18 @@ def _integer_coeffs(p: UniPoly) -> tuple[int, ...]:
 def _neg_prem(a: list[int], b: list[int]) -> list[int]:
     """The primitive part of -|lc b|^k a mod b: minus the remainder of a by b,
     scaled by a positive integer (a pseudo-remainder on |lc b|, so no sign is
-    lost; Collins 1967, Brown & Traub 1971). Empty when b divides a."""
+    lost; Collins 1967, Brown & Traub 1971). Empty when b divides a. Each
+    division step is one pass r <- |lc b| r - c x^k b, with b[:-1] aligned
+    under r by zero padding."""
     r = list(a)
     db = len(b) - 1
     s = abs(b[-1])
+    pad = [0] * len(a) + list(b[:-1])
     while len(r) > db:
-        c = r[-1]
+        c = r.pop()
         if c:
             f = c if b[-1] > 0 else -c
-            k = len(r) - 1 - db
-            if s != 1:
-                r = [s * v for v in r]
-            for j, bj in enumerate(b):
-                r[k + j] -= f * bj
-        r.pop()
+            r = [s * v - f * u for v, u in zip(r, pad[len(a) + db - len(r):])]
     while r and r[-1] == 0:
         r.pop()
     return _primitive([-v for v in r]) if r else []
@@ -229,18 +227,19 @@ def _variations(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _variations_at(chain: Sequence[UniPoly], t) -> int:
-    return _variations([_value(q.coeffs, t) for q in chain])
+def _variations_at(chain: Sequence[Sequence[int]], t) -> int:
+    return _variations([_value(c, t) for c in chain])
 
 
-def _variations_at_inf(chain: Sequence[UniPoly], positive: bool) -> int:
-    return _variations([q.lc if positive or q.degree % 2 == 0 else -q.lc for q in chain])
+def _variations_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
+    return _variations([c[-1] if positive or len(c) % 2 else -c[-1] for c in chain])
 
 
-def sturm_count(chain: Sequence[UniPoly], lo: Fraction | None = None,
+def sturm_count(chain: Sequence[Sequence[int]], lo: Fraction | None = None,
                 hi: Fraction | None = None) -> int:
     """Number of distinct real roots in (lo, hi] of the squarefree polynomial
-    whose Sturm chain is given; open ends at infinity when a bound is None."""
+    whose Sturm chain is given, as integer coefficient tuples; open ends at
+    infinity when a bound is None."""
     va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
     vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
     return va - vb
@@ -249,11 +248,9 @@ def sturm_count(chain: Sequence[UniPoly], lo: Fraction | None = None,
 def count_real_roots(p: UniPoly, lo: Fraction | None = None,
                      hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi]; open ends at infinity
-    when a bound is None."""
-    sf = squarefree_part(p)
-    if sf.degree == 0:
-        return 0
-    return sturm_count(sturm_chain(sf), lo, hi)
+    when a bound is None. Counted on the integer chain of the square-free part."""
+    sf = squarefree_part(p).coeffs
+    return sturm_count(_chain(sf), lo, hi) if len(sf) > 1 else 0
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -272,7 +269,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     sf = squarefree_part(p)
     if sf.degree == 0:
         return []
-    chain = sturm_chain(sf)
+    chain = [q.coeffs for q in sturm_chain(sf)]
     bound = root_bound(sf)
     lo, hi = -bound, bound + 1
     out = []

@@ -24,6 +24,7 @@ POLE_GUARD = 1e-8          # reject direct series evaluation closer than this to
 _HALF_INT_TOL = 1e-9
 # every adaptive series stops once _STREAK consecutive terms are below _TOL
 # relative to the partial sum, and raises NonConvergent after _MAX_TERMS terms
+# or on a sum that is not finite
 _TOL = 1e-14
 _MAX_TERMS = 2000
 _STREAK = 8
@@ -228,7 +229,7 @@ def _summed(steps, g: float, n: int = 0, gn: float = 1.0, R: float = 0.0,
         if abs(tR) <= _TOL * (1.0 + abs(R)) and abs(tRbar) <= _TOL * (1.0 + abs(Rbar)):
             streak += 1
             if streak >= _STREAK:
-                return SeriesState(R, Rbar, n, True)
+                return SeriesState(R, Rbar, n, math.isfinite(R) and math.isfinite(Rbar))
         else:
             streak = 0
     return SeriesState(R, Rbar, _MAX_TERMS, False)

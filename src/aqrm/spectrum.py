@@ -8,7 +8,6 @@ produce spectral-curve tables."""
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -123,13 +122,13 @@ def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
 
 @lru_cache(maxsize=512)
 def _juddian_chain(N: int, eps: Fraction, y: Fraction) -> tuple | None:
-    """Sturm chain of the squarefree part of P_N^(N,eps)(x, y) in x; None when
-    there is nothing to count (N = 0 or a constant squarefree part). The
-    polynomial does not depend on g, so a sweep builds each chain once."""
+    """Sturm chain (coefficient tuples) of the squarefree part of P_N^(N,eps)(x, y)
+    in x; None when there is nothing to count (N = 0 or a constant squarefree
+    part). The polynomial does not depend on g, so a sweep builds each chain once."""
     if N == 0:
         return None
     sf = squarefree_part(constraint_slice(N, eps, y))
-    return None if sf.degree <= 0 else tuple(sturm_chain(sf))
+    return None if sf.degree <= 0 else tuple(q.coeffs for q in sturm_chain(sf))
 
 
 def _juddian_here(N: int, params: ModelParams, branch_eps: float) -> bool:
@@ -331,4 +330,5 @@ def rows_to_csv(rows: list[dict], fields=SPECTRUM_FIELDS) -> str:
 
 
 def rows_to_json(rows: list[dict]) -> str:
+    import json
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"

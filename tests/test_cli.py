@@ -3,6 +3,9 @@ exit-code contract."""
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +199,16 @@ class TestVerifyAndExitCodes:
         assert path.read_text().startswith("g,index,lambda")
 
 
+def test_json_is_imported_only_where_json_is_written():
+    # site is skipped (-S) so that no .pth file imports json on its own
+    import aqrm
+    src = str(Path(aqrm.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import aqrm.cli; print('json' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "False\n"
+
+
 class TestInputRange:
     SPEC = ("spectrum", "--g", "0.5", "--delta", "1", "--eps", "0.3", "--x-max", "3")
     SWEEP = ("sweep", "--delta", "1", "--eps", "0.3", "--g", "0.5")
@@ -258,6 +271,14 @@ class TestInputRange:
                              "--M", "1000000000", "--count", "1")
         assert code == 2 and out == ""
         assert err == f"error: M must be at least 8 and at most {oracle.M_MAX}\n"
+
+    def test_overflowing_series_exit_two(self, capsys):
+        # at g = 10 the term g^n overflows before the series converges: the
+        # non-finite sum is refused instead of printed as calG = nan
+        code, out, err = run(capsys, "gfunc", "--g", "10", "--delta", "1",
+                             "--eps", "0.3", "--x", "7:8:0.5")
+        assert code == 2 and out == ""
+        assert err == "error: G-function series not converged at x=7.0\n"
 
     def test_incomplete_spectrum_exit_two(self, capsys):
         # two levels 5e-11 apart: the level count cannot separate them

@@ -3,6 +3,7 @@ Laguerre limit, generating-function identities."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,10 @@ from aqrm.poly import (
     a_poly,
     a_value,
     DivisibilityError,
-    _scaled_family,
+    _family,
+    _l1_bounds,
+    _unpack,
+    _width,
     c_weight,
     constraint_poly,
     constraint_poly_det,
@@ -107,9 +111,10 @@ class TestConstraintPoly:
         assert approx == pytest.approx(float(exact), rel=1e-10, abs=1e-9)
 
 
+@lru_cache(maxsize=None)
 def generic_recurrence_family(N, eps, k_max):
     """The three-term recurrence in general BivarPoly arithmetic, one product
-    per step: the independent oracle for the shift-based integer members."""
+    per step: the independent oracle for the packed integer members."""
     eps = Fraction(eps)
     fam = [ONE]
     if k_max >= 1:
@@ -125,10 +130,29 @@ FAMILY_BIASES = (Fraction(0), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2),
 
 
 def scaled_family(N, eps, k_max):
-    """P_0, ..., P_{k_max} read off the integer members R_k = q^k P_k."""
+    """P_0, ..., P_{k_max} unpacked from the packed integer members of
+    R_k = q^k P_k."""
     eps = Fraction(eps)
-    return [BivarPoly({key: Fraction(v, eps.denominator ** k) for key, v in r.items()})
-            for k, r in enumerate(_scaled_family(N, eps, k_max))]
+    s, w = _width(max(_l1_bounds(N, eps, k_max))), k_max + 1
+    return [BivarPoly({key: Fraction(v, eps.denominator ** k)
+                       for key, v in _unpack(r, s, w, w).items()})
+            for k, r in enumerate(_family(N, eps, k_max, s, w))]
+
+
+def corrupt_member(monkeypatch, target_N, k, delta):
+    """Make _family add delta(eps, s, w) to the packed member r_k of every family
+    with N = target_N (None: every family) that reaches k."""
+    import aqrm.poly as poly_mod
+
+    real_family = poly_mod._family
+
+    def corrupted(N, eps, k_max, s, w):
+        fam = real_family(N, eps, k_max, s, w)
+        if target_N in (None, N) and k_max >= k:
+            fam[k] += delta(eps, s, w)
+        return fam
+
+    monkeypatch.setattr(poly_mod, "_family", corrupted)
 
 
 class TestConstraintFamily:
@@ -152,18 +176,10 @@ class TestConstraintFamily:
             constraint_poly(3, 0, -1)
 
     def test_corrupted_family_fails_identity_checks(self, monkeypatch, capsys):
-        import aqrm.poly as poly_mod
         from aqrm.cli import main
 
-        real_family = poly_mod._scaled_family
-
-        def corrupted(N, eps, k_max):
-            fam = real_family(N, eps, k_max)
-            if k_max >= 3:              # P_3 + 1, i.e. R_3 + q^3
-                fam[3] = {**fam[3], (0, 0): fam[3].get((0, 0), 0) + eps.denominator ** 3}
-            return fam
-
-        monkeypatch.setattr(poly_mod, "_scaled_family", corrupted)
+        # P_3 + 1, i.e. R_3 + q^3
+        corrupt_member(monkeypatch, None, 3, lambda eps, s, w: eps.denominator ** 3)
         assert not generating_identity_check(2, 2, 8)
         assert not ode_coefficient_check(2, Fraction(1, 2), 8)
         assert main(["verify", "generating"]) == 1
@@ -195,6 +211,52 @@ class TestConstraintFamily:
         monkeypatch.setattr(poly_mod, "_top_member", corrupted)
         assert main(["verify", "rootcounts"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestPackedMembers:
+    @pytest.mark.parametrize("eps", FAMILY_BIASES)
+    def test_bound_covers_every_member(self, eps):
+        # B_k >= sum |c| over the coefficients of R_k = q^k P_k, so every
+        # coefficient is at most B_k in absolute value
+        for N in range(13):
+            bounds = _l1_bounds(N, eps, 12)
+            for k, p in enumerate(generic_recurrence_family(N, eps, 12)):
+                l1 = sum(abs(c) for c in p.terms.values()) * eps.denominator ** k
+                assert l1 <= bounds[k], (N, eps, k)
+
+    @given(st.integers(8, 40), st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unpack_inverts_packing(self, s, w, n, data):
+        s -= s % 8
+        half = 1 << (s - 1)
+        coeffs = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, w - 1), st.integers(0, n - 1)),
+            st.integers(-half, half - 1).filter(bool)))
+        packed = sum(c << s * (i + w * j) for (i, j), c in coeffs.items())
+        assert _unpack(packed, s, w, n) == coeffs
+
+    CHECKS = {
+        "generating": (2, lambda: generating_identity_check(2, 2, 8)),
+        "ode": (2, lambda: ode_coefficient_check(2, Fraction(1, 2), 8)),
+        "divisibility": (3, lambda: verify_divisibility(1, 2)[1]),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_single_slot_corruption_fails(self, check, monkeypatch):
+        # +-1 at any one (i, j) slot of member 3 of one family: each check fails
+        target_N, run = self.CHECKS[check]
+        assert run()
+        for i in range(4):
+            for j in range(4):
+                for sign in (1, -1):
+                    with monkeypatch.context() as m:
+                        corrupt_member(m, target_N, 3,
+                                       lambda eps, s, w: sign << s * (i + w * j))
+                        try:
+                            held = run()
+                        except DivisibilityError:
+                            held = False
+                        assert not held, (check, i, j, sign)
 
 
 class TestDeterminantForm:
@@ -357,19 +419,9 @@ class TestDivisibility:
         assert exact and quot == a_poly(5, 3)
 
     def test_corrupted_divisor_raises(self, monkeypatch):
-        # P_N + 1 no longer divides P_{N+l}: the exact integer division of the
-        # members must refuse, not return a rounded quotient
-        import aqrm.poly as poly_mod
-
-        real_family = poly_mod._scaled_family
-
-        def corrupted(N, eps, k_max):
-            fam = real_family(N, eps, k_max)
-            if N == 2:                  # P_2 + 1
-                fam[2] = {**fam[2], (0, 0): fam[2].get((0, 0), 0) + eps.denominator ** 2}
-            return fam
-
-        monkeypatch.setattr(poly_mod, "_scaled_family", corrupted)
+        # P_N + 1 no longer divides P_{N+l}: the product identity of the
+        # members must refuse, not return a quotient
+        corrupt_member(monkeypatch, 2, 2, lambda eps, s, w: eps.denominator ** 2)  # P_2 + 1
         with pytest.raises(DivisibilityError):
             verify_divisibility(2, 1)
 
@@ -401,6 +453,25 @@ class TestLaguerre:
     def test_up_to_seven(self, eps):
         for k in range(8):
             assert laguerre_check(k, eps)
+
+    @staticmethod
+    def reference_laguerre(k, alpha):
+        """The recurrence in BivarPoly arithmetic over Q, one division per step."""
+        alpha = Fraction(alpha)
+        p0 = BivarPoly.const(1)
+        if k == 0:
+            return p0
+        p1 = BivarPoly.const(1 + alpha) - X
+        for j in range(1, k):
+            p2 = ((BivarPoly.const(2 * j + 1 + alpha) - X) * p1
+                  - BivarPoly.const(j + alpha) * p0) * Fraction(1, j + 1)
+            p0, p1 = p1, p2
+        return p1
+
+    @given(st.integers(0, 10), small_fracs)
+    @settings(max_examples=40, deadline=None)
+    def test_integer_recurrence_matches_rational_one(self, k, alpha):
+        assert laguerre_poly(k, alpha) == self.reference_laguerre(k, alpha)
 
 
 class TestGeneratingIdentities:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import aqrm.roots as roots_mod
 from _dense import sym_tridiag_eigenvalues, tridiag_count_below
 from aqrm.poly import c_weight, constraint_poly, constraint_slice, constraint_value
 from aqrm.roots import (
@@ -40,6 +41,30 @@ root_mults = st.builds(
 leading = st.sampled_from((1, -1, 3, Fraction(-5, 2), Fraction(7, 3)))
 # 52-bit dyadic points, the denominators a float coupling brings in
 dyadic = st.builds(Fraction, st.integers(-13 * 2 ** 52, 13 * 2 ** 52), st.just(2 ** 52))
+
+
+def reference_neg_prem(a, b):
+    """The pseudo-remainder loop roots._neg_prem replaced: a rescale pass and
+    an indexed subtract per division step."""
+    r = list(a)
+    db = len(b) - 1
+    s = abs(b[-1])
+    while len(r) > db:
+        c = r[-1]
+        if c:
+            f = c if b[-1] > 0 else -c
+            k = len(r) - 1 - db
+            if s != 1:
+                r = [s * v for v in r]
+            for j, bj in enumerate(b):
+                r[k + j] -= f * bj
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return roots_mod._primitive([-v for v in r]) if r else []
+
+
+int_polys = st.lists(st.integers(-60, 60), min_size=1, max_size=9).filter(lambda cs: cs[-1])
 
 
 def exact_roots(p, tol=Fraction(1, 2 ** 48)):
@@ -284,6 +309,27 @@ class TestIntegerSturm:
         ivs = isolate_real_roots(p)
         assert [sum(lo < r < hi for r in mults) for lo, hi in ivs] == [1] * len(mults)
         assert all(sf(lo) * sf(hi) < 0 for lo, hi in ivs)
+
+    @given(int_polys, int_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_pseudo_remainder_matches_reference(self, a, b):
+        if len(b) > len(a):
+            a, b = b, a
+        assert roots_mod._neg_prem(a, b) == reference_neg_prem(a, b)
+
+    @given(st.one_of(int_polys.map(UniPoly),
+                     st.builds(lambda m, lead: from_roots(m.items()) * lead, root_mults, leading)))
+    @settings(max_examples=80, deadline=None)
+    def test_chain_matches_reference_chain(self, p):
+        # _chain uncached, once on each pseudo-remainder
+        a = roots_mod._integer_coeffs(p)
+        chain = roots_mod._chain.__wrapped__(a)
+        real = roots_mod._neg_prem
+        roots_mod._neg_prem = reference_neg_prem
+        try:
+            assert chain == roots_mod._chain.__wrapped__(a)
+        finally:
+            roots_mod._neg_prem = real
 
     def test_chain_is_primitive_and_keeps_signs(self):
         # -2 (x - 1)(x + 2)(x - 3/2): the chain starts with the primitive
