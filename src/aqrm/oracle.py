@@ -13,6 +13,7 @@ from .series import ModelParams
 _WIDTH = 1.01e-12    # bisection width of each eigenvalue
 M_STEP = 20          # truncation step of the convergence check
 M_MAX = 100_000      # largest truncation; checked before any rung is built
+_M_FIRST, _M_LAST = 60, 400   # truncations of certified_eigenvalues; the first starts certified_count
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,33 @@ def level_counter(params: ModelParams, M: int):
     return count
 
 
+class UncertifiedCount(ArithmeticError):
+    """No rung up to M_MAX certifies the eigenvalue count below some sigma."""
+
+
+def certified_count(params: ModelParams):
+    """sigma -> N(sigma), the number of eigenvalues below sigma of the
+    untruncated Hamiltonian. A count that stops at a certified rung k holds for
+    every truncation from k on, and by Cauchy interlacing the truncated counts
+    tend to N(sigma), so it is N(sigma). The rung list doubles from _M_FIRST
+    while a probe runs to its last rung; past M_MAX it raises UncertifiedCount."""
+    M = min(_M_FIRST, M_MAX)
+    rungs = _ladder(params, M)
+
+    def count(sigma: float) -> int:
+        nonlocal M, rungs
+        n, k = _band_count_below(rungs, sigma)
+        while k == M and M < M_MAX:
+            M = min(2 * M, M_MAX)
+            rungs = _ladder(params, M)
+            n, k = _band_count_below(rungs, sigma)
+        if k == M:
+            raise UncertifiedCount(f"level count not certified by M={M}")
+        return n
+
+    return count
+
+
 def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     """Lowest eigenvalues of the Hamiltonian truncated at boson number M
     (at least 8, at most M_MAX), through inertia bisection on the parity
@@ -150,13 +178,13 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     return out
 
 
-def certified_eigenvalues(params: ModelParams, count: int, tol: float = 1e-8,
-                          M_start: int = 60, M_cap: int = 400) -> tuple[list[float], int]:
-    """Raise the truncation until successive eigenvalue drift falls below tol;
-    returns (eigenvalues, certified M)."""
-    M = M_start
+def certified_eigenvalues(params: ModelParams, count: int,
+                          tol: float = 1e-8) -> tuple[list[float], int]:
+    """Raise the truncation from _M_FIRST until successive eigenvalue drift
+    falls below tol; returns (eigenvalues, certified M)."""
+    M = _M_FIRST
     prev = lowest_eigenvalues(params, M, count)
-    while M < M_cap:
+    while M < _M_LAST:
         M2 = M + max(20, M // 2)
         cur = lowest_eigenvalues(params, M2, count)
         if max(abs(a - b) for a, b in zip(cur, prev)) < tol:

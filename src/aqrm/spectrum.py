@@ -41,7 +41,6 @@ KIND_NON_JUDDIAN = "non-juddian-exceptional"
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
 _BRACKET = 1e-3                  # widest level bracket handed to calG refinement
 _FLOOR = 1e-9                    # narrowest bracket split on the level count
-_M_START, _M_CAP = 40, 400       # truncations tried for the level count
 
 
 # x = lambda + g^2; branch is "plus_eps" or "minus_eps" for exceptional kinds
@@ -188,17 +187,18 @@ class IncompleteSpectrum(ArithmeticError):
     """The level count and the located levels disagree."""
 
 
-def _counted(params: ModelParams, task):
-    """task(n), with n(x) the number of levels below x = lambda + g^2 of the
-    truncation at the first M = _M_START, _M_START + M_STEP, ... whose every
-    probe agrees with M + M_STEP."""
-    for M in range(_M_START, _M_CAP + 1, oracle.M_STEP):
-        count = oracle.level_counter(params, M)
+def _level_count(params: ModelParams):
+    """x -> the number of levels below x = lambda + g^2, by
+    oracle.certified_count; IncompleteSpectrum where no rung certifies it."""
+    count = oracle.certified_count(params)
+
+    def n(x: float) -> int:
         try:
-            return task(lambda x: count(x - params.g ** 2))
-        except oracle.TruncationError:
-            pass
-    raise IncompleteSpectrum(f"level count not converged at M={_M_CAP}")
+            return count(x - params.g ** 2)
+        except oracle.UncertifiedCount as exc:
+            raise IncompleteSpectrum(str(exc)) from None
+
+    return n
 
 
 def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
@@ -255,7 +255,7 @@ def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
         x_lo = -(params.delta + abs(params.eps) + 1.5)
     if not (0 < refine_tol < math.inf and math.isfinite(x_max) and x_max > x_lo):
         raise ValueError("need a finite refine_tol > 0 and a finite x_max above x_lo")
-    return _counted(params, lambda n: _assemble(params, n, x_lo, x_max, refine_tol))
+    return _assemble(params, _level_count(params), x_lo, x_max, refine_tol)
 
 
 def expand_multiplicities(records: list[EigenvalueRecord]) -> list[float]:
@@ -285,12 +285,10 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
     rows = []
     for g in g_grid:
         params = ModelParams(g, delta, eps)
-
-        def levels(n):
-            top = bisect_count(n, -w, (n_levels - 1) // 2 + w, n_levels - 1, _BRACKET)
-            return _assemble(params, n, x_lo, top + _BRACKET, refine_tol)
-
-        flat = [r for r in _counted(params, levels) for _ in range(r.multiplicity)]
+        n = _level_count(params)
+        top = bisect_count(n, -w, (n_levels - 1) // 2 + w, n_levels - 1, _BRACKET)
+        flat = [r for r in _assemble(params, n, x_lo, top + _BRACKET, refine_tol)
+                for _ in range(r.multiplicity)]
         if len(flat) < n_levels:
             raise IncompleteSpectrum(f"{len(flat)} of {n_levels} levels at g = {fmt_float(g)}")
         rows.extend(records_to_rows(flat[:n_levels], g))

@@ -337,6 +337,52 @@ class TestOracleConvergence:
         assert err == ""
 
 
+class TestStrongCoupling:
+    """At g >= 9 every truncation up to M = 60 counts no level in the window,
+    so a count that only compares two truncations agrees on an empty spectrum.
+    The certified count finds the levels, or refuses at its rung cap."""
+
+    def test_spectrum_at_g_9(self, capsys):
+        from aqrm import oracle
+        from aqrm.series import ModelParams
+        code, out, err = run(capsys, *"spectrum --g 9 --delta 1 --eps 0.3 --x-max 3".split())
+        assert code == 0 and err == ""
+        lams = [float(row.split(",")[2]) for row in out.strip().split("\n")[1:]]
+        ev = oracle.lowest_eigenvalues(ModelParams(9.0, 1.0, 0.3), 300, 8)
+        assert len(lams) == 7
+        assert lams == pytest.approx(ev[:7], abs=1e-7)
+        assert ev[7] > 3.0 - 81.0                   # every level below x-max
+
+    def test_sweep_at_g_9(self, capsys):
+        from aqrm import oracle
+        from aqrm.series import ModelParams
+        code, out, err = run(capsys, *"sweep --delta 1 --eps 0.3 --g 9:9.2:0.1 --levels 6".split())
+        assert code == 0 and err == ""
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        assert len(rows) == 18
+        for i in range(0, 18, 6):
+            g = float(rows[i][0])
+            ev = oracle.lowest_eigenvalues(ModelParams(g, 1.0, 0.3), 300, 6)
+            assert [float(r[2]) for r in rows[i:i + 6]] == pytest.approx(ev, abs=1e-7)
+
+    def test_uncertified_count_exit_two(self, capsys, monkeypatch):
+        # the ground state at g = 1000 lies near -1e6: no rung up to M_MAX
+        # certifies the count, and no ladder is built past M_MAX
+        from aqrm import oracle
+        built = []
+        ladder = oracle._ladder
+
+        def recorded(params, M):
+            built.append(M)
+            return ladder(params, M)
+
+        monkeypatch.setattr(oracle, "_ladder", recorded)
+        code, out, err = run(capsys, *"spectrum --g 1000 --delta 1 --eps 0.3 --x-max 3".split())
+        assert code == 2 and out == ""
+        assert err == f"error: level count not certified by M={oracle.M_MAX}\n"
+        assert max(built) == oracle.M_MAX
+
+
 # SHA-256 of stdout for each README command line, with the sweep shortened to
 # g = 0..0.5, plus two irrational-bias spectra (one on a Juddian coupling) and
 # a simple-pole residue. The digests pin CPython's 17-digit float output on

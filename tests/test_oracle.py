@@ -14,8 +14,10 @@ from aqrm import oracle
 from aqrm.oracle import (
     M_MAX,
     TruncationError,
+    UncertifiedCount,
     _band_count_below,
     _ladder,
+    certified_count,
     certified_eigenvalues,
     level_counter,
     lowest_eigenvalues,
@@ -336,6 +338,62 @@ class TestLevelCounter:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+
+class TestCertifiedCount:
+    """certified_count is the count of the untruncated Hamiltonian: the count
+    of every truncation from its certified rung on."""
+
+    @given(g=st.floats(0, 1.5), delta=st.floats(0, 2), eps=st.floats(-2, 2),
+           extra=st.integers(0, 6), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_count_past_the_certified_rung(self, g, delta, eps, extra, data):
+        params = SimpleNamespace(g=g, delta=delta, eps=eps)
+        sigma = data.draw(st.floats(-g * g - 3.0, 8.0))
+        k = _band_count_below(_ladder(params, 400), sigma)[1]
+        assume(k + extra <= 24)
+        eigs = eigenvalues(truncated_hamiltonian(params, k + extra))
+        assume(all(abs(sigma - e) > 1e-9 for e in eigs))
+        assert certified_count(params)(sigma) == sum(e < sigma for e in eigs)
+
+    @given(g=st.floats(0, 2), delta=st.floats(0, 2), eps=st.floats(-2, 2),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_truncated_counter(self, g, delta, eps, data):
+        params = SimpleNamespace(g=g, delta=delta, eps=eps)
+        sigma = data.draw(st.floats(-g * g - 3.0, 30.0))
+        n = certified_count(params)(sigma)
+        for M in (40, 80):
+            try:
+                truncated = level_counter(params, M)(sigma)
+            except TruncationError:
+                continue
+            assert truncated == n, M
+
+    def test_rungs_double_until_certified_then_refuse(self, monkeypatch):
+        built = []
+        ladder = oracle._ladder
+
+        def recorded(params, M):
+            built.append(M)
+            return ladder(params, M)
+
+        monkeypatch.setattr(oracle, "_ladder", recorded)
+        # at g = 3 the probes below sigma = -5 certify by rung 60, sigma = 3
+        # only at rung 64
+        p = ModelParams(3.0, 1.0, 0.0)
+        n = certified_count(p)
+        full = ladder(p, 400)
+        for sigma in (-9.0, -5.0):
+            assert n(sigma) == band_count_full(full, sigma)
+        assert built == [60]
+        assert n(3.0) == band_count_full(full, 3.0) and built == [60, 120]
+        # g = 1000: no rung certifies, and none is built past M_MAX
+        monkeypatch.setattr(oracle, "M_MAX", 200)
+        built.clear()
+        with pytest.raises(UncertifiedCount, match="not certified by M=200$"):
+            certified_count(ModelParams(1000.0, 1.0, 0.2))(-1e6)
+        assert built == [60, 120, 200]
 
 
 class TestParitySplit:

@@ -31,9 +31,9 @@ from aqrm.spectrum import (
 )
 
 
-def counter(p, M=80):
-    """The level count of full_spectrum in x = lambda + g^2 at truncation M."""
-    count = oracle.level_counter(p, M)
+def counter(p):
+    """The level count of full_spectrum in x = lambda + g^2."""
+    count = oracle.certified_count(p)
     return lambda x: count(x - p.g ** 2)
 
 
@@ -283,10 +283,10 @@ class TestCountBrackets:
         ev = oracle.lowest_eigenvalues(p, 100, len(recs))
         assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
 
-    def test_capped_truncation_raises(self, monkeypatch):
-        import aqrm.spectrum as spectrum_mod
-        monkeypatch.setattr(spectrum_mod, "_M_CAP", 40)
-        with pytest.raises(IncompleteSpectrum, match="not converged at M=40"):
+    def test_capped_rungs_raise(self, monkeypatch):
+        # at g = 3 the count below x = 12 certifies only past rung 40
+        monkeypatch.setattr(oracle, "M_MAX", 40)
+        with pytest.raises(IncompleteSpectrum, match="not certified by M=40$"):
             full_spectrum(ModelParams(3.0, 1.0, 0.0), 12.0)
 
     def test_rejects_window_below_floor(self):
