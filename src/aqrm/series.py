@@ -109,73 +109,6 @@ def reciprocal_gamma(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Laurent jets: truncated expansions sum c_k u^k for k in [-2, 5]
-# ---------------------------------------------------------------------------
-
-_L_LO = -2
-_L_LEN = 8    # orders -2 .. 5
-
-
-class _LJet:
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = [0.0] * _L_LEN if c is None else c
-
-    @staticmethod
-    def const(v: float) -> "_LJet":
-        j = _LJet()
-        j.c[-_L_LO] = v
-        return j
-
-    @staticmethod
-    def pole(v: float) -> "_LJet":
-        """v / u."""
-        j = _LJet()
-        j.c[-_L_LO - 1] = v
-        return j
-
-    @staticmethod
-    def inv_linear(d: float) -> "_LJet":
-        """1 / (d + u) for d != 0."""
-        j = _LJet()
-        acc = 1.0 / d
-        for k in range(_L_LEN + _L_LO):
-            j.c[k - _L_LO] = acc
-            acc *= -1.0 / d
-        return j
-
-    def order(self, k: int) -> float:
-        i = k - _L_LO
-        return self.c[i] if 0 <= i < _L_LEN else 0.0
-
-    def add(self, other: "_LJet") -> "_LJet":
-        return _LJet([a + b for a, b in zip(self.c, other.c)])
-
-    def sub(self, other: "_LJet") -> "_LJet":
-        return _LJet([a - b for a, b in zip(self.c, other.c)])
-
-    def scale(self, v: float) -> "_LJet":
-        return _LJet([a * v for a in self.c])
-
-    def mul(self, other: "_LJet") -> "_LJet":
-        out = [0.0] * _L_LEN
-        for i, a in enumerate(self.c):
-            if a == 0.0:
-                continue
-            for j, b in enumerate(other.c):
-                if b == 0.0:
-                    continue
-                k = i + j + _L_LO   # order (i+_L_LO) + (j+_L_LO) stored at i+j+_L_LO
-                if 0 <= k < _L_LEN:
-                    out[k] += a * b
-        return _LJet(out)
-
-    def maxabs(self) -> float:
-        return max(abs(v) for v in self.c)
-
-
-# ---------------------------------------------------------------------------
 # K-coefficient series of the G-function
 # ---------------------------------------------------------------------------
 
@@ -393,55 +326,81 @@ def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
 
 
 # ---------------------------------------------------------------------------
-# Laurent expansion of the G-function at a candidate pole
+# finite parts at a pole, from the scaled series
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=512)
-def _branch_jets(x0: float, params: ModelParams, sign: Sign) -> tuple[_LJet, _LJet]:
-    """Laurent jets at x = x0 of R and Rbar for one branch; the recurrence is
-    propagated with the full local expansion, so residues and finite parts
-    come out exact to working precision. Cached: bisection near a pole keeps
-    asking for the same expansion center, and jets are only ever read."""
+def _branch_jets(x0: float, params: ModelParams,
+                 sign: Sign) -> tuple[float, float, float, float]:
+    """The 1-jet (S, S', Sbar, Sbar') at x = x0 of the two _scaled_sums of
+    one branch, each quantity of the same L/w head and K tail carried with
+    its x-derivative. The seed w_m is held fixed (w'_m = 0): at a pole
+    y0 = x0 + s = m - 1, where w_m = 1/Gamma(1) = 1, the true derivatives add
+    psi(1) S, which _finite_parts cancels. Raises NonConvergent unless all
+    four sums settle to finite values. Cached: jets are only ever read."""
     s = _branch_shift(params, sign)
-    g = params.g
-    d2 = params.delta * params.delta
-    two_g = 2.0 * params.g
-
-    def inv_at(n: int) -> _LJet:
-        d = x0 - n + s
-        if abs(d) < _HALF_INT_TOL:
-            return _LJet.pole(1.0)
-        return _LJet.inv_linear(d)
-
-    def f_jet(n: int) -> _LJet:
-        base = _LJet()
-        base.c[-_L_LO] = two_g + (n - x0 + s) / two_g
-        base.c[-_L_LO + 1] = -1.0 / two_g
-        return base.add(inv_at(n).scale(d2 / two_g))
-
-    k_prev = _LJet.const(1.0)
-    k_prev2 = _LJet()
-    R = _LJet.const(1.0)
-    Rbar = inv_at(0)
-    gn = 1.0
-    streak = 0
-    tol, streak_len = _TOL, _STREAK
-    for n in range(1, _MAX_TERMS + 1):
-        k_cur = (f_jet(n - 1).mul(k_prev).sub(k_prev2)).scale(1.0 / n)
-        k_prev2, k_prev = k_prev, k_cur
+    g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
+    y = x0 + s
+    m = max(0, math.floor(y + 0.5) + 1)
+    if m > _MAX_TERMS:
+        raise NonConvergent(f"branch jets not converged at x0={x0}")
+    w, dw = [0.0] * (m + 1), [0.0] * (m + 1)
+    w[m] = reciprocal_gamma(m - y)
+    for n in range(m - 1, -1, -1):
+        w[n] = (n - y) * w[n + 1]
+        dw[n] = (n - y) * dw[n + 1] - w[n + 1]
+    S = dS = Sb = dSb = c = dc = L2 = dL1 = dL2 = 0.0
+    L1 = gn = alt = 1.0
+    for n in range(m):
+        c, dc = alt * L1 * w[n], alt * (dL1 * w[n] + L1 * dw[n])
+        S += c * gn
+        dS += dc * gn
+        Sb -= alt * L1 * w[n + 1] * gn
+        dSb -= alt * (dL1 * w[n + 1] + L1 * dw[n + 1]) * gn
+        d = y - n
+        a = two_g + (n - x0 + s) / two_g
+        p, dp, q = a * d + d2 / two_g, a - d / two_g, d * (d + 1.0)
+        L2, L1, dL2, dL1 = L1, (p * L1 - q * L2) / (n + 1), dL1, \
+            (dp * L1 + p * dL1 - (2.0 * d + 1.0) * L2 - q * dL2) / (n + 1)
         gn *= g
-        term = k_cur.scale(gn)
-        R = R.add(term)
-        tbar = term.mul(inv_at(n))
-        Rbar = Rbar.add(tbar)
-        scale = 1.0 + R.maxabs() + Rbar.maxabs()
-        if max(term.maxabs(), tbar.maxabs()) <= tol * scale:
+        alt = -alt
+    acc = (S, dS, Sb, dSb)
+    k2, dk2, k1, dk1 = c, dc, alt * L1 * w[m], alt * dL1 * w[m]
+    streak = 0
+    for n in range(m, _MAX_TERMS + 1):
+        d = x0 - n + s
+        terms = (k1 * gn, dk1 * gn, k1 * gn / d, (dk1 - k1 / d) * gn / d)
+        acc = tuple(a + t for a, t in zip(acc, terms))
+        if all(abs(t) <= _TOL * (1.0 + abs(a)) for a, t in zip(acc, terms)):
             streak += 1
-            if streak >= streak_len:
-                return R, Rbar
+            if streak >= _STREAK:
+                if all(map(math.isfinite, acc)):
+                    return acc
+                break
         else:
             streak = 0
+        f = two_g + (n - x0 + s + d2 / d) / two_g
+        df = -(1.0 + d2 / (d * d)) / two_g
+        k2, dk2, k1, dk1 = k1, dk1, (f * k1 - k2) / (n + 1), (df * k1 + f * dk1 - dk2) / (n + 1)
+        gn *= g
     raise NonConvergent(f"branch jets not converged at x0={x0}")
+
+
+def _finite_parts(x0: float, params: ModelParams, sign: Sign) -> tuple[float, float]:
+    """Finite parts (Q, Qbar) at x0 of the branch's R and Rbar. At a pole
+    y0 = x0 + s = N' >= 0, Gamma(-x - s) = c (-1/u + psi(N'+1) + O(u)) with
+    u = x - x0 and c = (-1)^N'/N'!, so R = S Gamma(-x - s) has residue
+    -c S(x0) and finite part c (psi(N'+1) S(x0) - S'(x0)); the jet's missing
+    psi(1) S cancels the -gamma of psi(N'+1) = H_N' - gamma, so H_N' stands in
+    for it. A regular branch (y0 < 0) gives Q = R(x0) = S(x0) / w_0."""
+    S, dS, Sb, dSb = _branch_jets(x0, params, sign)
+    n = round(x0 + _branch_shift(params, sign))
+    if n < 0:
+        w0 = reciprocal_gamma(-n)
+        return S / w0, Sb / w0
+    c = (-1) ** n / math.factorial(n)
+    h = sum(1.0 / k for k in range(1, n + 1))
+    return c * (h * S - dS), c * (h * Sb - dSb)
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +452,11 @@ def _require_half_integer(params: ModelParams, ell: int):
 def q_functions(N: int, ell: int,
                 params: ModelParams) -> tuple[float, float, float, float]:
     """Finite parts at x = N + ell/2 of (R-, Rbar-, R+, Rbar+): the four sums
-    with their pole term removed, Q = lim (R - Res/(x - x0)).
-
-    Computed by running the defining recurrences as local Laurent expansions;
-    carrying the expansion makes the modified pole step exact, including the
-    derivative cross-terms that a scalar recurrence would drop.
-    """
+    with their pole term removed, Q = lim (R - Res/(x - x0)), read from the
+    1-jets of the pole-free scaled series (_finite_parts)."""
     _require_half_integer(params, ell)
     x0 = N + ell / 2.0
-    Rm, Rbm = _branch_jets(x0, params, "minus")
-    Rp, Rbp = _branch_jets(x0, params, "plus")
-    return Rm.order(0), Rbm.order(0), Rp.order(0), Rbp.order(0)
+    return _finite_parts(x0, params, "minus") + _finite_parts(x0, params, "plus")
 
 
 def double_pole_coefficients(N: int, ell: int,
@@ -522,13 +475,11 @@ def double_pole_coefficients(N: int, ell: int,
     d2 = params.delta ** 2
     pn = constraint_value(N, ell / 2.0, N, g2, d2)
     pnl = constraint_value(N + ell, -ell / 2.0, N + ell, g2, d2)
-    tval = t_function(N, params, "plus")
-    A = _C(N) * _C(N + ell) * d2 * d2 * pn * pnl * tval
+    Rm, Rbm = _phi_values(1, N, params, ell / 2.0)
+    Rp, Rbp = _phi_values(2, N, params, ell / 2.0)
+    A = _C(N) * _C(N + ell) * d2 * d2 * pn * pnl * (Rbp * Rbm - Rp * Rm)
 
     qm, qbm, qp, qbp = q_functions(N, ell, params)
-    e = ell / 2.0
-    Rm, Rbm = _phi_values(1, N, params, e)
-    Rp, Rbp = _phi_values(2, N, params, e)
     aval = a_value(N, ell, g2, d2)
     bracket = (Rbm * (params.delta * qbp) - Rm * qp) / _C(N + ell) \
         + aval * (Rbp * (params.delta * qbm) - Rp * qm) / _C(N)
@@ -543,8 +494,7 @@ def b_function(N: int, ell: int, params: ModelParams) -> float:
     e = ell / 2.0
     local = ModelParams(params.g, params.delta, e)
     x0 = N + e
-    Rm_jet, Rbm_jet = _branch_jets(x0, local, "minus")
-    qm, qbm = Rm_jet.order(0), Rbm_jet.order(0)
+    qm, qbm = _finite_parts(x0, local, "minus")
     Rp, Rbp = _phi_values(2, N, local, e)
     return (Rbp * (params.delta * qbm) - Rp * qm) / _C(N)
 

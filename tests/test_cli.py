@@ -400,7 +400,7 @@ GOLDEN = (
     ("tfunc --N 1 --eps 1/2 --delta 1 --g 0.1:2:0.01",
      "814d0a9e529d66e4dd367013b6b3d9159b55e8c1d9f9068c4f56f9f05c6e11bb"),
     ("residue --N 1 --eps 1/2 --g 0.9 --delta 1",
-     "7e93b8f502a2ee34eb608789e68d0865b62bbd5b27a633990b1f2c9c354f0b79"),
+     "2e9fd32e3ca493d05337d5d2e2b0ffd8e1e84c790d5807f4e74a565472937fef"),
     ("residue --N 1 --eps 0.3 --g 0.9 --delta 1",
      "2716cedd84dc9669c5d51d41be3736b1ff9e62a11dbd2ab3d6752219c9c16835"),
     ("spectrum --g 0.5 --delta 1 --eps 1/2 --x-max 5",

@@ -400,11 +400,22 @@ class TestResidues:
             residue_simple(0, ModelParams(0.7, 1.0, 0.0), "plus")
 
 
+def _branch_laurent(x0, p, sign):
+    """(Res R, Q, Res Rbar, Qbar) of one branch at its pole x0: the residue
+    is -c S(x0) with c = (-1)^N'/N'! at y0 = x0 +/- eps = N'."""
+    from aqrm.series import _branch_jets, _finite_parts
+    S, _, Sb, _ = _branch_jets(x0, p, sign)
+    n = round(x0 + (p.eps if sign == "plus" else -p.eps))
+    c = (-1) ** n / math.factorial(n)
+    q, qb = _finite_parts(x0, p, sign)
+    return -c * S, q, -c * Sb, qb
+
+
 class TestDoublePole:
     def test_coefficients_match_numeric_and_jet(self):
         # (0, 0) exercises the pole at the origin, hit by the first term; the
-        # jet is G's Laurent expansion built from the two branch jets
-        from aqrm.series import _branch_jets
+        # closed form is checked against G's Laurent expansion built from the
+        # residues and finite parts of the two branches
         for (N, ell, g, delta) in ((1, 1, 0.9, 1.0), (0, 2, 0.7, 1.2),
                                    (2, 0, 0.8, 0.9), (0, 0, 0.7, 1.1)):
             p = ModelParams(g, delta, ell / 2.0)
@@ -412,11 +423,11 @@ class TestDoublePole:
             An, Bn = residue_numeric(N + ell / 2.0, p, order=2)
             assert rel_close(A, An, 1e-6)
             assert rel_close(B, Bn, 1e-6)
-            Rp, Rbp = _branch_jets(N + ell / 2.0, p, "plus")
-            Rm, Rbm = _branch_jets(N + ell / 2.0, p, "minus")
-            jet = Rbp.mul(Rbm).scale(delta ** 2).sub(Rp.mul(Rm))
-            assert rel_close(A, jet.order(-2), 1e-10)
-            assert rel_close(B, jet.order(-1), 1e-10)
+            rp, qp, rbp, qbp = _branch_laurent(N + ell / 2.0, p, "plus")
+            rm, qm, rbm, qbm = _branch_laurent(N + ell / 2.0, p, "minus")
+            assert rel_close(A, delta ** 2 * rbp * rbm - rp * rm, 1e-10)
+            assert rel_close(B, delta ** 2 * (rbp * qbm + qbp * rbm)
+                             - (rp * qm + qp * rm), 1e-10)
 
     def test_juddian_point_kills_both(self):
         p = ModelParams(0.5, 1.0, 0.5)
@@ -457,21 +468,44 @@ class TestQFunctions:
         vals = q_functions(1, 1, p)
         assert all(math.isfinite(v) for v in vals)
 
-    def test_finite_part_against_numeric_limit(self):
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("N,ell", [(1, 1), (0, 2), (0, 0)])
+    def test_finite_part_against_numeric_limit(self, N, ell, sign):
         # Q = lim (R - Res/(x - x0)), checked with an off-axis probe
-        from aqrm.series import k_coefficients
-        p = ModelParams(0.8, 1.0, 0.5)
-        x0 = 1.5
-        qm = q_functions(1, 1, p)[0]
+        p = ModelParams(0.8, 1.0, ell / 2.0)
+        x0 = N + ell / 2.0
+        res, q, res_bar, q_bar = _branch_laurent(x0, p, sign)
+        qs = q_functions(N, ell, p)
+        assert (q, q_bar) == (qs[:2] if sign == "minus" else qs[2:])
         h = 1e-4
-        sp = k_coefficients(x0 + h, p, "minus")
-        sm = k_coefficients(x0 - h, p, "minus")
-        res_est = (h * sp.sum_R - h * sm.sum_R) / 2.0
-        fin_est = (sp.sum_R + sm.sum_R) / 2.0
-        assert rel_close(qm, fin_est, 1e-5)
-        from aqrm.series import _branch_jets
-        r_jet, _ = _branch_jets(x0, p, "minus")
-        assert rel_close(r_jet.order(-1), res_est, 1e-5)
+        sp = k_coefficients(x0 + h, p, sign)
+        sm = k_coefficients(x0 - h, p, sign)
+        assert rel_close(q, (sp.sum_R + sm.sum_R) / 2.0, 1e-5)
+        assert rel_close(res, (h * sp.sum_R - h * sm.sum_R) / 2.0, 1e-5)
+        assert rel_close(q_bar, (sp.sum_Rbar + sm.sum_Rbar) / 2.0, 1e-5)
+        assert rel_close(res_bar, (h * sp.sum_Rbar - h * sm.sum_Rbar) / 2.0, 1e-5)
+
+    def test_regular_branch_is_the_plain_sum(self):
+        # at eps = -1 the plus branch has no pole at x0 = 0 (y0 = -1)
+        p = ModelParams(0.8, 1.0, -1.0)
+        sums = k_coefficients(0.0, p, "plus")
+        qp, qbp = q_functions(1, -2, p)[2:]
+        assert rel_close(qp, sums.sum_R, 1e-13)
+        assert rel_close(qbp, sums.sum_Rbar, 1e-13)
+
+    @pytest.mark.parametrize("g", [10.0, 11.0, 13.0])
+    def test_overflowing_jet_raises(self, g):
+        # the scaled sums overflow at this coupling; no inf or nan may pass
+        p = ModelParams(g, 1.0, 0.5)
+        for f in (q_functions, b_function, double_pole_coefficients):
+            with pytest.raises(NonConvergent):
+                f(1, 1, p)
+
+    def test_finite_below_the_overflow(self):
+        p = ModelParams(9.5, 1.0, 0.5)
+        vals = (*q_functions(1, 1, p), b_function(1, 1, p),
+                *double_pole_coefficients(1, 1, p))
+        assert all(math.isfinite(v) for v in vals)
 
 
 class TestBFunction:
