@@ -194,11 +194,9 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
     eigs = oracle.lowest_eigenvalues(params, args.M, args.count)
-    if eigs:
-        try:
-            oracle.level_counter(params, args.M)(eigs[-1] + 1e-6)
-        except oracle.TruncationError as exc:
-            print(f"warning: {exc}", file=sys.stderr)
+    warning = eigs and oracle.truncation_warning(params, args.M, eigs[-1] + 1e-6)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
     _emit_rows([{"g": args.g, "index": i, "lambda": lam, "x": lam + args.g ** 2,
                  "kind": "oracle", "multiplicity": 1, "level_N": None, "branch": None}
                 for i, lam in enumerate(eigs)], args)

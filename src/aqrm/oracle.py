@@ -11,9 +11,8 @@ from .roots import bisect_count
 from .series import ModelParams
 
 _WIDTH = 1.01e-12    # bisection width of each eigenvalue
-M_STEP = 20          # truncation step of the convergence check
 M_MAX = 100_000      # largest truncation; checked before any rung is built
-_M_FIRST, _M_LAST = 60, 400   # truncations of certified_eigenvalues; the first starts certified_count
+_M_FIRST = 60        # last rung of certified_count's first rung list
 
 
 # ---------------------------------------------------------------------------
@@ -94,36 +93,6 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]],
     return count, len(ladder) - 1
 
 
-class TruncationError(ArithmeticError):
-    """The eigenvalue count below some sigma changes from M to M + M_STEP."""
-
-
-def level_counter(params: ModelParams, M: int):
-    """sigma -> the number of eigenvalues below sigma of the Hamiltonian
-    truncated at boson number M (at most M_MAX); raises TruncationError where
-    the count at M + M_STEP differs (the truncation has not converged there).
-    Each probe counts once on the M + M_STEP ladder. When that count stops at
-    a certified rung k <= M, it holds for every truncation from k on, M
-    included. Only a probe that runs past rung M also counts on the first
-    M + 1 rungs, and only such a probe can raise."""
-    if M > M_MAX:
-        raise ValueError(f"M must be at most {M_MAX}")
-    rungs = _ladder(params, M + M_STEP)
-
-    def count(sigma: float) -> int:
-        m, k = _band_count_below(rungs, sigma)
-        if k <= M:
-            return m
-        n = _band_count_below(rungs[:M + 1], sigma)[0]
-        if n != m:
-            raise TruncationError(
-                f"truncation M={M} not converged: {n} eigenvalues below "
-                f"{format(sigma, '.17g')} at M={M}, {m} at M={M + M_STEP}")
-        return n
-
-    return count
-
-
 class UncertifiedCount(ArithmeticError):
     """No rung up to M_MAX certifies the eigenvalue count below some sigma."""
 
@@ -132,13 +101,21 @@ def certified_count(params: ModelParams):
     """sigma -> N(sigma), the number of eigenvalues below sigma of the
     untruncated Hamiltonian. A count that stops at a certified rung k holds for
     every truncation from k on, and by Cauchy interlacing the truncated counts
-    tend to N(sigma), so it is N(sigma). The rung list doubles from _M_FIRST
-    while a probe runs to its last rung; past M_MAX it raises UncertifiedCount."""
-    M = min(_M_FIRST, M_MAX)
-    rungs = _ladder(params, M)
+    tend to N(sigma), so it is N(sigma). The rung list, built at the first
+    probe, doubles from _M_FIRST while a probe runs to its last rung M (the
+    count's last_rung()). Past M_MAX it raises UncertifiedCount, and at once
+    where sigma + r + g^2 > 0 and 2 g^2 + r + sigma >= M_MAX + 2: a rung k
+    certifies only if k + 1 >= mu (mu + r + sigma) / (mu - g^2) for some
+    mu > g^2 (_band_count_below), and that exceeds 2 g^2 + r + sigma."""
+    g2 = params.g * params.g
+    r = math.hypot(params.delta, params.eps)
+    M, rungs = min(_M_FIRST, M_MAX), None
 
     def count(sigma: float) -> int:
         nonlocal M, rungs
+        if sigma + r + g2 > 0.0 and sigma + r + 2.0 * g2 >= M_MAX + 2:
+            raise UncertifiedCount(f"level count not certified by M={M_MAX}")
+        rungs = rungs or _ladder(params, M)
         n, k = _band_count_below(rungs, sigma)
         while k == M and M < M_MAX:
             M = min(2 * M, M_MAX)
@@ -148,7 +125,38 @@ def certified_count(params: ModelParams):
             raise UncertifiedCount(f"level count not certified by M={M}")
         return n
 
+    count.last_rung = lambda: M     # no reference back to count: no cycle
     return count
+
+
+def level_bracket(params: ModelParams, k: int) -> tuple[float, float]:
+    """(-w, k // 2 + w), w = delta + |eps| + 1, brackets level k (0-based) in
+    x = lambda + g^2: by Weyl's inequality no level lies farther than
+    ||delta sigma_z + eps sigma_x|| < w from the displaced oscillators' levels,
+    each n - g^2 twice."""
+    w = params.delta + abs(params.eps) + 1.0
+    return -w, k // 2 + w
+
+
+def _truncated(params: ModelParams, M: int) -> list[tuple[float, float, float, float]]:
+    """_ladder(params, M), refused before any rung is built unless 8 <= M <= M_MAX."""
+    if not 8 <= M <= M_MAX:
+        raise ValueError(f"M must be at least 8 and at most {M_MAX}")
+    return _ladder(params, M)
+
+
+def truncation_warning(params: ModelParams, M: int, sigma: float) -> str | None:
+    """None when the count below sigma of the Hamiltonian truncated at M is
+    N(sigma), else why not. A count that stops at a certified rung below M is
+    N(sigma) already; only a probe that runs to rung M asks certified_count."""
+    n, k = _band_count_below(_truncated(params, M), sigma)
+    try:
+        exact = n if k < M else certified_count(params)(sigma)
+        why = f"{exact} without truncation"
+    except UncertifiedCount as exc:
+        exact, why = None, str(exc)
+    return None if exact == n else (f"truncation M={M} not converged: {n} eigenvalues "
+                                    f"below {format(sigma, '.17g')} at M={M}, {why}")
 
 
 def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
@@ -156,12 +164,10 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     (at least 8, at most M_MAX), through inertia bisection on the parity
     ladder. A probe at sigma counts rung by rung up to the certified tail
     rung of _band_count_below, about sigma + O(g^2), and never past M."""
-    if not 8 <= M <= M_MAX:
-        raise ValueError(f"M must be at least 8 and at most {M_MAX}")
+    ladder = _truncated(params, M)
     if count < 0:
         raise ValueError("count must be nonnegative")
     d, e = params.delta, abs(params.eps)
-    ladder = _ladder(params, M)
     count = min(count, 2 * (M + 1))
     # Gershgorin radii of the rows |k,up> and |k,down>: couplings left of the
     # diagonal first, then those right of it
@@ -178,16 +184,14 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     return out
 
 
-def certified_eigenvalues(params: ModelParams, count: int,
-                          tol: float = 1e-8) -> tuple[list[float], int]:
-    """Raise the truncation from _M_FIRST until successive eigenvalue drift
-    falls below tol; returns (eigenvalues, certified M)."""
-    M = _M_FIRST
-    prev = lowest_eigenvalues(params, M, count)
-    while M < _M_LAST:
-        M2 = M + max(20, M // 2)
-        cur = lowest_eigenvalues(params, M2, count)
-        if max(abs(a - b) for a, b in zip(cur, prev)) < tol:
-            return cur, M2
-        M, prev = M2, cur
-    raise ArithmeticError("truncation did not certify within the M cap")
+def certified_eigenvalues(params: ModelParams, count: int) -> tuple[list[float], int]:
+    """(levels, M): the lowest count eigenvalues of the untruncated Hamiltonian,
+    each by bisection on certified_count inside its level_bracket, and the last
+    rung M of the rung list that count ended on. Raises UncertifiedCount."""
+    n = certified_count(params)
+    g2 = params.g ** 2
+    out = []
+    for k in range(count):
+        lo, hi = level_bracket(params, k)
+        out.append(bisect_count(n, lo - g2, hi - g2, k, _WIDTH))
+    return out, n.last_rung()

@@ -277,16 +277,13 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
         raise ValueError("need n_levels >= 0 and a finite refine_tol > 0")
     if any(b <= a for a, b in zip(g_grid, g_grid[1:])):
         raise ValueError("g_grid must be strictly increasing")
-    # Weyl's inequality against the displaced oscillators (levels n - g^2,
-    # each twice) puts level k in -w < x < k // 2 + w; each window starts at
-    # full_spectrum's default x_lo
-    w = delta + abs(eps) + 1.0
-    x_lo = -(delta + abs(eps) + 1.5)
+    x_lo = -(delta + abs(eps) + 1.5)    # full_spectrum's default
     rows = []
     for g in g_grid:
         params = ModelParams(g, delta, eps)
         n = _level_count(params)
-        top = bisect_count(n, -w, (n_levels - 1) // 2 + w, n_levels - 1, _BRACKET)
+        top = bisect_count(n, *oracle.level_bracket(params, n_levels - 1), n_levels - 1,
+                           _BRACKET)
         flat = [r for r in _assemble(params, n, x_lo, top + _BRACKET, refine_tol)
                 for _ in range(r.multiplicity)]
         if len(flat) < n_levels:

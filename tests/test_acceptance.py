@@ -200,7 +200,7 @@ def test_criterion_07_oracle_agreement():
     worst = 0.0
     for (g, delta, eps) in ((1.0, 1.0, 0.2), (0.5, 1.0, 0.5), (1.5, 2.0, 1.0)):
         params = ModelParams(g, delta, eps)
-        ev, M = oracle.certified_eigenvalues(params, 6, tol=1e-8)
+        ev, M = oracle.certified_eigenvalues(params, 6)
         recs = full_spectrum(params, x_max=ev[-1] + g * g + 0.5)
         lams = expand_multiplicities(recs)[:6]
         assert len(lams) == 6, (g, delta, eps, lams)

@@ -323,13 +323,27 @@ class TestInputRange:
 class TestOracleConvergence:
     def test_unconverged_truncation_warns(self, capsys):
         # the ground state lies near -g^2 = -1e6; at M = 80 the lowest level
-        # is far above it, and M = 100 has 8 levels below that one
+        # is far above it, and no rung up to M_MAX can certify the count there
+        from aqrm import oracle
         code, out, err = run(capsys, "oracle", "--g", "1000", "--delta", "1",
                              "--eps", "0.2", "--M", "80", "--count", "1")
         assert code == 0
         assert out.startswith("g,index,lambda") and len(out.strip().split("\n")) == 2
         assert err.startswith("warning: truncation M=80 not converged")
-        assert "1 eigenvalues below" in err and "8 at M=100" in err
+        assert "1 eigenvalues below" in err
+        assert err.endswith(f"at M=80, level count not certified by M={oracle.M_MAX}\n")
+
+    @pytest.mark.parametrize("argv,warns", (
+        ("oracle --g 5 --delta 1 --eps 0.2 --M 80 --count 20", False),
+        ("oracle --g 1 --delta 1 --eps 0.2 --M 8 --count 1", False),
+        ("oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8", False),     # README
+        ("oracle --g 1000 --delta 1 --eps 0.2 --M 80 --count 1", True),
+    ))
+    def test_warns_only_where_the_count_is_not_certified(self, capsys, argv, warns):
+        # the truncated count just above the top printed level against N(sigma)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and out.startswith("g,index,lambda")
+        assert err.startswith("warning: truncation M=") if warns else err == ""
 
     def test_converged_truncation_is_silent(self, capsys):
         code, out, err = run(capsys, *"oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8".split())
@@ -367,7 +381,7 @@ class TestStrongCoupling:
 
     def test_uncertified_count_exit_two(self, capsys, monkeypatch):
         # the ground state at g = 1000 lies near -1e6: no rung up to M_MAX
-        # certifies the count, and no ladder is built past M_MAX
+        # can certify the count, and it refuses before it builds a ladder
         from aqrm import oracle
         built = []
         ladder = oracle._ladder
@@ -380,7 +394,7 @@ class TestStrongCoupling:
         code, out, err = run(capsys, *"spectrum --g 1000 --delta 1 --eps 0.3 --x-max 3".split())
         assert code == 2 and out == ""
         assert err == f"error: level count not certified by M={oracle.M_MAX}\n"
-        assert max(built) == oracle.M_MAX
+        assert built == []
 
 
 # SHA-256 of stdout for each README command line, with the sweep shortened to

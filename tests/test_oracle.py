@@ -13,14 +13,13 @@ from _dense import band_count_full, eigenvalues, sym_tridiag_eigenvalues, trunca
 from aqrm import oracle
 from aqrm.oracle import (
     M_MAX,
-    TruncationError,
     UncertifiedCount,
     _band_count_below,
     _ladder,
     certified_count,
     certified_eigenvalues,
-    level_counter,
     lowest_eigenvalues,
+    truncation_warning,
 )
 from aqrm.series import ModelParams
 
@@ -124,16 +123,22 @@ class TestConvergence:
     def test_count_below_matches_levels(self):
         p = ModelParams(1.0, 1.0, 0.2)
         eigs = lowest_eigenvalues(p, 40, 6)
-        assert level_counter(p, 40)(eigs[-1] + 1e-6) == 6
-        assert level_counter(p, 60)(eigs[-1] + 1e-6) == 6
+        assert certified_count(p)(eigs[-1] + 1e-6) == 6
+        for M in (40, 60):
+            assert _band_count_below(_ladder(p, M), eigs[-1] + 1e-6)[0] == 6
+            assert truncation_warning(p, M, eigs[-1] + 1e-6) is None
         # the ground state at g = 1000 lies near -1e6, far below what M = 80 holds
         p = ModelParams(1000.0, 1.0, 0.2)
         sigma = lowest_eigenvalues(p, 80, 1)[0] + 1e-6
-        with pytest.raises(TruncationError, match="1 eigenvalues below .* at M=80, 8 at M=100"):
-            level_counter(p, 80)(sigma)
+        assert _band_count_below(_ladder(p, 100), sigma)[0] == 8
+        with pytest.raises(UncertifiedCount, match=f"not certified by M={M_MAX}$"):
+            certified_count(p)(sigma)
+        assert truncation_warning(p, 80, sigma) == (
+            f"truncation M=80 not converged: 1 eigenvalues below "
+            f"{format(sigma, '.17g')} at M=80, level count not certified by M={M_MAX}")
 
     def test_certified(self):
-        eigs, M = certified_eigenvalues(ModelParams(1.0, 1.0, 0.2), 6, tol=1e-8)
+        eigs, M = certified_eigenvalues(ModelParams(1.0, 1.0, 0.2), 6)
         again = lowest_eigenvalues(ModelParams(1.0, 1.0, 0.2), M + 40, 6)
         assert eigs == pytest.approx(again, abs=1e-7)
 
@@ -289,6 +294,9 @@ class TestTailCertificate:
 
 
 class TestLevelCounter:
+    """truncation_warning: the level count at a user's truncation M against
+    N(sigma), as `aqrm oracle` checks it."""
+
     def counting_calls(self, monkeypatch):
         calls = []
         count = oracle._band_count_below
@@ -301,23 +309,35 @@ class TestLevelCounter:
         return calls
 
     def test_one_pass_when_the_count_stops_by_rung_M(self, monkeypatch):
+        # a count that stops at a certified rung below M is N(sigma) already
         p = ModelParams(1.0, 1.0, 0.2)
         sigmas = (-3.0, 0.4, 4.2, 12.5)
-        assert all(_band_count_below(_ladder(p, 60), s)[1] <= 40 for s in sigmas)
+        assert all(_band_count_below(_ladder(p, 40), s)[1] < 40 for s in sigmas)
         calls = self.counting_calls(monkeypatch)
-        n = level_counter(p, 40)
-        assert [n(s) for s in sigmas] == [band_count_full(_ladder(p, 40), s) for s in sigmas]
-        assert calls == [61] * len(sigmas)
+        assert [truncation_warning(p, 40, s) for s in sigmas] == [None] * len(sigmas)
+        assert calls == [41] * len(sigmas)
+        assert [certified_count(p)(s) for s in sigmas] == [
+            band_count_full(_ladder(p, 40), s) for s in sigmas]
 
     def test_two_passes_past_rung_M(self, monkeypatch):
-        # the ground state at g = 1000 lies near -1e6: no rung up to 100
-        # certifies the tail, so the probe also counts on the M = 80 ladder
+        # at g = 3 the count at M = 12 runs to rung 12 and misses a level that
+        # the certified count finds on its first rung list
+        p = ModelParams(3.0, 1.0, 0.2)
+        sigma = lowest_eigenvalues(p, 12, 4)[-1] + 1e-6
+        calls = self.counting_calls(monkeypatch)
+        assert truncation_warning(p, 12, sigma) == (
+            f"truncation M=12 not converged: 4 eigenvalues below "
+            f"{format(sigma, '.17g')} at M=12, 5 without truncation")
+        assert calls == [13, 61]
+        # the ground state at g = 1000 lies near -1e6: certified_count refuses
+        # before it builds a rung list, so the probe counts only at M = 80
         p = ModelParams(1000.0, 1.0, 0.2)
         sigma = lowest_eigenvalues(p, 80, 1)[0] + 1e-6
-        calls = self.counting_calls(monkeypatch)
-        with pytest.raises(TruncationError, match="1 eigenvalues below .* at M=80, 8 at M=100"):
-            level_counter(p, 80)(sigma)
-        assert calls == [101, 81]
+        calls.clear()
+        assert truncation_warning(p, 80, sigma).endswith(
+            f"1 eigenvalues below {format(sigma, '.17g')} at M=80, "
+            f"level count not certified by M={M_MAX}")
+        assert calls == [81]
 
     def test_truncation_cap_comes_first(self, monkeypatch):
         # the cap is checked before a single rung is built: a ladder for
@@ -330,8 +350,8 @@ class TestLevelCounter:
         tracemalloc.start()
         try:
             for call in (lambda: lowest_eigenvalues(p, 10 ** 9, 1),
-                         lambda: level_counter(p, 10 ** 9),
-                         lambda: level_counter(p, M_MAX + 1)):
+                         lambda: truncation_warning(p, 10 ** 9, 0.0),
+                         lambda: truncation_warning(p, M_MAX + 1, 0.0)):
                 with pytest.raises(ValueError, match=f"at most {M_MAX}$"):
                     call()
             peak = tracemalloc.get_traced_memory()[1]
@@ -356,19 +376,46 @@ class TestCertifiedCount:
         assume(all(abs(sigma - e) > 1e-9 for e in eigs))
         assert certified_count(params)(sigma) == sum(e < sigma for e in eigs)
 
+    @given(g=st.floats(0, 1.5), delta=st.floats(0, 2), eps=st.floats(-2, 2),
+           count=st.integers(1, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_eigenvalues_match_dense_past_the_certified_rung(self, g, delta, eps, count):
+        # a truncation at or past the rung that certifies the count just above
+        # a level holds that level to within the probe offset
+        params = SimpleNamespace(g=g, delta=delta, eps=eps)
+        ev, _ = certified_eigenvalues(params, count)
+        k = max(_band_count_below(_ladder(params, 400), e + 1e-10)[1] for e in ev)
+        assume(k + 4 <= 24)
+        dense = eigenvalues(truncated_hamiltonian(params, k + 4), count)
+        assert ev == pytest.approx(dense, abs=1e-9)
+
     @given(g=st.floats(0, 2), delta=st.floats(0, 2), eps=st.floats(-2, 2),
            data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_the_truncated_counter(self, g, delta, eps, data):
+        # wherever a truncation's count stops at a certified rung below M,
+        # it is N(sigma), and truncation_warning stays silent
         params = SimpleNamespace(g=g, delta=delta, eps=eps)
         sigma = data.draw(st.floats(-g * g - 3.0, 30.0))
         n = certified_count(params)(sigma)
         for M in (40, 80):
-            try:
-                truncated = level_counter(params, M)(sigma)
-            except TruncationError:
-                continue
-            assert truncated == n, M
+            truncated, k = _band_count_below(_ladder(params, M), sigma)
+            if k < M:
+                assert truncated == n, M
+            assert (truncation_warning(params, M, sigma) is None) == (truncated == n), M
+
+    @given(g=st.floats(0.01, 6), delta=st.floats(0, 2), eps=st.floats(-2, 2),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_rung_certifies_below_the_refusal_bound(self, g, delta, eps, data):
+        # certified_count refuses at once when 2 g^2 + r + sigma >= M_MAX + 2,
+        # which is sound only if every certified rung k has k + 1 > 2 g^2 + r + sigma
+        params = SimpleNamespace(g=g, delta=delta, eps=eps)
+        r = math.hypot(delta, eps)
+        sigma = data.draw(st.floats(-g * g - r, 40.0))
+        k = _band_count_below(_ladder(params, 400), sigma)[1]
+        assume(k < 400 and sigma + r + g * g > 0)
+        assert k + 1 > 2 * g * g + r + sigma
 
     def test_rungs_double_until_certified_then_refuse(self, monkeypatch):
         built = []
@@ -388,12 +435,12 @@ class TestCertifiedCount:
             assert n(sigma) == band_count_full(full, sigma)
         assert built == [60]
         assert n(3.0) == band_count_full(full, 3.0) and built == [60, 120]
-        # g = 1000: no rung certifies, and none is built past M_MAX
+        # g = 1000: no rung up to M_MAX can certify, so none is built
         monkeypatch.setattr(oracle, "M_MAX", 200)
         built.clear()
         with pytest.raises(UncertifiedCount, match="not certified by M=200$"):
             certified_count(ModelParams(1000.0, 1.0, 0.2))(-1e6)
-        assert built == [60, 120, 200]
+        assert built == []
 
 
 class TestParitySplit:
