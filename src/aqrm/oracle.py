@@ -163,10 +163,20 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     """Lowest eigenvalues of the Hamiltonian truncated at boson number M
     (at least 8, at most M_MAX), through inertia bisection on the parity
     ladder. A probe at sigma counts rung by rung up to the certified tail
-    rung of _band_count_below, about sigma + O(g^2), and never past M."""
-    ladder = _truncated(params, M)
+    rung of _band_count_below, about sigma + O(g^2), and never past M.
+
+    Level k bisects from just below level k - 1 up to the Gershgorin top,
+    but the counts are shared between levels (Barth, Martin & Wilkinson,
+    Numer. Math. 9 (1967) 386): above[j] is the least sigma probed so far
+    with more than j eigenvalues below it. The count does not decrease in
+    sigma, so a midpoint at or above above[k] has more than k below it and
+    takes the step a probe would take, without one. The bisection paths, and
+    every bit returned, are those of probing each midpoint wherever the
+    computed count does not decrease either; it is exact, so monotone,
+    farther than the _pivot nudge from every eigenvalue."""
     if count < 0:
         raise ValueError("count must be nonnegative")
+    ladder = _truncated(params, M)
     d, e = params.delta, abs(params.eps)
     count = min(count, 2 * (M + 1))
     # Gershgorin radii of the rows |k,up> and |k,down>: couplings left of the
@@ -176,10 +186,21 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     rows += [(k - d, (e + c[k]) + c[k + 1]) for k in range(M + 1)]
     lo = min(a - r for a, r in rows) - 1.0
     hi = max(a + r for a, r in rows) + 1.0
+    above = [math.inf] * count
+
+    def count_below(sigma: float) -> int:     # for level k of the loop below
+        if sigma >= above[k]:
+            return k + 1
+        n = _band_count_below(ladder, sigma)[0]
+        j = min(n, count) - 1
+        while j >= 0 and above[j] > sigma:     # above is nondecreasing in j
+            above[j] = sigma
+            j -= 1
+        return n
+
     out = []
     for k in range(count):
-        out.append(bisect_count(lambda s: _band_count_below(ladder, s)[0],
-                                lo, hi, k, _WIDTH))
+        out.append(bisect_count(count_below, lo, hi, k, _WIDTH))
         lo = out[-1] - 1e-9  # eigenvalues are sorted; restart just below
     return out
 

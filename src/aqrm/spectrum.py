@@ -39,7 +39,8 @@ KIND_JUDDIAN = "juddian"
 KIND_NON_JUDDIAN = "non-juddian-exceptional"
 
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
-_BRACKET = 1e-3                  # widest level bracket handed to calG refinement
+_BRACKET = 1e-3                  # width and margin of the level that ends a sweep
+_NARROW = 1e-6                   # widest one-level bracket handed to calG refinement
 _FLOOR = 1e-9                    # narrowest bracket split on the level count
 
 
@@ -203,7 +204,7 @@ def _level_count(params: ModelParams):
 
 def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
                       x_max: float) -> list[tuple[float, float]]:
-    """Brackets [a, b), in no order and at most _BRACKET wide, each holding
+    """Brackets [a, b), in no order and at most _NARROW wide, each holding
     exactly one level counted by n in [x_lo, x_max) that is not a record;
     every record owns [x - _FLOOR, x + _FLOOR)."""
     edges = [x_lo] + [x for r in records for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
@@ -211,7 +212,7 @@ def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
     out, todo = [], list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
     while todo:
         a, b, na, nb = todo.pop()
-        if nb == na or (nb == na + 1 and b - a <= _BRACKET):
+        if nb == na or (nb == na + 1 and b - a <= _NARROW):
             out += [(a, b)] * (nb - na)
         elif b - a <= _FLOOR:
             raise IncompleteSpectrum(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _dense import band_count_full, eigenvalues, sym_tridiag_eigenvalues, truncated_hamiltonian
 from aqrm import oracle
 from aqrm.oracle import (
+    _WIDTH,
     M_MAX,
     UncertifiedCount,
     _band_count_below,
@@ -21,6 +22,7 @@ from aqrm.oracle import (
     lowest_eigenvalues,
     truncation_warning,
 )
+from aqrm.roots import bisect_count
 from aqrm.series import ModelParams
 
 
@@ -120,6 +122,20 @@ class TestConvergence:
         with pytest.raises(ValueError, match="at least 8"):
             lowest_eigenvalues(ModelParams(1.0, 1.0, 0.0), 7, 4)
 
+    def test_negative_count_before_the_ladder(self, monkeypatch):
+        # a ladder for M = 100000 holds 100001 rungs; the count is refused first
+        built = []
+        ladder = oracle._ladder
+
+        def recorded(params, M):
+            built.append(M)
+            return ladder(params, M)
+
+        monkeypatch.setattr(oracle, "_ladder", recorded)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            lowest_eigenvalues(ModelParams(1.0, 1.0, 0.2), 100_000, -1)
+        assert built == []
+
     def test_count_below_matches_levels(self):
         p = ModelParams(1.0, 1.0, 0.2)
         eigs = lowest_eigenvalues(p, 40, 6)
@@ -151,6 +167,61 @@ class TestDegeneracyStructure:
         assert len(pairs) == 1
         mean = (pairs[0][0] + pairs[0][1]) / 2
         assert mean == pytest.approx(1.25, abs=1e-8)
+
+
+def reference_lowest_eigenvalues(params, M, count):
+    """The per-level loop lowest_eigenvalues replaced: every bisection midpoint
+    of every level is probed, with no count shared between levels."""
+    ladder = _ladder(params, M)
+    d, e = params.delta, abs(params.eps)
+    count = min(count, 2 * (M + 1))
+    c = [0.0] + [abs(params.g * math.sqrt(k + 1.0)) for k in range(M)] + [0.0]
+    rows = [(k + d, c[k] + (e + c[k + 1])) for k in range(M + 1)]
+    rows += [(k - d, (e + c[k]) + c[k + 1]) for k in range(M + 1)]
+    lo = min(a - r for a, r in rows) - 1.0
+    hi = max(a + r for a, r in rows) + 1.0
+    out = []
+    for k in range(count):
+        out.append(bisect_count(lambda s: _band_count_below(ladder, s)[0],
+                                lo, hi, k, _WIDTH))
+        lo = out[-1] - 1e-9
+    return out
+
+
+class TestSharedProbes:
+    """lowest_eigenvalues answers a midpoint from the counts of earlier probes
+    where they settle it, and returns the same bits as probing every one."""
+
+    @given(g=st.floats(0.05, 4), delta=st.floats(0.02, 3),
+           eps=st.one_of(st.floats(-2, 2), st.sampled_from((0.0, 0.5, -0.5, 1.0, 1.5))),
+           M=st.integers(8, 20), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_unshared_loop(self, g, delta, eps, M, data):
+        count = data.draw(st.integers(0, 2 * (M + 1)))
+        params = ModelParams(g, delta, eps)
+        assert lowest_eigenvalues(params, M, count) == reference_lowest_eigenvalues(
+            params, M, count)
+
+    def test_juddian_doublet(self):
+        # g = 1/2, delta = 1, eps = 1/2: levels 2 and 3 meet at lambda = 1.25
+        params = ModelParams(0.5, 1.0, 0.5)
+        assert lowest_eigenvalues(params, 80, 6) == reference_lowest_eigenvalues(params, 80, 6)
+
+    def test_probes_and_rungs(self, monkeypatch):
+        # the oracle-bands case of the benchmark: probing every midpoint takes
+        # 980 probes over 46218 rungs
+        probes, rungs = [], []
+        count = oracle._band_count_below
+
+        def counted(ladder, sigma):
+            n, k = count(ladder, sigma)
+            probes.append(sigma)
+            rungs.append(k + 1)
+            return n, k
+
+        monkeypatch.setattr(oracle, "_band_count_below", counted)
+        lowest_eigenvalues(ModelParams(2.3154, 0.8471, 0.32791), 300, 20)
+        assert len(probes) <= 840 and sum(rungs) <= 31000
 
 
 def ladder_count(g, delta, eps, M, sigma):

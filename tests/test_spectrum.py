@@ -573,3 +573,5 @@ class TestDyadicReporting:
         n_regular = sum(r["kind"] == KIND_REGULAR for r in rows)
         assert n_regular >= 35
         assert len(calls) <= 10 * n_regular
+        # the level count narrows each bracket to _NARROW before calG refines it
+        assert len(calls) <= 4.5 * n_regular
