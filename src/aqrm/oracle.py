@@ -1,7 +1,9 @@
-"""Independent ground truth: eigenvalues of the model Hamiltonian on a
-truncated boson basis by inertia bisection on its parity ladder, used to
-validate every spectral claim at desk scale. No external numerical library is
-involved."""
+"""Level counts of the model Hamiltonian by inertia bisection on its parity
+ladder: certified_count, the count N(sigma) of the untruncated Hamiltonian,
+places every level that the spectrum assembles (exceptional and regular
+alike). lowest_eigenvalues bisects the count of a truncated boson basis, and
+certified_eigenvalues bisects N(sigma) to the levels the tests hold the
+spectrum to. No external numerical library is involved."""
 
 from __future__ import annotations
 

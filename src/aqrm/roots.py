@@ -3,10 +3,8 @@ polynomial enters as its primitive integer multiple, its square-free part is
 an exact integer division, one primitive Sturm chain of sign-kept
 pseudo-remainders counts the roots by homogeneous integer evaluation at
 rational points, a split on that count isolates them, and one sign-change
-bisection refines them. Float zeros (of calG) are reported as the midpoint of
-the dyadic cell across which the function changes sign. Also generic
-tridiagonal continuants, and the count bisection shared by the oracle and the
-spectrum sweep."""
+bisection refines them. Also generic tridiagonal continuants, and the count
+bisection shared by the oracle and the spectrum sweep."""
 
 from __future__ import annotations
 
@@ -309,59 +307,6 @@ def bisect_sign_change(f, a, b, fa, tol):
         else:
             b = mid
     return (a + b) / 2
-
-
-class NoSignChange(ArithmeticError):
-    """A float function does not change sign where a zero was bracketed."""
-
-
-def dyadic_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    """The zero of f between a < b, where fa = f(a) and fb = f(b) are nonzero
-    and of opposite signs, reported as the midpoint (j + 1/2) h of the dyadic
-    cell [j h, (j + 1) h] across which f changes sign: f(j h) has the sign of
-    fa and f((j + 1) h) does not, both evaluated. h is the largest power of two
-    <= tol, but at least twice the float spacing at max(|a|, |b|), so every
-    cell end and midpoint is a float and a tol below that spacing still ends.
-    Where f changes sign once on the grid, the cell depends on f and h only,
-    not on the bracket or on the probes.
-
-    Each probe is the Illinois false-position point (Dowell & Jarratt, BIT 11
-    (1971) 168) rounded to the h-grid and kept strictly inside the bracket; the
-    grid midpoint stands in where that point is not finite. A cell end outside
-    [a, b] is evaluated last. Raises NoSignChange when fa and fb do not differ
-    in sign, or when f does not change sign across the cell (two zeros in it)."""
-    if not (fa < 0 < fb or fb < 0 < fa):
-        raise NoSignChange(f"no sign change on [{a!r}, {b!r}]")
-    h = max(math.ldexp(0.5, math.frexp(tol)[1]), 2.0 * math.ulp(max(abs(a), abs(b))))
-
-    def below(v):               # v = f(x) puts x below the zero
-        return v != 0 and (v > 0) == (fa > 0)
-
-    lo, hi, flo, fhi = a, b, fa, fb
-    side = 0
-    while True:
-        k_lo, k_hi = math.floor(lo / h) + 1, math.ceil(hi / h) - 1
-        if k_lo > k_hi:         # no grid point strictly inside: one cell left
-            break
-        s = lo + (hi - lo) / (1.0 - fhi / flo) if flo else math.nan
-        k = min(max(round(s / h), k_lo), k_hi) if math.isfinite(s) else (k_lo + k_hi) // 2
-        c = k * h
-        fc = f(c)
-        # Illinois: an end kept for a second probe running has its value halved
-        if below(fc):
-            lo, flo = c, fc
-            if side < 0:
-                fhi *= 0.5
-            side = -1
-        else:
-            hi, fhi = c, fc
-            if side > 0:
-                flo *= 0.5
-            side = 1
-    left = math.floor(lo / h) * h
-    if (left != lo and not below(f(left))) or (left + h != hi and below(f(left + h))):
-        raise NoSignChange(f"two zeros within [{left!r}, {left + h!r}]")
-    return left + 0.5 * h
 
 
 def refine_root(p: UniPoly, iv: tuple[Fraction, Fraction], tol: Fraction) -> Fraction:

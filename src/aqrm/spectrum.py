@@ -1,10 +1,11 @@
 """Eigenvalue assembly: the parity-ladder level count places every level.
 Exceptional points x = N +/- eps are records where the count jumps across
 them, named Juddian by exact roots of the constraint polynomial and
-non-Juddian otherwise; regular levels are zeros of the regularized G-function
-inside brackets of the same count. Also classification with multiplicities,
-positive-root counting, T-function zero scans over g, and coupling sweeps that
-produce spectral-curve tables."""
+non-Juddian otherwise; each regular level, a zero of the regularized
+G-function, is located by bisection on the same count to the midpoint of a
+dyadic cell, and calG is left to check it. Also classification with
+multiplicities, positive-root counting, T-function zero scans over g, and
+coupling sweeps that produce spectral-curve tables."""
 
 from __future__ import annotations
 
@@ -16,11 +17,9 @@ from functools import lru_cache
 from . import oracle
 from .poly import constraint_slice
 from .roots import (
-    NoSignChange,
     bisect_count,
     bisect_sign_change,
     count_real_roots,
-    dyadic_root,
     isolate_real_roots,
     refine_root,
     squarefree_part,
@@ -30,7 +29,6 @@ from .roots import (
 from .series import (
     ModelParams,
     is_half_integer,
-    regularized_g,
     t_function,
 )
 
@@ -40,7 +38,6 @@ KIND_NON_JUDDIAN = "non-juddian-exceptional"
 
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
 _BRACKET = 1e-3                  # width and margin of the level that ends a sweep
-_NARROW = 1e-6                   # widest one-level bracket handed to calG refinement
 _FLOOR = 1e-9                    # narrowest bracket split on the level count
 
 
@@ -181,11 +178,12 @@ def exceptional_records(params: ModelParams, n, x_lo: float,
 
 
 # ---------------------------------------------------------------------------
-# the spectrum: records plus one calG zero per bracket of the level count
+# the spectrum: records plus one dyadic cell per level of the count
 # ---------------------------------------------------------------------------
 
 class IncompleteSpectrum(ArithmeticError):
-    """The level count and the located levels disagree."""
+    """The level count cannot settle the spectrum: levels closer than _FLOOR,
+    or a count that no rung certifies."""
 
 
 def _level_count(params: ModelParams):
@@ -202,44 +200,43 @@ def _level_count(params: ModelParams):
     return n
 
 
-def _regular_brackets(n, records: list[EigenvalueRecord], x_lo: float,
-                      x_max: float) -> list[tuple[float, float]]:
-    """Brackets [a, b), in no order and at most _NARROW wide, each holding
-    exactly one level counted by n in [x_lo, x_max) that is not a record;
-    every record owns [x - _FLOOR, x + _FLOOR)."""
-    edges = [x_lo] + [x for r in records for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
-    counts = [n(x) for x in edges]
-    out, todo = [], list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
-    while todo:
-        a, b, na, nb = todo.pop()
-        if nb == na or (nb == na + 1 and b - a <= _NARROW):
-            out += [(a, b)] * (nb - na)
-        elif b - a <= _FLOOR:
-            raise IncompleteSpectrum(
-                f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
-        else:
-            mid = 0.5 * (a + b)
-            nm = n(mid)
-            todo += [(a, mid, na, nm), (mid, b, nm, nb)]
-    return out
-
-
 def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
               refine_tol: float) -> list[EigenvalueRecord]:
     """Sorted records in [x_lo, x_max) for the level count n: the exceptional
-    records plus, in every bracket of the count, one regular calG zero at the
-    midpoint of the dyadic cell of width about refine_tol across which calG
-    changes sign."""
-    def f(x):
-        return regularized_g(x, params)
-
+    records, each owning [x - _FLOOR, x + _FLOOR), plus the regular levels.
+    The rest of the window splits at midpoints until a bracket [a, b) holds
+    one level; bisection on n over the grid j h then finds the cell
+    [j h, (j + 1) h] that holds it, and the level is its midpoint (j + 1/2) h.
+    h is the largest power of two <= refine_tol, but at least twice the float
+    spacing at max(|a|, |b|), so every grid point is a float and a tol below
+    that spacing still ends. Where refine_tol sets h, the cell depends on n
+    and refine_tol only, not on the bracket (count bisection: Barth, Martin &
+    Wilkinson, Numer. Math. 9 (1967) 386)."""
     out = exceptional_records(params, n, x_lo, x_max)
-    for a, b in _regular_brackets(n, out, x_lo, x_max):
-        try:
-            x = dyadic_root(f, a, b, f(a), f(b), refine_tol)
-        except NoSignChange as exc:
-            raise IncompleteSpectrum(f"calG level bracket: {exc}") from None
-        out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
+    edges = [x_lo] + [x for r in out for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
+    counts = [n(x) for x in edges]
+    todo = list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
+    while todo:
+        a, b, na, nb = todo.pop()
+        if nb == na + 1:
+            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]),
+                    2.0 * math.ulp(max(abs(a), abs(b))))
+            lo, hi = math.floor(a / h), math.ceil(b / h)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if n(mid * h) > na:
+                    hi = mid
+                else:
+                    lo = mid
+            x = (lo + 0.5) * h
+            out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
+        elif nb != na:
+            if b - a <= _FLOOR:
+                raise IncompleteSpectrum(
+                    f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
+            mid = 0.5 * (a + b)
+            nm = n(mid)
+            todo += [(a, mid, na, nm), (mid, b, nm, nb)]
     out.sort(key=lambda r: r.x)
     return out
 
@@ -247,11 +244,11 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
 def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
                   x_lo: float | None = None) -> list[EigenvalueRecord]:
     """Sorted eigenvalue records in [x_lo, x_max): the exceptional points
-    where the level count jumps plus one regular calG zero in every other
-    bracket of the count. Degenerate points appear once with multiplicity 2;
-    they occur only for half-integer bias and are Juddian. Raises
-    IncompleteSpectrum rather than return a list that the count shows to be
-    short."""
+    where the level count jumps plus every other level of the count, at the
+    midpoint of its dyadic cell of width about refine_tol. Degenerate points
+    appear once with multiplicity 2; they occur only for half-integer bias and
+    are Juddian. Raises IncompleteSpectrum rather than return a list that the
+    count shows to be short."""
     if x_lo is None:
         x_lo = -(params.delta + abs(params.eps) + 1.5)
     if not (0 < refine_tol < math.inf and math.isfinite(x_max) and x_max > x_lo):

@@ -397,6 +397,37 @@ class TestStrongCoupling:
         assert built == []
 
 
+class TestCountLocatesLevels:
+    """The level count alone locates every regular level, also where float
+    calG cannot: at g = 10 its series overflows below the first level, and in
+    the large-x draw its zero had drifted out of the level's count bracket."""
+
+    @pytest.mark.parametrize("argv", (
+        "spectrum --g 10 --delta 1 --eps 0.3 --x-max 3",
+        "spectrum --g 0.25898567264210165 --delta 0.5958659746072057"
+        " --eps -1.947248092984792 --x-max 23",
+    ))
+    def test_levels_match_the_certified_oracle(self, capsys, argv):
+        from aqrm import oracle
+        from aqrm.series import ModelParams
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == ""
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        lams = [float(r[2]) for r in rows for _ in range(int(r[5]))]
+        opts = dict(zip(argv.split()[1::2], argv.split()[2::2]))
+        p = ModelParams(float(opts["--g"]), float(opts["--delta"]), float(opts["--eps"]))
+        ev, _ = oracle.certified_eigenvalues(p, len(lams) + 1)
+        assert lams and lams == pytest.approx(ev[:-1], abs=1e-9)
+        assert ev[-1] > float(opts["--x-max"]) - p.g ** 2 - 1e-9     # every level
+
+    def test_doublet_closer_than_the_floor_exit_two(self, capsys):
+        # two levels 6.3e-10 apart near x = 18.4996, closer than the 1e-9
+        # floor of the count split; splitting below the floor only moves the
+        # refusal to another pair, 3.9e-11 apart near x = 15.4996
+        code, out, err = run(capsys, *"spectrum --g 6 --delta 0.2 --eps 1.5 --x-max 40".split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: 2 levels within")
+
 # SHA-256 of stdout for each README command line, with the sweep shortened to
 # g = 0..0.5, plus two irrational-bias spectra (one on a Juddian coupling) and
 # a simple-pole residue. The digests pin CPython's 17-digit float output on

@@ -2,7 +2,6 @@
 and the count bisection, with tridiagonal eigenvalues from tests/_dense.py as
 the reference."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ import aqrm.roots as roots_mod
 from _dense import sym_tridiag_eigenvalues, tridiag_count_below
 from aqrm.poly import c_weight, constraint_poly, constraint_slice, constraint_value
 from aqrm.roots import (
-    NoSignChange,
     TridiagMatrix,
     UniPoly,
     ZeroPolynomialError,
@@ -21,7 +19,6 @@ from aqrm.roots import (
     bisect_sign_change,
     continuant,
     count_real_roots,
-    dyadic_root,
     isolate_real_roots,
     refine_root,
     squarefree_part,
@@ -361,29 +358,6 @@ class TestRefine:
         x = bisect_sign_change(f, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2 ** 30))
         assert isinstance(x, Fraction) and abs(x - Fraction(1, 3)) <= Fraction(1, 2 ** 31)
         assert bisect_sign_change(f, Fraction(0), Fraction(2, 3), Fraction(-1), 0) == Fraction(1, 3)
-
-
-class TestDyadicRoot:
-    def test_cell_midpoint_from_any_bracket(self):
-        # h = 2^-34 <= 1e-10; the zero 1/3 lies in cell j = floor(2^34 / 3)
-        def f(x):
-            return x - 1 / 3
-
-        j = math.floor((1 / 3) / 2 ** -34)
-        for a, b in ((0.0, 1.0), (0.3, 1 / 3 + 1e-12), (1 / 3 - 3e-11, 0.34)):
-            assert dyadic_root(f, a, b, f(a), f(b), 1e-10) == (j + 0.5) * 2 ** -34
-
-    def test_raises_without_a_sign_change(self):
-        c = 0.5 + 2 ** -35                    # the midpoint of a cell
-
-        def f(x):
-            return (x - c) ** 2 - 1e-24       # zeros c -/+ 1e-12
-
-        with pytest.raises(NoSignChange, match="no sign change"):
-            dyadic_root(f, 0.0, 0.4, f(0.0), f(0.4), 1e-10)
-        # the bracket holds one zero, but the cell around it holds both
-        with pytest.raises(NoSignChange, match="two zeros"):
-            dyadic_root(f, 0.0, c, f(0.0), f(c), 1e-10)
 
 
 class TestTridiagEigen:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from aqrm import oracle
 from aqrm.poly import c_weight
-from aqrm.roots import dyadic_root
 from aqrm.series import ModelParams, regularized_g
 from aqrm.spectrum import (
     KIND_JUDDIAN,
@@ -479,10 +478,10 @@ class TestHelpers:
 
 
 class TestFloatBisection:
-    """The sign-change bisection behind the T-function scan and the calG
-    refinement stops once no float midpoint is left strictly inside its
-    bracket, whatever the tolerance. The T-function stub is a step function,
-    so no probe ever lands on an exact zero."""
+    """The sign-change bisection behind the T-function scan and the count
+    bisection behind each regular level both stop once no float is left
+    strictly inside their bracket, whatever the tolerance. The T-function stub
+    is a step function, so no probe ever lands on an exact zero."""
 
     @staticmethod
     def limited(f, cap=200):
@@ -506,12 +505,19 @@ class TestFloatBisection:
         assert len(calls) < 80
 
     def test_regularized_g_scan(self, monkeypatch):
-        # a tolerance below float spacing: each level's refinement stops at
-        # adjacent floats, about 45 calG calls from a 1e-3 bracket
+        # a tolerance below float spacing: the grid of each level is two
+        # float spacings wide, about 55 count probes from the whole window
         import aqrm.spectrum as spectrum_mod
         p = ModelParams(0.5, 1.0, 0.3)
-        stub, calls = self.limited(spectrum_mod.regularized_g, cap=600)
-        monkeypatch.setattr(spectrum_mod, "regularized_g", stub)
+        level_count = spectrum_mod._level_count
+        calls = []
+
+        def limited_count(params):
+            stub, probes = self.limited(level_count(params), cap=600)
+            calls.append(probes)
+            return stub
+
+        monkeypatch.setattr(spectrum_mod, "_level_count", limited_count)
         recs = full_spectrum(p, 2.0, refine_tol=1e-20)
         monkeypatch.undo()
         coarse = full_spectrum(p, 2.0)
@@ -519,13 +525,14 @@ class TestFloatBisection:
         assert [r.x for r in recs] == pytest.approx([r.x for r in coarse], abs=1e-10)
         n_regular = sum(r.kind == KIND_REGULAR for r in recs)
         assert n_regular >= 3
-        assert len(calls) <= 60 * n_regular
+        assert len(calls) == 1 and len(calls[0]) <= 80 * n_regular
 
 
 class TestDyadicReporting:
     """A regular level is the midpoint of the dyadic cell [j h, (j + 1) h],
-    h = 2^-34 (the largest power of two <= 1e-10), across which calG changes
-    sign; the cell, not the bracket or the probes, fixes the printed value."""
+    h = 2^-34 (the largest power of two <= 1e-10), across which the level
+    count jumps; the cell, not the bracket or the probes, fixes the printed
+    value. calG, whose zeros the levels are, checks the cell."""
 
     H = 2.0 ** -34
 
@@ -533,45 +540,143 @@ class TestDyadicReporting:
     @given(g=st.floats(0.1, 2.5), delta=st.floats(0.3, 2.0),
            eps=st.one_of(st.sampled_from((0.0, 0.5, -0.5)), st.floats(-1.0, 1.0)))
     def test_levels_are_certified_cell_midpoints(self, g, delta, eps):
+        # here, below x = g^2 + 4, the sign of calG can be trusted
         p = ModelParams(g, delta, eps)
+        n = counter(p)
         recs = full_spectrum(p, g * g + 4.0)
         for r in recs:
             if r.kind == KIND_REGULAR:
                 j = math.floor(r.x / self.H)
                 assert r.x == (j + 0.5) * self.H
+                assert n(j * self.H) < n((j + 1) * self.H)
                 assert regularized_g(j * self.H, p) * regularized_g((j + 1) * self.H, p) <= 0
 
     @pytest.mark.parametrize("g,eps,x_max", ((0.5, 0.5, 5.0), (0.5, 0.123456789, 5.0),
                                              (0.3, 0.3, 4.0)))
     def test_same_float_from_other_brackets(self, g, eps, x_max):
+        # each window [x - below, x + above) holds only the level at x
         p = ModelParams(g, 1.0, eps)
-
-        def f(x):
-            return regularized_g(x, p)
-
         recs = full_spectrum(p, x_max)
         for r in recs:
             if r.kind != KIND_REGULAR:
                 continue
             assert min(abs(o.x - r.x) for o in recs if o is not r) > 2e-3
             for below, above in ((3e-4, 7e-4), (1e-3, 2e-10), (5e-11, 1e-6)):
-                a, b = r.x - below, r.x + above
-                assert dyadic_root(f, a, b, f(a), f(b), 1e-10) == r.x
+                assert full_spectrum(p, r.x + above, x_lo=r.x - below) == [r]
 
     @pytest.mark.parametrize("eps", (0.3, 0.5))
     def test_calg_evaluations_per_level(self, monkeypatch, eps):
-        # the grid of 'sweep --delta 1 --eps ... --g 0:0.5:0.1 --levels 8'
-        import aqrm.spectrum as spectrum_mod
+        # the grid of 'sweep --delta 1 --eps ... --g 0.1:0.5:0.1 --levels 8':
+        # the level count locates every level, and neither G nor calG is summed
+        import aqrm.series as series_mod
         calls = []
+        combined = series_mod._combined
 
-        def counted(x, params):
+        def counted(series, x, params):
             calls.append(x)
-            return regularized_g(x, params)
+            return combined(series, x, params)
 
-        monkeypatch.setattr(spectrum_mod, "regularized_g", counted)
+        monkeypatch.setattr(series_mod, "_combined", counted)
+        rows = spectral_sweep(1.0, eps, [k * 0.1 for k in range(1, 6)], 8)
+        assert sum(r["kind"] == KIND_REGULAR for r in rows) >= 35
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", (0.3, 0.5))
+    def test_count_probes_per_level(self, monkeypatch, eps):
+        # the same grid: about 38 count probes per regular level, from the
+        # whole window down to the 2^-34 cell
+        probes = []
+        count = oracle._band_count_below
+
+        def counted(ladder, sigma):
+            probes.append(sigma)
+            return count(ladder, sigma)
+
+        monkeypatch.setattr(oracle, "_band_count_below", counted)
         rows = spectral_sweep(1.0, eps, [k * 0.1 for k in range(1, 6)], 8)
         n_regular = sum(r["kind"] == KIND_REGULAR for r in rows)
         assert n_regular >= 35
-        assert len(calls) <= 10 * n_regular
-        # the level count narrows each bracket to _NARROW before calG refines it
-        assert len(calls) <= 4.5 * n_regular
+        assert len(probes) <= 40 * n_regular
+
+
+# Every regular level below x_max of five spectra at small g and large x, as
+# zeros of G = Delta^2 Rbar+ Rbar- - R+ R- rounded to 20 digits: each zero was
+# bisected to 1e-60 on the K-coefficient series in 90-digit arithmetic, at the
+# exact binary values of the float inputs, and holds its first 45 digits at
+# 130. Float calG has lost its digits here: placed by its sign changes, these
+# levels were off by up to 3.7e-9, 2.3e-9, 5.3e-10, 2.2e-10 and 4.1e-11.
+LARGE_X_ZEROS = {
+    (0.3, 1.0, 0.3, 20.0): """
+        -0.98912165301877552626 -0.081652305069825917294 0.82951954162707852714 1.2031093563106249889
+        1.7520720263661464511 2.2885099237970765174 2.6835307085087731771 3.3604144092049543779
+        3.6240257009505043584 4.4150297456298943644 4.5789493874855127231 5.4329804070440275154
+        5.5685288480357764129 6.4076854505187146316 6.5998315646186149763 7.3674228093108133919
+        7.6448543911908437565 8.3250743568861214072 8.6908415044806108796 9.2840010147662059836
+        9.7344247156018912648 10.245515828479724973 10.774132026398300255 11.210615563459542798
+        11.808616943781883535 12.180540660186132129 12.836100804873819214 13.157064524913598902
+        13.854339925672643830 14.142453394152312285 14.861445347218946722 15.138623544232986617
+        15.857368832127789915 16.145647168884551093 16.844273492568952122 17.161378388894316771
+        17.825141822809737135 18.182843143301592903 18.802478240487129568 19.207534367660993979
+        19.778010466393656230
+        """,
+    (0.25, 2.6, -0.1, 18.5): """
+        -2.5496630922572331990 -1.5745462914073069527 -0.59906187084217343841 0.37677145508023979215
+        1.3529366979795143244 2.3294183316277079498 2.6789235360662888574 3.3062021083862256354
+        3.7031472384062786851 4.2832749109809187260 4.7270439370066927864 5.2606246278052974930
+        5.7506283367146258101 6.2382400464517235861 6.7739139799502803285 7.2161107622496150071
+        7.7969133716809775336 8.1942270996321173726 8.8196380855956011402 9.1725800449634427025
+        9.8420988532268971483 10.151161190434132564 10.864305635742134371 11.129962690364489930
+        11.886267673792319854 12.108977235369248859 12.907993498526213472 13.088198061954322782
+        13.929490842610800172 14.067619059250898061 14.950766177658147527 15.047235246931023767
+        15.971821981410462499 16.027045521314079224 16.992607236777487856 17.007102167863902054
+        17.987099867036871359 18.013428436003959376
+        """,
+    (0.5, 1.0, 0.3, 20.0): """
+        -0.89653209904260078300 -0.11791238704488345157 0.68862989737989899197 1.4267825120040238396
+        1.5644086492370188335 2.3720616423105389536 2.6644752256555710446 3.2641003099775098839
+        3.7907027446480028310 4.1762424238796969078 4.8594898522306237965 5.1370121536603088330
+        5.8439454152111425245 6.1744280461596554588 6.7845806962084136416 7.2488184176115764146
+        7.7178206758272951404 8.3221061365511879160 8.6583388468903805801 9.3725599191255053455
+        9.6213728446195894151 10.378751026640209432 10.626764742925209006 11.347040751424813720
+        11.667513444395057221 12.301741226144242702 12.718603997191271660 13.256244729924580028
+        13.765479084461977877 14.217696363757633904 14.799488005879346986 15.192314297198535655
+        15.814302275412359222 16.185592634261372069 16.808502696102220142 17.198580757730095314
+        17.786886786448388165 18.226204662388685307 18.756342802925026092 19.261212485238647929
+        19.722518667706136597
+        """,
+    (0.2, 2.0, 0.0, 16.0): """
+        -1.9680517445387644138 -0.98930258010312654982 -0.010192416307785659088 0.96925569518126786228
+        1.9490216908859792078 2.0531096206875005805 2.9290879423457529818 3.0738310453805510747
+        3.9094388355012168468 4.0942336637927345677 4.8900604467901906958 5.1143340724292745136
+        5.8709402913663000234 6.1341470720765558511 6.8520671263942611873 7.1536859227631950375
+        7.8334307976030617127 8.1729625405709533936 8.8150221210642953906 9.1919876473907287107
+        9.7968327950933531412 10.210770880458582610 10.778855339682779757 11.229320864832248006
+        11.761083063359976109 12.247645248247465588 12.743510060256818761 13.265750693279050765
+        13.726131244112661278 14.283642815308880358 14.708942431940673856 15.301326044527741033
+        15.691940500063344288
+        """,
+    (1.0, 1.0, 0.3, 20.0): """
+        -0.58059510997035213009 -0.063241702795711493557 0.46272820396910263607 1.1091873670577434563
+        1.7542429731069422161 2.3909140595554467801 2.6236996144639079809 3.2523243280141596045
+        3.8196954629982076135 4.1889183962404583639 4.7417731036482191342 5.3384919465778084557
+        5.6398638533651368476 6.3306348102912881615 6.7103262768418501238 7.2368419467613422924
+        7.7915609130101612934 8.2137041139833346648 8.7526995173470876210 9.2932119730641460364
+        9.6770374654053110675 10.348499529593278012 10.655708371659548206 11.310243572580775506
+        11.717791336415347203 12.249193532224849079 12.771143319152464812 13.225134602133509887
+        13.762486309427188758 14.260676427844403591 14.713878318186008443 15.317956686725462845
+        15.668615314643961511 16.339312875070561404 16.665995982751166338 17.310720072092465216
+        17.707807493134016141 18.266632796498132763 18.751014022689172833 19.238466827730643871
+        19.763006136123983936
+        """,
+}
+
+
+@pytest.mark.parametrize("g,delta,eps,x_max", LARGE_X_ZEROS)
+def test_large_x_levels_within_half_a_cell_of_the_zeros(g, delta, eps, x_max):
+    recs = full_spectrum(ModelParams(g, delta, eps), x_max)
+    xs = [r.x for r in recs if r.kind == KIND_REGULAR]
+    zeros = LARGE_X_ZEROS[g, delta, eps, x_max].split()
+    assert len(xs) == len(zeros)
+    bound = Fraction(2.0 ** -35) + Fraction(1, 10 ** 12)
+    for x, z in zip(xs, zeros):
+        assert abs(Fraction(x) - Fraction(z)) <= bound, (x, z)
