@@ -2,8 +2,9 @@
 Exceptional points x = N +/- eps are records where the count jumps across
 them, named Juddian by exact roots of the constraint polynomial and
 non-Juddian otherwise; each regular level, a zero of the regularized
-G-function, is located by bisection on the same count to the midpoint of a
-dyadic cell, and calG is left to check it. Also classification with
+G-function, is located by bisection on the same count, its probes steered by
+Newton's correction from the count's own loop, to the midpoint of a dyadic
+cell, and calG is left to check it. Also classification with
 multiplicities, positive-root counting, T-function zero scans over g, and
 coupling sweeps that produce spectral-curve tables."""
 
@@ -191,9 +192,9 @@ def _level_count(params: ModelParams):
     oracle.certified_count; IncompleteSpectrum where no rung certifies it."""
     count = oracle.certified_count(params)
 
-    def n(x: float) -> int:
+    def n(x: float, newton: bool = False):
         try:
-            return count(x - params.g ** 2)
+            return count(x - params.g ** 2, newton)
         except oracle.UncertifiedCount as exc:
             raise IncompleteSpectrum(str(exc)) from None
 
@@ -211,7 +212,16 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
     spacing at max(|a|, |b|), so every grid point is a float and a tol below
     that spacing still ends. Where refine_tol sets h, the cell depends on n
     and refine_tol only, not on the bracket (count bisection: Barth, Martin &
-    Wilkinson, Numer. Math. 9 (1967) 386)."""
+    Wilkinson, Numer. Math. 9 (1967) 386).
+
+    n(x, True) also returns Newton's correction t from the same probe
+    (oracle._band_count_below). The bisection probes the grid point
+    floor((x - t) / h), kept strictly inside (lo, hi), for as long as
+    successive corrections at least halve, and the midpoint otherwise. Every
+    count still moves lo or hi, so the cell, and the record, are those of
+    plain bisection wherever n steps up once across the bracket; Newton only
+    picks the points. Bracket halving is no safeguard here: Newton closes in
+    from one side, and halving would reject most of its steps."""
     out = exceptional_records(params, n, x_lo, x_max)
     edges = [x_lo] + [x for r in out for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
     counts = [n(x) for x in edges]
@@ -222,12 +232,18 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
             h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]),
                     2.0 * math.ulp(max(abs(a), abs(b))))
             lo, hi = math.floor(a / h), math.ceil(b / h)
+            j, last = (lo + hi) // 2, math.inf
             while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if n(mid * h) > na:
-                    hi = mid
+                nj, t = n(j * h, True)
+                if nj > na:
+                    hi = j
                 else:
-                    lo = mid
+                    lo = j
+                if t is not None and abs(t) <= 0.5 * last:
+                    j = math.floor(min(max(j - t / h, lo + 1), hi - 1))
+                    last = abs(t)
+                else:
+                    j, last = (lo + hi) // 2, math.inf if t is None else abs(t)
             x = (lo + 0.5) * h
             out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
         elif nb != na:

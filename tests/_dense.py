@@ -5,11 +5,13 @@ most accurate of the classical dense methods (Demmel & Veselic, SIAM J.
 Matrix Anal. Appl. 13 (1992)). Also all eigenvalues of a real symmetric
 tridiagonal matrix by Sturm-count bisection, the reference for the parity
 chains and for the y-roots of the constraint polynomials, and the parity-ladder
-count run over every rung, the reference for its certified early stop."""
+count run over every rung, the reference for its certified early stop, in
+floats and in exact rationals."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from aqrm.oracle import _pivot
@@ -140,4 +142,24 @@ def band_count_full(ladder, sigma: float) -> int:
         w = 1.0 / q
         v = -l * w
         u = 1.0 / p - l * v
+    return count
+
+
+def band_count_exact(ladder, sigma: float) -> int:
+    """The count of band_count_full in exact rational arithmetic on the
+    ladder's floats: by Sylvester's law of inertia, the number of eigenvalues
+    below sigma of the matrix those floats spell, with no rounding at all.
+    Raises ZeroDivisionError where sigma is an eigenvalue of a leading block
+    (a singular S_k), which random floats never hit."""
+    s = Fraction(sigma)
+    count = 0
+    u = v = w = Fraction(0)               # S_{k-1}^{-1} = [[u, v], [v, w]]
+    for c2, da, db, eps in ladder:
+        c2 = Fraction(c2)
+        p = Fraction(da) - s - c2 * u
+        b = Fraction(eps) - c2 * v
+        d = Fraction(db) - s - c2 * w
+        det = p * d - b * b
+        count += 1 if det < 0 else 2 * (p < 0)
+        u, v, w = d / det, -b / det, p / det
     return count

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _dense import band_count_full, eigenvalues, sym_tridiag_eigenvalues, truncated_hamiltonian
+from _dense import (
+    band_count_exact,
+    band_count_full,
+    eigenvalues,
+    sym_tridiag_eigenvalues,
+    truncated_hamiltonian,
+)
 from aqrm import oracle
 from aqrm.oracle import (
     _WIDTH,
@@ -24,6 +30,7 @@ from aqrm.oracle import (
 )
 from aqrm.roots import bisect_count
 from aqrm.series import ModelParams
+from aqrm.spectrum import juddian_roots
 
 
 class TestAssembly:
@@ -209,19 +216,113 @@ class TestSharedProbes:
 
     def test_probes_and_rungs(self, monkeypatch):
         # the oracle-bands case of the benchmark: probing every midpoint takes
-        # 980 probes over 46218 rungs
-        probes, rungs = [], []
+        # 980 probes over 46218 rungs, sharing the counts 833 over 30870;
+        # seeded by Newton, 393 plain and 68 Newton probes over 17882 rungs
+        # (the plain ones are 2 at the edges of the window and about 16
+        # inside it, per level)
+        plain, newton, rungs = [], [], []
         count = oracle._band_count_below
 
-        def counted(ladder, sigma):
-            n, k = count(ladder, sigma)
-            probes.append(sigma)
-            rungs.append(k + 1)
-            return n, k
+        def counted(ladder, sigma, *jet):
+            res = count(ladder, sigma, *jet)
+            (newton if jet and jet[0] else plain).append(sigma)
+            rungs.append(res[1] + 1)
+            return res
 
         monkeypatch.setattr(oracle, "_band_count_below", counted)
         lowest_eigenvalues(ModelParams(2.3154, 0.8471, 0.32791), 300, 20)
-        assert len(probes) <= 840 and sum(rungs) <= 31000
+        assert len(plain) <= 420 and len(newton) <= 75 and sum(rungs) <= 19000
+
+    def test_last_newton_step_none(self):
+        # strong coupling on the smallest truncation, every level counted to
+        # the last rung: a case where a Newton search can end on a probe with
+        # no correction; test_no_newton_correction makes every one None
+        params = ModelParams(3.2991453333582546, 0.02, 0.5630532564211108)
+        assert lowest_eigenvalues(params, 8, 8) == reference_lowest_eigenvalues(params, 8, 8)
+
+    @pytest.mark.parametrize("g", (3e6, 2e7))
+    def test_search_ends_where_floats_are_coarse(self, g):
+        # levels near -1.4e7 and -9e7 at M = 8, where floats lie 2e-9 and 1.5e-8
+        # apart and a Newton step can leave sigma where it was: the search
+        # must end there
+        params = ModelParams(g, 1.0, 0.2)
+        assert lowest_eigenvalues(params, 8, 4) == reference_lowest_eigenvalues(params, 8, 4)
+
+    @pytest.mark.parametrize("args,M,count", (
+        ((2.9258935019351076, 2.301748741848879, 0.5), 20, 28),
+        ((3.9486859580024896, 0.02, 0.5), 22, 27),
+        ((2.00001, 2.5416535587978317, -1.4613800076079562), 8, 18),
+        ((1.0, 2.0, 1.5), 15, 10),
+        ((2.3422309708257387, 2.1721568997373164, 1.5), 16, 16)))
+    def test_count_flips_next_to_a_level(self, args, M, count):
+        # draws where rounding flips the count within 1e-13 to 1.6e-9 of a
+        # level, next to the Newton probes: answering midpoints there from
+        # the table, with no window around the Newton estimate, moved a few
+        # ulps of output
+        params = ModelParams(*args)
+        assert lowest_eigenvalues(params, M, count) == reference_lowest_eigenvalues(
+            params, M, count)
+
+    @pytest.mark.parametrize("args,M,count,shared", (((2.3154, 0.8471, 0.32791), 300, 20, 833),
+                                                     ((0.5, 1.0, 0.5), 80, 6, 219),
+                                                     ((1.0, 1.0, 0.2), 12, 26, 1073)))
+    def test_no_newton_correction(self, monkeypatch, args, M, count, shared):
+        # with every correction None, each search stops at its first probe,
+        # the bits stay those of probing every midpoint, and the bisections
+        # share counts as they do without Newton: at most the probes of the
+        # shared loop without a search (shared), plus one per level
+        params = ModelParams(*args)
+        expected = reference_lowest_eigenvalues(params, M, count)
+        probe = oracle._band_count_below
+        probes = []
+
+        def no_step(ladder, sigma, newton=False):
+            res = probe(ladder, sigma)
+            probes.append(sigma)
+            return (*res, None) if newton else res
+
+        monkeypatch.setattr(oracle, "_band_count_below", no_step)
+        assert lowest_eigenvalues(params, M, count) == expected
+        assert len(probes) <= shared + count
+
+    @given(N=st.integers(1, 4), eps=st.sampled_from((0.5, 1.0, 1.5, 2.0)),
+           delta=st.floats(0.1, 2.5), sign=st.sampled_from((1.0, -1.0)),
+           M=st.integers(15, 30), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_juddian_doublets(self, N, eps, delta, sign, M, data):
+        # half-integer bias at a root g of the constraint polynomial: two
+        # levels meet at x = N + eps, split only by the truncation
+        roots = juddian_roots(N, eps, delta)
+        assume(roots)
+        g = data.draw(st.sampled_from([r for r, _ in roots]))
+        params = ModelParams(g, delta, sign * eps)
+        assert lowest_eigenvalues(params, M, 2 * N + 6) == reference_lowest_eigenvalues(
+            params, M, 2 * N + 6)
+
+    @pytest.mark.parametrize("args,level", (
+        ((0.9847084463043705, 0.56, 0.651), 7),
+        ((0.972811706429143, 0.7, -0.4), 4),
+        ((0.5985210816812905, 1.0, 0.3), 3)))
+    def test_level_on_a_level_of_a_leading_block(self, monkeypatch, args, level):
+        # g solved so that level `level` of the M = 20 ladder sits on a level
+        # of the leading block 0..j (j = 1, 0, 0): the float count flips up
+        # to 5.6e-10, 1.8e-9 and 3.2e-10 from it, and the search finds an
+        # estimate there, so the table answers midpoints near that level
+        # only beyond the window
+        params = ModelParams(*args)
+        search = oracle._newton_search
+        found = []
+
+        def recorded(ladder, k, *rest):
+            res = search(ladder, k, *rest)
+            found.append((k, res[0]))
+            return res
+
+        monkeypatch.setattr(oracle, "_newton_search", recorded)
+        count = level + 2
+        assert lowest_eigenvalues(params, 20, count) == reference_lowest_eigenvalues(
+            params, 20, count)
+        assert dict(found)[level] is not None
 
 
 def ladder_count(g, delta, eps, M, sigma):
@@ -364,6 +465,78 @@ class TestTailCertificate:
         assert k == 40 and n == band_count_full(ladder, math.nan)
 
 
+class TestNewtonJet:
+    """A Newton probe returns the plain probe's (n, k) bit for bit, and the
+    Newton correction of det(H_K - sigma) on the ladder cut at K = k + 2."""
+
+    @given(g=st.floats(0, 3), delta=st.one_of(st.just(0.0), st.floats(0, 2)),
+           eps=st.one_of(st.just(0.0), st.floats(-2, 2)), M=st.integers(0, 60),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_count_as_the_plain_probe(self, g, delta, eps, M, data):
+        # delta = eps = 0 puts sigma on a diagonal entry at integer sigma,
+        # where the scalar pivots run
+        ladder = _ladder(SimpleNamespace(g=g, delta=delta, eps=eps), M)
+        sigma = data.draw(st.one_of(st.floats(-g * g - 3.0, M + 10.0),
+                                    st.integers(0, M).map(float), st.just(math.nan)))
+        n, k, t = _band_count_below(ladder, sigma, True)
+        assert (n, k) == _band_count_below(ladder, sigma)
+        assert t is None or t == t
+        if sigma != sigma:
+            assert t is None
+
+    @pytest.mark.parametrize("g", (0.0, 0.7))
+    def test_no_correction_through_a_pivot(self, g):
+        # delta = eps = 0, sigma = 0: S_0 = 0 takes the scalar pivots; at
+        # g = 0 every rung j is singular at sigma = j
+        ladder = _ladder(SimpleNamespace(g=g, delta=0.0, eps=0.0), 12)
+        for sigma in (0.0,) + ((3.0, 7.0) if g == 0.0 else ()):
+            n, k, t = _band_count_below(ladder, sigma, True)
+            assert (n, k) == _band_count_below(ladder, sigma) and t is None
+
+    @given(g=st.floats(0.05, 2), delta=st.floats(0.05, 2), eps=st.floats(-1.5, 1.5),
+           M=st.integers(1, 8), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_correction_on_the_cut_ladder(self, g, delta, eps, M, data):
+        # the jet sums the log-derivatives of the S_j, which cancel where
+        # sigma nears a level of a leading block 0..j (a nearly singular S_j;
+        # the count does not suffer there): draws stay 1e-3 from every such
+        # level, where the cancellation costs under 1e-9 of the sum
+        params = ModelParams(g, delta, eps)
+        ladder = _ladder(params, M)
+        sigma = data.draw(st.floats(-g * g - 2.0, M + 2.0))
+        n, k, t = _band_count_below(ladder, sigma, True)
+        K = min(k + 2, M)
+        for j in range(K + 1):
+            assume(all(abs(sigma - e) > 1e-3
+                       for e in eigenvalues(truncated_hamiltonian(params, j))))
+        terms = [1.0 / (sigma - e) for e in eigenvalues(truncated_hamiltonian(params, K))]
+        assert t is not None
+        assert abs(1.0 / t - sum(terms)) <= 1e-9 * sum(map(abs, terms))
+
+
+class TestExactCount:
+    """The float count against band_count_exact, the same recursion in exact
+    rationals on the ladder's floats, at the points 2^-34 and 2^-33 on both
+    sides of each of the lowest six levels: the grid points a spectrum's
+    cell bisection reads next to a level. The rationals grow with M and with
+    the binary exponents of the entries, so M stays at most 24 and a nonzero
+    bias at least 2^-20 in magnitude (eps = -3.9e-260 took 1.3 s)."""
+
+    H = 2.0 ** -34
+
+    @given(g=st.floats(0.05, 3), delta=st.floats(0.02, 3),
+           eps=st.one_of(st.just(0.0), st.floats(2.0 ** -20, 2.0), st.floats(-2.0, -2.0 ** -20)),
+           M=st.integers(8, 24))
+    @settings(max_examples=20, deadline=None)
+    def test_float_count_is_exact_next_to_each_level(self, g, delta, eps, M):
+        params = ModelParams(g, delta, eps)
+        ladder = _ladder(params, M)
+        for lam in lowest_eigenvalues(params, M, 6):
+            for sigma in (lam + j * self.H for j in (-2, -1, 1, 2)):
+                assert _band_count_below(ladder, sigma)[0] == band_count_exact(ladder, sigma), sigma
+
+
 class TestLevelCounter:
     """truncation_warning: the level count at a user's truncation M against
     N(sigma), as `aqrm oracle` checks it."""
@@ -372,9 +545,9 @@ class TestLevelCounter:
         calls = []
         count = oracle._band_count_below
 
-        def counted(ladder, sigma):
+        def counted(ladder, sigma, *jet):
             calls.append(len(ladder))
-            return count(ladder, sigma)
+            return count(ladder, sigma, *jet)
 
         monkeypatch.setattr(oracle, "_band_count_below", counted)
         return calls

@@ -13,14 +13,17 @@ from aqrm import oracle
 from aqrm.poly import c_weight
 from aqrm.series import ModelParams, regularized_g
 from aqrm.spectrum import (
+    _FLOOR,
     KIND_JUDDIAN,
     KIND_NON_JUDDIAN,
     KIND_REGULAR,
+    EigenvalueRecord,
     IncompleteSpectrum,
     count_positive_roots,
     exact_bias,
     exceptional_records,
     expand_multiplicities,
+    fmt_float,
     full_spectrum,
     juddian_roots,
     non_juddian_roots,
@@ -506,7 +509,8 @@ class TestFloatBisection:
 
     def test_regularized_g_scan(self, monkeypatch):
         # a tolerance below float spacing: the grid of each level is two
-        # float spacings wide, about 55 count probes from the whole window
+        # float spacings wide; plain bisection from the whole window took
+        # about 54 count probes per level, the Newton-steered one 11.4
         import aqrm.spectrum as spectrum_mod
         p = ModelParams(0.5, 1.0, 0.3)
         level_count = spectrum_mod._level_count
@@ -525,7 +529,9 @@ class TestFloatBisection:
         assert [r.x for r in recs] == pytest.approx([r.x for r in coarse], abs=1e-10)
         n_regular = sum(r.kind == KIND_REGULAR for r in recs)
         assert n_regular >= 3
-        assert len(calls) == 1 and len(calls[0]) <= 80 * n_regular
+        assert len(calls) == 1
+        newton = [args for args in calls[0] if args[1:] == (True,)]
+        assert newton and len(calls[0]) <= 16 * n_regular
 
 
 class TestDyadicReporting:
@@ -583,20 +589,95 @@ class TestDyadicReporting:
 
     @pytest.mark.parametrize("eps", (0.3, 0.5))
     def test_count_probes_per_level(self, monkeypatch, eps):
-        # the same grid: about 38 count probes per regular level, from the
-        # whole window down to the 2^-34 cell
-        probes = []
+        # the same grid: plain bisection from each level's bracket down to its
+        # 2^-34 cell took about 38 count probes per regular level; steered
+        # by Newton, 11.2 (eps = 0.3) and 10.4 (eps = 1/2)
+        plain, newton = [], []
         count = oracle._band_count_below
 
-        def counted(ladder, sigma):
-            probes.append(sigma)
-            return count(ladder, sigma)
+        def counted(ladder, sigma, *jet):
+            (newton if jet and jet[0] else plain).append(sigma)
+            return count(ladder, sigma, *jet)
 
         monkeypatch.setattr(oracle, "_band_count_below", counted)
         rows = spectral_sweep(1.0, eps, [k * 0.1 for k in range(1, 6)], 8)
         n_regular = sum(r["kind"] == KIND_REGULAR for r in rows)
         assert n_regular >= 35
-        assert len(probes) <= 40 * n_regular
+        assert newton and len(plain) + len(newton) <= 13 * n_regular
+
+
+def reference_assemble(params, n, x_lo, x_max, refine_tol):
+    """spectrum._assemble with the plain grid loop it had before Newton
+    steered it: every probe at the midpoint of (lo, hi), with no jet."""
+    out = exceptional_records(params, n, x_lo, x_max)
+    edges = [x_lo] + [x for r in out for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
+    counts = [n(x) for x in edges]
+    todo = list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
+    while todo:
+        a, b, na, nb = todo.pop()
+        if nb == na + 1:
+            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]),
+                    2.0 * math.ulp(max(abs(a), abs(b))))
+            lo, hi = math.floor(a / h), math.ceil(b / h)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if n(mid * h) > na:
+                    hi = mid
+                else:
+                    lo = mid
+            x = (lo + 0.5) * h
+            out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
+        elif nb != na:
+            if b - a <= _FLOOR:
+                raise IncompleteSpectrum(
+                    f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
+            mid = 0.5 * (a + b)
+            nm = n(mid)
+            todo += [(a, mid, na, nm), (mid, b, nm, nb)]
+    out.sort(key=lambda r: r.x)
+    return out
+
+
+def outcome(assemble, params, x_max, tol):
+    """The records, or the refusal, of assemble on full_spectrum's window."""
+    import aqrm.spectrum as spectrum_mod
+    x_lo = -(params.delta + abs(params.eps) + 1.5)
+    try:
+        return assemble(params, spectrum_mod._level_count(params), x_lo, x_max, tol)
+    except IncompleteSpectrum as exc:
+        return str(exc)
+
+
+class TestNewtonSteering:
+    """Newton only picks the grid points of each cell bisection; every count
+    still moves an end, so the records are those of plain bisection."""
+
+    @given(g=st.floats(0.05, 7), delta=st.floats(0.05, 3),
+           eps=st.one_of(st.floats(-2, 2), st.sampled_from((0.0, 0.5, -0.5, 1.5))),
+           x_max=st.floats(0.5, 8), tol=st.sampled_from((1e-6, 1e-10, 1e-13)))
+    @settings(max_examples=40, deadline=None)
+    def test_same_records_as_plain_bisection(self, g, delta, eps, x_max, tol):
+        import aqrm.spectrum as spectrum_mod
+        p = ModelParams(g, delta, eps)
+        assert (outcome(spectrum_mod._assemble, p, x_max, tol)
+                == outcome(reference_assemble, p, x_max, tol))
+
+    @pytest.mark.parametrize("g,delta,eps,x_max", ((0.5, 1.0, 0.3, 6.0), (2.5, 0.7, 0.5, 8.0),
+                                                   (6.0, 0.2, 1.5, 40.0)))
+    def test_no_newton_correction(self, monkeypatch, g, delta, eps, x_max):
+        # with every correction None the bisection takes midpoints only; the
+        # last case is the g = 6 doublet, refused either way
+        import aqrm.spectrum as spectrum_mod
+        p = ModelParams(g, delta, eps)
+        expected = outcome(reference_assemble, p, x_max, 1e-10)
+        probe = oracle._band_count_below
+
+        def no_step(ladder, sigma, newton=False):
+            res = probe(ladder, sigma)
+            return (*res, None) if newton else res
+
+        monkeypatch.setattr(oracle, "_band_count_below", no_step)
+        assert outcome(spectrum_mod._assemble, p, x_max, 1e-10) == expected
 
 
 # Every regular level below x_max of five spectra at small g and large x, as
