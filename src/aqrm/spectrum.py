@@ -1,9 +1,9 @@
-"""Eigenvalue assembly: the parity-ladder level count places every level.
-Exceptional points x = N +/- eps are records where the count jumps across
-them, named Juddian by exact roots of the constraint polynomial and
-non-Juddian otherwise; each regular level, a zero of the regularized
-G-function, is located by bisection on the same count, its probes steered by
-Newton's correction from the count's own loop, to the midpoint of a dyadic
+"""Eigenvalue assembly: the parity-ladder level count places every level, read
+once at each window end and each side of every candidate x = N +/- eps. A
+candidate the count jumps across is a record, Juddian at exact roots of the
+constraint polynomial and non-Juddian otherwise; each regular level, a zero
+of the regularized G-function, is located by bisection on the same count,
+its probes steered by Newton's correction, to the midpoint of a dyadic
 cell, and calG is left to check it. Also classification with
 multiplicities, positive-root counting, T-function zero scans over g, and
 coupling sweeps that produce spectral-curve tables."""
@@ -18,7 +18,6 @@ from functools import lru_cache
 from . import oracle
 from .poly import constraint_slice
 from .roots import (
-    bisect_count,
     bisect_sign_change,
     count_real_roots,
     isolate_real_roots,
@@ -38,8 +37,8 @@ KIND_JUDDIAN = "juddian"
 KIND_NON_JUDDIAN = "non-juddian-exceptional"
 
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
-_BRACKET = 1e-3                  # width and margin of the level that ends a sweep
 _FLOOR = 1e-9                    # narrowest bracket split on the level count
+_H_MIN = 2.0 ** -34              # finest grid: the count's rounding band holds one point
 
 
 # x = lambda + g^2; branch is "plus_eps" or "minus_eps" for exceptional kinds
@@ -144,40 +143,6 @@ def _juddian_here(N: int, params: ModelParams, branch_eps: float) -> bool:
     return sturm_count(chain, 4 * max(0, g - t) ** 2, 4 * (g + t) ** 2) > 0
 
 
-def exceptional_records(params: ModelParams, n, x_lo: float,
-                        x_max: float) -> list[EigenvalueRecord]:
-    """Exceptional eigenvalues x = N +/- eps whose bracket [x - _FLOOR,
-    x + _FLOOR) lies in [x_lo, x_max], placed by the level count alone, with
-    n(x) the number of levels below x: a point is a record when n jumps across
-    its bracket by the multiplicity its kind requires, 2 for a Juddian point
-    at half-integer bias (two levels meet only there) and 1 otherwise. The
-    exact test only names the kind: Juddian at a root of the level-N
-    constraint polynomial, non-Juddian elsewhere. Any other jump makes no
-    record; its levels are left to the regular brackets."""
-    eps = params.eps
-    half = is_half_integer(eps)
-    cands = sorted(((N + e, N, e, branch)
-                    for branch, e in (("plus_eps", eps), ("minus_eps", -eps))
-                    for N in range(int(x_max - e) + 2)
-                    if x_lo <= N + e - _FLOOR and N + e + _FLOOR <= x_max),
-                   key=lambda c: c[0])
-    out = []
-    prev = -math.inf
-    for x0, N, e, branch in cands:
-        if x0 - prev < 2 * _FLOOR:      # one bracket per point, N + eps = N' - eps
-            continue
-        prev = x0
-        jump = n(x0 + _FLOOR) - n(x0 - _FLOOR)
-        if jump:
-            jud = _juddian_here(N, params, e)
-            if jump == (2 if jud and half else 1):
-                out.append(EigenvalueRecord(
-                    x=x0, lam=x0 - params.g ** 2,
-                    kind=KIND_JUDDIAN if jud else KIND_NON_JUDDIAN,
-                    multiplicity=jump, level_N=N, branch=branch))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the spectrum: records plus one dyadic cell per level of the count
 # ---------------------------------------------------------------------------
@@ -201,18 +166,32 @@ def _level_count(params: ModelParams):
     return n
 
 
-def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
-              refine_tol: float) -> list[EigenvalueRecord]:
-    """Sorted records in [x_lo, x_max) for the level count n: the exceptional
-    records, each owning [x - _FLOOR, x + _FLOOR), plus the regular levels.
-    The rest of the window splits at midpoints until a bracket [a, b) holds
-    one level; bisection on n over the grid j h then finds the cell
-    [j h, (j + 1) h] that holds it, and the level is its midpoint (j + 1/2) h.
-    h is the largest power of two <= refine_tol, but at least twice the float
-    spacing at max(|a|, |b|), so every grid point is a float and a tol below
-    that spacing still ends. Where refine_tol sets h, the cell depends on n
-    and refine_tol only, not on the bracket (count bisection: Barth, Martin &
-    Wilkinson, Numer. Math. 9 (1967) 386).
+def _x_floor(params: ModelParams) -> float:
+    """The default window floor, 1/2 below level 0's oracle.level_bracket."""
+    return -(params.delta + abs(params.eps) + 1.5)
+
+
+def _assemble(params: ModelParams, n, x_lo: float, x_max: float, refine_tol: float,
+              cap: float = math.inf) -> list[EigenvalueRecord]:
+    """Sorted records in [x_lo, x_max) for the level count n (levels below x),
+    in one pass over the sorted edges x_lo, x0 -/+ _FLOOR for each candidate
+    x0 = N +/- eps in the window (one where N + eps = N' - eps) and x_max,
+    each probed once, x_max first so that a hopeless count refuses before it
+    builds any rungs. A candidate is a record when n jumps across it by the
+    multiplicity its kind requires: 2 for a Juddian point (a root of the
+    level-N constraint polynomial, by the exact test) at half-integer bias,
+    where alone two levels meet, and 1 otherwise. Every other bracket splits
+    at midpoints until a bracket [a, b) holds one level, and bisection on n
+    over the grid j h finds the cell [j h, (j + 1) h] that holds it; the
+    level is its midpoint (j + 1/2) h. h is the largest power of two
+    <= refine_tol, but at least _H_MIN and twice the float spacing at
+    max(|a|, |b|), so every grid point is a float and a tol below either
+    still ends. Next to a level the float count can be wrong in a band about
+    1e-12 wide (oracle._band_count_below); on a finer grid it is not monotone
+    there, and the cell would depend on the points probed. Where refine_tol
+    sets h, the cell depends on n and refine_tol only, not on the bracket (count bisection: Barth, Martin & Wilkinson, Numer. Math.
+    9 (1967) 386). Under a level cap the edges are probed up to the first
+    whose count reaches it, and brackets whose lower count does are dropped.
 
     n(x, True) also returns Newton's correction t from the same probe
     (oracle._band_count_below). The bisection probes the grid point
@@ -222,14 +201,36 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
     plain bisection wherever n steps up once across the bracket; Newton only
     picks the points. Bracket halving is no safeguard here: Newton closes in
     from one side, and halving would reject most of its steps."""
-    out = exceptional_records(params, n, x_lo, x_max)
-    edges = [x_lo] + [x for r in out for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
-    counts = [n(x) for x in edges]
-    todo = list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
+    cands = []
+    for c in sorted(((N + e, N, e, branch)
+                     for branch, e in (("plus_eps", params.eps), ("minus_eps", -params.eps))
+                     for N in range(int(x_max - e) + 2)
+                     if x_lo <= N + e - _FLOOR and N + e + _FLOOR <= x_max),
+                    key=lambda c: c[0]):
+        if not cands or c[0] - cands[-1][0] >= 2 * _FLOOR:
+            cands.append(c)
+    edges = [x_lo] + [x for c in cands for x in (c[0] - _FLOOR, c[0] + _FLOOR)] + [x_max]
+    top, counts = n(x_max), []
+    for x in edges[:-1]:
+        counts.append(n(x))
+        if counts[-1] >= cap:
+            break
+    else:
+        counts.append(top)
+    out, todo = [], []
+    for i, (a, b, na, nb) in enumerate(zip(edges, edges[1:], counts, counts[1:])):
+        if i % 2 and nb != na:
+            x0, N, e, branch = cands[i // 2]
+            jud = _juddian_here(N, params, e)
+            if nb - na == (2 if jud and is_half_integer(params.eps) else 1):
+                kind = KIND_JUDDIAN if jud else KIND_NON_JUDDIAN
+                out.append(EigenvalueRecord(x0, x0 - params.g ** 2, kind, nb - na, N, branch))
+                continue
+        todo.append((a, b, na, nb))
     while todo:
         a, b, na, nb = todo.pop()
         if nb == na + 1:
-            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]),
+            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]), _H_MIN,
                     2.0 * math.ulp(max(abs(a), abs(b))))
             lo, hi = math.floor(a / h), math.ceil(b / h)
             j, last = (lo + hi) // 2, math.inf
@@ -252,7 +253,7 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
                     f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
             mid = 0.5 * (a + b)
             nm = n(mid)
-            todo += [(a, mid, na, nm), (mid, b, nm, nb)]
+            todo += [t for t in ((a, mid, na, nm), (mid, b, nm, nb)) if t[2] < cap]
     out.sort(key=lambda r: r.x)
     return out
 
@@ -266,7 +267,7 @@ def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
     are Juddian. Raises IncompleteSpectrum rather than return a list that the
     count shows to be short."""
     if x_lo is None:
-        x_lo = -(params.delta + abs(params.eps) + 1.5)
+        x_lo = _x_floor(params)
     if not (0 < refine_tol < math.inf and math.isfinite(x_max) and x_max > x_lo):
         raise ValueError("need a finite refine_tol > 0 and a finite x_max above x_lo")
     return _assemble(params, _level_count(params), x_lo, x_max, refine_tol)
@@ -285,20 +286,18 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
                    refine_tol: float = 1e-10) -> list[dict]:
     """Rows (g, index, lambda, x, kind, multiplicity, level_N, branch) for the
     lowest n_levels eigenvalues at every coupling of the strictly increasing
-    g_grid; grid points are independent and assembled in grid order. Each
-    coupling's window ends just above level n_levels - 1 of the level count."""
+    g_grid, each assembled in grid order up to level n_levels on a window
+    that ends at the top of level n_levels - 1's oracle.level_bracket."""
     if n_levels < 0 or not 0 < refine_tol < math.inf:
         raise ValueError("need n_levels >= 0 and a finite refine_tol > 0")
     if any(b <= a for a, b in zip(g_grid, g_grid[1:])):
         raise ValueError("g_grid must be strictly increasing")
-    x_lo = -(delta + abs(eps) + 1.5)    # full_spectrum's default
     rows = []
     for g in g_grid:
         params = ModelParams(g, delta, eps)
-        n = _level_count(params)
-        top = bisect_count(n, *oracle.level_bracket(params, n_levels - 1), n_levels - 1,
-                           _BRACKET)
-        flat = [r for r in _assemble(params, n, x_lo, top + _BRACKET, refine_tol)
+        x_max = oracle.level_bracket(params, n_levels - 1)[1]
+        flat = [r for r in _assemble(params, _level_count(params), _x_floor(params), x_max,
+                                     refine_tol, n_levels)
                 for _ in range(r.multiplicity)]
         if len(flat) < n_levels:
             raise IncompleteSpectrum(f"{len(flat)} of {n_levels} levels at g = {fmt_float(g)}")

@@ -396,6 +396,23 @@ class TestStrongCoupling:
         assert err == f"error: level count not certified by M={oracle.M_MAX}\n"
         assert built == []
 
+    def test_uncertified_sweep_exit_two(self, capsys, monkeypatch):
+        # the sweep probes the top of its window first, so it refuses there
+        # as the spectrum does, before any ladder is built
+        from aqrm import oracle
+        built = []
+        ladder = oracle._ladder
+
+        def recorded(params, M):
+            built.append(M)
+            return ladder(params, M)
+
+        monkeypatch.setattr(oracle, "_ladder", recorded)
+        code, out, err = run(capsys, *"sweep --delta 1 --eps 0.3 --g 1000 --levels 8".split())
+        assert code == 2 and out == ""
+        assert err == f"error: level count not certified by M={oracle.M_MAX}\n"
+        assert built == []
+
 
 class TestCountLocatesLevels:
     """The level count alone locates every regular level, also where float
@@ -428,9 +445,9 @@ class TestCountLocatesLevels:
         assert code == 2 and out == ""
         assert err.startswith("error: 2 levels within")
 
-# SHA-256 of stdout for each README command line, with the sweep shortened to
-# g = 0..0.5, plus two irrational-bias spectra (one on a Juddian coupling) and
-# a simple-pole residue. The digests pin CPython's 17-digit float output on
+# SHA-256 of stdout for each README command line, the sweeps both in full and
+# shortened to g = 0..0.5, plus two irrational-bias spectra (one on a Juddian
+# coupling) and a simple-pole residue. The digests pin CPython's 17-digit float output on
 # x86-64 Linux; a libm that rounds exp or sin differently in the last bit
 # changes them.
 GOLDEN = (
@@ -458,6 +475,10 @@ GOLDEN = (
      "c8a87f0a851807e9b37988d9e8a02906154389cd1c4d9982a1027aac300f66c8"),
     ("sweep --delta 1 --eps 0.3 --g 0:0.5:0.1 --levels 8",
      "4a6f04cc7bb1660d2ce3d185d3a1a61f7f1919fc51850042fb86c181a5a3f68e"),
+    ("sweep --delta 1 --eps 1/2 --g 0:2.7:0.01 --levels 8",
+     "15ca2ab5f5bd8a5ad10152912a9527b65a0499c920cdcc15406e1b2f7bab1acf"),
+    ("sweep --delta 1 --eps 0.3 --g 0:2.7:0.01 --levels 8",
+     "4ddcb6d3de0b646af5a7c0e3843918f5054efb0cbac2e5c89223aae312d74b87"),
     ("oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8",
      "2db7398b4a8ea98914c1bc1bfc5667e6da5076d8d6bc40e1b4faa5e1f7a4967c"),
     ("verify all --max-N 10 --max-ell 4",

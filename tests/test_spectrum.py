@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from aqrm import oracle
 from aqrm.poly import c_weight
-from aqrm.series import ModelParams, regularized_g
+from aqrm.series import ModelParams, is_half_integer, regularized_g
 from aqrm.spectrum import (
     _FLOOR,
     KIND_JUDDIAN,
@@ -21,7 +21,6 @@ from aqrm.spectrum import (
     IncompleteSpectrum,
     count_positive_roots,
     exact_bias,
-    exceptional_records,
     expand_multiplicities,
     fmt_float,
     full_spectrum,
@@ -220,7 +219,7 @@ class TestSpectra:
     def test_exceptional_records_juddian_constructed(self):
         # bias 3/10: place the coupling exactly on the level-1 Juddian root
         p = ModelParams(math.sqrt(27 / 20) / 2, 0.5, 0.3)
-        recs = exceptional_records(p, counter(p), -2.0, 4.0)
+        recs = full_spectrum(p, 4.0, x_lo=-2.0)
         assert any(r.kind == KIND_JUDDIAN and r.level_N == 1
                    and r.multiplicity == 1 for r in recs)
 
@@ -239,7 +238,7 @@ class TestSpectra:
 
     def test_tiny_coupling_exceptional_scan(self):
         p = ModelParams(1e-5, 1.0, 0.3)
-        assert exceptional_records(p, counter(p), -2.0, 2.5) == []
+        assert all(r.kind == KIND_REGULAR for r in full_spectrum(p, 2.5, x_lo=-2.0))
 
     def test_k_sequence_vanishes_at_juddian_root(self):
         # at a quasi-exact coupling the level-N K coefficient vanishes
@@ -452,6 +451,28 @@ class TestSweep:
         for g in (0.45, 0.5, 0.55):
             assert sum(1 for r in rows if r["g"] == g) == 6
 
+    @given(g=st.floats(0.01, 3), delta=st.floats(0.1, 3),
+           eps=st.one_of(st.floats(-2, 2), st.sampled_from((0.5, -0.5, 1.5, -1.5))),
+           n_levels=st.integers(0, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_level_cap_changes_no_record(self, g, delta, eps, n_levels):
+        # the sweep assembles only up to level n_levels; full_spectrum on the
+        # same window, cut there, gives the same rows
+        p = ModelParams(g, delta, eps)
+        x_max = oracle.level_bracket(p, n_levels - 1)[1]
+        try:
+            rows = spectral_sweep(delta, eps, [g], n_levels)
+        except IncompleteSpectrum:
+            with pytest.raises(IncompleteSpectrum):
+                full_spectrum(p, x_max)
+            return
+        try:
+            recs = full_spectrum(p, x_max)
+        except IncompleteSpectrum:
+            return          # two levels closer than _FLOOR above the cap
+        flat = [r for r in recs for _ in range(r.multiplicity)]
+        assert rows == records_to_rows(flat[:n_levels], g)
+
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             spectral_sweep(1.0, 0.5, (0.5, 0.5), 4)
@@ -482,9 +503,10 @@ class TestHelpers:
 
 class TestFloatBisection:
     """The sign-change bisection behind the T-function scan and the count
-    bisection behind each regular level both stop once no float is left
-    strictly inside their bracket, whatever the tolerance. The T-function stub
-    is a step function, so no probe ever lands on an exact zero."""
+    bisection behind each regular level both end whatever the tolerance: the
+    first once no float is left strictly inside its bracket, the second on a
+    grid no finer than 2^-34 and two float spacings. The T-function stub is
+    a step function, so no probe ever lands on an exact zero."""
 
     @staticmethod
     def limited(f, cap=200):
@@ -508,9 +530,10 @@ class TestFloatBisection:
         assert len(calls) < 80
 
     def test_regularized_g_scan(self, monkeypatch):
-        # a tolerance below float spacing: the grid of each level is two
-        # float spacings wide; plain bisection from the whole window took
-        # about 54 count probes per level, the Newton-steered one 11.4
+        # a tolerance below float spacing: the grid of each level is 2^-34
+        # wide, the finest the count resolves. On a grid two float spacings
+        # wide, plain bisection from the whole window took about 54 count
+        # probes per level and the Newton-steered one 11.4; now 10.0
         import aqrm.spectrum as spectrum_mod
         p = ModelParams(0.5, 1.0, 0.3)
         level_count = spectrum_mod._level_count
@@ -570,6 +593,15 @@ class TestDyadicReporting:
             for below, above in ((3e-4, 7e-4), (1e-3, 2e-10), (5e-11, 1e-6)):
                 assert full_spectrum(p, r.x + above, x_lo=r.x - below) == [r]
 
+    def test_grid_no_finer_than_the_count(self):
+        # here the float count reads 6, 7, 6, 6, 7, 6, 6, 7, 7, 7, 7, 6, 7, ...
+        # on the 2^-44 grid next to the level near x = 2.606 (M = 240), so a
+        # 1e-13 tolerance keeps the 2^-34 grid, on which the count steps once
+        p = ModelParams(6.0, 1.0625, 0.6142757900593858)
+        recs = full_spectrum(p, 3.0, refine_tol=1e-13)
+        assert recs == full_spectrum(p, 3.0)
+        assert any(r.kind == KIND_REGULAR and abs(r.x - 2.606073395) < 1e-9 for r in recs)
+
     @pytest.mark.parametrize("eps", (0.3, 0.5))
     def test_calg_evaluations_per_level(self, monkeypatch, eps):
         # the grid of 'sweep --delta 1 --eps ... --g 0.1:0.5:0.1 --levels 8':
@@ -591,7 +623,9 @@ class TestDyadicReporting:
     def test_count_probes_per_level(self, monkeypatch, eps):
         # the same grid: plain bisection from each level's bracket down to its
         # 2^-34 cell took about 38 count probes per regular level; steered
-        # by Newton, 11.2 (eps = 0.3) and 10.4 (eps = 1/2)
+        # by Newton, 11.2 (eps = 0.3) and 10.4 (eps = 1/2); with the
+        # candidates' probes splitting the window and no separate search for
+        # the top level, 9.25 and 8.89
         plain, newton = [], []
         count = oracle._band_count_below
 
@@ -603,20 +637,44 @@ class TestDyadicReporting:
         rows = spectral_sweep(1.0, eps, [k * 0.1 for k in range(1, 6)], 8)
         n_regular = sum(r["kind"] == KIND_REGULAR for r in rows)
         assert n_regular >= 35
-        assert newton and len(plain) + len(newton) <= 13 * n_regular
+        assert newton and len(plain) + len(newton) <= 10 * n_regular
 
 
-def reference_assemble(params, n, x_lo, x_max, refine_tol):
+def reference_assemble(params, n, x_lo, x_max, refine_tol, cap=math.inf):
     """spectrum._assemble with the plain grid loop it had before Newton
-    steered it: every probe at the midpoint of (lo, hi), with no jet."""
-    out = exceptional_records(params, n, x_lo, x_max)
-    edges = [x_lo] + [x for r in out for x in (r.x - _FLOOR, r.x + _FLOOR)] + [x_max]
-    counts = [n(x) for x in edges]
-    todo = list(zip(edges[::2], edges[1::2], counts[::2], counts[1::2]))
+    steered it: the same edges, cap and order of probes, but every probe of
+    a cell bisection at the midpoint of (lo, hi), with no jet."""
+    import aqrm.spectrum as spectrum_mod
+    cands = []
+    for c in sorted(((N + e, N, e, branch)
+                     for branch, e in (("plus_eps", params.eps), ("minus_eps", -params.eps))
+                     for N in range(int(x_max - e) + 2)
+                     if x_lo <= N + e - _FLOOR and N + e + _FLOOR <= x_max),
+                    key=lambda c: c[0]):
+        if not cands or c[0] - cands[-1][0] >= 2 * _FLOOR:
+            cands.append(c)
+    edges = [x_lo] + [x for c in cands for x in (c[0] - _FLOOR, c[0] + _FLOOR)] + [x_max]
+    top, counts = n(x_max), []
+    for x in edges[:-1]:
+        counts.append(n(x))
+        if counts[-1] >= cap:
+            break
+    else:
+        counts.append(top)
+    out, todo = [], []
+    for i, (a, b, na, nb) in enumerate(zip(edges, edges[1:], counts, counts[1:])):
+        if i % 2 and nb != na:
+            x0, N, e, branch = cands[i // 2]
+            jud = spectrum_mod._juddian_here(N, params, e)
+            if nb - na == (2 if jud and is_half_integer(params.eps) else 1):
+                kind = KIND_JUDDIAN if jud else KIND_NON_JUDDIAN
+                out.append(EigenvalueRecord(x0, x0 - params.g ** 2, kind, nb - na, N, branch))
+                continue
+        todo.append((a, b, na, nb))
     while todo:
         a, b, na, nb = todo.pop()
         if nb == na + 1:
-            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]),
+            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]), spectrum_mod._H_MIN,
                     2.0 * math.ulp(max(abs(a), abs(b))))
             lo, hi = math.floor(a / h), math.ceil(b / h)
             while hi - lo > 1:
@@ -633,7 +691,7 @@ def reference_assemble(params, n, x_lo, x_max, refine_tol):
                     f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
             mid = 0.5 * (a + b)
             nm = n(mid)
-            todo += [(a, mid, na, nm), (mid, b, nm, nb)]
+            todo += [t for t in ((a, mid, na, nm), (mid, b, nm, nb)) if t[2] < cap]
     out.sort(key=lambda r: r.x)
     return out
 
@@ -641,9 +699,9 @@ def reference_assemble(params, n, x_lo, x_max, refine_tol):
 def outcome(assemble, params, x_max, tol):
     """The records, or the refusal, of assemble on full_spectrum's window."""
     import aqrm.spectrum as spectrum_mod
-    x_lo = -(params.delta + abs(params.eps) + 1.5)
     try:
-        return assemble(params, spectrum_mod._level_count(params), x_lo, x_max, tol)
+        return assemble(params, spectrum_mod._level_count(params),
+                        spectrum_mod._x_floor(params), x_max, tol)
     except IncompleteSpectrum as exc:
         return str(exc)
 
@@ -661,6 +719,16 @@ class TestNewtonSteering:
         p = ModelParams(g, delta, eps)
         assert (outcome(spectrum_mod._assemble, p, x_max, tol)
                 == outcome(reference_assemble, p, x_max, tol))
+
+    @pytest.mark.parametrize("g,eps", ((0.5, 0.5), (1.3, 0.3), (2.5, 1.5)))
+    def test_same_records_under_a_level_cap(self, g, eps):
+        # a sweep's window: up to level 8, below the top of level 7's bracket
+        import aqrm.spectrum as spectrum_mod
+        p = ModelParams(g, 1.0, eps)
+        args = (spectrum_mod._x_floor(p), oracle.level_bracket(p, 7)[1], 1e-10, 8)
+        recs = spectrum_mod._assemble(p, spectrum_mod._level_count(p), *args)
+        assert sum(r.multiplicity for r in recs) >= 8
+        assert recs == reference_assemble(p, spectrum_mod._level_count(p), *args)
 
     @pytest.mark.parametrize("g,delta,eps,x_max", ((0.5, 1.0, 0.3, 6.0), (2.5, 0.7, 0.5, 8.0),
                                                    (6.0, 0.2, 1.5, 40.0)))
