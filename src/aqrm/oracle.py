@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .roots import bisect_count
+from .roots import bisect_sign_change
 from .series import ModelParams
 
 _WIDTH = 1.01e-12    # bisection width of each eigenvalue
@@ -321,7 +321,7 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
         if s is not None:
             for y, n in seen:
                 record(y, n)
-        out.append(bisect_count(count_below, lo, hi, k, _WIDTH))
+        out.append(bisect_sign_change(lambda x: count_below(x) - k - 0.5, lo, hi, -1, _WIDTH))
         lo = out[-1] - 1e-9  # eigenvalues are sorted; restart just below
     return out
 
@@ -335,5 +335,5 @@ def certified_eigenvalues(params: ModelParams, count: int) -> tuple[list[float],
     out = []
     for k in range(count):
         lo, hi = level_bracket(params, k)
-        out.append(bisect_count(n, lo - g2, hi - g2, k, _WIDTH))
+        out.append(bisect_sign_change(lambda x: n(x) - k - 0.5, lo - g2, hi - g2, -1, _WIDTH))
     return out, n.last_rung()

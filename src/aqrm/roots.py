@@ -3,8 +3,8 @@ polynomial enters as its primitive integer multiple, its square-free part is
 an exact integer division, one primitive Sturm chain of sign-kept
 pseudo-remainders counts the roots by homogeneous integer evaluation at
 rational points, a split on that count isolates them, and one sign-change
-bisection refines them. Also generic tridiagonal continuants, and the count
-bisection shared by the oracle and the spectrum sweep."""
+bisection refines them; the same bisection, on a count minus k + 1/2, finds
+the oracle's k-th eigenvalue. Also generic tridiagonal continuants."""
 
 from __future__ import annotations
 
@@ -233,22 +233,17 @@ def _variations_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
     return _variations([c[-1] if positive or len(c) % 2 else -c[-1] for c in chain])
 
 
-def sturm_count(chain: Sequence[Sequence[int]], lo: Fraction | None = None,
-                hi: Fraction | None = None) -> int:
-    """Number of distinct real roots in (lo, hi] of the squarefree polynomial
-    whose Sturm chain is given, as integer coefficient tuples; open ends at
-    infinity when a bound is None."""
-    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
-    return va - vb
-
-
 def count_real_roots(p: UniPoly, lo: Fraction | None = None,
                      hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi]; open ends at infinity
     when a bound is None. Counted on the integer chain of the square-free part."""
     sf = squarefree_part(p).coeffs
-    return sturm_count(_chain(sf), lo, hi) if len(sf) > 1 else 0
+    if len(sf) <= 1:
+        return 0
+    chain = _chain(sf)
+    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
+    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
+    return va - vb
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -287,7 +282,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# bisection: on a sign change, and on a count
+# bisection on a sign change
 # ---------------------------------------------------------------------------
 
 def bisect_sign_change(f, a, b, fa, tol):
@@ -326,18 +321,3 @@ def refine_root(p: UniPoly, iv: tuple[Fraction, Fraction], tol: Fraction) -> Fra
             return cand
     return mid
 
-
-def bisect_count(count_below, lo: float, hi: float, k: int, width: float) -> float:
-    """The k-th (0-based) eigenvalue in [lo, hi] of a matrix whose number of
-    eigenvalues strictly below sigma is count_below(sigma): the midpoint of
-    the bisection bracket once it is no wider than width, or once no float
-    midpoint lies strictly inside it."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if count_below(mid) <= k:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

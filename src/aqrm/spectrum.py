@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from . import oracle
 from .poly import constraint_slice
@@ -23,8 +22,6 @@ from .roots import (
     isolate_real_roots,
     refine_root,
     squarefree_part,
-    sturm_chain,
-    sturm_count,
 )
 from .series import (
     ModelParams,
@@ -117,30 +114,19 @@ def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
 # exceptional points x = N +/- eps
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _juddian_chain(N: int, eps: Fraction, y: Fraction) -> tuple | None:
-    """Sturm chain (coefficient tuples) of the squarefree part of P_N^(N,eps)(x, y)
-    in x; None when there is nothing to count (N = 0 or a constant squarefree
-    part). The polynomial does not depend on g, so a sweep builds each chain once."""
-    if N == 0:
-        return None
-    sf = squarefree_part(constraint_slice(N, eps, y))
-    return None if sf.degree <= 0 else tuple(q.coeffs for q in sturm_chain(sf))
-
-
 def _juddian_here(N: int, params: ModelParams, branch_eps: float) -> bool:
-    """Is this coupling a root of the level-N constraint polynomial? One exact
-    Sturm count for every bias: a float bias with no low-denominator match is
-    taken as the dyadic rational it is."""
+    """Is this coupling a root of the level-N constraint polynomial, that is,
+    does P_N^(N,eps)(x, delta^2) vanish at some x = (2g')^2 with
+    g - t < g' <= g + t, t = 1e-7 max(1, g)? One exact count_real_roots for
+    every bias: a float bias with no low-denominator match is taken as the
+    dyadic rational it is. _assemble asks only at a candidate the level
+    count jumps across."""
     frac = exact_bias(branch_eps)
-    chain = _juddian_chain(N, Fraction(branch_eps) if frac is None else frac,
-                           Fraction(params.delta) ** 2)
-    if chain is None:
-        return False
-    # roots x = (2g')^2 with g - t < g' <= g + t
+    eps = Fraction(branch_eps) if frac is None else frac
     g = Fraction(params.g)
     t = Fraction(1e-7) * max(1, g)
-    return sturm_count(chain, 4 * max(0, g - t) ** 2, 4 * (g + t) ** 2) > 0
+    return count_real_roots(constraint_slice(N, eps, Fraction(params.delta) ** 2),
+                            4 * max(0, g - t) ** 2, 4 * (g + t) ** 2) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +175,10 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float, refine_tol: flo
     still ends. Next to a level the float count can be wrong in a band about
     1e-12 wide (oracle._band_count_below); on a finer grid it is not monotone
     there, and the cell would depend on the points probed. Where refine_tol
-    sets h, the cell depends on n and refine_tol only, not on the bracket (count bisection: Barth, Martin & Wilkinson, Numer. Math.
-    9 (1967) 386). Under a level cap the edges are probed up to the first
-    whose count reaches it, and brackets whose lower count does are dropped.
+    sets h, the cell depends on n and refine_tol only, not on the bracket
+    (count bisection: Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386).
+    Under a level cap the edges are probed up to the first whose count
+    reaches it, and brackets whose lower count does are dropped.
 
     n(x, True) also returns Newton's correction t from the same probe
     (oracle._band_count_below). The bisection probes the grid point

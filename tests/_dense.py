@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from aqrm.oracle import _pivot
-from aqrm.roots import bisect_count
+from aqrm.roots import bisect_sign_change
 
 
 # basis ordering: |n, up> at 2n, |n, down> at 2n+1 (spin-major interleaved)
@@ -113,7 +113,8 @@ def sym_tridiag_eigenvalues(diag: Sequence[float], offdiag: Sequence[float],
              + (abs(offdiag[i]) if i < n - 1 else 0.0) for i in range(n))
     lo -= tol
     hi += tol
-    eigs = [bisect_count(lambda s: tridiag_count_below(diag, offdiag, s), lo, hi, k, tol)
+    eigs = [bisect_sign_change(lambda s: tridiag_count_below(diag, offdiag, s) - k - 0.5,
+                               lo, hi, -1, tol)
             for k in range(n)]
     eigs.sort()
     return eigs

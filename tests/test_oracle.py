@@ -28,7 +28,7 @@ from aqrm.oracle import (
     lowest_eigenvalues,
     truncation_warning,
 )
-from aqrm.roots import bisect_count
+from aqrm.roots import bisect_sign_change
 from aqrm.series import ModelParams
 from aqrm.spectrum import juddian_roots
 
@@ -189,8 +189,8 @@ def reference_lowest_eigenvalues(params, M, count):
     hi = max(a + r for a, r in rows) + 1.0
     out = []
     for k in range(count):
-        out.append(bisect_count(lambda s: _band_count_below(ladder, s)[0],
-                                lo, hi, k, _WIDTH))
+        out.append(bisect_sign_change(lambda s: _band_count_below(ladder, s)[0] - k - 0.5,
+                                      lo, hi, -1, _WIDTH))
         lo = out[-1] - 1e-9
     return out
 

@@ -1,6 +1,6 @@
 """Root machinery: continuants, exact Sturm isolation, bisection refinement,
-and the count bisection, with tridiagonal eigenvalues from tests/_dense.py as
-the reference."""
+and the same bisection on a level count, with tridiagonal eigenvalues from
+tests/_dense.py as the reference."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from aqrm.roots import (
     TridiagMatrix,
     UniPoly,
     ZeroPolynomialError,
-    bisect_count,
     bisect_sign_change,
     continuant,
     count_real_roots,
@@ -383,9 +382,10 @@ class TestTridiagEigen:
 
         for k, e in enumerate(levels):
             probes.clear()
-            assert bisect_count(count_below, -4.0, 4.0, k, 1e-12) == pytest.approx(e, abs=1e-12)
+            lam = bisect_sign_change(lambda s: count_below(s) - k - 0.5, -4.0, 4.0, -1, 1e-12)
+            assert lam == pytest.approx(e, abs=1e-12)
             assert len(probes) == 43          # ceil(log2(8 / 1e-12)) halvings
-        assert bisect_count(count_below, 0.0, 1.0, 0, 2.0) == 0.5
+        assert bisect_sign_change(lambda s: count_below(s) - 0.5, 0.0, 1.0, -1, 2.0) == 0.5
 
     def test_bisect_count_stops_at_float_spacing(self):
         # near 1e4 neighbouring floats are 1.8e-12 apart, so a 1e-12 bracket
@@ -400,7 +400,7 @@ class TestTridiagEigen:
                 raise AssertionError("bisection does not terminate")
             return int(level < sigma)
 
-        lam = bisect_count(count_below, 9000.0, 11000.0, 0, 1e-12)
+        lam = bisect_sign_change(lambda s: count_below(s) - 0.5, 9000.0, 11000.0, -1, 1e-12)
         assert abs(lam - level) <= 2e-12
         assert len(probes) < 60
 

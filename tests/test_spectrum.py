@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _dense import band_count_exact
 from aqrm import oracle
 from aqrm.poly import c_weight
 from aqrm.series import ModelParams, is_half_integer, regularized_g
@@ -284,6 +285,18 @@ class TestCountBrackets:
         ev = oracle.lowest_eigenvalues(p, 100, len(recs))
         assert [r.lam for r in recs] == pytest.approx(ev, abs=1e-7)
 
+    def test_doublet_on_a_first_block_level(self):
+        # at (1, 2, 3/2) the Juddian doublet x = 7/2 sits on the level 5/2 of
+        # the first rung's block, where the float count can be wrong about
+        # 1e-9 from the level; the reads at 7/2 -/+ _FLOOR must still match
+        # the exact count of the same M = 60 ladder
+        p = ModelParams(1.0, 2.0, 1.5)
+        assert EigenvalueRecord(3.5, 2.5, KIND_JUDDIAN, 2, 2, "plus_eps") in full_spectrum(p, 4.0)
+        count, ladder = counter(p), oracle._ladder(p, 60)
+        reads = [(count(x), band_count_exact(ladder, x - p.g ** 2))
+                 for x in (3.5 - _FLOOR, 3.5 + _FLOOR)]
+        assert reads == [(7, 7), (9, 9)]
+
     def test_capped_rungs_raise(self, monkeypatch):
         # at g = 3 the count below x = 12 certifies only past rung 40
         monkeypatch.setattr(oracle, "M_MAX", 40)
@@ -359,9 +372,10 @@ class TestNearExceptional:
 
 
 class TestJuddianMembership:
-    """`_juddian_here` is one exact Sturm count on a cached chain for every
-    bias, a float bias with no low-denominator match taken as its exact
-    dyadic value; checked against the refined-root predicate it replaced."""
+    """`_juddian_here` is one exact `count_real_roots` on the constraint
+    slice for every bias, a float bias with no low-denominator match taken
+    as its exact dyadic value; checked against the refined-root predicate it
+    replaced."""
 
     @staticmethod
     def _old_predicate(roots, g):
@@ -409,7 +423,7 @@ class TestJuddianMembership:
                     checked += self._check(rng, N, eps, delta)
         assert checked > 30
 
-    def test_sweep_builds_each_chain_once(self, monkeypatch):
+    def test_sweep_asks_only_where_the_count_jumps(self, monkeypatch):
         from aqrm import roots as roots_mod
         from aqrm import spectrum as spectrum_mod
 
@@ -421,23 +435,20 @@ class TestJuddianMembership:
             monkeypatch.setattr(mod, "refine_root", forbidden)
         monkeypatch.setattr(spectrum_mod, "juddian_roots", forbidden)
 
-        seen = set()
+        seen = []
         real_here = spectrum_mod._juddian_here
 
         def spy(N, params, branch_eps, *args, **kwargs):
-            seen.add((N, exact_bias(branch_eps)))
+            seen.append((N, params.g, exact_bias(branch_eps)))
             return real_here(N, params, branch_eps, *args, **kwargs)
 
         monkeypatch.setattr(spectrum_mod, "_juddian_here", spy)
-        spectrum_mod._juddian_chain.cache_clear()
-        # a chain is consulted only where the count jumps at a candidate:
-        # x = 3/2 jumps at g = 1/2 (Juddian) and at the level-1 T-zero g_t
-        # (non-Juddian), both tested against the level-1 chain
+        # the exact test is consulted only where the count jumps at a
+        # candidate: x = 3/2 jumps at g = 1/2 (Juddian) and at the level-1
+        # T-zero g_t (non-Juddian), both tested against the level-1 slice
         (g_t,) = t_zeros(1, 1.0, 0.5, "plus")
         rows = spectral_sweep(1.0, 0.5, (0.5, 0.8, 1.1, g_t, 1.4), 6)
-        info = spectrum_mod._juddian_chain.cache_info()
-        assert seen and info.misses == len(seen)
-        assert info.hits > 0
+        assert seen == [(1, 0.5, Fraction(1, 2)), (1, g_t, Fraction(1, 2))]
         assert any(r["kind"] == KIND_JUDDIAN and r["g"] == 0.5 for r in rows)
 
 
