@@ -1,12 +1,13 @@
 """Command-line surface: compute polynomial families, verify the exact
 identities, trace G/T functions, locate spectra, run coupling sweeps, and dump
 oracle eigenvalues. Exit codes: 0 success, 1 a verified identity failed,
-2 usage error, an input out of range, or a spectrum the level count shows to
-be incomplete."""
+2 usage error, an input out of range, an `--out` file that cannot be written,
+or a spectrum the level count shows to be incomplete."""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -400,10 +401,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> int:
+    """Process entry point (`aqrm` and `python -m aqrm.cli`): `main` on the
+    command line, then `gc.freeze()`. Freezing moves every object the cyclic
+    collector tracks to its permanent generation, which the collections at
+    interpreter exit skip, so exit does not walk the ~13k objects alive after
+    `import aqrm.cli`. `main` itself changes no process-wide state: the tests
+    call it in process."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

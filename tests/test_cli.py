@@ -1,8 +1,11 @@
 """Command-line surface: argument handling, output schemas, determinism,
 exit-code contract."""
 
+import gc
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +200,14 @@ class TestVerifyAndExitCodes:
                            "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("g,index,lambda")
+
+    def test_unwritable_out_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "count-roots", "--N", "3", "--eps", "0",
+                             "--y", "1", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.parent.exists()
 
 
 def test_json_is_imported_only_where_json_is_written():
@@ -500,3 +511,80 @@ def test_negative_grid_with_a_space_gives_the_golden_digest(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN)[cmd]
+
+
+# ---------------------------------------------------------------------------
+# the process path: `python -m aqrm.cli` in a fresh interpreter, entered
+# through `run`, which freezes the collector's heap once `main` returns
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+PROCESS_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def run_process(*argv):
+    """Exit code, stdout and stderr of `python -m aqrm.cli argv...` with
+    PYTHONPATH=src."""
+    proc = subprocess.run([sys.executable, "-m", "aqrm.cli", *argv], capture_output=True,
+                          text=True, env=PROCESS_ENV, cwd=ROOT, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcess:
+    # the two 271-point README sweeps (about 0.4 s each) are left to the
+    # in-process digests
+    SHORT = [(cmd, digest) for cmd, digest in GOLDEN if "0:2.7:0.01" not in cmd]
+
+    @pytest.mark.parametrize("cmd,digest", SHORT, ids=[c for c, _ in SHORT])
+    def test_golden_digest(self, cmd, digest):
+        code, out, err = run_process(*cmd.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_truncation_warning_on_stderr(self, capsys):
+        argv = "oracle --g 1 --delta 1 --eps 0.2 --M 20 --count 30".split()
+        code, out, err = run_process(*argv)
+        assert code == 0
+        assert err.startswith("warning: truncation M=20 not converged")
+        assert (code, out, err) == run(capsys, *argv)
+
+    @pytest.mark.parametrize("argv,message", (
+        ("poly --N notanint --eps 0", "usage: aqrm poly"),
+        ("spectrum --g -1 --delta 1 --eps 0 --x-max 2", "error: "),
+    ))
+    def test_usage_and_domain_errors_exit_two(self, argv, message):
+        code, out, err = run_process(*argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith(message) and "Traceback" not in err
+
+    def test_out_file_is_complete(self, tmp_path):
+        cmd = "oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8"
+        path = tmp_path / "oracle.csv"
+        code, out, err = run_process(*cmd.split(), "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == dict(GOLDEN)[cmd]
+
+
+class TestFreezeScope:
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, "count-roots", "--N", "3", "--eps", "0", "--y", "1")[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_the_heap(self):
+        code = ("import gc, sys; from aqrm.cli import run; "
+                "sys.argv[1:] = ['count-roots', '--N', '3', '--eps', '0', '--y', '1']; "
+                "before = gc.get_freeze_count(); status = run(); "
+                "print(status, before, gc.get_freeze_count() > 0)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=PROCESS_ENV, check=True, timeout=60).stdout
+        assert out.splitlines()[-1] == "0 0 True"
+
+    def test_script_entry_is_the_main_block_entry(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        script = re.search(r'^aqrm = "aqrm\.cli:(\w+)"$',
+                           (ROOT / "pyproject.toml").read_text(), re.M)
+        block = re.search(r'^if __name__ == "__main__":\n    raise SystemExit\((\w+)\(\)\)$',
+                          (ROOT / "src" / "aqrm" / "cli.py").read_text(), re.M)
+        assert script and block
+        assert script[1] == block[1] == "run"
