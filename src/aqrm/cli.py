@@ -2,15 +2,21 @@
 identities, trace G/T functions, locate spectra, run coupling sweeps, and dump
 oracle eigenvalues. Exit codes: 0 success, 1 a verified identity failed,
 2 usage error, an input out of range, an `--out` file that cannot be written,
-or a spectrum the level count shows to be incomplete."""
+or a spectrum the level count shows to be incomplete.
+
+The commands are described once, in a table (`_commands`). A well-formed
+command line is parsed from it directly (`_parse_strict`); argparse, built
+from the same table by `build_parser`, is imported only for help, usage
+errors and the spellings the strict reader declines, so a plain command
+pays for neither argparse nor the gettext and locale imports it brings."""
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import oracle, poly, spectrum
 from .series import (
@@ -42,21 +48,23 @@ def nonneg_int(text: str) -> int:
     """Level number, index or bound: an integer >= 0."""
     n = int(text)
     if n < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"{text} is negative")
     return n
 
 
 def parse_range(text: str) -> list[float]:
     """Grid syntax 'a:b:step' (inclusive ends, within half a step; a, b and
-    step finite); a bare number gives a single-point grid."""
-    if ":" not in text:
-        return [float(text)]
+    step finite); a bare finite number gives a single-point grid."""
     parts = text.split(":")
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError("range must be a:b:step")
-    a, b, step = (float(p) for p in parts)
-    if not all(map(math.isfinite, (a, b, step))):
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
         raise ValueError("range ends and step must be finite")
+    if len(values) == 1:
+        return values
+    a, b, step = values
     if step <= 0 or b < a:
         raise ValueError("need step > 0 and b >= a")
     out = []
@@ -300,87 +308,120 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """The command table that both parsers read: command -> (help, function,
+    options), each option a (flag, `add_argument` keywords) pair in argparse's
+    order, which its help and usage text follow. It is built on each call, so
+    it holds the module's current functions: a caller that rebinds `cmd_*`,
+    `parse_eps` or `nonneg_int` sees them, and argparse quotes a `type=`
+    function's name in its errors."""
+    def opt(flag, type=None, required=False, **kw):
+        if type:
+            kw["type"] = type
+        if required:
+            kw["required"] = True
+        return flag, kw
+
+    g, delta = opt("--g", float, True), opt("--delta", float, True)
+    eps = opt("--eps", parse_eps, True, help="bias; 'p/q' and decimals parse exactly")
+    N, ell = opt("--N", nonneg_int, True), opt("--ell", nonneg_int, default=0)
+    out = opt("--out", default=None)
+    emit = (out, opt("--format", choices=("csv", "json"), default="csv"))
+    sign = opt("--sign", choices=("plus", "minus"), default="plus")
+    tol = opt("--tol", float, default=1e-10)
+    return {
+        "poly": ("print a polynomial family member", cmd_poly, (
+            eps, N, ell, *emit, opt("--k", nonneg_int, default=None),
+            opt("--family", choices=("constraint", "quotient", "q"),
+                default="constraint"))),
+        "divide": ("exact constraint-polynomial division", cmd_divide, (N, ell, *emit)),
+        "count-roots": ("positive-root count of P_N(x, y)", cmd_count_roots, (
+            eps, N, *emit, opt("--y", required=True,
+                               help="rational 'p/q' or decimal, exact"))),
+        "gfunc": ("table of G and regularized G over x", cmd_gfunc, (
+            g, delta, eps, *emit,
+            opt("--x", required=True, help="grid a:b:step or single value"))),
+        "tfunc": ("table of the constraint T-function over g", cmd_tfunc, (
+            delta, eps, N, *emit,
+            opt("--g", required=True, help="grid a:b:step or single value"), sign)),
+        "residue": ("pole coefficients of G at x = N +/- eps", cmd_residue, (
+            g, delta, eps, N, *emit, sign)),
+        "spectrum": ("full classified spectrum at one coupling", cmd_spectrum, (
+            g, delta, eps, *emit, opt("--x-max", float, default=6.0), tol)),
+        "sweep": ("spectral curves over a coupling grid", cmd_sweep, (
+            delta, eps, *emit, opt("--g", required=True, help="grid a:b:step"),
+            opt("--levels", int, default=8), tol)),
+        "oracle": ("truncated-basis eigenvalues", cmd_oracle, (
+            g, delta, eps, *emit, opt("--M", int, default=80),
+            opt("--count", int, default=8))),
+        "verify": ("run the exact-identity suites", cmd_verify, (
+            opt("suite", choices=("all", "divisibility", "laguerre", "generating",
+                                  "ode", "tidentity", "gsymmetry", "rootcounts")),
+            opt("--max-N", nonneg_int, default=10),
+            opt("--max-ell", nonneg_int, default=4), out)),
+    }
+
+
+def _parse_strict(argv: list[str]):
+    """The namespace argparse would return for `argv`, built without it, or
+    None when that is not certain. It accepts a known command followed by
+    exact long flags, each at most once, as '--f v' (v not starting with '-')
+    or '--f=v', plus `verify`'s positional; every required argument present,
+    every `type=` call succeeding and every choice held. Everything else
+    (help, abbreviations, repeats, '--', usage errors) is left to argparse."""
+    table = _commands()
+    if not argv or argv[0] not in table:
+        return None
+    _, fn, options = table[argv[0]]
+    spec = dict(options)
+    positionals = [flag for flag in spec if not flag.startswith("-")]
+    given: dict[str, str] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, eq, value = token.partition("=")
+            if not eq:
+                value = next(tokens, "-")       # a missing value declines too
+                if value.startswith("-"):
+                    return None
+        elif positionals:
+            flag, value = positionals.pop(0), token
+        else:
+            return None
+        if flag not in spec or flag in given or value == "--":
+            return None
+        given[flag] = value
+    ns = {"command": argv[0], "fn": fn}
+    for flag, kw in options:
+        if flag in given:
+            try:
+                value = kw["type"](given[flag]) if "type" in kw else given[flag]
+            except Exception:   # argparse makes the call again, then reports or raises
+                return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        elif kw.get("required") or not flag.startswith("-"):
+            return None
+        else:
+            value = kw.get("default")
+        ns[flag.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**ns)
+
+
+def build_parser():
+    """The full argparse parser, built from the command table. `main` uses it
+    only for the command lines `_parse_strict` declines: help, usage errors,
+    abbreviated or repeated flags."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="aqrm",
         description="Spectral toolkit for the asymmetric quantum Rabi model.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, g=False, delta=False, eps=False, N=False, ell=False):
-        if g:
-            p.add_argument("--g", type=float, required=True)
-        if delta:
-            p.add_argument("--delta", type=float, required=True)
-        if eps:
-            p.add_argument("--eps", type=parse_eps, required=True,
-                           help="bias; 'p/q' and decimals parse exactly")
-        if N:
-            p.add_argument("--N", type=nonneg_int, required=True)
-        if ell:
-            p.add_argument("--ell", type=nonneg_int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("poly", help="print a polynomial family member")
-    common(p, eps=True, N=True, ell=True)
-    p.add_argument("--k", type=nonneg_int, default=None)
-    p.add_argument("--family", choices=("constraint", "quotient", "q"),
-                   default="constraint")
-    p.set_defaults(fn=cmd_poly)
-
-    p = sub.add_parser("divide", help="exact constraint-polynomial division")
-    common(p, N=True, ell=True)
-    p.set_defaults(fn=cmd_divide)
-
-    p = sub.add_parser("count-roots", help="positive-root count of P_N(x, y)")
-    common(p, eps=True, N=True)
-    p.add_argument("--y", required=True, help="rational 'p/q' or decimal, exact")
-    p.set_defaults(fn=cmd_count_roots)
-
-    p = sub.add_parser("gfunc", help="table of G and regularized G over x")
-    common(p, g=True, delta=True, eps=True)
-    p.add_argument("--x", required=True, help="grid a:b:step or single value")
-    p.set_defaults(fn=cmd_gfunc)
-
-    p = sub.add_parser("tfunc", help="table of the constraint T-function over g")
-    common(p, delta=True, eps=True, N=True)
-    p.add_argument("--g", required=True, help="grid a:b:step or single value")
-    p.add_argument("--sign", choices=("plus", "minus"), default="plus")
-    p.set_defaults(fn=cmd_tfunc)
-
-    p = sub.add_parser("residue", help="pole coefficients of G at x = N +/- eps")
-    common(p, g=True, delta=True, eps=True, N=True)
-    p.add_argument("--sign", choices=("plus", "minus"), default="plus")
-    p.set_defaults(fn=cmd_residue)
-
-    p = sub.add_parser("spectrum", help="full classified spectrum at one coupling")
-    common(p, g=True, delta=True, eps=True)
-    p.add_argument("--x-max", type=float, default=6.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="spectral curves over a coupling grid")
-    common(p, delta=True, eps=True)
-    p.add_argument("--g", required=True, help="grid a:b:step")
-    p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("oracle", help="truncated-basis eigenvalues")
-    common(p, g=True, delta=True, eps=True)
-    p.add_argument("--M", type=int, default=80)
-    p.add_argument("--count", type=int, default=8)
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("verify", help="run the exact-identity suites")
-    p.add_argument("suite", choices=("all", "divisibility", "laguerre",
-                                     "generating", "ode", "tidentity",
-                                     "gsymmetry", "rootcounts"))
-    p.add_argument("--max-N", type=nonneg_int, default=10)
-    p.add_argument("--max-ell", type=nonneg_int, default=4)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
-
+    for name, (text, fn, options) in _commands().items():
+        p = sub.add_parser(name, help=text)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -394,11 +435,12 @@ def main(argv: list[str] | None = None) -> int:
             attached[-1] += f"={arg}"
         else:
             attached.append(arg)
-    ap = build_parser()
-    try:
-        args = ap.parse_args(attached)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _parse_strict(attached)
+    if args is None:
+        try:
+            args = build_parser().parse_args(attached)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -1,8 +1,10 @@
 """Command-line surface: argument handling, output schemas, determinism,
 exit-code contract."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,8 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqrm.cli import main, parse_eps, parse_range
+from aqrm.cli import _commands, _parse_strict, build_parser, main, parse_eps, parse_range
 
 
 def run(capsys, *argv):
@@ -43,6 +47,115 @@ class TestParsing:
         for text in ("1:0:0.1", "0:nan:0.1", "0:inf:0.5", "0:1:nan"):
             with pytest.raises(ValueError):
                 parse_range(text)
+
+    @pytest.mark.parametrize("x", ("nan", "inf", "-inf"))
+    def test_bare_grid_value_must_be_finite(self, capsys, x):
+        # a domain error, not "G-function series not converged at x=nan"
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_range(x)
+        argv = ("gfunc", "--g", "1", "--delta", "1", "--eps", "0.3", "--x", x)
+        assert run(capsys, *argv) == (2, "", "error: range ends and step must be finite\n")
+
+
+def argparse_namespace(argv):
+    """`vars` of argparse's namespace for argv, or None where argparse exits
+    (help, usage errors)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def reprs(namespace: dict) -> dict:
+    return {k: repr(v) for k, v in namespace.items()}     # NaN equals itself
+
+
+# values that pass and fail each `type=` and `choices` check of the table
+VALUES = ("0", "3", "-2", "2.5", "1/2", "-1/2", "1/0", "0:1:0.5", "nan", "inf",
+          "1e400", " 4", "x", "", "-", "--", "all", "plus", "json", "q")
+NOISE = ("-h", "--help", "--", "stray", "--bogus", "-1", "all", "--out")
+
+
+def _valid(kw: dict, value: str) -> bool:
+    try:
+        value = kw.get("type", str)(value)
+    except Exception:
+        return False
+    return value in kw.get("choices", (value,))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line drawn from the command table: each option present or
+    not (a required one mostly present), in any order, spelled '--f v' or
+    '--f=v', with valid and invalid values; then maybe an abbreviated or
+    repeated flag, help, a stray token, or an unknown command."""
+    table = _commands()
+    command = draw(st.sampled_from([*table, "bogus", "-h"]))
+    options = table[command][2] if command in table else ()
+    parts = []
+    for flag, kw in options:
+        if not draw(st.integers(0, 9) if kw.get("required") or not flag.startswith("-")
+                    else st.integers(0, 1)):
+            continue
+        values = [*kw.get("choices", ()), *VALUES]
+        valid = [v for v in values if _valid(kw, v)]
+        value = draw(st.sampled_from(valid if valid and draw(st.integers(0, 4)) else values))
+        if not flag.startswith("-"):
+            parts.append([value])
+        elif draw(st.booleans()):
+            parts.append([f"{flag}={value}"])
+        else:
+            parts.append([flag, value])
+    parts = draw(st.permutations(parts))
+    argv = [command] + [token for part in parts for token in part]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        flags = [flag for flag, _ in options if flag.startswith("--")] or ["--g"]
+        flag = draw(st.sampled_from(flags))
+        extra = draw(st.sampled_from([[flag[:-1], "1"], [flag, "1"], [f"{flag}=2"],
+                                      [draw(st.sampled_from(NOISE))]]))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = extra
+    return argv
+
+
+class TestStrictParser:
+    @given(command_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_declines_or_matches_argparse(self, argv):
+        strict = _parse_strict(argv)
+        if strict is not None:
+            assert reprs(vars(strict)) == reprs(argparse_namespace(argv) or {})
+
+    @pytest.mark.parametrize("argv", (
+        "count-roots --N 3 --eps 0 --y 1 --del 1",      # abbreviation (an error here)
+        "oracle --g 1 --del 1 --eps 0.2",               # abbreviation
+        "oracle --g 1 --delta 1 --delta 2 --eps 0.2",   # repeat: argparse keeps the last
+        "oracle --g 1 --delta 1 --eps 0.2 --",
+        "oracle --g 1 --delta 1 --eps=--",
+        "divide --N 2 --out=--",                        # argparse drops it: out == []
+        "oracle --g 1 --delta 1 --eps",
+        "oracle --g -1 --delta 1 --eps 0.2",            # argparse reads '-1' as a value
+        "verify all all", "verify --max-N 2", "verify", "bogus --g 1", "-h", "poly -h",
+        "poly --N notanint --eps 0", "count-roots --N 3", "poly --N -1 --eps 0",
+        "spectrum --g 1 --delta 1 --eps 0 --format xml",
+    ))
+    def test_declines_what_argparse_must_read(self, argv):
+        assert _parse_strict(argv.split()) is None
+
+    def test_well_formed_lines_are_read(self):
+        argv = "verify --max-N 3 rootcounts --max-ell=1 --out="
+        strict = vars(_parse_strict(argv.split()))
+        assert strict == argparse_namespace(argv.split())
+        assert (strict["suite"], strict["max_N"], strict["out"]) == ("rootcounts", 3, "")
+
+    def test_table_is_read_when_called(self, monkeypatch):
+        # a caller that rebinds a `type=` function (as a tracer does) is seen
+        import aqrm.cli
+        monkeypatch.setattr(aqrm.cli, "parse_eps", lambda text: ("traced", text))
+        assert _parse_strict("poly --N 1 --eps 1/3".split()).eps == ("traced", "1/3")
 
 
 class TestSubcommands:
@@ -556,6 +669,41 @@ class TestProcess:
         code, out, err = run_process(*argv.split())
         assert code == 2 and out == ""
         assert err.startswith(message) and "Traceback" not in err
+
+    def test_well_formed_line_imports_no_argparse(self):
+        # -S: no site .pth file imports anything on its own
+        code = ("import runpy, sys; sys.path.insert(0, sys.argv[1]); "
+                "sys.argv[1:] = ['count-roots', '--N', '3', '--eps', '0', '--y', '1']\n"
+                "try: runpy.run_module('aqrm.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc: status = exc.code\n"
+                "print(status, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.splitlines()[-1] == "0 []"
+
+    # SHA-256 of stdout + NUL + stderr on the argparse path, as recorded
+    # before the command table existed; argparse words its help differently
+    # across CPython minor versions, so the digests are those of 3.11
+    FALLBACK = (
+        ("-h", 0, "31166e34f91afcb66805d306ebb98057d67d8530c81a4d6973497f24e42c3121"),
+        ("sweep -h", 0, "2681a92a785737e42784141fe56e885fe76afb3c63e26c10a4c8823a90a76ed3"),
+        ("verify -h", 0, "f5792c37ff9b7b09da8bdadf0c9f1e3d61c9c898b27c7c6bb65cf9fa06cd29bc"),
+        ("poly --N notanint --eps 0", 2,
+         "1b8ff53013a2db454366bedce8352b8f0a933bd2045075389f6d9af56037ad1f"),
+        ("count-roots --N 3", 2,
+         "2199e331e125173b60bc34b7f8c2261f8ed1a6b7fdeb4c2664104f0dd2c64c92"),
+        ("oracle --g 1 --del 1 --eps 0.2 --M 20 --count 2", 0,
+         "8095043a9d0d6c92778c21d526eaba3283232a1a8134a36f1f4700063220a445"),
+    )
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests of CPython 3.11's argparse")
+    @pytest.mark.parametrize("cmd,code,digest", FALLBACK, ids=[c for c, _, _ in FALLBACK])
+    def test_argparse_path_bytes(self, cmd, code, digest):
+        proc = subprocess.run([sys.executable, "-m", "aqrm.cli", *cmd.split()],
+                              capture_output=True, env={**PROCESS_ENV, "COLUMNS": "80"},
+                              cwd=ROOT, timeout=120)
+        assert proc.returncode == code
+        assert hashlib.sha256(proc.stdout + b"\0" + proc.stderr).hexdigest() == digest
 
     def test_out_file_is_complete(self, tmp_path):
         cmd = "oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8"
