@@ -511,8 +511,16 @@ class TestNewtonJet:
             assume(all(abs(sigma - e) > 1e-3
                        for e in eigenvalues(truncated_hamiltonian(params, j))))
         terms = [1.0 / (sigma - e) for e in eigenvalues(truncated_hamiltonian(params, K))]
-        assert t is not None
-        assert abs(1.0 / t - sum(terms)) <= 1e-9 * sum(map(abs, terms))
+        # t is None where L = sum(terms) is 0 (test_no_correction_where_L_vanishes)
+        L = 0.0 if t is None else 1.0 / t
+        assert abs(L - sum(terms)) <= 1e-9 * sum(map(abs, terms))
+
+    def test_no_correction_where_L_vanishes(self):
+        # (g, delta, eps) = (1, 3/2, 0), M = 1: the levels of H_1 are
+        # 1/2 +/- sqrt(5) and 1/2 +/- sqrt(2), symmetric about sigma = 1/2,
+        # so L sums to exactly 0 and there is no Newton step
+        ladder = _ladder(ModelParams(1.0, 1.5, 0.0), 1)
+        assert _band_count_below(ladder, 0.5, True) == (2, 1, None)
 
 
 class TestExactCount:
