@@ -49,11 +49,16 @@ class TestParsing:
                 parse_range(text)
 
     @pytest.mark.parametrize("x", ("nan", "inf", "-inf"))
-    def test_bare_grid_value_must_be_finite(self, capsys, x):
-        # a domain error, not "G-function series not converged at x=nan"
+    @pytest.mark.parametrize("cmd", ("gfunc --g 1 --delta 1 --eps 0.3 --x=",
+                                     "sweep --delta 1 --eps 1/2 --g=",
+                                     "tfunc --N 1 --eps 1/2 --delta 1 --g="))
+    def test_bare_grid_value_must_be_finite(self, capsys, cmd, x):
+        # a domain error, not "G-function series not converged at x=nan",
+        # "sweep grid needs at least one positive coupling" or "g, delta and
+        # eps must be finite"
         with pytest.raises(ValueError, match="must be finite"):
             parse_range(x)
-        argv = ("gfunc", "--g", "1", "--delta", "1", "--eps", "0.3", "--x", x)
+        argv = (cmd + x).split()
         assert run(capsys, *argv) == (2, "", "error: range ends and step must be finite\n")
 
 

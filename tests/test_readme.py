@@ -9,7 +9,7 @@ import shlex
 from pathlib import Path
 
 import aqrm
-from aqrm.cli import _parse_strict, build_parser
+from aqrm.cli import _parse_strict
 from test_cli import GOLDEN, argparse_namespace
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -22,25 +22,15 @@ def test_reexport_list_matches_all():
     assert sorted(re.findall(r"`(\w+)`", paragraph)) == sorted(aqrm.__all__)
 
 
-def readme_commands() -> list[list[str]]:
+def test_command_block_parses():
     text = README.read_text()
     start = text.index("```sh\n", text.index("## Command line")) + len("```sh\n")
     block = text[start:text.index("```", start)]
-    return [shlex.split(line, comments=True) for line in block.splitlines()]
-
-
-def test_command_block_parses():
-    lines = readme_commands()
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     assert len(lines) >= 10 and all(argv[0] == "aqrm" for argv in lines)
-    for argv in lines:
-        build_parser().parse_args(argv[1:])     # exits 2 on a stale flag
-
-
-def test_documented_commands_skip_argparse():
     # every README line and golden command takes the strict path, which
-    # gives argparse's namespace without importing it
-    argvs = [argv[1:] for argv in readme_commands()] + [cmd.split() for cmd, _ in GOLDEN]
-    for argv in argvs:
+    # gives argparse's namespace without importing it; a stale flag fails both
+    for argv in [argv[1:] for argv in lines] + [cmd.split() for cmd, _ in GOLDEN]:
         strict = _parse_strict(argv)
         assert strict is not None, argv
         assert vars(strict) == argparse_namespace(argv), argv
