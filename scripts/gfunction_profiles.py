@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tabulate G and its gamma-regularized companion over x at couplings sitting
 on constraint-polynomial roots, showing the removable points where the pole at
-x = N + eps disappears.
+x = N + eps disappears. Each table is written by `aqrm gfunc`.
 
 Usage:
     python scripts/gfunction_profiles.py --out profiles/
@@ -14,12 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from aqrm.series import (  # noqa: E402
-    ModelParams,
-    PoleEncountered,
-    g_function,
-    regularized_g,
-)
+from aqrm import cli  # noqa: E402
+from aqrm.series import ModelParams, regularized_g  # noqa: E402
 
 # coupling, splitting, bias, removed pole: the three quasi-exact showcases
 CASES = [
@@ -40,20 +36,14 @@ def main() -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, g, delta, eps, removed in CASES:
-        params = ModelParams(g, delta, eps)
-        lines = ["x,G,calG"]
-        x = args.x_min
-        while x <= args.x_max + args.step / 2:
-            try:
-                gv = format(g_function(x, params), ".17g")
-            except PoleEncountered:
-                gv = "nan"
-            lines.append(f"{x:.6f},{gv},{format(regularized_g(x, params), '.17g')}")
-            x += args.step
         path = outdir / f"{name}.csv"
-        path.write_text("\n".join(lines) + "\n")
-        print(f"{path}: removable point at x = {removed}, "
-              f"calG there = {regularized_g(removed, params):.6g}")
+        status = cli.main(["gfunc", "--g", repr(g), "--delta", repr(delta), "--eps", repr(eps),
+                           f"--x={args.x_min!r}:{args.x_max!r}:{args.step!r}",
+                           "--out", str(path)])
+        if status:
+            return status
+        calg = regularized_g(removed, ModelParams(g, delta, eps))
+        print(f"{path}: removable point at x = {removed}, calG there = {calg:.6g}")
     return 0
 
 

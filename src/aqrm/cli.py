@@ -1,8 +1,13 @@
 """Command-line surface: compute polynomial families, verify the exact
 identities, trace G/T functions, locate spectra, run coupling sweeps, and dump
 oracle eigenvalues. Exit codes: 0 success, 1 a verified identity failed,
-2 usage error, an input out of range, an `--out` file that cannot be written,
-or a spectrum the level count shows to be incomplete.
+2 usage error (an option value '--' among them), an input out of range, an
+`--out` file that cannot be written, or a spectrum the level count shows to
+be incomplete (the level count's one refusal, IncompleteSpectrum).
+
+Every command writes its result through one writer, `_emit`: its text, or
+under --format json its object as JSON with sorted keys and each non-finite
+float as null, importing json only then.
 
 The commands are described once, in a table (`_commands`). A well-formed
 command line is parsed from it directly (`_parse_strict`); argparse, built
@@ -31,7 +36,7 @@ from .series import (
     residue_simple,
     t_function,
 )
-from .spectrum import fmt_float, rows_to_csv, rows_to_json
+from .spectrum import fmt_float, rows_to_csv
 
 
 def parse_eps(text: str):
@@ -78,17 +83,29 @@ def parse_range(text: str) -> list[float]:
     return out
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _finite(v):
+    """v with every non-finite float in it as None: JSON (RFC 8259) has no NaN."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    return [_finite(x) for x in v] if isinstance(v, list) else v
+
+
+def _emit(text: str, args, obj=None, indent: int | None = None):
+    """To --out or else stdout: obj as JSON under --format json, else text."""
+    if obj is not None and args.format == "json":
+        import json
+        text = json.dumps(_finite(obj), indent=indent, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _emit_rows(rows: list[dict], args, fields=spectrum.SPECTRUM_FIELDS):
-    _emit(rows_to_json(rows) if args.format == "json" else rows_to_csv(rows, fields),
-          args.out)
+    _emit(rows_to_csv(rows, fields), args, rows, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +121,7 @@ def cmd_poly(args) -> int:
         p = poly.a_poly(args.N, args.ell)
     else:
         p = poly.q_poly(args.N, eps, k)
-    if args.format == "json":
-        import json
-        _emit(json.dumps(p.to_json_obj()) + "\n", args.out)
-    else:
-        _emit(str(p) + "\n", args.out)
+    _emit(f"{p}\n", args, p.to_json_obj())
     return 0
 
 
@@ -120,17 +133,13 @@ def cmd_divide(args) -> int:
         quot, exact = None, False
     obj = {"N": args.N, "ell": args.ell, "exact": exact,
            "quotient": quot.to_json_obj() if exact else None}
-    if args.format == "json":
-        import json
-        _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(f"exact={exact}\nquotient={quot}\n", args.out)
+    _emit(f"exact={exact}\nquotient={quot}\n", args, obj)
     return 0 if exact else 1
 
 
 def cmd_count_roots(args) -> int:
     n = spectrum.count_positive_roots(args.N, Fraction(args.eps), Fraction(args.y))
-    _emit(f"{n}\n", args.out)
+    _emit(f"{n}\n", args)
     return 0
 
 
@@ -175,12 +184,8 @@ def cmd_residue(args) -> int:
         res = residue_simple(args.N, params, args.sign)
         out = {"x0": x0, "order": 1, "residue": res,
                "residue_numeric": residue_numeric(x0, params, order=1)}
-    if args.format == "json":
-        import json
-        _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("".join(f"{k}={fmt_float(v) if isinstance(v, float) else v}\n"
-                      for k, v in out.items()), args.out)
+    _emit("".join(f"{k}={fmt_float(v) if isinstance(v, float) else v}\n"
+                  for k, v in out.items()), args, out)
     return 0
 
 
@@ -206,9 +211,8 @@ def cmd_oracle(args) -> int:
     warning = eigs and oracle.truncation_warning(params, args.M, eigs[-1] + 1e-6)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
-    _emit_rows([{"g": args.g, "index": i, "lambda": lam, "x": lam + args.g ** 2,
-                 "kind": "oracle", "multiplicity": 1, "level_N": None, "branch": None}
-                for i, lam in enumerate(eigs)], args)
+    recs = [spectrum.EigenvalueRecord(lam + args.g ** 2, lam, "oracle") for lam in eigs]
+    _emit_rows(spectrum.records_to_rows(recs, args.g), args)
     return 0
 
 
@@ -300,7 +304,7 @@ def cmd_verify(args) -> int:
         ok, detail = suites[name]()
         lines.append(f"{name:<14} {'PASS' if ok else 'FAIL'}  {detail}")
         failed = failed or not ok
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args)
     return 1 if failed else 0
 
 
@@ -428,17 +432,23 @@ def build_parser():
 def main(argv: list[str] | None = None) -> int:
     # argparse reads a negative 'p/q' such as '-1/2', or a grid such as
     # '-1:4:0.002', as an option, so each --eps and --x value is attached to
-    # its flag: '--eps -1/2' means '--eps=-1/2'
+    # its flag: '--eps -1/2' means '--eps=-1/2'. A '--' stays a token of its
+    # own, so '--eps --' lacks its value as argparse sees it
     attached: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if attached and attached[-1] in ("--eps", "--x"):
+        if attached and attached[-1] in ("--eps", "--x") and arg != "--":
             attached[-1] += f"={arg}"
         else:
             attached.append(arg)
     args = _parse_strict(attached)
     if args is None:
         try:
-            args = build_parser().parse_args(attached)
+            parser = build_parser()
+            args = parser.parse_args(attached)
+            # argparse reads an explicit '--f=--' as f = [] (CPython 3.11)
+            listed = [k.replace("_", "-") for k, v in vars(args).items() if isinstance(v, list)]
+            if listed:
+                parser.error(f"argument --{listed[0]}: expected one argument")
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     try:

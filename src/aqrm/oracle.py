@@ -151,7 +151,12 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]],
     return n, k, (1.0 / L if L == L and L != 0.0 else None)
 
 
-class UncertifiedCount(ArithmeticError):
+class IncompleteSpectrum(ArithmeticError):
+    """The level count cannot settle the spectrum: levels closer than the
+    assembly's floor, or a count that no rung certifies."""
+
+
+class UncertifiedCount(IncompleteSpectrum):
     """No rung up to M_MAX certifies the eigenvalue count below some sigma."""
 
 

@@ -75,9 +75,6 @@ class BivarPoly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -93,9 +90,6 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * Fraction(1, other)
-
     @staticmethod
     def _coerce(v) -> "BivarPoly":
         if isinstance(v, BivarPoly):
@@ -108,9 +102,6 @@ class BivarPoly:
         if isinstance(other, (int, Fraction)):
             other = BivarPoly.const(other)
         return isinstance(other, BivarPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- queries ---------------------------------------------------------------
 

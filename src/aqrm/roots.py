@@ -95,9 +95,6 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
 

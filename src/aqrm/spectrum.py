@@ -4,9 +4,12 @@ candidate the count jumps across is a record, Juddian at exact roots of the
 constraint polynomial and non-Juddian otherwise; each regular level, a zero
 of the regularized G-function, is located by bisection on the same count,
 its probes steered by Newton's correction, to the midpoint of a dyadic
-cell, and calG is left to check it. Also classification with
-multiplicities, positive-root counting, T-function zero scans over g, and
-coupling sweeps that produce spectral-curve tables."""
+cell, and calG is left to check it. Where the count cannot settle the
+spectrum it raises oracle's IncompleteSpectrum, never a short list: levels
+closer than _FLOOR, or a count no rung certifies (UncertifiedCount, raised
+by the count itself). Also classification with multiplicities,
+positive-root counting, T-function zero scans over g, and coupling sweeps
+that produce spectral-curve tables."""
 
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import oracle
+from .oracle import IncompleteSpectrum
 from .poly import constraint_slice
 from .roots import (
     bisect_sign_change,
@@ -133,23 +137,11 @@ def _juddian_here(N: int, params: ModelParams, branch_eps: float) -> bool:
 # the spectrum: records plus one dyadic cell per level of the count
 # ---------------------------------------------------------------------------
 
-class IncompleteSpectrum(ArithmeticError):
-    """The level count cannot settle the spectrum: levels closer than _FLOOR,
-    or a count that no rung certifies."""
-
-
 def _level_count(params: ModelParams):
     """x -> the number of levels below x = lambda + g^2, by
-    oracle.certified_count; IncompleteSpectrum where no rung certifies it."""
+    oracle.certified_count, whose UncertifiedCount is an IncompleteSpectrum."""
     count = oracle.certified_count(params)
-
-    def n(x: float, newton: bool = False):
-        try:
-            return count(x - params.g ** 2, newton)
-        except oracle.UncertifiedCount as exc:
-            raise IncompleteSpectrum(str(exc)) from None
-
-    return n
+    return lambda x, newton=False: count(x - params.g ** 2, newton)
 
 
 def _x_floor(params: ModelParams) -> float:
@@ -322,8 +314,3 @@ def rows_to_csv(rows: list[dict], fields=SPECTRUM_FIELDS) -> str:
     lines = [",".join(fields)]
     lines += [",".join(_csv_field(r[k]) for k in fields) for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: list[dict]) -> str:
-    import json
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"

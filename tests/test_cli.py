@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 does not allow."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestParsing:
@@ -60,6 +68,21 @@ class TestParsing:
             parse_range(x)
         argv = (cmd + x).split()
         assert run(capsys, *argv) == (2, "", "error: range ends and step must be finite\n")
+
+    @pytest.mark.parametrize("argv,prog,flag", (
+        ("sweep --delta 1 --eps -- --g 0.5", "aqrm sweep", "--eps"),
+        ("gfunc --g 0.5 --delta 1 --eps 0.3 --x --", "aqrm gfunc", "--x"),
+        ("oracle --g 1 --delta=-- --eps 0.2", "aqrm", "--delta"),
+        ("count-roots --N 3 --eps 0 --y=--", "aqrm", "--y"),
+        ("oracle --g 1 --delta 1 --eps 0.2 --out=--", "aqrm", "--out"),
+    ))
+    def test_dash_dash_is_no_value(self, capsys, argv, prog, flag):
+        # '--' is never attached to --eps or --x, so the command's own parser
+        # finds the value missing; an explicit '--f=--', which argparse reads
+        # as f = [], is refused after parsing
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.endswith(f"\n{prog}: error: argument {flag}: expected one argument\n")
 
 
 def argparse_namespace(argv):
@@ -175,6 +198,45 @@ class TestSubcommands:
         assert code == 0
         obj = json.loads(out)
         assert obj["terms"] == [[0, 0, "-2/1"], [0, 1, "1/1"], [1, 0, "1/1"]]
+
+    def test_poly_other_families(self, capsys):
+        from aqrm.poly import a_poly, q_poly
+        base = ("poly", "--N", "3", "--eps", "1/2")
+        assert run(capsys, *base, "--ell", "2", "--family", "quotient") == (
+            0, f"{a_poly(3, 2)}\n", "")
+        assert run(capsys, *base, "--k", "2", "--family", "q") == (
+            0, f"{q_poly(3, Fraction(1, 2), 2)}\n", "")
+
+    @pytest.mark.parametrize("cmd", (
+        "gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:1:0.25",
+        "tfunc --N 1 --eps 1/2 --delta 1 --g 0.1:2:0.1",
+        "spectrum --g 0.5 --delta 1 --eps 1/2 --x-max 5",
+        "sweep --delta 1 --eps 0.3 --g 0:0.5:0.1 --levels 8",
+        "oracle --g 1 --delta 1 --eps 0.2 --M 80 --count 8",
+    ))
+    def test_json_rows_are_the_csv_rows(self, capsys, cmd):
+        code, text, _ = run(capsys, *cmd.split())
+        json_code, json_text, _ = run(capsys, *cmd.split(), "--format", "json")
+        header, *lines = text.splitlines()
+        fields = header.split(",")
+        rows = strict_json(json_text)
+        assert code == json_code == 0 and len(rows) == len(lines) > 0
+
+        def cell(v):
+            return "" if v is None else format(v, ".17g") if isinstance(v, float) else str(v)
+
+        for row, line in zip(rows, lines):
+            assert sorted(row) == sorted(fields)
+            assert ",".join(cell(row[k]) for k in fields) == line
+
+    def test_json_writes_a_pole_as_null(self, capsys):
+        # CSV keeps its 'nan'; JSON has no NaN
+        argv = ("gfunc", "--g", "0.5", "--delta", "1", "--eps", "0.3", "--x", "1.3")
+        _, text, _ = run(capsys, *argv)
+        code, json_text, _ = run(capsys, *argv, "--format", "json")
+        x, gval, calg = text.splitlines()[1].split(",")
+        assert code == 0 and gval == "nan"
+        assert strict_json(json_text) == [{"x": float(x), "G": None, "calG": float(calg)}]
 
     def test_divide(self, capsys):
         code, out, _ = run(capsys, "divide", "--N", "2", "--ell", "1")
@@ -386,6 +448,16 @@ class TestInputRange:
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
         assert "is negative" in err
+
+    @pytest.mark.parametrize("argv,message", (
+        ("gfunc --g 0.5 --delta 1 --eps 0.3 --x 1:2", "range must be a:b:step"),
+        ("residue --N 1 --eps -1/2 --g 0.9 --delta 1",
+         "use the minus sign for negative bias poles"),
+        ("sweep --delta 1 --eps 0.3 --g=-1:0:0.5",
+         "sweep grid needs at least one positive coupling"),
+    ))
+    def test_refusal_message(self, capsys, argv, message):
+        assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
     def test_truncation_above_the_cap_exit_two(self, capsys, monkeypatch):
         # refused before any rung is built: a ladder for M = 10^9 would need
@@ -681,7 +753,8 @@ class TestProcess:
                 "sys.argv[1:] = ['count-roots', '--N', '3', '--eps', '0', '--y', '1']\n"
                 "try: runpy.run_module('aqrm.cli', run_name='__main__', alter_sys=True)\n"
                 "except SystemExit as exc: status = exc.code\n"
-                "print(status, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+                "print(status, [m for m in ('argparse', 'gettext', 'locale', 'json')"
+                " if m in sys.modules])")
         out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                              capture_output=True, text=True, check=True, timeout=60).stdout
         assert out.splitlines()[-1] == "0 []"
