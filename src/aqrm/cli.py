@@ -433,22 +433,22 @@ def main(argv: list[str] | None = None) -> int:
     # argparse reads a negative 'p/q' such as '-1/2', or a grid such as
     # '-1:4:0.002', as an option, so each --eps and --x value is attached to
     # its flag: '--eps -1/2' means '--eps=-1/2'. A '--' stays a token of its
-    # own, so '--eps --' lacks its value as argparse sees it
+    # own, and an option '--f=--' (before any bare '--') is split into '--f',
+    # '--', which argparse would read as f = [], so the command's parser
+    # finds the value missing
     attached: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
+        flag, _, value = arg.partition("=")
         if attached and attached[-1] in ("--eps", "--x") and arg != "--":
             attached[-1] += f"={arg}"
+        elif flag.startswith("--") and len(flag) > 2 and value == "--" and "--" not in attached:
+            attached += [flag, value]
         else:
             attached.append(arg)
     args = _parse_strict(attached)
     if args is None:
         try:
-            parser = build_parser()
-            args = parser.parse_args(attached)
-            # argparse reads an explicit '--f=--' as f = [] (CPython 3.11)
-            listed = [k.replace("_", "-") for k, v in vars(args).items() if isinstance(v, list)]
-            if listed:
-                parser.error(f"argument --{listed[0]}: expected one argument")
+            args = build_parser().parse_args(attached)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     try:

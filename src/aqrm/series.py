@@ -7,7 +7,11 @@ gamma-regularized function calG whose zeros give the complete spectrum.
 calG = G / (Gamma(eps-x) Gamma(-eps-x)) has no poles: each branch's series is
 summed with its reciprocal gamma factor folded into every coefficient, and
 1/Gamma is entire, so one series covers every x, the points N +/- eps
-included. G itself keeps its poles (PoleEncountered)."""
+included. G itself keeps its poles (PoleEncountered).
+
+Each series is one loop that recurs and sums together: _summed for the
+K-series of G (and the tail of calG's), _phi_tail for each Frobenius
+solution at its matching point."""
 
 from __future__ import annotations
 
@@ -112,49 +116,43 @@ def reciprocal_gamma(z: float) -> float:
 # K-coefficient series of the G-function
 # ---------------------------------------------------------------------------
 
-def _k_steps(x: float, params: ModelParams, s: float, n: int = 0,
-             prev2: float = 0.0, prev1: float = 1.0):
-    """Yield (d_n, K_n) for n = 0, 1, 2, ... of the branch with s = +eps or
-    -eps: d_n = x - n + s, K_0 = 1 and n K_n = f_{n-1} K_{n-1} - K_{n-2} with
-    f_n = 2g + (n - x + s + Delta^2/d_n) / (2g). The pole d_{n-1} is checked
-    just before K_n is formed (PoleEncountered), so a consumer that stops at
-    K_n never checks d_n. Seeded with a later n and (K_{n-1}, K_n) as
-    (prev2, prev1), it runs the same recurrence on any multiple of K from
-    there."""
-    two_g = 2.0 * params.g
-    d2 = params.delta * params.delta
-    d = x - n + s
-    yield d, prev1
-    while True:
-        if abs(d) < POLE_GUARD:
-            raise PoleEncountered(n, d)
-        f = two_g + (n - x + s + d2 / d) / two_g
-        n += 1
-        prev2, prev1 = prev1, (f * prev1 - prev2) / n
-        d = x - n + s
-        yield d, prev1
-
-
 def _branch_shift(params: ModelParams, sign: Sign) -> float:
     return params.eps if sign == "plus" else -params.eps
 
 
 def k_sequence(x: float, params: ModelParams, sign: Sign, n_max: int) -> list[float]:
-    """Raw coefficients K_0..K_{n_max} of the chosen branch; raises
-    PoleEncountered if the recurrence passes through a pole."""
-    steps = _k_steps(x, params, _branch_shift(params, sign))
-    return [k for _, (_, k) in zip(range(n_max + 1), steps)]
-
-
-def _summed(steps, g: float, n: int = 0, gn: float = 1.0, R: float = 0.0,
-            Rbar: float = 0.0) -> SeriesState:
-    """Add K_n g^n to R and K_n g^n / d_n to Rbar over the (d_n, K_n) pairs
-    of steps, from index n with gn = g^n, until the stop rule above holds."""
-    streak = 0
-    for n, (d, k) in zip(range(n, _MAX_TERMS + 1), steps):
+    """Raw coefficients K_0..K_{n_max} of the chosen branch, by the recurrence
+    of _summed; raises PoleEncountered if it passes through a pole (d_{n_max}
+    is not checked)."""
+    s = _branch_shift(params, sign)
+    two_g, d2 = 2.0 * params.g, params.delta * params.delta
+    ks = [0.0, 1.0]                 # K_{-1}, K_0
+    for n in range(n_max):
+        d = x - n + s
         if abs(d) < POLE_GUARD:
             raise PoleEncountered(n, d)
-        tR = k * gn
+        f = two_g + (n - x + s + d2 / d) / two_g
+        ks.append((f * ks[-1] - ks[-2]) / (n + 1))
+    return ks[1:]
+
+
+def _summed(x: float, params: ModelParams, s: float, n: int = 0, k2: float = 0.0,
+            k1: float = 1.0, gn: float = 1.0, R: float = 0.0,
+            Rbar: float = 0.0) -> SeriesState:
+    """Add K_n g^n to R and K_n g^n / d_n to Rbar for the branch with s = +eps
+    or -eps, until the stop rule above holds: d_n = x - n + s, K_0 = 1 and
+    n K_n = f_{n-1} K_{n-1} - K_{n-2} with
+    f_n = 2g + (n - x + s + Delta^2/d_n) / (2g). The pole d_n is checked
+    before term n (PoleEncountered). Seeded with a later n, (K_{n-1}, K_n) as
+    (k2, k1) and gn = g^n, it runs the same recurrence on any multiple of K
+    from there."""
+    g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
+    streak = 0
+    for n in range(n, _MAX_TERMS + 1):
+        d = x - n + s
+        if abs(d) < POLE_GUARD:
+            raise PoleEncountered(n, d)
+        tR = k1 * gn
         tRbar = tR / d
         R += tR
         Rbar += tRbar
@@ -165,13 +163,15 @@ def _summed(steps, g: float, n: int = 0, gn: float = 1.0, R: float = 0.0,
                 return SeriesState(R, Rbar, n, math.isfinite(R) and math.isfinite(Rbar))
         else:
             streak = 0
+        f = two_g + (n - x + s + d2 / d) / two_g
+        k2, k1 = k1, (f * k1 - k2) / (n + 1)
     return SeriesState(R, Rbar, _MAX_TERMS, False)
 
 
 def k_coefficients(x: float, params: ModelParams, sign: Sign) -> SeriesState:
     """Partial sums R = sum K_n g^n and Rbar = sum K_n g^n / (x - n +/- eps)
     of the branch's coefficients K_n, adaptively truncated."""
-    return _summed(_k_steps(x, params, _branch_shift(params, sign)), params.g)
+    return _summed(x, params, _branch_shift(params, sign))
 
 
 def _scaled_sums(x: float, params: ModelParams, sign: Sign) -> SeriesState:
@@ -188,7 +188,7 @@ def _scaled_sums(x: float, params: ModelParams, sign: Sign) -> SeriesState:
         c_n = (-1)^n L_n w_n,    c_n / d_n = (-1)^(n+1) L_n w_{n+1}
     are exact zeros or finite numbers at a pole. These m terms are all
     added, since at a pole y = N the first N are exact zeros that must not
-    stop the series; from m on, _k_steps continues c_n under the stop rule."""
+    stop the series; from m on, _summed continues c_n under the stop rule."""
     s = _branch_shift(params, sign)
     g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
     y = x + s
@@ -210,7 +210,7 @@ def _scaled_sums(x: float, params: ModelParams, sign: Sign) -> SeriesState:
                       - d * (d + 1.0) * L2) / (n + 1)
         gn *= g
         alt = -alt
-    return _summed(_k_steps(x, params, s, m, c, alt * L1 * w[m]), g, m, gn, R, Rbar)
+    return _summed(x, params, s, m, c, alt * L1 * w[m], gn, R, Rbar)
 
 
 def _combined(series, x: float, params: ModelParams) -> float:
@@ -241,18 +241,21 @@ def regularized_g(x: float, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _phi_tail(phi: int, N: int, params: ModelParams,
-              eps: float) -> tuple[dict[int, float], int, int, int | None, float]:
-    """Coefficients kb of phi1 (phi=1, near singular point) or phi2 (phi=2,
-    far point) at bias eps, from kb_{start-1} = 0 and kb_start = 1 by
+              eps: float) -> tuple[float, float, list[float], int, int | None, float]:
+    """phi1 (phi=1, near singular point) or phi2 (phi=2, far point) at bias
+    eps: its coefficients kb, from kb_{start-1} = 0 and kb_start = 1 by
         kb_{n+1} = ((n - N + (2g)^2 - shift + Delta^2/(pole - n)) kb_n
                     - (2g)^2 kb_{n-1}) / (n + 1),
-    until _STREAK terms kb_n 2^-n in a row are negligible. phi1 starts at
+    until _STREAK terms kb_n 2^-n in a row are negligible, and its two values
+    at the matching point 1/2, summed in the same pass. phi1 starts at
     L + 1 with L = N, shift 2 eps and pole N. phi2 has shift 0 and pole
     N + 2 eps, and starts at L + 1 when N + 2 eps is within _HALF_INT_TOL of a
     nonnegative integer L (the pole stays at N + 2 eps, not L), else at 0
-    with L = None. Returns (kb, start, n_max, L, c0): c0 is L, or
-    N + 2 eps without a shift: the plus kind has coefficients
-    Delta kb_n / (c0 - n), plus (L + 1)/Delta at L."""
+    with L = None. Returns (R, Rbar, kb, start, L, c0), kb listing kb_start,
+    kb_{start+1}, ...: R = sum kb_n 2^-n is the minus kind's value, and Rbar
+    the plus kind's, whose coefficients are Delta kb_n / (c0 - n), plus
+    (L + 1)/Delta at L, with c0 = L, or N + 2 eps without a shift. For phi1
+    (R, Rbar) are (R^(N,-), Rbar^(N,-)), for phi2 (R^(N,+), Rbar^(N,+))."""
     g2 = 4.0 * params.g * params.g
     d2 = params.delta * params.delta
     ne = N + 2.0 * eps
@@ -263,56 +266,47 @@ def _phi_tail(phi: int, N: int, params: ModelParams,
         if not (abs(ne - L) < _HALF_INT_TOL and L >= 0):
             L = None
     start = 0 if L is None else L + 1
-    kb = {start - 1: 0.0, start: 1.0}
+    c0 = ne if L is None else L
+    k2, k1 = 0.0, 1.0
+    kb = [k1]
     n = start
     half_n = 0.5 ** start
-    ssum = half_n
+    R = half_n
+    Rbar = (0.0 if L is None else (L + 1) / params.delta * 0.5 ** L) \
+        + params.delta * half_n / (c0 - start)
     streak = 0
     while n - start < _MAX_TERMS:
-        kb[n + 1] = ((n - N + g2 - shift + d2 / (pole - n)) * kb[n] - g2 * kb[n - 1]) / (n + 1)
+        k2, k1 = k1, ((n - N + g2 - shift + d2 / (pole - n)) * k1 - g2 * k2) / (n + 1)
+        kb.append(k1)
         n += 1
         half_n *= 0.5
-        term = kb[n] * half_n
-        ssum += term
-        if abs(term) <= _TOL * (1.0 + abs(ssum)):
+        term = k1 * half_n
+        R += term
+        Rbar += params.delta * term / (c0 - n)
+        if abs(term) <= _TOL * (1.0 + abs(R)):
             streak += 1
             if streak >= _STREAK:
-                return kb, start, n, L, ne if L is None else L
+                return R, Rbar, kb, start, L, c0
         else:
             streak = 0
     raise NonConvergent(f"phi{phi} series not converged (N={N}, eps={eps})")
 
 
-def _phi_values(phi: int, N: int, params: ModelParams, eps: float) -> tuple[float, float]:
-    """(phi_minus, phi_plus) of phi1 or phi2 at 1/2: for phi1 these are
-    (R^(N,-), Rbar^(N,-)), for phi2 (R^(N,+), Rbar^(N,+))."""
-    kb, start, n_max, L, c0 = _phi_tail(phi, N, params, eps)
-    R = 0.0
-    Rbar = 0.0 if L is None else (L + 1) / params.delta * 0.5 ** L
-    for n in range(start, n_max + 1):
-        t = kb[n] * 0.5 ** n
-        R += t
-        Rbar += params.delta * t / (c0 - n)
-    return R, Rbar
-
-
 def frobenius_solution(kind: str, N: int, params: ModelParams) -> FrobeniusSolution:
     """One of the four local Frobenius solutions, as its series coefficients
-    and its value at the matching point 1/2, read off the _phi_tail
-    coefficients: the minus kind is kb itself, the plus kind
-    Delta kb_n / (c0 - n) with (L + 1)/Delta at L."""
+    and its value at the matching point 1/2, read off one _phi_tail pass: the
+    minus kind is kb itself, with value R, the plus kind
+    Delta kb_n / (c0 - n) with (L + 1)/Delta at L, with value Rbar."""
     phi = {"phi1": 1, "phi2": 2}.get(kind[:4])
     if phi is None or kind[4:] not in ("_minus", "_plus"):
         raise ValueError(f"unknown Frobenius solution kind {kind!r}")
     plus = kind.endswith("_plus")
-    kb, start, n_max, L, c0 = _phi_tail(phi, N, params, params.eps)
-    coeffs = [0.0] * (n_max + 1)
+    R, Rbar, kb, start, L, c0 = _phi_tail(phi, N, params, params.eps)
+    coeffs = [0.0] * start
     if plus and L is not None:
         coeffs[L] = (L + 1) / params.delta
-    for n in range(start, n_max + 1):
-        coeffs[n] = params.delta * kb[n] / (c0 - n) if plus else kb[n]
-    value = sum(c * 0.5 ** n for n, c in enumerate(coeffs) if c)
-    return FrobeniusSolution(kind, N, coeffs, value)
+    coeffs += [params.delta * k / (c0 - n) for n, k in enumerate(kb, start)] if plus else kb
+    return FrobeniusSolution(kind, N, coeffs, Rbar if plus else R)
 
 
 def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
@@ -320,8 +314,8 @@ def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
     eigenvalue lambda = N + eps - g^2 (sign="plus") or N - eps - g^2
     (sign="minus") with a non-polynomial eigensolution."""
     eps = _branch_shift(params, sign)
-    Rm, Rbm = _phi_values(1, N, params, eps)
-    Rp, Rbp = _phi_values(2, N, params, eps)
+    Rm, Rbm = _phi_tail(1, N, params, eps)[:2]
+    Rp, Rbp = _phi_tail(2, N, params, eps)[:2]
     return Rbp * Rbm - Rp * Rm
 
 
@@ -475,8 +469,8 @@ def double_pole_coefficients(N: int, ell: int,
     d2 = params.delta ** 2
     pn = constraint_value(N, ell / 2.0, N, g2, d2)
     pnl = constraint_value(N + ell, -ell / 2.0, N + ell, g2, d2)
-    Rm, Rbm = _phi_values(1, N, params, ell / 2.0)
-    Rp, Rbp = _phi_values(2, N, params, ell / 2.0)
+    Rm, Rbm = _phi_tail(1, N, params, ell / 2.0)[:2]
+    Rp, Rbp = _phi_tail(2, N, params, ell / 2.0)[:2]
     A = _C(N) * _C(N + ell) * d2 * d2 * pn * pnl * (Rbp * Rbm - Rp * Rm)
 
     qm, qbm, qp, qbp = q_functions(N, ell, params)
@@ -495,7 +489,7 @@ def b_function(N: int, ell: int, params: ModelParams) -> float:
     local = ModelParams(params.g, params.delta, e)
     x0 = N + e
     qm, qbm = _finite_parts(x0, local, "minus")
-    Rp, Rbp = _phi_values(2, N, local, e)
+    Rp, Rbp = _phi_tail(2, N, local, e)[:2]
     return (Rbp * (params.delta * qbm) - Rp * qm) / _C(N)
 
 

@@ -72,17 +72,19 @@ class TestParsing:
     @pytest.mark.parametrize("argv,prog,flag", (
         ("sweep --delta 1 --eps -- --g 0.5", "aqrm sweep", "--eps"),
         ("gfunc --g 0.5 --delta 1 --eps 0.3 --x --", "aqrm gfunc", "--x"),
-        ("oracle --g 1 --delta=-- --eps 0.2", "aqrm", "--delta"),
-        ("count-roots --N 3 --eps 0 --y=--", "aqrm", "--y"),
-        ("oracle --g 1 --delta 1 --eps 0.2 --out=--", "aqrm", "--out"),
+        ("oracle --g 1 --delta=-- --eps 0.2", "aqrm oracle", "--delta"),
+        ("count-roots --N 3 --eps 0 --y=--", "aqrm count-roots", "--y"),
+        ("oracle --g 1 --delta 1 --eps 0.2 --out=--", "aqrm oracle", "--out"),
     ))
     def test_dash_dash_is_no_value(self, capsys, argv, prog, flag):
-        # '--' is never attached to --eps or --x, so the command's own parser
-        # finds the value missing; an explicit '--f=--', which argparse reads
-        # as f = [], is refused after parsing
+        # '--' is never attached to --eps or --x, and an explicit '--f=--',
+        # which argparse reads as f = [], is split into '--f --': the
+        # command's own parser finds the value missing, alike in both spellings
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
         assert err.endswith(f"\n{prog}: error: argument {flag}: expected one argument\n")
+        spelled = argv.replace(f"{flag}=--", f"{flag} --").split()
+        assert run(capsys, *spelled) == (code, out, err)
 
 
 def argparse_namespace(argv):

@@ -2,6 +2,7 @@
 solutions, T-functions, residues and pole coefficients, regularized sums."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -64,9 +65,34 @@ class TestKCoefficients:
         assert k_sequence(x, p1, "minus", 12) == k_sequence(x, p2, "plus", 12)
 
     def test_pole_guard(self):
+        # x - 2 - eps ~ 0: d_2 is checked before K_3 is formed and before
+        # term 2 is summed, never for K_2 itself
         p = ModelParams(0.8, 1.0, 0.3)
-        with pytest.raises(PoleEncountered):
-            k_sequence(2.3 + 1e-12, p, "minus", 8)   # x - 2 - eps ~ 0
+        x = 2.3 + 1e-12
+        assert len(k_sequence(x, p, "minus", 2)) == 3
+        for call in (lambda: k_sequence(x, p, "minus", 3),
+                     lambda: k_sequence(x, p, "minus", 8),
+                     lambda: k_coefficients(x, p, "minus")):
+            with pytest.raises(PoleEncountered) as info:
+                call()
+            assert info.value.n == 2
+
+    @given(st.floats(-3.0, 9.0), st.floats(0.05, 3.0), st.floats(0.2, 2.5),
+           st.floats(-1.5, 1.5), st.sampled_from(["plus", "minus"]))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_is_the_sequence_summed(self, x, g, delta, eps, sign):
+        # k_coefficients and k_sequence each run the K recurrence; the sum R
+        # is the sequence times g^n added in order, to the last bit
+        s = eps if sign == "plus" else -eps
+        assume(all(abs(x - n + s) > 1e-6 for n in range(14)))
+        p = ModelParams(g, delta, eps)
+        st_ = k_coefficients(x, p, sign)
+        assume(st_.converged)
+        R, gn = 0.0, 1.0
+        for k in k_sequence(x, p, sign, st_.truncation_order):
+            R += k * gn
+            gn *= g
+        assert R == st_.sum_R
 
     def test_series_bridge_to_constraint_poly(self):
         # (N!)^2 (2g)^N K_N^-(N+eps) = P_N((2g)^2, Delta^2)
@@ -189,8 +215,7 @@ class TestFrobenius:
         v = {kind: frobenius_solution(kind, N, p).value_at_half
              for kind in ("phi1_minus", "phi1_plus", "phi2_minus", "phi2_plus")}
         plus, minus = v["phi2_plus"] * v["phi1_plus"], v["phi2_minus"] * v["phi1_minus"]
-        assert abs(t_function(N, p, "plus") - (plus - minus)) \
-            <= 1e-12 * max(abs(plus), abs(minus))
+        assert t_function(N, p, "plus") == plus - minus
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -221,12 +246,25 @@ class TestTFunction:
         assert rel_close(a, b, 1e-13)
 
     def test_zero_bias_factorization(self):
-        from aqrm.series import _phi_values
         N, g, delta = 1, 0.8, 1.0
         p = ModelParams(g, delta, 0.0)
-        Rm, Rbm = _phi_values(1, N, p, 0.0)
+        Rm = frobenius_solution("phi1_minus", N, p).value_at_half
+        Rbm = frobenius_solution("phi1_plus", N, p).value_at_half
         tv = t_function(N, p, "plus")
         assert rel_close(tv, (Rbm - Rm) * (Rbm + Rm), 1e-10)
+
+    def test_memory_is_kept_to_the_terms(self):
+        # at N = 10^7 the tails start past 10^7 but take a few terms: one pass
+        # keeps those terms only, with no list padded up to the start
+        p = ModelParams(0.5, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            for sign in ("plus", "minus"):
+                t_function(10 ** 7, p, sign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_zero_location_with_unit_delta(self):
         # the non-Juddian point for bias 1/2, level 1; the zero verified by
