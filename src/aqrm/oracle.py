@@ -1,11 +1,12 @@
-"""Level counts of the model Hamiltonian by inertia bisection on its parity
-ladder: certified_count, the count N(sigma) of the untruncated Hamiltonian,
+"""Level counts of the model Hamiltonian by inertia on its parity ladder,
+and locate_levels, the one count bisection that places levels on them.
+A probe can also return Newton's correction for the determinant from the
+same loop, and locate_levels lets it pick the points it probes. On
+certified_count, the count N(sigma) of the untruncated Hamiltonian, it
 places every level that the spectrum assembles (exceptional and regular
-alike). A probe can also return Newton's correction for the determinant
-from the same loop. lowest_eigenvalues bisects the count of a truncated
-boson basis after a Newton search for each level, and certified_eigenvalues
-bisects N(sigma) to the levels the tests hold the spectrum to. No external
-numerical library is involved."""
+alike); lowest_eigenvalues runs it on the count of a truncated boson basis.
+certified_eigenvalues bisects N(sigma), unguided, to the levels the tests
+hold the spectrum to. No external numerical library is involved."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .roots import bisect_sign_change
 from .series import ModelParams
 
 _WIDTH = 1.01e-12    # bisection width of each eigenvalue
-_GUARD = 2.0 ** -26  # window around a Newton estimate, times max(1, g)
+_H = 2.0 ** -40      # grid step of lowest_eigenvalues' cells
 M_MAX = 100_000      # largest truncation; checked before any rung is built
 _M_FIRST = 60        # last rung of certified_count's first rung list
 
@@ -77,11 +78,10 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]],
     5/2 sits on a level of the first block). Every guided bisection rests
     on the premise this leaves: n is exact, so it does not decrease in
     sigma, outside a band around each level that is that narrow. Where the
-    band is narrower than the spectrum's grid step h = 2^-34, as everywhere
-    but at such a coincidence, it holds at most one grid point, so each
-    level keeps one cell across which the count steps up; at a coincidence
-    the cell found is one of those in the band. lowest_eigenvalues keeps
-    its own window (_GUARD).
+    band holds at most one point of locate_levels' grid (step 2^-34 at the
+    finest for the spectrum, 2^-40 for lowest_eigenvalues), each level keeps
+    one cell across which the count steps up; elsewhere, as at such a
+    coincidence, the cell found is one of those in the band.
     tests/_dense.py runs the same recursion in Fractions on the ladder's
     floats, the exact count the tests compare n with next to the levels.
 
@@ -224,67 +224,73 @@ def truncation_warning(params: ModelParams, M: int, sigma: float) -> str | None:
                                     f"below {format(sigma, '.17g')} at M={M}, {why}")
 
 
-def _newton_search(ladder: list[tuple[float, float, float, float]], k: int,
-                   x: float, a: float, b: float, w: float):
-    """(s, probes): Newton's method from x for level k of the ladder's count,
-    and the (sigma, count) of every probe it made. It steps while each point
-    lies inside the open bracket (a, b), its count is k or k + 1 and the
-    corrections at least halve, and stops at the first step that fails,
-    with s None. Once Newton's quadratic rate puts the next correction,
-    |t|^3 / |t'|^2 after a correction t' and then t, at most w / 256,
-    s = sigma - t, kept only if the counts at s -/+ w are at most k and
-    more than k."""
-    probes, last = [], math.inf
-    while a < x < b:
-        n, _, t = _band_count_below(ladder, x, True)
-        probes.append((x, n))
-        if t is None or not k <= n <= k + 1 or not abs(t) <= 0.5 * last:
-            break
-        if last < math.inf and abs(t) ** 3 <= w * last * last / 256.0:
-            s = x - t
-            probes += [(y, _band_count_below(ladder, y)[0]) for y in (s - w, s + w)]
-            return (s if probes[-2][1] <= k < probes[-1][1] else None), probes
-        x, last = x - t, abs(t)
-    return None, probes
+def locate_levels(n, todo: list[tuple[float, float, int, int]], h: float,
+                  floor: float, cap: float) -> list[float]:
+    """Sorted levels of the level count n (levels below x) in the brackets
+    todo, each (a, b, n(a), n(b)), one entry per level (count bisection:
+    Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386). A bracket [a, b)
+    with more than one level splits at its midpoint. One with a single level
+    is bisected on n over the grid j h, h raised to twice the float spacing
+    at max(|a|, |b|) where that is coarser, for the cell [j h, (j + 1) h]
+    across which n steps up; the level is its midpoint. Where the count's
+    rounding band next to a level (_band_count_below) holds at most one
+    grid point, that cell depends on n and h only, not on the bracket or on
+    the points probed. A bracket no wider than floor with more than one
+    level raises IncompleteSpectrum; with floor 0, a bracket inside one cell
+    yields its levels at the cell's midpoint, as where the two levels of a
+    Juddian doublet share a float. Brackets whose lower count reaches cap
+    drop, and only levels below cap are returned.
+
+    n(x, True) also returns Newton's correction t from the same probe. The
+    bisection probes the grid point floor((x - t) / h), kept strictly inside
+    (lo, hi), while successive corrections at least halve, and the midpoint
+    otherwise. Every count still moves lo or hi, so wherever n steps up once
+    across the bracket the cell is that of plain bisection. Bracket halving
+    is no safeguard here: Newton closes in from one side, and halving would
+    reject most of its steps."""
+    out = []
+    while todo:
+        a, b, na, nb = todo.pop()
+        if na >= cap or nb == na:
+            continue
+        step = max(h, 2.0 * math.ulp(max(abs(a), abs(b))))
+        lo, hi = math.floor(a / step), math.ceil(b / step)
+        if nb == na + 1:
+            j, last = (lo + hi) // 2, math.inf
+            while hi - lo > 1:
+                nj, t = n(j * step, True)
+                if nj > na:
+                    hi = j
+                else:
+                    lo = j
+                if t is not None and abs(t) <= 0.5 * last:
+                    j = math.floor(min(max(j - t / step, lo + 1), hi - 1))
+                    last = abs(t)
+                else:
+                    j, last = (lo + hi) // 2, math.inf if t is None else abs(t)
+            out.append((lo + 0.5) * step)
+        elif hi - lo == 1 and not floor:
+            out += [(lo + 0.5) * step] * (min(nb, cap) - na)
+        elif b - a <= floor:
+            raise IncompleteSpectrum(
+                f"{nb - na} levels within {b - a:.1e} of x = {format(a, '.17g')}")
+        else:
+            mid = 0.5 * (a + b)
+            nm = n(mid)
+            todo += [(a, mid, na, nm), (mid, b, nm, nb)]
+    return sorted(out)
 
 
 def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     """Lowest eigenvalues of the Hamiltonian truncated at boson number M
-    (at least 8, at most M_MAX), through inertia bisection on the parity
-    ladder. A probe at sigma counts rung by rung up to the certified tail
-    rung of _band_count_below, about sigma + O(g^2), and never past M.
-
-    Level k bisects from just below level k - 1 up to the Gershgorin top,
-    but the counts are shared between levels (Barth, Martin & Wilkinson,
-    Numer. Math. 9 (1967) 386): above[j] is the least sigma probed so far
-    with more than j eigenvalues below it, and below[j] the greatest with at
-    most j. The count does not decrease in sigma, so a midpoint at or above
-    above[k] has more than k below it and one at or below below[k] at most
-    k, and each takes the step a probe would take, without one.
-
-    Before it bisects, level k is sought by _newton_search inside the open
-    bracket (below[k], above[k]), with the window w = 2^-26 max(1, g).
-    Levels 0 and 1 start from the displaced oscillators' ground level split
-    by the bias and the tunnelling, -g^2 -/+ sqrt(eps^2 + delta^2 e^(-4 g^2)),
-    which is exact at g = 0; level 2 from level 0 plus 1; level k from level
-    k - 1 plus the gap between levels k - 2 and k - 3, since the levels come
-    in pairs and the gaps alternate. The search's probes enter the table
-    only where it returns an estimate s.
-
-    With an s, the table answers only the midpoints at least w from it, and
-    the bisection probes every midpoint nearer s; without one it answers
-    every midpoint it settles. Rounding can flip the count near a level
-    (_band_count_below), and Newton's probes land there: within about 1e-13
-    mostly, but up to about 3e-9 g where the level sits on a level of a
-    leading block (measured for g <= 2), and w is five times that. So the
-    bisection paths, and every bit returned, are those of probing each
-    midpoint wherever the computed count does not decrease farther than w
-    from the level."""
+    (at least 8, at most M_MAX): locate_levels on the truncated count, from
+    the Gershgorin window of H, on the grid h = 2^-40 with floor 0 and cap
+    count. A probe at sigma counts rung by rung up to the certified tail
+    rung of _band_count_below, about sigma + O(g^2), and never past M."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     ladder = _truncated(params, M)
     d, e = params.delta, abs(params.eps)
-    count = min(count, 2 * (M + 1))
     # Gershgorin radii of the rows |k,up> and |k,down>: couplings left of the
     # diagonal first, then those right of it
     c = [0.0] + [abs(params.g * math.sqrt(k + 1.0)) for k in range(M)] + [0.0]
@@ -292,43 +298,12 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
     rows += [(k - d, (e + c[k]) + c[k + 1]) for k in range(M + 1)]
     lo = min(a - r for a, r in rows) - 1.0
     hi = max(a + r for a, r in rows) + 1.0
-    above = [math.inf] * count
-    below = [-math.inf] * count
-    w = _GUARD * max(1.0, abs(params.g))
 
-    def record(sigma: float, n: int) -> int:
-        j = min(n, count) - 1
-        while j >= 0 and above[j] > sigma:     # above is nondecreasing in j
-            above[j] = sigma
-            j -= 1
-        j = n
-        while j < count and below[j] < sigma:  # so is below
-            below[j] = sigma
-            j += 1
-        return n
+    def n(sigma: float, newton: bool = False):
+        probe = _band_count_below(ladder, sigma, newton)
+        return (probe[0], probe[2]) if newton else probe[0]
 
-    def count_below(sigma: float) -> int:     # for level k of the loop below
-        if s is None or abs(sigma - s) >= w:
-            if sigma >= above[k]:
-                return k + 1
-            if sigma <= below[k]:
-                return k
-        return record(sigma, _band_count_below(ladder, sigma)[0])
-
-    out = []
-    split = math.hypot(e, d * math.exp(-2.0 * params.g ** 2))
-    for k in range(count):
-        if k >= 2:
-            x = out[-1] + (out[-2] - out[-3]) if k >= 3 else out[0] + 1.0
-        else:
-            x = (2 * k - 1) * split - params.g ** 2
-        s, seen = _newton_search(ladder, k, x, max(lo, below[k]), min(hi, above[k]), w)
-        if s is not None:
-            for y, n in seen:
-                record(y, n)
-        out.append(bisect_sign_change(lambda x: count_below(x) - k - 0.5, lo, hi, -1, _WIDTH))
-        lo = out[-1] - 1e-9  # eigenvalues are sorted; restart just below
-    return out
+    return locate_levels(n, [(lo, hi, 0, 2 * (M + 1))], _H, 0.0, count)
 
 
 def certified_eigenvalues(params: ModelParams, count: int) -> tuple[list[float], int]:

@@ -3,8 +3,9 @@ polynomial enters as its primitive integer multiple, its square-free part is
 an exact integer division, one primitive Sturm chain of sign-kept
 pseudo-remainders counts the roots by homogeneous integer evaluation at
 rational points, a split on that count isolates them, and one sign-change
-bisection refines them; the same bisection, on a count minus k + 1/2, finds
-the oracle's k-th eigenvalue. Also generic tridiagonal continuants."""
+bisection refines them; the same bisection, on a count minus k + 1/2, now
+serves only oracle.certified_eigenvalues, the tests' unguided reference.
+Also generic tridiagonal continuants."""
 
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ solution at its matching point."""
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from typing import Literal
@@ -312,11 +313,16 @@ def frobenius_solution(kind: str, N: int, params: ModelParams) -> FrobeniusSolut
 def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
     """Constraint function whose zeros in (g, Delta) admit the exceptional
     eigenvalue lambda = N + eps - g^2 (sign="plus") or N - eps - g^2
-    (sign="minus") with a non-polynomial eigensolution."""
+    (sign="minus") with a non-polynomial eigensolution. Each value is about
+    2^-N, so where either product is below the smallest normal float it
+    raises ArithmeticError rather than return a T that reads as a zero."""
     eps = _branch_shift(params, sign)
     Rm, Rbm = _phi_tail(1, N, params, eps)[:2]
     Rp, Rbp = _phi_tail(2, N, params, eps)[:2]
-    return Rbp * Rbm - Rp * Rm
+    lhs, rhs = Rbp * Rbm, Rp * Rm
+    if abs(lhs) < sys.float_info.min or abs(rhs) < sys.float_info.min:
+        raise ArithmeticError(f"T-function products underflow at N={N}, g={params.g!r}")
+    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

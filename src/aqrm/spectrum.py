@@ -1,15 +1,14 @@
 """Eigenvalue assembly: the parity-ladder level count places every level, read
 once at each window end and each side of every candidate x = N +/- eps. A
 candidate the count jumps across is a record, Juddian at exact roots of the
-constraint polynomial and non-Juddian otherwise; each regular level, a zero
-of the regularized G-function, is located by bisection on the same count,
-its probes steered by Newton's correction, to the midpoint of a dyadic
-cell, and calG is left to check it. Where the count cannot settle the
-spectrum it raises oracle's IncompleteSpectrum, never a short list: levels
-closer than _FLOOR, or a count no rung certifies (UncertifiedCount, raised
-by the count itself). Also classification with multiplicities,
-positive-root counting, T-function zero scans over g, and coupling sweeps
-that produce spectral-curve tables."""
+constraint polynomial and non-Juddian otherwise; oracle.locate_levels puts
+each regular level, a zero of the regularized G-function, at the midpoint
+of a dyadic cell of the same count, and calG is left to check it. Where the
+count cannot settle the spectrum it raises oracle's IncompleteSpectrum,
+never a short list: levels closer than _FLOOR, or a count no rung
+certifies (UncertifiedCount, raised by the count itself). Also
+classification with multiplicities, positive-root counting, T-function zero
+scans over g, and coupling sweeps that produce spectral-curve tables."""
 
 from __future__ import annotations
 
@@ -158,28 +157,11 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float, refine_tol: flo
     builds any rungs. A candidate is a record when n jumps across it by the
     multiplicity its kind requires: 2 for a Juddian point (a root of the
     level-N constraint polynomial, by the exact test) at half-integer bias,
-    where alone two levels meet, and 1 otherwise. Every other bracket splits
-    at midpoints until a bracket [a, b) holds one level, and bisection on n
-    over the grid j h finds the cell [j h, (j + 1) h] that holds it; the
-    level is its midpoint (j + 1/2) h. h is the largest power of two
-    <= refine_tol, but at least _H_MIN and twice the float spacing at
-    max(|a|, |b|), so every grid point is a float and a tol below either
-    still ends. Next to a level the float count can be wrong in a band about
-    1e-12 wide (oracle._band_count_below); on a finer grid it is not monotone
-    there, and the cell would depend on the points probed. Where refine_tol
-    sets h, the cell depends on n and refine_tol only, not on the bracket
-    (count bisection: Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386).
-    Under a level cap the edges are probed up to the first whose count
-    reaches it, and brackets whose lower count does are dropped.
-
-    n(x, True) also returns Newton's correction t from the same probe
-    (oracle._band_count_below). The bisection probes the grid point
-    floor((x - t) / h), kept strictly inside (lo, hi), for as long as
-    successive corrections at least halve, and the midpoint otherwise. Every
-    count still moves lo or hi, so the cell, and the record, are those of
-    plain bisection wherever n steps up once across the bracket; Newton only
-    picks the points. Bracket halving is no safeguard here: Newton closes in
-    from one side, and halving would reject most of its steps."""
+    where alone two levels meet, and 1 otherwise. Every other bracket goes
+    to oracle.locate_levels with floor _FLOOR, whose cells are the regular
+    records, on the grid of the largest power of two h <= refine_tol, but at
+    least _H_MIN. Under a level cap the edges are probed up to the first
+    whose count reaches it, and only levels below it are located."""
     cands = []
     for c in sorted(((N + e, N, e, branch)
                      for branch, e in (("plus_eps", params.eps), ("minus_eps", -params.eps))
@@ -206,33 +188,9 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float, refine_tol: flo
                 out.append(EigenvalueRecord(x0, x0 - params.g ** 2, kind, nb - na, N, branch))
                 continue
         todo.append((a, b, na, nb))
-    while todo:
-        a, b, na, nb = todo.pop()
-        if nb == na + 1:
-            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]), _H_MIN,
-                    2.0 * math.ulp(max(abs(a), abs(b))))
-            lo, hi = math.floor(a / h), math.ceil(b / h)
-            j, last = (lo + hi) // 2, math.inf
-            while hi - lo > 1:
-                nj, t = n(j * h, True)
-                if nj > na:
-                    hi = j
-                else:
-                    lo = j
-                if t is not None and abs(t) <= 0.5 * last:
-                    j = math.floor(min(max(j - t / h, lo + 1), hi - 1))
-                    last = abs(t)
-                else:
-                    j, last = (lo + hi) // 2, math.inf if t is None else abs(t)
-            x = (lo + 0.5) * h
-            out.append(EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR))
-        elif nb != na:
-            if b - a <= _FLOOR:
-                raise IncompleteSpectrum(
-                    f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
-            mid = 0.5 * (a + b)
-            nm = n(mid)
-            todo += [t for t in ((a, mid, na, nm), (mid, b, nm, nb)) if t[2] < cap]
+    h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]), _H_MIN)
+    out += [EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR)
+            for x in oracle.locate_levels(n, todo, h, _FLOOR, cap)]
     out.sort(key=lambda r: r.x)
     return out
 

@@ -255,16 +255,27 @@ class TestTFunction:
 
     def test_memory_is_kept_to_the_terms(self):
         # at N = 10^7 the tails start past 10^7 but take a few terms: one pass
-        # keeps those terms only, with no list padded up to the start
+        # keeps those terms only, with no list padded up to the start; each
+        # value is about 2^-N, so both products underflow and T is refused
         p = ModelParams(0.5, 1.0, 0.5)
         tracemalloc.start()
         try:
             for sign in ("plus", "minus"):
-                t_function(10 ** 7, p, sign)
+                with pytest.raises(ArithmeticError, match="underflow at N=10000000"):
+                    t_function(10 ** 7, p, sign)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_underflowing_products_are_refused(self):
+        # at N = 540 the product R^+ R^- is 0.0 while both factors are about
+        # 1e-163; at N = 500 the smaller product, 1.2e-302, is still normal
+        p = ModelParams(0.5, 1.0, 0.5)
+        assert t_function(500, p, "plus") != 0.0
+        for N in (540, 560):
+            with pytest.raises(ArithmeticError, match=f"underflow at N={N}"):
+                t_function(N, p, "plus")
 
     def test_zero_location_with_unit_delta(self):
         # the non-Juddian point for bias 1/2, level 1; the zero verified by

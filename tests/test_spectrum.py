@@ -136,6 +136,12 @@ class TestNonJuddian:
         zeros = non_juddian_roots(1, 0.5, 0.3, "plus", 0.1, 2.0)
         assert min(abs(z - 0.8695) for z in zeros) < 2e-4
 
+    def test_underflowing_t_is_refused(self):
+        # T underflows to 0 at every scan point at N = 560, which read as a
+        # zero at each of the 10 points
+        with pytest.raises(ArithmeticError, match="underflow at N=560"):
+            non_juddian_roots(560, 1.0, 0.5, "plus", 0.4, 0.5)
+
     def test_disjoint_from_juddian(self):
         zeros = non_juddian_roots(1, 0.5, 0.3, "plus", 0.1, 2.0)
         juds = [g for g, _ in juddian_roots(1, Fraction(3, 10), Fraction(1, 2))]
