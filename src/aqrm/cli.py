@@ -276,6 +276,8 @@ def _verify_g_symmetry():
 def _verify_root_counts(max_n: int):
     for N in range(1, max_n + 1):
         for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            if not poly.determinant_check(N, eps):
+                return False, f"N={N} eps={eps} determinant"
             for k in range(N):
                 lo = poly.c_weight(k, eps)
                 hi = poly.c_weight(k + 1, eps)

@@ -296,6 +296,29 @@ def constraint_tridiag(N: int, eps) -> TridiagMatrix:
     return TridiagMatrix(diag, upper, lower)
 
 
+def determinant_check(N: int, eps) -> bool:
+    """Exact identity R_N = q^N det(I_N y + D_N x + C_N), eps = p/q: the built
+    top member against the continuant of constraint_tridiag with every row
+    times q, run on packed integers as _family runs. Row i has diagonal
+    q (i x + y) - i((2(N-i) + 1) q + 2 p); rows i-1 and i have off-diagonal
+    product q (i-1) i k (k q + 2 p), k = N-i+1. The digit width s comes from
+    the triangle-inequality bound of that recurrence, as in _l1_bounds, so
+    the unpacked digits are the determinant's coefficients."""
+    eps = _frac(eps)
+    p, q = eps.numerator, eps.denominator
+    rows = [(i, -i * ((2 * (N - i) + 1) * q + 2 * p),
+             q * (i - 1) * i * (N - i + 1) * ((N - i + 1) * q + 2 * p))
+            for i in range(1, N + 1)]
+    bound, prev = 1, 0
+    for i, c, d in rows:
+        bound, prev = (q * i + q + abs(c)) * bound + abs(d) * prev, bound
+    s, w = _width(bound), N + 1
+    det, prev = 1, 0
+    for i, c, d in rows:
+        det, prev = ((q * i * det) << s) + ((q * det) << s * w) + c * det - d * prev, det
+    return _unpack(det, s, w, N + 1) == dict(_top_member(N, eps))
+
+
 def q_poly(N: int, eps, k: int) -> BivarPoly:
     """Q_k^(N,eps)(x,y): the continuant of the first k rows of
     constraint_tridiag(N, eps); Q_N = P_N^(N,eps).

@@ -250,6 +250,12 @@ class TestSubcommands:
                            "--y", "209/10")
         assert code == 0 and out.strip() == "2"
 
+    def test_count_roots_at_scale(self, capsys):
+        # c_40 = 40 * 41 at eps = 1/2, so y = c_40 + 1/3 leaves N - 40 roots
+        code, out, _ = run(capsys, "count-roots", "--N", "120", "--eps", "1/2",
+                           "--y", str(40 * 41 + Fraction(1, 3)))
+        assert code == 0 and out == "80\n"
+
     def test_gfunc_removable_point(self, capsys):
         code, out, _ = run(capsys, "gfunc", "--g", "0.58094750193111251",
                            "--delta", "0.5", "--eps", "0.3",
@@ -330,6 +336,20 @@ class TestVerifyAndExitCodes:
         for name in ("divisibility", "laguerre", "generating", "ode",
                      "tidentity", "gsymmetry", "rootcounts"):
             assert name in out
+
+    def test_root_counts_build_no_sturm_chain(self, capsys, monkeypatch):
+        import aqrm.spectrum as spectrum_mod
+        calls = []
+        real = spectrum_mod.count_real_roots
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "count_real_roots", counted)
+        code, out, _ = run(capsys, "verify", "rootcounts")
+        assert code == 0 and out == "rootcounts     PASS  N<=8\n"
+        assert calls == []
 
     def test_verify_failure_exit_one(self, capsys, monkeypatch):
         import aqrm.cli as cli_mod

@@ -24,6 +24,7 @@ from aqrm.poly import (
     constraint_slice,
     constraint_tridiag,
     constraint_value,
+    determinant_check,
     generating_identity_check,
     laguerre_check,
     laguerre_poly,
@@ -275,6 +276,28 @@ class TestDeterminantForm:
             for eps in eps_set:
                 assert constraint_poly_det(N, eps) == constraint_poly(N, eps, N), \
                     f"determinant form mismatch at N={N}, eps={eps}"
+
+    @pytest.mark.parametrize("eps", FAMILY_BIASES + (Fraction(3, 10), Fraction(-1, 4),
+                                                      Fraction(-7, 3)))
+    def test_packed_check_holds(self, eps):
+        for N in range(13):
+            assert determinant_check(N, eps), (N, eps)
+
+    def test_packed_check_fails_on_a_corrupted_member(self, monkeypatch):
+        # +-1 at any one (i, j) slot, i, j <= 4, of R_3 or R_4
+        import aqrm.poly as poly_mod
+
+        real_member = poly_mod._top_member
+        for N, eps in ((3, Fraction(3, 10)), (4, Fraction(-1, 4))):
+            for i in range(5):
+                for j in range(5):
+                    for sign in (1, -1):
+                        r = dict(real_member(N, eps))
+                        r[(i, j)] = r.get((i, j), 0) + sign
+                        with monkeypatch.context() as m:
+                            m.setattr(poly_mod, "_top_member",
+                                      lambda N, eps, r=r: tuple(r.items()))
+                            assert not determinant_check(N, eps), (N, eps, i, j, sign)
 
     def test_symmetrized_products_equivalence(self):
         # continuants agree whenever off-diagonal products agree

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from _dense import band_count_exact
 from aqrm import oracle
-from aqrm.poly import c_weight
+from aqrm import spectrum as spectrum_mod
+from aqrm.poly import c_weight, constraint_slice
+from aqrm.roots import count_real_roots
 from aqrm.series import ModelParams, is_half_integer, regularized_g
 from aqrm.spectrum import (
     _FLOOR,
@@ -112,6 +114,37 @@ class TestRootCounts:
             big = count_positive_roots(N + ell, Fraction(-ell, 2), y)
             small = count_positive_roots(N, Fraction(ell, 2), y)
             assert big == small
+
+    @given(st.integers(0, 12), st.integers(1, 1000), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_inertia_count_matches_sturm_count(self, N, q, data):
+        # the determinant-form count for eps > -1/2, at y = c_k, y = 0 and
+        # random y, against the Sturm count of the constraint slice
+        eps = Fraction(data.draw(st.integers(-((q - 1) // 2), 400 * q)), q)
+        k = data.draw(st.integers(0, N))
+        y = data.draw(st.sampled_from((c_weight(k, eps), Fraction(0))) | st.fractions(
+            min_value=-50, max_value=c_weight(N, eps) + 50, max_denominator=1000))
+        assert count_positive_roots(N, eps, y) == count_real_roots(
+            constraint_slice(N, eps, y), lo=0)
+
+    @given(N=st.integers(0, 12), q=st.integers(1, 1000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sturm_count_at_bias_at_most_minus_half(self, N, q, data):
+        # an off-diagonal product of the determinant form can be 0 or negative
+        # there, so from N = 2 on the count is the Sturm count of the slice
+        eps = Fraction(data.draw(st.integers(-20 * q, -((q + 1) // 2))), q)
+        y = data.draw(st.fractions(min_value=-50, max_value=200, max_denominator=1000))
+        calls = []
+
+        def counted(p, lo=None, hi=None):
+            calls.append(lo)
+            return count_real_roots(p, lo, hi)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(spectrum_mod, "count_real_roots", counted)
+            n = count_positive_roots(N, eps, y)
+        assert n == count_real_roots(constraint_slice(N, eps, y), lo=0)
+        assert calls == ([0] if N >= 2 else [])
 
     def test_exploratory_negative_bias_lower_bound(self):
         # negative non-half-integer bias: at least N-k positive roots of the
