@@ -1,7 +1,9 @@
 """Every polynomial family attached to the model: the constraint polynomials
 P_k^(N,eps), their determinant form, the integer quotient A_N^l, the Q_k
-variant, the Laguerre limit, and the exact identities between them. With
-eps = p/q the family runs on the integer members R_k = q^k P_k: the identity
+variant, the Laguerre limit, and the exact identities between them. Each
+exact family is written once, as the integer rows of a three-term
+recurrence, and runs through one packed-integer loop. With eps = p/q the
+constraint family runs on the integer members R_k = q^k P_k: the identity
 checks, the divisibility and the x-slices for root counting read those."""
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .roots import TridiagMatrix, UniPoly, continuant
+from .roots import UniPoly
 
 
 class DivisibilityError(ArithmeticError):
@@ -156,10 +158,6 @@ class BivarPoly:
     __repr__ = __str__
 
 
-_X = BivarPoly.x()
-_Y = BivarPoly.y()
-
-
 # ---------------------------------------------------------------------------
 # recurrence constants
 # ---------------------------------------------------------------------------
@@ -175,39 +173,36 @@ def lambda_weight(k: int, N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# constraint polynomials
+# the packed three-term recurrence, shared by every exact family
 # ---------------------------------------------------------------------------
+#
+# A family is a tuple of integer rows (a_k, b_k, c_k, d_k, e_k), k >= 1, of
+#     M_k = (a_k x + b_k y + c_k) M_{k-1} - (d_k x + e_k) M_{k-2},
+# M_0 = 1, M_{-1} = 0: the constraint members R_k = q^k P_k, the rows of
+# q (I_N y + D_N x + C_N), the row-scaled A_N^l rows and the Laguerre rows.
 
-def _l1_bounds(N: int, eps: Fraction, k_max: int) -> list[int]:
-    """[B_0, ..., B_{k_max}]: B_k bounds the sum of the absolute coefficients
-    of R_k, by the triangle inequality on the recurrence of _family (eps = p/q):
-        B_k = (q k + q + |k(k q + 2 p)|) B_{k-1} + q^2 |lambda_k| B_{k-2}."""
-    p, q = eps.numerator, eps.denominator
+def _row_bounds(rows) -> list[int]:
+    """[B_0, ..., B_K]: B_k bounds the sum of the absolute coefficients of
+    M_k, by the triangle inequality on the recurrence:
+        B_k = (|a_k| + |b_k| + |c_k|) B_{k-1} + (|d_k| + |e_k|) B_{k-2}."""
     out, prev = [1], 0
-    for k in range(1, k_max + 1):
-        out.append((q * k + q + abs(k * (k * q + 2 * p))) * out[-1]
-                   + q * q * abs(lambda_weight(k, N)) * prev)
+    for a, b, c, d, e in rows:
+        out.append((abs(a) + abs(b) + abs(c)) * out[-1] + (abs(d) + abs(e)) * prev)
         prev = out[-2]
     return out
 
 
-def _family(N: int, eps: Fraction, k_max: int, s: int, w: int) -> list[int]:
-    """[r_0, ..., r_{k_max}], r_k = R_k(2^s, 2^(s w)) for the integer members
-    R_k = q^k P_k^(N,eps), eps = p/q in lowest terms, by Kronecker substitution
-    into their recurrence, where x and y are shifts:
-        R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2}.
-    Packing is a ring map, so each r_k is exact for any s and w. A polynomial
-    combination of members is 0 exactly when its packed integer is, once
-    2^(s-1) exceeds its l1 bound and w its x-degree: its balanced base-2^s
-    digits, the coefficients of x^i y^j at digit i + w j, are then unique."""
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    p, q = eps.numerator, eps.denominator
+def _packed(rows, s: int, w: int) -> list[int]:
+    """[m_0, ..., m_K], m_k = M_k(2^s, 2^(s w)), by Kronecker substitution
+    into the recurrence, where x and y are shifts. Packing is a ring map, so
+    each m_k is exact for any s and w. A polynomial combination of members
+    is 0 exactly when its packed integer is, once 2^(s-1) exceeds its l1
+    bound and w its x-degree: its balanced base-2^s digits, the coefficients
+    of x^i y^j at digit i + w j, are then unique."""
     fam, prev = [1], 0
-    for k in range(1, k_max + 1):
+    for a, b, c, d, e in rows:
         r = fam[-1]
-        fam.append(((q * k * r - q * q * lambda_weight(k, N) * prev) << s)
-                   + ((q * r) << s * w) - k * (k * q + 2 * p) * r)
+        fam.append(((a * r - d * prev) << s) + ((b * r) << s * w) + c * r - e * prev)
         prev = r
     return fam
 
@@ -229,10 +224,42 @@ def _unpack(v: int, s: int, w: int, n: int) -> dict:
             if (c := int.from_bytes(raw[t * nb:(t + 1) * nb], "little") - half)}
 
 
-def _member(N: int, eps: Fraction, k: int) -> dict:
-    """The integer coefficients {(i, j): c} of R_k = q^k P_k^(N,eps)."""
-    s = _width(_l1_bounds(N, eps, k)[-1])
-    return _unpack(_family(N, eps, k, s, k + 1)[-1], s, k + 1, k + 1)
+def _last(rows) -> dict:
+    """The integer coefficients {(i, j): c} of M_K, K = len(rows), which has
+    degree at most K in x and in y."""
+    n, s = len(rows) + 1, _width(_row_bounds(rows)[-1])
+    return _unpack(_packed(rows, s, n)[-1], s, n, n)
+
+
+def _divided(terms: dict, den: int) -> BivarPoly:
+    out = BivarPoly()
+    out.terms = {key: Fraction(v, den) for key, v in terms.items()}
+    return out
+
+
+# ---------------------------------------------------------------------------
+# constraint polynomials
+# ---------------------------------------------------------------------------
+
+def _constraint_rows(N: int, eps: Fraction, k_max: int) -> tuple:
+    """The rows of R_k = q^k P_k^(N,eps), eps = p/q in lowest terms:
+        R_k = (q k x + q y - k(k q + 2 p)) R_{k-1} - q^2 lambda_k x R_{k-2}."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    p, q = eps.numerator, eps.denominator
+    return tuple((q * k, q, -k * (k * q + 2 * p), q * q * lambda_weight(k, N), 0)
+                 for k in range(1, k_max + 1))
+
+
+def _l1_bounds(N: int, eps: Fraction, k_max: int) -> list[int]:
+    """_row_bounds of the constraint rows: B_k bounds the l1 norm of R_k."""
+    return _row_bounds(_constraint_rows(N, eps, k_max))
+
+
+def _family(N: int, eps: Fraction, k_max: int, s: int, w: int) -> list[int]:
+    """[r_0, ..., r_{k_max}], r_k = R_k(2^s, 2^(s w)): the packed constraint
+    members, which the identity checks compare."""
+    return _packed(_constraint_rows(N, eps, k_max), s, w)
 
 
 def constraint_poly(N: int, eps, k: int) -> BivarPoly:
@@ -243,16 +270,13 @@ def constraint_poly(N: int, eps, k: int) -> BivarPoly:
     with P_0 = 1 and P_{-1} = 0, so P_1 = x + y - 1 - 2 eps, run on the packed
     integer members R_k = q^k P_k; only the last is unpacked and divided."""
     eps = _frac(eps)
-    out = BivarPoly()
-    out.terms = {key: Fraction(v, eps.denominator ** k)
-                 for key, v in _member(N, eps, k).items()}
-    return out
+    return _divided(_last(_constraint_rows(N, eps, k)), eps.denominator ** k)
 
 
 @lru_cache(maxsize=128)
 def _top_member(N: int, eps: Fraction) -> tuple:
     """The terms of R_N, built once for all the slices of one (N, eps)."""
-    return tuple(_member(N, eps, N).items())
+    return tuple(_last(_constraint_rows(N, eps, N)).items())
 
 
 def constraint_slice(N: int, eps, y) -> UniPoly:
@@ -281,47 +305,30 @@ def constraint_value(N: int, eps, k: int, x, y):
     return p1
 
 
-def constraint_tridiag(N: int, eps) -> TridiagMatrix:
-    """Tridiagonal matrix I_N y + D_N x + C_N whose continuant is P_N^(N,eps).
-
-    Row i has diagonal y + i x - i(2(N-i)+1+2 eps), upper entry 1, lower entry
-    i(i+1) c_{N-i}.
-    """
-    eps = _frac(eps)
-    diag = tuple(_Y + i * _X - BivarPoly.const(i * (2 * (N - i) + 1 + 2 * eps))
+@lru_cache(maxsize=128)
+def _det_rows(N: int, eps: Fraction) -> tuple:
+    """The rows of q (I_N y + D_N x + C_N), eps = p/q, whose determinant is
+    q^N P_N^(N,eps): row i has diagonal q (i x + y) - i((2(N-i) + 1) q + 2 p),
+    and rows i-1 and i have off-diagonal product q^2 (i-1) i c_k =
+    q (i-1) i k (k q + 2 p), k = N-i+1."""
+    p, q = eps.numerator, eps.denominator
+    return tuple((q * i, q, -i * ((2 * (N - i) + 1) * q + 2 * p), 0,
+                  q * (i - 1) * i * (N - i + 1) * ((N - i + 1) * q + 2 * p))
                  for i in range(1, N + 1))
-    upper = tuple(BivarPoly.const(1) for _ in range(N - 1))
-    lower = tuple(BivarPoly.const(i * (i + 1) * c_weight(N - i, eps))
-                  for i in range(1, N))
-    return TridiagMatrix(diag, upper, lower)
 
 
 def determinant_check(N: int, eps) -> bool:
     """Exact identity R_N = q^N det(I_N y + D_N x + C_N), eps = p/q: the built
-    top member against the continuant of constraint_tridiag with every row
-    times q, run on packed integers as _family runs. Row i has diagonal
-    q (i x + y) - i((2(N-i) + 1) q + 2 p); rows i-1 and i have off-diagonal
-    product q (i-1) i k (k q + 2 p), k = N-i+1. The digit width s comes from
-    the triangle-inequality bound of that recurrence, as in _l1_bounds, so
-    the unpacked digits are the determinant's coefficients."""
+    top member against the determinant of _det_rows, both unpacked from the
+    packed recurrence."""
     eps = _frac(eps)
-    p, q = eps.numerator, eps.denominator
-    rows = [(i, -i * ((2 * (N - i) + 1) * q + 2 * p),
-             q * (i - 1) * i * (N - i + 1) * ((N - i + 1) * q + 2 * p))
-            for i in range(1, N + 1)]
-    bound, prev = 1, 0
-    for i, c, d in rows:
-        bound, prev = (q * i + q + abs(c)) * bound + abs(d) * prev, bound
-    s, w = _width(bound), N + 1
-    det, prev = 1, 0
-    for i, c, d in rows:
-        det, prev = ((q * i * det) << s) + ((q * det) << s * w) + c * det - d * prev, det
-    return _unpack(det, s, w, N + 1) == dict(_top_member(N, eps))
+    return _last(_det_rows(N, eps)) == dict(_top_member(N, eps))
 
 
 def q_poly(N: int, eps, k: int) -> BivarPoly:
-    """Q_k^(N,eps)(x,y): the continuant of the first k rows of
-    constraint_tridiag(N, eps); Q_N = P_N^(N,eps).
+    """Q_k^(N,eps)(x,y): the determinant of the leading k x k block of
+    I_N y + D_N x + C_N (the first k of _det_rows, divided by q^k);
+    Q_N = P_N^(N,eps).
 
     Q_0 = 1, Q_1 = x + y - (2N - 1 + 2 eps),
     Q_k = (k x + y - k(2(N+1-k) - 1 + 2 eps)) Q_{k-1}
@@ -329,15 +336,14 @@ def q_poly(N: int, eps, k: int) -> BivarPoly:
     """
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
-    m = constraint_tridiag(N, eps)
-    j = max(k - 1, 0)
-    return BivarPoly._coerce(continuant(TridiagMatrix(m.diag[:k], m.upper[:j], m.lower[:j])))
+    eps = _frac(eps)
+    return _divided(_last(_det_rows(N, eps)[:k]), eps.denominator ** k)
 
 
 def constraint_poly_det(N: int, eps) -> BivarPoly:
-    """P_N^(N,eps)(x,y) by symbolic continuant expansion of its tridiagonal
-    determinant form, q_poly(N, eps, N); must agree with
-    constraint_poly(N, eps, N) identically."""
+    """P_N^(N,eps)(x,y) from its tridiagonal determinant form,
+    q_poly(N, eps, N); must agree with constraint_poly(N, eps, N)
+    identically."""
     return q_poly(N, eps, N)
 
 
@@ -345,32 +351,27 @@ def constraint_poly_det(N: int, eps) -> BivarPoly:
 # the quotient A_N^l and divisibility
 # ---------------------------------------------------------------------------
 
-def _a_tridiag(N: int, ell: int, x, y) -> TridiagMatrix:
-    """The continuant behind A_N^l / ((N+l)!/N!): diagonal
-    x + y/(N+i) - l + 2i - 1, off-diagonal products i(i-l) (unit lower side),
-    for float x and y."""
-    diag = tuple(x + y / (N + i) - ell + 2 * i - 1 for i in range(1, ell + 1))
-    prods = tuple(i * (i - ell) for i in range(1, ell))
-    return TridiagMatrix(diag, prods, (1,) * len(prods))
-
-
 def a_poly(N: int, ell: int) -> BivarPoly:
     """The degree-l quotient A_N^l(x,y) = P_{N+l}^(N+l,-l/2) / P_N^(N,l/2),
-    built from its own tridiagonal determinant: _a_tridiag with row i times
-    N + i, which scales the continuant by (N+l)!/N! and leaves integer entries,
-    diagonal (N+i)(x - l + 2i - 1) + y and off-diagonal products
-    i(i-l)(N+i)(N+i+1)."""
+    from its own tridiagonal determinant with row i times N + i, which
+    scales it by (N+l)!/N! and leaves integer entries: diagonal
+    (N+i)(x - l + 2i - 1) + y, off-diagonal product of rows i-1 and i
+    (i-1)(i-1-l)(N+i-1)(N+i)."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    diag = tuple((N + i) * (_X - (ell - 2 * i + 1)) + _Y for i in range(1, ell + 1))
-    prods = tuple(i * (i - ell) * (N + i) * (N + i + 1) for i in range(1, ell))
-    return BivarPoly._coerce(continuant(TridiagMatrix(diag, prods, (1,) * len(prods))))
+    return BivarPoly(_last(tuple(
+        (N + i, 1, -(N + i) * (ell - 2 * i + 1), 0,
+         (i - 1) * (i - 1 - ell) * (N + i - 1) * (N + i)) for i in range(1, ell + 1))))
 
 
 def a_value(N: int, ell: int, x, y):
-    """A_N^l evaluated in floats through the continuant of _a_tridiag."""
-    scale = math.factorial(N + ell) // math.factorial(N)
-    return continuant(_a_tridiag(N, ell, x, y)) * scale
+    """A_N^l in floats: the leading minors of the unscaled determinant,
+    diagonal x + y/(N+i) - l + 2i - 1 and off-diagonal products
+    (i-1)(i-1-l), times (N+l)!/N!."""
+    m, prev = 1, 0
+    for i in range(1, ell + 1):
+        m, prev = (x + y / (N + i) - ell + 2 * i - 1) * m - (i - 1) * (i - 1 - ell) * prev, m
+    return m * (math.factorial(N + ell) // math.factorial(N))
 
 
 def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
@@ -407,17 +408,12 @@ def laguerre_poly(k: int, alpha) -> BivarPoly:
     via the standard recurrence (independent of the constraint recurrence)
     (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}, run on the integer
     polynomials M_j = b^j j! L_j, alpha = a/b:
-        M_{j+1} = ((2j+1) b + a - b x) M_j - b j (j b + a) M_{j-1};
-    only M_k is divided, by b^k k!."""
+        M_{j+1} = ((2j+1) b + a - b x) M_j - b j (j b + a) M_{j-1},
+    as packed rows; only M_k is unpacked and divided, by b^k k!."""
     alpha = _frac(alpha)
     a, b = alpha.numerator, alpha.denominator
-    m0, m1 = [], [1]
-    for j in range(k):
-        c, e = (2 * j + 1) * b + a, b * j * (j * b + a)
-        m0, m1 = m1, [c * u - b * v - e * t
-                      for u, v, t in zip(m1 + [0], [0] + m1, m0 + [0, 0])]
-    den = b ** k * math.factorial(k)
-    return BivarPoly({(i, 0): Fraction(c, den) for i, c in enumerate(m1)})
+    return _divided(_last(tuple((-b, 0, (2 * j + 1) * b + a, 0, b * j * (j * b + a))
+                                for j in range(k))), b ** k * math.factorial(k))
 
 
 def laguerre_check(k: int, eps) -> bool:

@@ -4,13 +4,11 @@ an exact integer division, one primitive Sturm chain of sign-kept
 pseudo-remainders counts the roots by homogeneous integer evaluation at
 rational points, a split on that count isolates them, and one sign-change
 bisection refines them; the same bisection, on a count minus k + 1/2, now
-serves only oracle.certified_eigenvalues, the tests' unguided reference.
-Also generic tridiagonal continuants."""
+serves only oracle.certified_eigenvalues, the tests' unguided reference."""
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -18,48 +16,6 @@ from typing import Sequence
 
 class ZeroPolynomialError(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
-
-
-# ---------------------------------------------------------------------------
-# tridiagonal matrices and continuants
-# ---------------------------------------------------------------------------
-
-class TridiagMatrix(namedtuple("TridiagMatrix", "diag upper lower")):
-    """Tridiagonal matrix over an arbitrary commutative ring.
-
-    Entries may be Fractions, floats, or exact bivariate polynomials; the only
-    requirement is that they support +, - and *.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, diag: tuple, upper: tuple, lower: tuple):
-        n = len(diag)
-        if len(upper) != max(n - 1, 0) or len(lower) != max(n - 1, 0):
-            raise ValueError("off-diagonals must have length n-1")
-        return super().__new__(cls, diag, upper, lower)
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-
-def continuant(m: TridiagMatrix):
-    """Determinant of a tridiagonal matrix by the three-term recurrence
-    J_i = a_i J_{i-1} - b_{i-1} c_{i-1} J_{i-2}.
-
-    Only the products b_i * c_i enter, so two matrices with equal diagonals
-    and equal off-diagonal products have equal determinants.
-    """
-    if m.n == 0:
-        return 1
-    prev2, prev1 = 0, 1
-    for i in range(m.n):
-        cur = m.diag[i] * prev1
-        if i > 0:
-            cur = cur - (m.upper[i - 1] * m.lower[i - 1]) * prev2
-        prev2, prev1 = prev1, cur
-    return prev1
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import oracle
 from .oracle import IncompleteSpectrum
-from .poly import constraint_slice
+from .poly import _det_rows, constraint_slice
 from .roots import (
     bisect_sign_change,
     count_real_roots,
@@ -85,28 +85,26 @@ def count_positive_roots(N: int, eps, y) -> int:
     any N, rational eps and y.
 
     Where N <= 1 or 1 + 2 eps > 0 it is read from the determinant form
-    det(D x + A), D = diag(1..N), A = C_N + y I (poly.constraint_tridiag).
+    det(D x + A), D = diag(1..N), A = C_N + y I (the rows of poly._det_rows).
     Every off-diagonal product i(i+1) c_{N-i} of A is then positive, so A is
     diagonally similar to an unreduced symmetric tridiagonal S, and the roots
     are x = -eig(D^(-1/2) S D^(-1/2)): real and simple, the positive ones as
     many as the negative eigenvalues of S (Sylvester's law of inertia). Those
-    are the sign changes, zeros dropped, of the leading minors m_i =
-    a_i m_{i-1} - b_{i-1} m_{i-2} of A, a Sturm sequence (Wilkinson, The
-    Algebraic Eigenvalue Problem, 1965, 5.37): a zero minor lies between two
-    of opposite sign, and a zero m_N is the root x = 0. The minors run on
-    integers, each row times b q for y = a/b and eps = p/q. Elsewhere a
-    product can be 0 or negative, and the count is read from the Sturm chain
-    of constraint_slice."""
+    are the sign changes, zeros dropped, of the leading minors of A, a Sturm
+    sequence (Wilkinson, The Algebraic Eigenvalue Problem, 1965, 5.37): a
+    zero minor lies between two of opposite sign, and a zero m_N is the root
+    x = 0. The minors run on the integer rows (a_i, b_i, c_i, 0, e_i) of
+    q (D x + A), eps = p/q, at x = 0, each row times v for y = u/v:
+        m_i = (b_i u + c_i v) m_{i-1} - v^2 e_i m_{i-2}.
+    Elsewhere a product can be 0 or negative, and the count is read from the
+    Sturm chain of constraint_slice."""
     eps, y = Fraction(eps), Fraction(y)
-    p, q = eps.numerator, eps.denominator
-    a, b = y.numerator, y.denominator
-    if N >= 2 and q + 2 * p <= 0:
+    if N >= 2 and eps.denominator + 2 * eps.numerator <= 0:
         return count_real_roots(constraint_slice(N, eps, y), lo=0)
+    u, v = y.numerator, y.denominator
     changes, last, m, prev = 0, 1, 1, 0
-    for i in range(1, N + 1):
-        k = N - i + 1
-        m, prev = ((a * q - b * i * ((2 * k - 1) * q + 2 * p)) * m
-                   - b * b * q * (i - 1) * i * k * (k * q + 2 * p) * prev), m
+    for _, b, c, _, e in _det_rows(N, eps):
+        m, prev = (b * u + c * v) * m - v * v * e * prev, m
         if m and (m > 0) != (last > 0):
             changes, last = changes + 1, m
     return changes

@@ -672,12 +672,17 @@ class TestCountLocatesLevels:
 
 # SHA-256 of stdout for each README command line, the sweeps both in full and
 # shortened to g = 0..0.5, plus two irrational-bias spectra (one on a Juddian
-# coupling) and a simple-pole residue. The digests pin CPython's 17-digit float output on
+# coupling), a simple-pole residue and a determinant-form member Q_k in text
+# and JSON. The digests pin CPython's 17-digit float output on
 # x86-64 Linux; a libm that rounds exp or sin differently in the last bit
 # changes them.
 GOLDEN = (
     ("poly --N 6 --eps 0 --k 2",
      "a1197efb01158a381e3f5d86b9b7bcafdd51e6f464b63dad86daaeedbe653c4c"),
+    ("poly --N 6 --eps 1/3 --family q --k 4",
+     "ad445ed31913b036ae67bd7d56f484608087603bc66547f643e0b603463c1d68"),
+    ("poly --N 6 --eps 1/3 --family q --k 4 --format json",
+     "e152bc475389d403e1fb4276db0bf7d894f2bac4321bd1b8ab95566e01a6c76c"),
     ("divide --N 5 --ell 3 --format json",
      "b79638c70de0c5dab3d9febfacd28865cc19f7c1613835959eb75a46c2a482ca"),
     ("count-roots --N 6 --eps 2/5 --y 209/10",

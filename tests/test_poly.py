@@ -16,13 +16,15 @@ from aqrm.poly import (
     DivisibilityError,
     _family,
     _l1_bounds,
+    _last,
+    _packed,
+    _row_bounds,
     _unpack,
     _width,
     c_weight,
     constraint_poly,
     constraint_poly_det,
     constraint_slice,
-    constraint_tridiag,
     constraint_value,
     determinant_check,
     generating_identity_check,
@@ -35,7 +37,6 @@ from aqrm.poly import (
 )
 from aqrm.roots import (
     UniPoly,
-    continuant,
     count_real_roots,
     isolate_real_roots,
     refine_root,
@@ -236,6 +237,23 @@ class TestPackedMembers:
         packed = sum(c << s * (i + w * j) for (i, j), c in coeffs.items())
         assert _unpack(packed, s, w, n) == coeffs
 
+    @given(st.lists(st.tuples(*[st.integers(-4, 4)] * 3,
+                              *[st.integers(-4, 4).filter(bool)] * 2), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_packed_rows_match_bivariate_recurrence(self, rows):
+        # M_k = (a x + b y + c) M_{k-1} - (d x + e) M_{k-2} in BivarPoly
+        # arithmetic against the packed loop, member by member
+        ref, prev = [ONE], BivarPoly()
+        for a, b, c, d, e in rows:
+            ref.append((a * X + b * Y + c) * ref[-1] - (d * X + e) * prev)
+            prev = ref[-2]
+        bounds = _row_bounds(rows)
+        for p, bound in zip(ref, bounds):
+            assert sum(map(abs, p.terms.values())) <= bound
+        s, w = _width(max(bounds)), len(rows) + 1
+        assert [_unpack(v, s, w, w) for v in _packed(rows, s, w)] == [p.terms for p in ref]
+        assert _last(rows) == ref[-1].terms
+
     CHECKS = {
         "generating": (2, lambda: generating_identity_check(2, 2, 8)),
         "ode": (2, lambda: ode_coefficient_check(2, Fraction(1, 2), 8)),
@@ -299,15 +317,29 @@ class TestDeterminantForm:
                                       lambda N, eps, r=r: tuple(r.items()))
                             assert not determinant_check(N, eps), (N, eps, i, j, sign)
 
-    def test_symmetrized_products_equivalence(self):
-        # continuants agree whenever off-diagonal products agree
-        N, eps = 5, Fraction(1, 3)
-        m = constraint_tridiag(N, eps)
-        alt_upper = tuple(BivarPoly.const(i * (i + 1)) for i in range(1, N))
-        alt_lower = tuple(BivarPoly.const(c_weight(N - i, eps)) for i in range(1, N))
-        from aqrm.roots import TridiagMatrix
-        alt = TridiagMatrix(m.diag, alt_upper, alt_lower)
-        assert continuant(m) == continuant(alt)
+    def test_corrupted_row_table_fails_root_counts(self, monkeypatch, capsys):
+        # +-1 on c_i (1 <= i <= 4) or on e_i (2 <= i <= 4; e_1 multiplies 0)
+        # of the one table the count and the check read: the check against
+        # the constraint recurrence must refuse it
+        import aqrm.poly as poly_mod
+        import aqrm.spectrum as spectrum_mod
+        from aqrm.cli import main
+
+        real_rows = poly_mod._det_rows
+        slots = [(i, 2) for i in range(1, 5)] + [(i, 4) for i in range(2, 5)]
+        for i, col in slots:
+            for sign in (1, -1):
+                def corrupted(N, eps, i=i, col=col, sign=sign):
+                    rows = [list(r) for r in real_rows(N, eps)]
+                    if N >= i:
+                        rows[i - 1][col] += sign
+                    return tuple(map(tuple, rows))
+
+                with monkeypatch.context() as m:
+                    m.setattr(poly_mod, "_det_rows", corrupted)
+                    m.setattr(spectrum_mod, "_det_rows", corrupted)
+                    assert main(["verify", "rootcounts"]) == 1, (i, col, sign)
+                assert "FAIL" in capsys.readouterr().out
 
 
 class TestEigenMatrixIdentity:

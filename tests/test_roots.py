@@ -1,7 +1,9 @@
-"""Root machinery: continuants, exact Sturm isolation, bisection refinement,
-and the same bisection on a level count, with tridiagonal eigenvalues from
-tests/_dense.py as the reference."""
+"""Root machinery: exact Sturm isolation, bisection refinement, and the same
+bisection on a level count, with tridiagonal eigenvalues from tests/_dense.py
+as the reference; the determinant forms of the polynomial families against
+dense determinants."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,11 @@ from hypothesis import strategies as st
 
 import aqrm.roots as roots_mod
 from _dense import sym_tridiag_eigenvalues, tridiag_count_below
-from aqrm.poly import c_weight, constraint_poly, constraint_slice, constraint_value
+from aqrm.poly import a_poly, c_weight, constraint_poly, constraint_slice, q_poly
 from aqrm.roots import (
-    TridiagMatrix,
     UniPoly,
     ZeroPolynomialError,
     bisect_sign_change,
-    continuant,
     count_real_roots,
     isolate_real_roots,
     refine_root,
@@ -107,51 +107,42 @@ def dense_det(rows):
     return det
 
 
-def tridiag_to_dense(t: TridiagMatrix):
-    n = t.n
+def tridiag_to_dense(diag, upper, lower):
+    n = len(diag)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = Fraction(t.diag[i])
+        rows[i][i] = Fraction(diag[i])
         if i < n - 1:
-            rows[i][i + 1] = Fraction(t.upper[i])
-            rows[i + 1][i] = Fraction(t.lower[i])
+            rows[i][i + 1] = Fraction(upper[i])
+            rows[i + 1][i] = Fraction(lower[i])
     return rows
 
 
-class TestContinuant:
-    def test_small(self):
-        assert continuant(TridiagMatrix((Fraction(7),), (), ())) == 7
-        m = TridiagMatrix((Fraction(2), Fraction(5)), (Fraction(3),), (Fraction(4),))
-        assert continuant(m) == 2 * 5 - 3 * 4
+class TestDeterminantForms:
+    """The paper's matrices written out entry by entry, against the packed
+    recurrence behind q_poly and a_poly."""
 
-    @given(st.lists(fr, min_size=1, max_size=6), st.data())
+    @given(st.integers(0, 7), st.data(), fr, fr, fr)
     @settings(max_examples=40, deadline=None)
-    def test_matches_dense_determinant(self, diag, data):
-        n = len(diag)
-        upper = data.draw(st.lists(fr, min_size=n - 1, max_size=n - 1))
-        lower = data.draw(st.lists(fr, min_size=n - 1, max_size=n - 1))
-        m = TridiagMatrix(tuple(diag), tuple(upper), tuple(lower))
-        assert continuant(m) == dense_det(tridiag_to_dense(m))
+    def test_q_poly_is_leading_minor_of_the_determinant_form(self, N, data, eps, x, y):
+        # I_N y + D_N x + C_N: diagonal y + i x - i(2(N-i) + 1 + 2 eps),
+        # upper entry 1, lower entry i(i+1) c_{N-i}, rows i = 1..N
+        k = data.draw(st.integers(0, N))
+        diag = [y + i * x - i * (2 * (N - i) + 1 + 2 * eps) for i in range(1, k + 1)]
+        lower = [i * (i + 1) * c_weight(N - i, eps) for i in range(1, k)]
+        dense = tridiag_to_dense(diag, [1] * len(lower), lower)
+        assert q_poly(N, eps, k).evaluate(x, y) == dense_det(dense)
 
-    @given(st.lists(fr, min_size=2, max_size=6), st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_depends_only_on_products(self, diag, data):
-        n = len(diag)
-        upper = data.draw(st.lists(fr.filter(lambda v: v != 0),
-                                   min_size=n - 1, max_size=n - 1))
-        lower = data.draw(st.lists(fr, min_size=n - 1, max_size=n - 1))
-        m1 = TridiagMatrix(tuple(diag), tuple(upper), tuple(lower))
-        m2 = TridiagMatrix(tuple(diag),
-                           tuple(Fraction(1) for _ in upper),
-                           tuple(u * l for u, l in zip(upper, lower)))
-        assert continuant(m1) == continuant(m2)
-
-    def test_constraint_cross_module(self):
-        # determinant-form matrix for N=3, eps=0 at (x, y) = (1, 1)
-        from aqrm.poly import constraint_tridiag
-        m = constraint_tridiag(3, Fraction(0))
-        val = continuant(m).evaluate(Fraction(1), Fraction(1))
-        assert val == constraint_value(3, Fraction(0), 3, Fraction(1), Fraction(1))
+    @given(st.integers(0, 6), st.integers(0, 6), fr, fr)
+    @settings(max_examples=40, deadline=None)
+    def test_a_poly_is_the_scaled_quotient_determinant(self, N, ell, x, y):
+        # diagonal x + y/(N+i) - l + 2i - 1, off-diagonal products i(i-l),
+        # scaled by (N+l)!/N!
+        diag = [x + y / (N + i) - ell + 2 * i - 1 for i in range(1, ell + 1)]
+        upper = [i * (i - ell) for i in range(1, ell)]
+        scale = math.factorial(N + ell) // math.factorial(N)
+        dense = tridiag_to_dense(diag, upper, [1] * len(upper))
+        assert a_poly(N, ell).evaluate(x, y) == scale * dense_det(dense)
 
 
 class TestIsolation:
