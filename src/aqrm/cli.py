@@ -191,7 +191,7 @@ def cmd_residue(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = ModelParams(args.g, args.delta, float(args.eps))
-    recs = spectrum.full_spectrum(params, args.x_max, args.tol)
+    recs = spectrum.full_spectrum(params, args.x_max)
     _emit_rows(spectrum.records_to_rows(recs, args.g), args)
     return 0
 
@@ -200,8 +200,7 @@ def cmd_sweep(args) -> int:
     grid = tuple(g for g in parse_range(args.g) if g > 0)
     if not grid:
         raise ValueError("sweep grid needs at least one positive coupling")
-    _emit_rows(spectrum.spectral_sweep(args.delta, float(args.eps), grid, args.levels,
-                                       args.tol), args)
+    _emit_rows(spectrum.spectral_sweep(args.delta, float(args.eps), grid, args.levels), args)
     return 0
 
 
@@ -334,7 +333,6 @@ def _commands() -> dict:
     out = opt("--out", default=None)
     emit = (out, opt("--format", choices=("csv", "json"), default="csv"))
     sign = opt("--sign", choices=("plus", "minus"), default="plus")
-    tol = opt("--tol", float, default=1e-10)
     return {
         "poly": ("print a polynomial family member", cmd_poly, (
             eps, N, ell, *emit, opt("--k", nonneg_int, default=None),
@@ -353,10 +351,10 @@ def _commands() -> dict:
         "residue": ("pole coefficients of G at x = N +/- eps", cmd_residue, (
             g, delta, eps, N, *emit, sign)),
         "spectrum": ("full classified spectrum at one coupling", cmd_spectrum, (
-            g, delta, eps, *emit, opt("--x-max", float, default=6.0), tol)),
+            g, delta, eps, *emit, opt("--x-max", float, default=6.0))),
         "sweep": ("spectral curves over a coupling grid", cmd_sweep, (
             delta, eps, *emit, opt("--g", required=True, help="grid a:b:step"),
-            opt("--levels", int, default=8), tol)),
+            opt("--levels", int, default=8))),
         "oracle": ("truncated-basis eigenvalues", cmd_oracle, (
             g, delta, eps, *emit, opt("--M", int, default=80),
             opt("--count", int, default=8))),

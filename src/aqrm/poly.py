@@ -27,11 +27,11 @@ def _frac(v) -> Fraction:
 
 
 class BivarPoly:
-    """Sparse bivariate polynomial: finite map (deg_x, deg_y) -> coefficient,
-    an int or a Fraction.
-
-    Zero coefficients are never stored. Instances are immutable in use; all
-    arithmetic returns new objects.
+    """A computed member of a polynomial family, as the finite map
+    terms: (deg_x, deg_y) -> coefficient, an int or a Fraction, with zero
+    coefficients never stored; equal to another BivarPoly with the same
+    terms, and written out as text or JSON. It holds results and does no
+    arithmetic: every family is computed on the integer rows of _packed.
     """
 
     __slots__ = ("terms",)
@@ -46,87 +46,11 @@ class BivarPoly:
                     t[(int(i), int(j))] = c
         self.terms = t
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "BivarPoly":
-        return BivarPoly({(0, 0): c})
-
-    @staticmethod
-    def x() -> "BivarPoly":
-        return BivarPoly({(1, 0): 1})
-
-    @staticmethod
-    def y() -> "BivarPoly":
-        return BivarPoly({(0, 1): 1})
-
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            t[k] = t.get(k, 0) + c
-        return BivarPoly(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BivarPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return BivarPoly()
-            return BivarPoly({k: c * other for k, c in self.terms.items()})
-        other = self._coerce(other)
-        t = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                t[k] = t.get(k, 0) + c1 * c2
-        return BivarPoly(t)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(v) -> "BivarPoly":
-        if isinstance(v, BivarPoly):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return BivarPoly.const(v)
-        raise TypeError(f"cannot coerce {type(v)} to BivarPoly")
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = BivarPoly.const(other)
         return isinstance(other, BivarPoly) and self.terms == other.terms
-
-    # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, i: int, j: int):
-        return self.terms.get((i, j), 0)
-
-    def evaluate(self, xv, yv):
-        """Evaluate at (xv, yv); exact for int/Fraction arguments, float
-        arithmetic when either argument is a float."""
-        exact = isinstance(xv, (int, Fraction)) and isinstance(yv, (int, Fraction))
-        by_x: dict[int, list[tuple[int, Fraction]]] = {}
-        for (i, j), c in self.terms.items():
-            by_x.setdefault(i, []).append((j, c))
-        acc = 0
-        for i in sorted(by_x, reverse=True):
-            inner = 0
-            for j, c in sorted(by_x[i], reverse=True):
-                inner = inner + (c if exact else float(c)) * yv ** j
-            acc = acc + inner * xv ** i
-        return acc
 
     # -- serialization -------------------------------------------------------------
 
@@ -419,10 +343,9 @@ def laguerre_poly(k: int, alpha) -> BivarPoly:
 def laguerre_check(k: int, eps) -> bool:
     """Exact identity P_k^(k,eps)(x,0) = (-1)^k (k!)^2 L_k^(2 eps)(x) in Q[x]."""
     eps = _frac(eps)
-    lhs = constraint_poly(k, eps, k)
-    lhs0 = BivarPoly({(i, 0): c for (i, j), c in lhs.terms.items() if j == 0})
-    rhs = laguerre_poly(k, 2 * eps) * ((-1) ** k * math.factorial(k) ** 2)
-    return lhs0 == rhs
+    scale = (-1) ** k * math.factorial(k) ** 2
+    lhs0 = {(i, j): c for (i, j), c in constraint_poly(k, eps, k).terms.items() if j == 0}
+    return lhs0 == {key: c * scale for key, c in laguerre_poly(k, 2 * eps).terms.items()}
 
 
 # ---------------------------------------------------------------------------

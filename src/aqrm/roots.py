@@ -24,7 +24,9 @@ class ZeroPolynomialError(ValueError):
 
 class UniPoly:
     """Dense univariate polynomial with rational coefficients, ascending
-    degree; int coefficients are stored as ints, the rest as Fractions."""
+    degree; int coefficients are stored as ints, the rest as Fractions. It
+    carries a polynomial into the Sturm machinery, which computes on its
+    primitive integer coefficients, and does no arithmetic of its own."""
 
     __slots__ = ("coeffs",)
 
@@ -33,8 +35,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    # -- basics ------------------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -54,25 +54,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
-
-    def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def _C(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reciprocal gamma: Lanczos scalar path
+# reciprocal gamma: Lanczos with reflection
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0

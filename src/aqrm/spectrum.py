@@ -38,7 +38,7 @@ KIND_NON_JUDDIAN = "non-juddian-exceptional"
 
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
 _FLOOR = 1e-9                    # narrowest bracket split on the level count
-_H_MIN = 2.0 ** -34              # finest grid: the count's rounding band holds one point
+_H = 2.0 ** -34                  # level grid: the count's rounding band holds one point
 
 
 # x = lambda + g^2; branch is "plus_eps" or "minus_eps" for exceptional kinds
@@ -173,21 +173,21 @@ def _x_floor(params: ModelParams) -> float:
     return -(params.delta + abs(params.eps) + 1.5)
 
 
-def _assemble(params: ModelParams, n, x_lo: float, x_max: float, refine_tol: float,
+def _assemble(params: ModelParams, n, x_lo: float, x_max: float,
               cap: float = math.inf) -> list[EigenvalueRecord]:
     """Sorted records in [x_lo, x_max) for the level count n (levels below x),
     in one pass over the sorted edges x_lo, x0 -/+ _FLOOR for each candidate
     x0 = N +/- eps in the window (one where N + eps = N' - eps) and x_max,
-    each probed once, x_max first so that a hopeless count refuses before it
-    builds any rungs. A candidate is a record when n jumps across it by the
-    multiplicity its kind requires: 2 for a Juddian point (a root of the
+    each probed once. x_max is probed first, before the candidates are
+    listed, so a count no rung certifies refuses at a cost that does not
+    grow with the window. A candidate is a record when n jumps across it by
+    the multiplicity its kind requires: 2 for a Juddian point (a root of the
     level-N constraint polynomial, by the exact test) at half-integer bias,
     where alone two levels meet, and 1 otherwise. Every other bracket goes
-    to oracle.locate_levels with floor _FLOOR, whose cells are the regular
-    records, on the grid of the largest power of two h <= refine_tol, but at
-    least _H_MIN. Under a level cap the edges are probed up to the first
-    whose count reaches it, and only levels below it are located."""
-    cands = []
+    to oracle.locate_levels with floor _FLOOR, whose cells on the grid _H
+    are the regular records. Under a level cap the edges are probed up to
+    the first whose count reaches it, and only levels below it are located."""
+    top, cands = n(x_max), []
     for c in sorted(((N + e, N, e, branch)
                      for branch, e in (("plus_eps", params.eps), ("minus_eps", -params.eps))
                      for N in range(int(x_max - e) + 2)
@@ -196,7 +196,7 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float, refine_tol: flo
         if not cands or c[0] - cands[-1][0] >= 2 * _FLOOR:
             cands.append(c)
     edges = [x_lo] + [x for c in cands for x in (c[0] - _FLOOR, c[0] + _FLOOR)] + [x_max]
-    top, counts = n(x_max), []
+    counts = []
     for x in edges[:-1]:
         counts.append(n(x))
         if counts[-1] >= cap:
@@ -213,26 +213,25 @@ def _assemble(params: ModelParams, n, x_lo: float, x_max: float, refine_tol: flo
                 out.append(EigenvalueRecord(x0, x0 - params.g ** 2, kind, nb - na, N, branch))
                 continue
         todo.append((a, b, na, nb))
-    h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]), _H_MIN)
     out += [EigenvalueRecord(x=x, lam=x - params.g ** 2, kind=KIND_REGULAR)
-            for x in oracle.locate_levels(n, todo, h, _FLOOR, cap)]
+            for x in oracle.locate_levels(n, todo, _H, _FLOOR, cap)]
     out.sort(key=lambda r: r.x)
     return out
 
 
-def full_spectrum(params: ModelParams, x_max: float, refine_tol: float = 1e-10,
+def full_spectrum(params: ModelParams, x_max: float,
                   x_lo: float | None = None) -> list[EigenvalueRecord]:
     """Sorted eigenvalue records in [x_lo, x_max): the exceptional points
     where the level count jumps plus every other level of the count, at the
-    midpoint of its dyadic cell of width about refine_tol. Degenerate points
+    midpoint of its dyadic cell of width _H = 2^-34. Degenerate points
     appear once with multiplicity 2; they occur only for half-integer bias and
     are Juddian. Raises IncompleteSpectrum rather than return a list that the
     count shows to be short."""
     if x_lo is None:
         x_lo = _x_floor(params)
-    if not (0 < refine_tol < math.inf and math.isfinite(x_max) and x_max > x_lo):
-        raise ValueError("need a finite refine_tol > 0 and a finite x_max above x_lo")
-    return _assemble(params, _level_count(params), x_lo, x_max, refine_tol)
+    if not (math.isfinite(x_max) and x_max > x_lo):
+        raise ValueError("need a finite x_max above x_lo")
+    return _assemble(params, _level_count(params), x_lo, x_max)
 
 
 def expand_multiplicities(records: list[EigenvalueRecord]) -> list[float]:
@@ -244,14 +243,13 @@ def expand_multiplicities(records: list[EigenvalueRecord]) -> list[float]:
 # coupling sweeps
 # ---------------------------------------------------------------------------
 
-def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
-                   refine_tol: float = 1e-10) -> list[dict]:
+def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int) -> list[dict]:
     """Rows (g, index, lambda, x, kind, multiplicity, level_N, branch) for the
     lowest n_levels eigenvalues at every coupling of the strictly increasing
     g_grid, each assembled in grid order up to level n_levels on a window
     that ends at the top of level n_levels - 1's oracle.level_bracket."""
-    if n_levels < 0 or not 0 < refine_tol < math.inf:
-        raise ValueError("need n_levels >= 0 and a finite refine_tol > 0")
+    if n_levels < 0:
+        raise ValueError("need n_levels >= 0")
     if any(b <= a for a, b in zip(g_grid, g_grid[1:])):
         raise ValueError("g_grid must be strictly increasing")
     rows = []
@@ -259,7 +257,7 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int,
         params = ModelParams(g, delta, eps)
         x_max = oracle.level_bracket(params, n_levels - 1)[1]
         flat = [r for r in _assemble(params, _level_count(params), _x_floor(params), x_max,
-                                     refine_tol, n_levels)
+                                     n_levels)
                 for _ in range(r.multiplicity)]
         if len(flat) < n_levels:
             raise IncompleteSpectrum(f"{len(flat)} of {n_levels} levels at g = {fmt_float(g)}")

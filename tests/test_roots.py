@@ -77,13 +77,18 @@ def y_poly(p, xv) -> UniPoly:
     return UniPoly(out)
 
 
-def from_roots(mults) -> UniPoly:
-    """prod (x - r)^m over the (root, multiplicity) pairs."""
-    p = UniPoly([1])
+def from_roots(mults, lead=1) -> UniPoly:
+    """lead prod (x - r)^m over the (root, multiplicity) pairs, by
+    coefficient convolution."""
+    cs = [lead]
     for r, m in mults:
         for _ in range(m):
-            p = p * UniPoly([-r, 1])
-    return p
+            cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
+    return UniPoly(cs)
+
+
+def at(p: UniPoly, t):
+    return sum(c * t ** k for k, c in enumerate(p.coeffs))
 
 
 def dense_det(rows):
@@ -131,7 +136,8 @@ class TestDeterminantForms:
         diag = [y + i * x - i * (2 * (N - i) + 1 + 2 * eps) for i in range(1, k + 1)]
         lower = [i * (i + 1) * c_weight(N - i, eps) for i in range(1, k)]
         dense = tridiag_to_dense(diag, [1] * len(lower), lower)
-        assert q_poly(N, eps, k).evaluate(x, y) == dense_det(dense)
+        assert sum(c * x ** i * y ** j for (i, j), c in q_poly(N, eps, k).terms.items()) \
+            == dense_det(dense)
 
     @given(st.integers(0, 6), st.integers(0, 6), fr, fr)
     @settings(max_examples=40, deadline=None)
@@ -142,7 +148,8 @@ class TestDeterminantForms:
         upper = [i * (i - ell) for i in range(1, ell)]
         scale = math.factorial(N + ell) // math.factorial(N)
         dense = tridiag_to_dense(diag, upper, [1] * len(upper))
-        assert a_poly(N, ell).evaluate(x, y) == scale * dense_det(dense)
+        assert sum(c * x ** i * y ** j for (i, j), c in a_poly(N, ell).terms.items()) \
+            == scale * dense_det(dense)
 
 
 class TestIsolation:
@@ -200,12 +207,12 @@ class TestIsolation:
         assert len(ivs) == len(roots)
         for (lo, hi), r in zip(ivs, roots):
             assert lo < r < hi
-            assert sf(lo) * sf(hi) < 0
+            assert at(sf, lo) * at(sf, hi) < 0
             assert refine_root(sf, (lo, hi), Fraction(1, 2 ** 48)) == r
 
     def test_exact_rational_roots(self):
         # roots at 0, 1/2, -3 exactly
-        p = UniPoly([0, 1]) * UniPoly([Fraction(-1, 2), 1]) * UniPoly([3, 1])
+        p = from_roots(((0, 1), (Fraction(1, 2), 1), (-3, 1)))
         assert exact_roots(p, Fraction(1, 2 ** 30)) == [Fraction(-3), Fraction(0), Fraction(1, 2)]
 
     def test_juddian_linear_case(self):
@@ -214,7 +221,7 @@ class TestIsolation:
         ivs = isolate_real_roots(p)
         assert len(ivs) == 1
         (lo, hi), = ivs
-        mid = bisect_sign_change(p, lo, hi, p(lo), Fraction(1, 2 ** 40))
+        mid = bisect_sign_change(lambda t: at(p, t), lo, hi, at(p, lo), Fraction(1, 2 ** 40))
         assert abs(mid - Fraction(27, 20)) <= Fraction(1, 2 ** 41)
         r = refine_root(p, ivs[0], Fraction(1, 2 ** 40))
         assert r == Fraction(27, 20)
@@ -236,9 +243,7 @@ class TestIsolation:
     @given(st.sets(st.integers(-8, 8), min_size=1, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_counts_products_of_distinct_linears(self, roots_set):
-        p = UniPoly([1])
-        for r in roots_set:
-            p = p * UniPoly([-r, 1])
+        p = from_roots((r, 1) for r in roots_set)
         assert count_real_roots(p) == len(roots_set)
         ivs = isolate_real_roots(p)
         assert len(ivs) == len(roots_set)
@@ -274,7 +279,7 @@ class TestIntegerSturm:
     @example({Fraction(-3): 1, Fraction(0): 1, Fraction(3): 1}, -1, None)
     @settings(max_examples=80, deadline=None)
     def test_counts_distinct_roots_in_half_open_interval(self, mults, lead, data):
-        p = from_roots(mults.items()) * lead
+        p = from_roots(mults.items(), lead)
         roots = sorted(mults)
         if data is None:
             lo, hi = roots[0], roots[-1]
@@ -289,13 +294,13 @@ class TestIntegerSturm:
     @example({Fraction(-2): 1, Fraction(-1): 1, Fraction(1): 1, Fraction(2): 1}, -1)
     @settings(max_examples=60, deadline=None)
     def test_one_sign_changing_interval_per_distinct_root(self, mults, lead):
-        p = from_roots(mults.items()) * lead
+        p = from_roots(mults.items(), lead)
         sf = squarefree_part(p)
         assert all(type(c) is int for c in sf.coeffs)
         assert sf.degree == len(mults)
         ivs = isolate_real_roots(p)
         assert [sum(lo < r < hi for r in mults) for lo, hi in ivs] == [1] * len(mults)
-        assert all(sf(lo) * sf(hi) < 0 for lo, hi in ivs)
+        assert all(at(sf, lo) * at(sf, hi) < 0 for lo, hi in ivs)
 
     @given(int_polys, int_polys)
     @settings(max_examples=80, deadline=None)
@@ -305,7 +310,7 @@ class TestIntegerSturm:
         assert roots_mod._neg_prem(a, b) == reference_neg_prem(a, b)
 
     @given(st.one_of(int_polys.map(UniPoly),
-                     st.builds(lambda m, lead: from_roots(m.items()) * lead, root_mults, leading)))
+                     st.builds(lambda m, lead: from_roots(m.items(), lead), root_mults, leading)))
     @settings(max_examples=80, deadline=None)
     def test_chain_matches_reference_chain(self, p):
         # _chain uncached, once on each pseudo-remainder
@@ -321,7 +326,7 @@ class TestIntegerSturm:
     def test_chain_is_primitive_and_keeps_signs(self):
         # -2 (x - 1)(x + 2)(x - 3/2): the chain starts with the primitive
         # multiple of a positive rescaling, so its leading sign stays negative
-        p = from_roots(((1, 1), (-2, 1), (Fraction(3, 2), 1))) * -2
+        p = from_roots(((1, 1), (-2, 1), (Fraction(3, 2), 1)), -2)
         chain = sturm_chain(p)
         assert chain[0].coeffs == (-6, 7, 1, -2)
         assert all(type(c) is int for q in chain for c in q.coeffs)

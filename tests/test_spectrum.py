@@ -342,6 +342,20 @@ class TestCountBrackets:
         with pytest.raises(IncompleteSpectrum, match="not certified by M=40$"):
             full_spectrum(ModelParams(3.0, 1.0, 0.0), 12.0)
 
+    def test_hopeless_window_refuses_before_listing_candidates(self):
+        # no rung certifies the count at x_max = 1e6, so the refusal must
+        # come before the 2e6 candidates N +/- eps of the window, some
+        # hundreds of MB, are listed
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(IncompleteSpectrum, match="not certified"):
+                full_spectrum(ModelParams(0.5, 1.0, 0.3), 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_rejects_window_below_floor(self):
         # non-finite x_max is covered through the CLI input-range cases
         with pytest.raises(ValueError, match="x_max above x_lo"):
@@ -580,10 +594,10 @@ class TestFloatBisection:
         assert len(calls) < 80
 
     def test_regularized_g_scan(self, monkeypatch):
-        # a tolerance below float spacing: the grid of each level is 2^-34
-        # wide, the finest the count resolves. On a grid two float spacings
-        # wide, plain bisection from the whole window took about 54 count
-        # probes per level and the Newton-steered one 11.4; now 10.0
+        # the grid of each level is 2^-34 wide, the finest the count
+        # resolves. On a grid two float spacings wide, plain bisection from
+        # the whole window took about 54 count probes per level and the
+        # Newton-steered one 11.4; now 10.0
         import aqrm.spectrum as spectrum_mod
         p = ModelParams(0.5, 1.0, 0.3)
         level_count = spectrum_mod._level_count
@@ -595,11 +609,7 @@ class TestFloatBisection:
             return stub
 
         monkeypatch.setattr(spectrum_mod, "_level_count", limited_count)
-        recs = full_spectrum(p, 2.0, refine_tol=1e-20)
-        monkeypatch.undo()
-        coarse = full_spectrum(p, 2.0)
-        assert [r.kind for r in recs] == [r.kind for r in coarse]
-        assert [r.x for r in recs] == pytest.approx([r.x for r in coarse], abs=1e-10)
+        recs = full_spectrum(p, 2.0)
         n_regular = sum(r.kind == KIND_REGULAR for r in recs)
         assert n_regular >= 3
         assert len(calls) == 1
@@ -645,11 +655,10 @@ class TestDyadicReporting:
 
     def test_grid_no_finer_than_the_count(self):
         # here the float count reads 6, 7, 6, 6, 7, 6, 6, 7, 7, 7, 7, 6, 7, ...
-        # on the 2^-44 grid next to the level near x = 2.606 (M = 240), so a
-        # 1e-13 tolerance keeps the 2^-34 grid, on which the count steps once
+        # on the 2^-44 grid next to the level near x = 2.606 (M = 240); on
+        # the 2^-34 grid it steps once
         p = ModelParams(6.0, 1.0625, 0.6142757900593858)
-        recs = full_spectrum(p, 3.0, refine_tol=1e-13)
-        assert recs == full_spectrum(p, 3.0)
+        recs = full_spectrum(p, 3.0)
         assert any(r.kind == KIND_REGULAR and abs(r.x - 2.606073395) < 1e-9 for r in recs)
 
     @pytest.mark.parametrize("eps", (0.3, 0.5))
@@ -690,7 +699,7 @@ class TestDyadicReporting:
         assert newton and len(plain) + len(newton) <= 10 * n_regular
 
 
-def reference_assemble(params, n, x_lo, x_max, refine_tol, cap=math.inf):
+def reference_assemble(params, n, x_lo, x_max, cap=math.inf):
     """spectrum._assemble with the plain grid loop it had before Newton
     steered it: the same edges, cap and order of probes, but every probe of
     a cell bisection at the midpoint of (lo, hi), with no jet."""
@@ -724,8 +733,7 @@ def reference_assemble(params, n, x_lo, x_max, refine_tol, cap=math.inf):
     while todo:
         a, b, na, nb = todo.pop()
         if nb == na + 1:
-            h = max(math.ldexp(0.5, math.frexp(refine_tol)[1]), spectrum_mod._H_MIN,
-                    2.0 * math.ulp(max(abs(a), abs(b))))
+            h = max(spectrum_mod._H, 2.0 * math.ulp(max(abs(a), abs(b))))
             lo, hi = math.floor(a / h), math.ceil(b / h)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -746,12 +754,12 @@ def reference_assemble(params, n, x_lo, x_max, refine_tol, cap=math.inf):
     return out
 
 
-def outcome(assemble, params, x_max, tol):
+def outcome(assemble, params, x_max):
     """The records, or the refusal, of assemble on full_spectrum's window."""
     import aqrm.spectrum as spectrum_mod
     try:
         return assemble(params, spectrum_mod._level_count(params),
-                        spectrum_mod._x_floor(params), x_max, tol)
+                        spectrum_mod._x_floor(params), x_max)
     except IncompleteSpectrum as exc:
         return str(exc)
 
@@ -762,20 +770,20 @@ class TestNewtonSteering:
 
     @given(g=st.floats(0.05, 7), delta=st.floats(0.05, 3),
            eps=st.one_of(st.floats(-2, 2), st.sampled_from((0.0, 0.5, -0.5, 1.5))),
-           x_max=st.floats(0.5, 8), tol=st.sampled_from((1e-6, 1e-10, 1e-13)))
+           x_max=st.floats(0.5, 8))
     @settings(max_examples=40, deadline=None)
-    def test_same_records_as_plain_bisection(self, g, delta, eps, x_max, tol):
+    def test_same_records_as_plain_bisection(self, g, delta, eps, x_max):
         import aqrm.spectrum as spectrum_mod
         p = ModelParams(g, delta, eps)
-        assert (outcome(spectrum_mod._assemble, p, x_max, tol)
-                == outcome(reference_assemble, p, x_max, tol))
+        assert (outcome(spectrum_mod._assemble, p, x_max)
+                == outcome(reference_assemble, p, x_max))
 
     @pytest.mark.parametrize("g,eps", ((0.5, 0.5), (1.3, 0.3), (2.5, 1.5)))
     def test_same_records_under_a_level_cap(self, g, eps):
         # a sweep's window: up to level 8, below the top of level 7's bracket
         import aqrm.spectrum as spectrum_mod
         p = ModelParams(g, 1.0, eps)
-        args = (spectrum_mod._x_floor(p), oracle.level_bracket(p, 7)[1], 1e-10, 8)
+        args = (spectrum_mod._x_floor(p), oracle.level_bracket(p, 7)[1], 8)
         recs = spectrum_mod._assemble(p, spectrum_mod._level_count(p), *args)
         assert sum(r.multiplicity for r in recs) >= 8
         assert recs == reference_assemble(p, spectrum_mod._level_count(p), *args)
@@ -787,7 +795,7 @@ class TestNewtonSteering:
         # last case is the g = 6 doublet, refused either way
         import aqrm.spectrum as spectrum_mod
         p = ModelParams(g, delta, eps)
-        expected = outcome(reference_assemble, p, x_max, 1e-10)
+        expected = outcome(reference_assemble, p, x_max)
         probe = oracle._band_count_below
 
         def no_step(ladder, sigma, newton=False):
@@ -795,7 +803,7 @@ class TestNewtonSteering:
             return (*res, None) if newton else res
 
         monkeypatch.setattr(oracle, "_band_count_below", no_step)
-        assert outcome(spectrum_mod._assemble, p, x_max, 1e-10) == expected
+        assert outcome(spectrum_mod._assemble, p, x_max) == expected
 
 
 # Every regular level below x_max of five spectra at small g and large x, as
