@@ -72,6 +72,8 @@ def parse_range(text: str) -> list[float]:
     a, b, step = values
     if step <= 0 or b < a:
         raise ValueError("need step > 0 and b >= a")
+    if step < math.ulp(max(abs(a), abs(b))):
+        raise ValueError("step is below the float spacing of the range ends")
     out = []
     k = 0
     while True:
@@ -166,13 +168,14 @@ def cmd_tfunc(args) -> int:
 
 
 def cmd_residue(args) -> int:
-    eps = float(args.eps)
+    eps, sign = float(args.eps), args.sign
+    if is_half_integer(eps) and round(2 * eps) < 0:
+        # H_eps and H_-eps are unitarily equivalent: G(x; eps) = G(x; -eps)
+        eps, sign = -eps, "minus" if sign == "plus" else "plus"
     params = ModelParams(args.g, args.delta, eps)
     out = {}
-    if is_half_integer(eps) and args.sign == "plus":
+    if is_half_integer(eps) and sign == "plus":
         ell = round(2 * eps)
-        if ell < 0:
-            raise ValueError("use the minus sign for negative bias poles")
         A, B = double_pole_coefficients(args.N, ell, params)
         x0 = args.N + ell / 2.0
         An, Bn = residue_numeric(x0, params, order=2)
@@ -180,8 +183,8 @@ def cmd_residue(args) -> int:
                "A_numeric": An, "B_numeric": Bn,
                "b_residual": b_residual(args.N, ell, params)}
     else:
-        x0 = args.N + (eps if args.sign == "plus" else -eps)
-        res = residue_simple(args.N, params, args.sign)
+        x0 = args.N + (eps if sign == "plus" else -eps)
+        res = residue_simple(args.N, params, sign)
         out = {"x0": x0, "order": 1, "residue": res,
                "residue_numeric": residue_numeric(x0, params, order=1)}
     _emit("".join(f"{k}={fmt_float(v) if isinstance(v, float) else v}\n"

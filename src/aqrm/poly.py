@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .roots import UniPoly
-
 
 class DivisibilityError(ArithmeticError):
     """Raised when the proven divisibility of constraint polynomials fails.
@@ -203,17 +201,17 @@ def _top_member(N: int, eps: Fraction) -> tuple:
     return tuple(_last(_constraint_rows(N, eps, N)).items())
 
 
-def constraint_slice(N: int, eps, y) -> UniPoly:
-    """b^N R_N(x, a/b) for y = a/b as an integer polynomial in x (R_N has
-    degree N in y): a positive multiple of P_N^(N,eps)(x, y), which is all
-    root counting and isolation need."""
+def constraint_slice(N: int, eps, y) -> tuple[int, ...]:
+    """b^N R_N(x, a/b) for y = a/b as integer coefficients in x, ascending
+    (R_N has degree N in y): a positive multiple of P_N^(N,eps)(x, y), which
+    is all root counting and isolation need."""
     y = _frac(y)
     a, b = y.numerator, y.denominator
     powers = [a ** j * b ** (N - j) for j in range(N + 1)]
     out = [0] * (N + 1)
     for (i, j), v in _top_member(N, _frac(eps)):
         out[i] += v * powers[j]
-    return UniPoly(out)
+    return tuple(out)
 
 
 def constraint_value(N: int, eps, k: int, x, y):

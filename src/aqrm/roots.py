@@ -1,10 +1,11 @@
-"""Exact real roots of rational polynomials, computed on integers: a
-polynomial enters as its primitive integer multiple, its square-free part is
-an exact integer division, one primitive Sturm chain of sign-kept
-pseudo-remainders counts the roots by homogeneous integer evaluation at
-rational points, a split on that count isolates them, and one sign-change
-bisection refines them; the same bisection, on a count minus k + 1/2, now
-serves only oracle.certified_eigenvalues, the tests' unguided reference."""
+"""Exact real roots of rational polynomials (coefficients in ascending
+degree), computed on integers: a polynomial enters as its primitive integer
+multiple, its square-free part is an exact integer division, one primitive
+Sturm chain of sign-kept pseudo-remainders counts the roots by homogeneous
+integer evaluation at rational points, a split on that count isolates them,
+and one sign-change bisection refines them. It also finds the T-function
+zeros and, on a count minus k + 1/2, oracle.certified_eigenvalues, the
+reference of the tests and of perfbench/check.py for the sweeps."""
 
 from __future__ import annotations
 
@@ -19,44 +20,6 @@ class ZeroPolynomialError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate rational polynomials
-# ---------------------------------------------------------------------------
-
-class UniPoly:
-    """Dense univariate polynomial with rational coefficients, ascending
-    degree; int coefficients are stored as ints, the rest as Fractions. It
-    carries a polynomial into the Sturm machinery, which computes on its
-    primitive integer coefficients, and does no arithmetic of its own."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self):
-        if self.is_zero():
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)})"
-
-
-# ---------------------------------------------------------------------------
 # the integer core: coefficient lists in Z[x], kept primitive
 # ---------------------------------------------------------------------------
 
@@ -65,10 +28,16 @@ def _primitive(cs: list[int]) -> list[int]:
     return [c // g for c in cs] if g > 1 else cs
 
 
-def _integer_coeffs(p: UniPoly) -> tuple[int, ...]:
-    """The primitive integer coefficients of a positive rational multiple of p."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return tuple(_primitive([c.numerator * (den // c.denominator) for c in p.coeffs]))
+def _integer_coeffs(p: Sequence) -> tuple[int, ...]:
+    """The primitive integer coefficients of a positive rational multiple of p:
+    a non-int as Fraction(c) (a float exactly), trailing zeros dropped."""
+    cs = [c if type(c) is int else Fraction(c) for c in p]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        raise ZeroPolynomialError("zero polynomial")
+    den = math.lcm(*(c.denominator for c in cs))
+    return tuple(_primitive([c.numerator * (den // c.denominator) for c in cs]))
 
 
 def _neg_prem(a: list[int], b: list[int]) -> list[int]:
@@ -95,7 +64,7 @@ def _neg_prem(a: list[int], b: list[int]) -> list[int]:
 def _chain(a: tuple[int, ...]) -> tuple:
     """Primitive Sturm sequence of the primitive integer polynomial a, ending
     in gcd(a, a') up to sign. Cached so that for a square-free a,
-    squarefree_part and the sturm_chain after it share one sequence."""
+    squarefree_part and the count or isolation after it share one sequence."""
     chain = [a]
     d = _primitive([i * c for i, c in enumerate(a)][1:])
     if d:
@@ -135,25 +104,17 @@ def _value(cs: Sequence, t) -> int:
     return acc
 
 
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p') as a primitive integer polynomial (a nonzero rational
-    multiple of p's square-free part)."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
+def squarefree_part(p: Sequence) -> tuple[int, ...]:
+    """p / gcd(p, p') as the primitive integer coefficients of a positive
+    rational multiple of p's square-free part."""
     a = _integer_coeffs(p)
     g = _chain(a)[-1]
-    return UniPoly(a if len(g) == 1 else _exact_quotient(a, g))
+    return a if len(g) == 1 else tuple(_exact_quotient(a, g))
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and root isolation
+# Sturm counts and root isolation
 # ---------------------------------------------------------------------------
-
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sturm sequence of p on primitive integer coefficients: p, p', then
-    sign-kept negated pseudo-remainders, each divided by its content."""
-    return [UniPoly(c) for c in _chain(_integer_coeffs(p))]
-
 
 def _variations(values) -> int:
     signs = [v > 0 for v in values if v != 0]
@@ -168,12 +129,12 @@ def _variations_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
     return _variations([c[-1] if positive or len(c) % 2 else -c[-1] for c in chain])
 
 
-def count_real_roots(p: UniPoly, lo: Fraction | None = None,
+def count_real_roots(p: Sequence, lo: Fraction | None = None,
                      hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi]; open ends at infinity
     when a bound is None. Counted on the integer chain of the square-free part."""
-    sf = squarefree_part(p).coeffs
-    if len(sf) <= 1:
+    sf = squarefree_part(p)
+    if len(sf) == 1:
         return 0
     chain = _chain(sf)
     va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
@@ -181,24 +142,17 @@ def count_real_roots(p: UniPoly, lo: Fraction | None = None,
     return va - vb
 
 
-def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound B: every root z has |z| < B, so p(-B) and p(B) are
-    nonzero."""
-    m = max((abs(c) for c in p.coeffs[:-1]), default=0)
-    return 1 + Fraction(m, abs(p.lc))
-
-
-def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(p: Sequence) -> list[tuple[Fraction, Fraction]]:
     """Sorted isolating intervals (lo, hi), one per distinct real root of p:
-    [-B, B + 1] split at midpoints on the Sturm count of the square-free part
-    sf until each piece holds one root. A split point where sf vanishes moves
-    toward hi, so sf is nonzero at both ends of each interval, with opposite
-    signs."""
+    [-B, B + 1], B the Cauchy bound of the square-free part sf (every root z
+    has |z| < B), split at midpoints on the Sturm count of sf until each piece
+    holds one root. A split point where sf vanishes moves toward hi, so sf is
+    nonzero at both ends of each interval, with opposite signs."""
     sf = squarefree_part(p)
-    if sf.degree == 0:
+    if len(sf) == 1:
         return []
-    chain = [q.coeffs for q in sturm_chain(sf)]
-    bound = root_bound(sf)
+    chain = _chain(sf)
+    bound = 1 + Fraction(max(map(abs, sf[:-1])), abs(sf[-1]))
     lo, hi = -bound, bound + 1
     out = []
     todo = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
@@ -208,7 +162,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
             out.append((a, b))
         elif va > vb:
             mid = (a + b) / 2
-            while _value(sf.coeffs, mid) == 0:
+            while _value(sf, mid) == 0:
                 mid = (mid + b) / 2
             vm = _variations_at(chain, mid)
             todo += [(a, mid, va, vm), (mid, b, vm, vb)]
@@ -239,14 +193,15 @@ def bisect_sign_change(f, a, b, fa, tol):
     return (a + b) / 2
 
 
-def refine_root(p: UniPoly, iv: tuple[Fraction, Fraction], tol: Fraction) -> Fraction:
+def refine_root(p: Sequence, iv: tuple[Fraction, Fraction], tol: Fraction) -> Fraction:
     """The root of p in the isolating interval iv = (lo, hi), across which p
     changes sign (pass the square-free part when p has repeated roots), to
     within tol; a low-denominator rational root is returned exactly."""
     lo, hi = iv
+    cs = _integer_coeffs(p)
 
     def sign_of(t):
-        return _value(p.coeffs, t)
+        return _value(cs, t)
 
     mid = bisect_sign_change(sign_of, lo, hi, sign_of(lo), Fraction(tol))
     # snap to a low-denominator rational root: in iv it is the isolated one

@@ -52,9 +52,21 @@ class TestParsing:
     def test_range(self):
         assert parse_range("0:1:0.25") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert parse_range("1.5") == [1.5]
+        assert parse_range("1e15:1e15:1") == [1e15]     # a step of 8 ulp
         for text in ("1:0:0.1", "0:nan:0.1", "0:inf:0.5", "0:1:nan"):
             with pytest.raises(ValueError):
                 parse_range(text)
+
+    @pytest.mark.parametrize("text", ("1e16:1e16:1", "1e17:1e17:1", "1e300:1e300:1",
+                                      "-1e300:-1e300:1"))
+    def test_step_below_the_float_spacing_is_refused(self, capsys, text):
+        # a + k step would stall on one float: 2 or 9 copies of one point, or
+        # (at 1e300) a loop that never passes b + step / 2
+        with pytest.raises(ValueError, match="below the float spacing"):
+            parse_range(text)
+        code, out, err = run(capsys, "gfunc", "--g", "0.5", "--delta", "1", "--eps", "0.3",
+                             f"--x={text}")
+        assert (code, out) == (2, "") and "below the float spacing" in err
 
     @pytest.mark.parametrize("x", ("nan", "inf", "-inf"))
     @pytest.mark.parametrize("cmd", ("gfunc --g 1 --delta 1 --eps 0.3 --x=",
@@ -319,6 +331,30 @@ class TestSubcommands:
         assert obj["A"] == pytest.approx(obj["A_numeric"], rel=1e-5)
         assert obj["B"] == pytest.approx(obj["B_numeric"], rel=1e-5)
 
+    @pytest.mark.parametrize("argv,mirror", (
+        ("--N 1 --eps -1/2 --sign minus", "--N 1 --eps 1/2"),
+        ("--N 0 --eps -1/2", "--N 0 --eps 1/2 --sign minus"),
+        ("--N 2 --eps -3/2 --sign minus", "--N 2 --eps 3/2"),
+    ))
+    def test_residue_at_a_negative_half_integer_bias(self, capsys, argv, mirror):
+        # G(x; eps) = G(x; -eps): each pole of the negative bias is a pole of
+        # the positive one with the other sign, printed alike
+        tail = ("--g", "0.9", "--delta", "1")
+        code, out, err = run(capsys, "residue", *argv.split(), *tail)
+        assert (code, err) == (0, "")
+        assert run(capsys, "residue", *mirror.split(), *tail) == (0, out, "")
+
+    def test_double_pole_at_a_negative_bias_matches_its_own_series(self, capsys):
+        from aqrm.series import ModelParams, residue_numeric
+        code, out, _ = run(capsys, "residue", "--N", "1", "--eps", "-1/2", "--sign", "minus",
+                           "--g", "0.9", "--delta", "1", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["order"], obj["x0"]) == (2, 1.5)
+        A, B = residue_numeric(1.5, ModelParams(0.9, 1, -0.5), order=2)
+        assert obj["A"] == pytest.approx(A, rel=1e-9)
+        assert obj["B"] == pytest.approx(B, rel=1e-9)
+
     def test_residue_simple_fields(self, capsys):
         code, out, _ = run(capsys, "residue", "--N", "2", "--eps", "0.2",
                            "--g", "0.7", "--delta", "1", "--format", "json")
@@ -473,8 +509,8 @@ class TestInputRange:
 
     @pytest.mark.parametrize("argv,message", (
         ("gfunc --g 0.5 --delta 1 --eps 0.3 --x 1:2", "range must be a:b:step"),
-        ("residue --N 1 --eps -1/2 --g 0.9 --delta 1",
-         "use the minus sign for negative bias poles"),
+        ("residue --N 1 --eps -1/2 --g 0.9 --delta 1",    # read as --eps 1/2 --sign minus
+         "x = 0.5 is in the double-pole regime"),
         ("sweep --delta 1 --eps 0.3 --g=-1:0:0.5",
          "sweep grid needs at least one positive coupling"),
         ("tfunc --N 600 --eps 1/2 --delta 1 --g 0.5:0.6:0.05",   # printed T = 0

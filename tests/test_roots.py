@@ -14,14 +14,12 @@ import aqrm.roots as roots_mod
 from _dense import sym_tridiag_eigenvalues, tridiag_count_below
 from aqrm.poly import a_poly, c_weight, constraint_poly, constraint_slice, q_poly
 from aqrm.roots import (
-    UniPoly,
     ZeroPolynomialError,
     bisect_sign_change,
     count_real_roots,
     isolate_real_roots,
     refine_root,
     squarefree_part,
-    sturm_chain,
 )
 
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -69,26 +67,26 @@ def exact_roots(p, tol=Fraction(1, 2 ** 48)):
     return [refine_root(sf, iv, tol) for iv in isolate_real_roots(p)]
 
 
-def y_poly(p, xv) -> UniPoly:
-    """p(xv, y) as a polynomial in y."""
+def y_poly(p, xv) -> list:
+    """The coefficients of p(xv, y) in y, ascending."""
     out = [0] * (max(j for _, j in p.terms) + 1)
     for (i, j), c in p.terms.items():
         out[j] += c * Fraction(xv) ** i
-    return UniPoly(out)
+    return out
 
 
-def from_roots(mults, lead=1) -> UniPoly:
-    """lead prod (x - r)^m over the (root, multiplicity) pairs, by
-    coefficient convolution."""
+def from_roots(mults, lead=1) -> list:
+    """The coefficients of lead prod (x - r)^m over the (root, multiplicity)
+    pairs, ascending, by coefficient convolution."""
     cs = [lead]
     for r, m in mults:
         for _ in range(m):
             cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
-    return UniPoly(cs)
+    return cs
 
 
-def at(p: UniPoly, t):
-    return sum(c * t ** k for k, c in enumerate(p.coeffs))
+def at(p, t):
+    return sum(c * t ** k for k, c in enumerate(p))
 
 
 def dense_det(rows):
@@ -155,40 +153,38 @@ class TestDeterminantForms:
 class TestIsolation:
     def test_rejects_zero(self):
         with pytest.raises(ZeroPolynomialError):
-            isolate_real_roots(UniPoly([]))
+            isolate_real_roots([])
 
     def test_quadratic(self):
-        (lo0, hi0), (lo1, hi1) = isolate_real_roots(UniPoly([-1, 0, 1]))  # x^2 - 1
+        (lo0, hi0), (lo1, hi1) = isolate_real_roots([-1, 0, 1])  # x^2 - 1
         assert lo0 < -1 < hi0 <= lo1 < 1 < hi1
 
-    def test_one_chain_per_isolation(self, monkeypatch):
-        import aqrm.roots as roots_mod
+    def test_one_chain_per_isolation(self):
         from aqrm.spectrum import juddian_roots
 
-        real_chain = roots_mod.sturm_chain
-        calls = []
+        def chains_built(call):
+            roots_mod._chain.cache_clear()
+            out = call()
+            return out, roots_mod._chain.cache_info().misses
 
-        def counting_chain(p):
-            calls.append(p)
-            return real_chain(p)
-
-        monkeypatch.setattr(roots_mod, "sturm_chain", counting_chain)
-        # (x-1)^2 (x-2) (x+3)^3: one chain for its square-free part
+        # (x-1)^2 (x-2) (x+3)^3: one chain for p, whose last member is
+        # gcd(p, p'), and one for its square-free part
         p = from_roots(((1, 2), (2, 1), (-3, 3)))
-        assert isolate_real_roots(p) == [
+        assert chains_built(lambda: isolate_real_roots(p)) == ([
             (Fraction(-8), Fraction(1, 2)),
             (Fraction(1, 2), Fraction(25, 16)),
-            (Fraction(25, 16), Fraction(21, 8))]
-        assert len(calls) == 1
+            (Fraction(25, 16), Fraction(21, 8))], 2)
         # P_2^(2,-1/2)(x, 2^2) = 2 (x + 2)^2: a negative double root
-        calls.clear()
         q = constraint_slice(2, Fraction(-1, 2), 4)
-        assert isolate_real_roots(q) == [(Fraction(-3), Fraction(4))]
-        assert len(calls) == 1
+        assert chains_built(lambda: isolate_real_roots(q)) == (
+            [(Fraction(-3), Fraction(4))], 2)
         assert juddian_roots(2, Fraction(-1, 2), 2) == []
+        # a square-free p: its own chain serves the square-free part too
+        assert chains_built(lambda: isolate_real_roots(from_roots(((1, 1), (2, 1)))))[1] == 1
+        assert chains_built(lambda: juddian_roots(3, Fraction(1, 3), 1.0))[1] == 1
 
     def test_no_real_roots(self):
-        assert isolate_real_roots(UniPoly([1, 0, 1])) == []
+        assert isolate_real_roots([1, 0, 1]) == []
 
     @given(st.dictionaries(
         st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 5, 8))),
@@ -296,8 +292,8 @@ class TestIntegerSturm:
     def test_one_sign_changing_interval_per_distinct_root(self, mults, lead):
         p = from_roots(mults.items(), lead)
         sf = squarefree_part(p)
-        assert all(type(c) is int for c in sf.coeffs)
-        assert sf.degree == len(mults)
+        assert type(sf) is tuple and all(type(c) is int for c in sf)
+        assert len(sf) - 1 == len(mults)
         ivs = isolate_real_roots(p)
         assert [sum(lo < r < hi for r in mults) for lo, hi in ivs] == [1] * len(mults)
         assert all(at(sf, lo) * at(sf, hi) < 0 for lo, hi in ivs)
@@ -309,7 +305,7 @@ class TestIntegerSturm:
             a, b = b, a
         assert roots_mod._neg_prem(a, b) == reference_neg_prem(a, b)
 
-    @given(st.one_of(int_polys.map(UniPoly),
+    @given(st.one_of(int_polys,
                      st.builds(lambda m, lead: from_roots(m.items(), lead), root_mults, leading)))
     @settings(max_examples=80, deadline=None)
     def test_chain_matches_reference_chain(self, p):
@@ -327,20 +323,55 @@ class TestIntegerSturm:
         # -2 (x - 1)(x + 2)(x - 3/2): the chain starts with the primitive
         # multiple of a positive rescaling, so its leading sign stays negative
         p = from_roots(((1, 1), (-2, 1), (Fraction(3, 2), 1)), -2)
-        chain = sturm_chain(p)
-        assert chain[0].coeffs == (-6, 7, 1, -2)
-        assert all(type(c) is int for q in chain for c in q.coeffs)
-        assert [q.degree for q in chain] == [3, 2, 1, 0]
+        chain = roots_mod._chain(roots_mod._integer_coeffs(p))
+        assert chain[0] == (-6, 7, 1, -2)
+        assert all(type(c) is int for q in chain for c in q)
+        assert [len(q) - 1 for q in chain] == [3, 2, 1, 0]
+
+
+class TestCoefficientInput:
+    """What every entry point takes: a sequence of coefficients in ascending
+    degree, normalized once by _integer_coeffs."""
+
+    def test_trailing_zeros_are_dropped(self):
+        assert count_real_roots((-1, 0, 1, 0, 0)) == 2
+        assert isolate_real_roots([-1, 0, 1, 0]) == isolate_real_roots((-1, 0, 1))
+        assert squarefree_part([2, -3, 1, 0, 0]) == (2, -3, 1)
+
+    def test_int_and_fraction_coefficients_mix(self):
+        # (x - 1/2)(x + 3) = x^2 + 5/2 x - 3/2, scaled by 2
+        p = (Fraction(-3, 2), Fraction(5, 2), 1)
+        assert squarefree_part(p) == (-3, 5, 2)
+        assert squarefree_part([-3, Fraction(5), Fraction(2)]) == (-3, 5, 2)
+        assert count_real_roots(p, lo=Fraction(0)) == 1
+        (lo, hi), = [iv for iv in isolate_real_roots(p) if iv[1] > 0]
+        assert refine_root(p, (lo, hi), Fraction(1, 2 ** 30)) == Fraction(1, 2)
+
+    def test_float_coefficient_is_its_exact_dyadic_value(self):
+        # x - 0.1 has its root at Fraction(0.1), a little above 1/10
+        p = [-0.1, 1]
+        assert Fraction(0.1) > Fraction(1, 10)
+        assert squarefree_part(p) == (-Fraction(0.1).numerator, Fraction(0.1).denominator)
+        assert count_real_roots(p, lo=Fraction(1, 10)) == 1
+        assert count_real_roots(p, hi=Fraction(1, 10)) == 0
+        r = refine_root(p, (Fraction(0), Fraction(1)), Fraction(1, 2 ** 80))
+        assert abs(r - Fraction(0.1)) <= Fraction(1, 2 ** 80)
+
+    @pytest.mark.parametrize("zero", ((), (0, 0), [Fraction(0)]))
+    @pytest.mark.parametrize("entry", (squarefree_part, count_real_roots, isolate_real_roots))
+    def test_zero_polynomial_is_refused(self, entry, zero):
+        with pytest.raises(ZeroPolynomialError):
+            entry(zero)
 
 
 class TestRefine:
     def test_linear(self):
-        p = UniPoly([Fraction(-1, 2), 1])
+        p = [Fraction(-1, 2), 1]
         r = refine_root(p, (Fraction(0), Fraction(1)), Fraction(1, 2 ** 20))
         assert abs(r - Fraction(1, 2)) <= Fraction(1, 2 ** 20)
 
     def test_width_contract(self):
-        p = UniPoly([-2, 0, 1])  # sqrt(2)
+        p = [-2, 0, 1]  # sqrt(2)
         iv = isolate_real_roots(p)[1]
         tol = Fraction(1, 2 ** 40)
         r = refine_root(p, iv, tol)

@@ -72,3 +72,17 @@ def test_public_methods_have_a_caller_outside_the_tests():
             if not any(re.search(rf"\.{node.name}\b", t) for t in rest):
                 unused.append(f"{path.stem}.{cls.name}.{node.name}")
     assert unused == [], "public, but only tests name it"
+
+
+def test_exact_families_do_not_import_the_root_finder():
+    # poly builds the polynomials that roots reads, never the other way round
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "poly.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            if module in (".", "aqrm"):
+                imported.update(f"{module.rstrip('.')}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {".roots", "aqrm.roots"} & imported
