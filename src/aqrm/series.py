@@ -10,8 +10,9 @@ summed with its reciprocal gamma factor folded into every coefficient, and
 included. G itself keeps its poles (PoleEncountered).
 
 Each series is one loop that recurs and sums together: _summed for the
-K-series of G (and the tail of calG's), _phi_tail for each Frobenius
-solution at its matching point."""
+K-series of G (and the tail of calG's, whose 1-jets at a pole are the same
+series run at a complex x), _phi_tail for each Frobenius solution at its
+matching point."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ _HALF_INT_TOL = 1e-9
 _TOL = 1e-14
 _MAX_TERMS = 2000
 _STREAK = 8
+_H = 1e-30                 # complex step of the branch jets
 
 
 class PoleEncountered(ArithmeticError):
@@ -137,8 +139,8 @@ def k_sequence(x: float, params: ModelParams, sign: Sign, n_max: int) -> list[fl
     return ks[1:]
 
 
-def _summed(x: float, params: ModelParams, s: float, n: int = 0, k2: float = 0.0,
-            k1: float = 1.0, gn: float = 1.0, R: float = 0.0,
+def _summed(x: float | complex, params: ModelParams, s: float, n: int = 0,
+            k2: float = 0.0, k1: float = 1.0, gn: float = 1.0, R: float = 0.0,
             Rbar: float = 0.0) -> SeriesState:
     """Add K_n g^n to R and K_n g^n / d_n to Rbar for the branch with s = +eps
     or -eps, until the stop rule above holds: d_n = x - n + s, K_0 = 1 and
@@ -146,7 +148,7 @@ def _summed(x: float, params: ModelParams, s: float, n: int = 0, k2: float = 0.0
     f_n = 2g + (n - x + s + Delta^2/d_n) / (2g). The pole d_n is checked
     before term n (PoleEncountered). Seeded with a later n, (K_{n-1}, K_n) as
     (k2, k1) and gn = g^n, it runs the same recurrence on any multiple of K
-    from there."""
+    from there, at a real or a complex x (stop rule on moduli)."""
     g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
     streak = 0
     for n in range(n, _MAX_TERMS + 1):
@@ -161,7 +163,8 @@ def _summed(x: float, params: ModelParams, s: float, n: int = 0, k2: float = 0.0
         if abs(tR) <= _TOL * (1.0 + abs(R)) and abs(tRbar) <= _TOL * (1.0 + abs(Rbar)):
             streak += 1
             if streak >= _STREAK:
-                return SeriesState(R, Rbar, n, math.isfinite(R) and math.isfinite(Rbar))
+                finite = math.isfinite(abs(R)) and math.isfinite(abs(Rbar))
+                return SeriesState(R, Rbar, n, finite)
         else:
             streak = 0
         f = two_g + (n - x + s + d2 / d) / two_g
@@ -175,7 +178,7 @@ def k_coefficients(x: float, params: ModelParams, sign: Sign) -> SeriesState:
     return _summed(x, params, _branch_shift(params, sign))
 
 
-def _scaled_sums(x: float, params: ModelParams, sign: Sign) -> SeriesState:
+def _scaled_sums(x: float | complex, params: ModelParams, sign: Sign) -> SeriesState:
     """The partial sums of k_coefficients times 1/Gamma(-x - s), s = +eps or
     -eps: sum c_n g^n and sum c_n g^n / d_n with c_n = K_n / Gamma(-x - s)
     and d_n = x - n + s. Every term is finite at every x, the branch's poles
@@ -189,15 +192,16 @@ def _scaled_sums(x: float, params: ModelParams, sign: Sign) -> SeriesState:
         c_n = (-1)^n L_n w_n,    c_n / d_n = (-1)^(n+1) L_n w_{n+1}
     are exact zeros or finite numbers at a pole. These m terms are all
     added, since at a pole y = N the first N are exact zeros that must not
-    stop the series; from m on, _summed continues c_n under the stop rule."""
+    stop the series; from m on, _summed continues c_n under the stop rule.
+    A complex x takes m and the seed w_m from its real part: w_m stays real."""
     s = _branch_shift(params, sign)
     g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
     y = x + s
-    m = max(0, math.floor(y + 0.5) + 1)
+    m = max(0, math.floor(y.real + 0.5) + 1)
     if m > _MAX_TERMS:          # the tail would start past the term cap
-        raise NonConvergent(f"G-function series not converged at x={x}")
+        raise NonConvergent(f"G-function series not converged at x={x.real}")
     w = [0.0] * (m + 1)
-    w[m] = reciprocal_gamma(m - y)
+    w[m] = reciprocal_gamma(m - y.real)
     for n in range(m - 1, -1, -1):
         w[n] = (n - y) * w[n + 1]
     R = Rbar = c = L2 = 0.0
@@ -333,57 +337,17 @@ def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
 def _branch_jets(x0: float, params: ModelParams,
                  sign: Sign) -> tuple[float, float, float, float]:
     """The 1-jet (S, S', Sbar, Sbar') at x = x0 of the two _scaled_sums of
-    one branch, each quantity of the same L/w head and K tail carried with
-    its x-derivative. The seed w_m is held fixed (w'_m = 0): at a pole
-    y0 = x0 + s = m - 1, where w_m = 1/Gamma(1) = 1, the true derivatives add
-    psi(1) S, which _finite_parts cancels. Raises NonConvergent unless all
-    four sums settle to finite values. Cached: jets are only ever read."""
-    s = _branch_shift(params, sign)
-    g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
-    y = x0 + s
-    m = max(0, math.floor(y + 0.5) + 1)
-    if m > _MAX_TERMS:
+    one branch, read from the same series at x0 + i _H (complex step): real
+    parts S, Sbar and imaginary parts _H S', _H Sbar', with no cancellation.
+    The seed w_m is real (w'_m = 0): at a pole y0 = x0 + s = m - 1, where
+    w_m = 1/Gamma(1) = 1, the true derivatives add psi(1) S, which
+    _finite_parts cancels. Raises NonConvergent unless both sums settle to
+    finite values. Cached: jets are only ever read."""
+    sums = _scaled_sums(complex(x0, _H), params, sign)
+    if not sums.converged:
         raise NonConvergent(f"branch jets not converged at x0={x0}")
-    w, dw = [0.0] * (m + 1), [0.0] * (m + 1)
-    w[m] = reciprocal_gamma(m - y)
-    for n in range(m - 1, -1, -1):
-        w[n] = (n - y) * w[n + 1]
-        dw[n] = (n - y) * dw[n + 1] - w[n + 1]
-    S = dS = Sb = dSb = c = dc = L2 = dL1 = dL2 = 0.0
-    L1 = gn = alt = 1.0
-    for n in range(m):
-        c, dc = alt * L1 * w[n], alt * (dL1 * w[n] + L1 * dw[n])
-        S += c * gn
-        dS += dc * gn
-        Sb -= alt * L1 * w[n + 1] * gn
-        dSb -= alt * (dL1 * w[n + 1] + L1 * dw[n + 1]) * gn
-        d = y - n
-        a = two_g + (n - x0 + s) / two_g
-        p, dp, q = a * d + d2 / two_g, a - d / two_g, d * (d + 1.0)
-        L2, L1, dL2, dL1 = L1, (p * L1 - q * L2) / (n + 1), dL1, \
-            (dp * L1 + p * dL1 - (2.0 * d + 1.0) * L2 - q * dL2) / (n + 1)
-        gn *= g
-        alt = -alt
-    acc = (S, dS, Sb, dSb)
-    k2, dk2, k1, dk1 = c, dc, alt * L1 * w[m], alt * dL1 * w[m]
-    streak = 0
-    for n in range(m, _MAX_TERMS + 1):
-        d = x0 - n + s
-        terms = (k1 * gn, dk1 * gn, k1 * gn / d, (dk1 - k1 / d) * gn / d)
-        acc = tuple(a + t for a, t in zip(acc, terms))
-        if all(abs(t) <= _TOL * (1.0 + abs(a)) for a, t in zip(acc, terms)):
-            streak += 1
-            if streak >= _STREAK:
-                if all(map(math.isfinite, acc)):
-                    return acc
-                break
-        else:
-            streak = 0
-        f = two_g + (n - x0 + s + d2 / d) / two_g
-        df = -(1.0 + d2 / (d * d)) / two_g
-        k2, dk2, k1, dk1 = k1, dk1, (f * k1 - k2) / (n + 1), (df * k1 + f * dk1 - dk2) / (n + 1)
-        gn *= g
-    raise NonConvergent(f"branch jets not converged at x0={x0}")
+    S, Sb = sums.sum_R, sums.sum_Rbar
+    return S.real, S.imag / _H, Sb.real, Sb.imag / _H
 
 
 def _finite_parts(x0: float, params: ModelParams, sign: Sign) -> tuple[float, float]:

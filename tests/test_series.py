@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aqrm.series as series_mod
@@ -555,6 +555,59 @@ class TestQFunctions:
         vals = (*q_functions(1, 1, p), b_function(1, 1, p),
                 *double_pole_coefficients(1, 1, p))
         assert all(math.isfinite(v) for v in vals)
+
+
+_EULER_GAMMA = 0.5772156649015329
+
+
+def pole_draws(test):
+    # (N, ell, sign, g, Delta), the pole at the origin always among them
+    for sign in ("plus", "minus"):
+        test = example(0, 0, sign, 0.7, 1.1)(test)
+    return given(st.integers(0, 4), st.integers(-3, 3), st.sampled_from(["plus", "minus"]),
+                 st.floats(0.05, 3.0), st.floats(0.05, 2.0))(test)
+
+
+class TestBranchJets:
+    """The 1-jets at a pole x0 = N + ell/2 with eps = ell/2, against the
+    float scaled series of the same branch."""
+
+    @pole_draws
+    @settings(max_examples=80, deadline=None)
+    def test_values_are_the_float_sums(self, N, ell, sign, g, delta):
+        from aqrm.series import _branch_jets, _scaled_sums
+        x0, p = N + ell / 2.0, ModelParams(g, delta, ell / 2.0)
+        sums = _scaled_sums(x0, p, sign)
+        assert sums.converged
+        assert _branch_jets(x0, p, sign)[0::2] == (sums.sum_R, sums.sum_Rbar)
+
+    @pole_draws
+    @settings(max_examples=80, deadline=None)
+    def test_derivatives_match_a_central_difference(self, N, ell, sign, g, delta):
+        # the jet holds the seed w_m = 1/Gamma(m - y) fixed, so it lacks the
+        # term psi(m - y0) S of the true derivative; at these points m - y0
+        # is a positive integer k, where psi(k) = H_(k-1) - Euler's gamma
+        from aqrm.series import _branch_jets, _scaled_sums
+        x0, p = N + ell / 2.0, ModelParams(g, delta, ell / 2.0)
+        y0 = round(x0 + (p.eps if sign == "plus" else -p.eps))
+        k = max(0, y0 + 1) - y0
+        psi = sum(1.0 / j for j in range(1, k)) - _EULER_GAMMA
+
+        def central(h):
+            hi, lo = _scaled_sums(x0 + h, p, sign), _scaled_sums(x0 - h, p, sign)
+            assert hi.converged and lo.converged
+            return ((hi.sum_R - lo.sum_R) / (2 * h), (hi.sum_Rbar - lo.sum_Rbar) / (2 * h))
+
+        S, dS, Sb, dSb = _branch_jets(x0, p, sign)
+        for value, jet, d1, d2 in zip((S, Sb), (dS, dSb), central(1e-3), central(5e-4)):
+            ref = (4.0 * d2 - d1) / 3.0 - psi * value
+            assert abs(jet - ref) <= 1e-8 * max(1.0, abs(value), abs(jet))
+
+    def test_unreachable_tail_names_the_real_point(self):
+        with pytest.raises(NonConvergent) as info:
+            q_functions(2100, 1, ModelParams(0.5, 1.0, 0.5))
+        # the jet runs the series at a complex x; the message keeps its real part
+        assert str(info.value).endswith("=2100.5")
 
 
 class TestBFunction:

@@ -86,3 +86,14 @@ def test_exact_families_do_not_import_the_root_finder():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {".roots", "aqrm.roots"} & imported
+
+
+def test_branch_jets_reuse_the_scaled_series():
+    # the jets are the scaled series run at a complex x: no loop of their own,
+    # so a hand-differentiated copy of that series cannot come back
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    jets = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_branch_jets")
+    loops = [type(node).__name__ for node in ast.walk(jets)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []
