@@ -58,9 +58,13 @@ def nonneg_int(text: str) -> int:
     return n
 
 
+MAX_GRID_STEPS = 10 ** 6     # parse_range refuses a longer grid before building it
+
+
 def parse_range(text: str) -> list[float]:
     """Grid syntax 'a:b:step' (inclusive ends, within half a step; a, b and
-    step finite); a bare finite number gives a single-point grid."""
+    step finite; at most MAX_GRID_STEPS steps from a to b); a bare finite
+    number gives a single-point grid."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError("range must be a:b:step")
@@ -74,6 +78,8 @@ def parse_range(text: str) -> list[float]:
         raise ValueError("need step > 0 and b >= a")
     if step < math.ulp(max(abs(a), abs(b))):
         raise ValueError("step is below the float spacing of the range ends")
+    if (b - a) / step > MAX_GRID_STEPS:
+        raise ValueError(f"grid spans more than {MAX_GRID_STEPS} steps")
     out = []
     k = 0
     while True:

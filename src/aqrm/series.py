@@ -1,8 +1,8 @@
 """Series-defined analytic machinery: the K-coefficient recurrences behind the
 G-function, Frobenius solutions at the model's regular singular points, the
 constraint T-functions for exceptional eigenvalues, pole expansions of the
-G-function (residues, double-pole coefficients, regularized sums), and the
-gamma-regularized function calG whose zeros give the complete spectrum.
+G-function (residues; double-pole coefficients from the T-function and the
+regularized sums), and calG whose zeros give the complete spectrum.
 
 calG = G / (Gamma(eps-x) Gamma(-eps-x)) has no poles: each branch's series is
 summed with its reciprocal gamma factor folded into every coefficient, and
@@ -77,9 +77,16 @@ def is_half_integer(eps: float) -> bool:
     return abs(2.0 * eps - round(2.0 * eps)) < _HALF_INT_TOL
 
 
-def _C(n: int) -> float:
-    """1 / (n! (n+1)!)."""
-    return 1.0 / (math.factorial(n) * math.factorial(n + 1))
+def _C(*levels: int) -> float:
+    """The product of 1/(n! (n+1)!) over the levels n; ArithmeticError, naming
+    the first, where it is below the smallest normal float."""
+    c = 1.0
+    for n in levels:
+        f = math.factorial(n) * math.factorial(n + 1)
+        c *= 1.0 / f if f <= 1.0 / sys.float_info.min else 0.0
+    if c < sys.float_info.min:
+        raise ArithmeticError(f"1/(N!(N+1)!) factors underflow at N={levels[0]}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +378,12 @@ def _finite_parts(x0: float, params: ModelParams, sign: Sign) -> tuple[float, fl
 # residues and pole coefficients
 # ---------------------------------------------------------------------------
 
-def _branch_singular(x0: float, eps: float, sign: Sign) -> bool:
-    s = eps if sign == "plus" else -eps
-    n = round(x0 + s)
-    return n >= 0 and abs(x0 - n + s) < _HALF_INT_TOL
-
-
 def residue_simple(N: int, params: ModelParams, sign: Sign = "plus") -> float:
     """Closed-form residue of G at the simple pole x = N + eps (sign="plus")
     or x = N - eps: 1/(N!(N+1)!) Delta^2 P_N((2g)^2, Delta^2) T_N."""
     e_eff = _branch_shift(params, sign)
     x0 = N + e_eff
-    if _branch_singular(x0, params.eps, "plus") and _branch_singular(x0, params.eps, "minus"):
+    if is_half_integer(e_eff) and round(N + 2 * e_eff) >= 0:
         raise WrongPoleOrder(f"x = {x0} is in the double-pole regime")
     pn = constraint_value(N, e_eff, N, 4.0 * params.g ** 2, params.delta ** 2)
     return _C(N) * params.delta ** 2 * pn * t_function(N, params, sign)
@@ -408,47 +409,24 @@ def residue_numeric(x0: float, params: ModelParams, order: int = 1,
     return out[0] if order == 1 else tuple(out)
 
 
-def _require_half_integer(params: ModelParams, ell: int):
-    if abs(params.eps - ell / 2.0) > _HALF_INT_TOL:
-        raise ValueError(f"eps must equal ell/2 = {ell / 2.0}, got {params.eps}")
-
-
-def q_functions(N: int, ell: int,
-                params: ModelParams) -> tuple[float, float, float, float]:
-    """Finite parts at x = N + ell/2 of (R-, Rbar-, R+, Rbar+): the four sums
-    with their pole term removed, Q = lim (R - Res/(x - x0)), read from the
-    1-jets of the pole-free scaled series (_finite_parts)."""
-    _require_half_integer(params, ell)
-    x0 = N + ell / 2.0
-    return _finite_parts(x0, params, "minus") + _finite_parts(x0, params, "plus")
-
-
 def double_pole_coefficients(N: int, ell: int,
                              params: ModelParams) -> tuple[float, float]:
     """Laurent coefficients A/(x-x0)^2 + B/(x-x0) of G at x0 = N + ell/2 when
-    eps = ell/2, in closed form.
-
-    A = C(N) C(N+l) Delta^4 P_N P_{N+l} T_N  (the off-diagonal product of the
-    two branch residues; it vanishes to first order at a zero of T).
-    B combines the branch finite parts through the regularized sums.
-    """
-    _require_half_integer(params, ell)
+    eps = ell/2, from the paper's constraint relations: with
+    c = C(N) C(N+l) Delta^2 P_N and C(n) = 1/(n!(n+1)!),
+        A = c Delta^2 P_{N+l} T_N,    B = c (B(N+l, -l) + A_N^l B(N, l)),
+    T_N the plus T-function at bias l/2 (A vanishes to first order at its
+    zeros) and the bracket b_residual. Where C(N) C(N+l) is below the
+    smallest normal float it raises ArithmeticError, not A = B = 0."""
     if ell < 0:
         raise ValueError("ell must be nonnegative here")
-    g2 = 4.0 * params.g ** 2
-    d2 = params.delta ** 2
+    g2, d2 = 4.0 * params.g ** 2, params.delta ** 2
+    scale = _C(N, N + ell) * d2
+    resid = b_residual(N, ell, params)
     pn = constraint_value(N, ell / 2.0, N, g2, d2)
     pnl = constraint_value(N + ell, -ell / 2.0, N + ell, g2, d2)
-    Rm, Rbm = _phi_tail(1, N, params, ell / 2.0)[:2]
-    Rp, Rbp = _phi_tail(2, N, params, ell / 2.0)[:2]
-    A = _C(N) * _C(N + ell) * d2 * d2 * pn * pnl * (Rbp * Rbm - Rp * Rm)
-
-    qm, qbm, qp, qbp = q_functions(N, ell, params)
-    aval = a_value(N, ell, g2, d2)
-    bracket = (Rbm * (params.delta * qbp) - Rm * qp) / _C(N + ell) \
-        + aval * (Rbp * (params.delta * qbm) - Rp * qm) / _C(N)
-    B = _C(N) * _C(N + ell) * d2 * pn * bracket
-    return A, B
+    T = t_function(N, ModelParams(params.g, params.delta, ell / 2.0), "plus")
+    return scale * d2 * pn * pnl * T, scale * pn * resid
 
 
 def b_function(N: int, ell: int, params: ModelParams) -> float:
@@ -466,6 +444,7 @@ def b_function(N: int, ell: int, params: ModelParams) -> float:
 def b_residual(N: int, ell: int, params: ModelParams) -> float:
     """Residual of the residue-vanishing relation at the double pole
     x = N + ell/2: B(N+l, -l) + A_N^l((2g)^2, Delta^2) B(N, l)."""
-    _require_half_integer(params, ell)
+    if abs(params.eps - ell / 2.0) > _HALF_INT_TOL:
+        raise ValueError(f"eps must equal ell/2 = {ell / 2.0}, got {params.eps}")
     aval = a_value(N, ell, 4.0 * params.g ** 2, params.delta ** 2)
     return b_function(N + ell, -ell, params) + aval * b_function(N, ell, params)

@@ -68,6 +68,23 @@ class TestParsing:
                              f"--x={text}")
         assert (code, out) == (2, "") and "below the float spacing" in err
 
+    def test_grid_past_the_step_cap_is_refused_before_it_is_built(self, capsys):
+        # checked first on a grid one step past the cap, which costs 32 MB if
+        # built, so that a parse_range that builds first stops here and not
+        # on the 10^9 points (about 32 GB) of the command line below
+        import tracemalloc
+        with pytest.raises(ValueError, match="more than 1000000 steps"):
+            parse_range("0:1000001:1")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "gfunc", "--g", "0.5", "--delta", "1",
+                                 "--eps", "0.3", "--x", "0:1e9:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", "error: grid spans more than 1000000 steps\n")
+        assert peak < 4 * 2 ** 20
+
     @pytest.mark.parametrize("x", ("nan", "inf", "-inf"))
     @pytest.mark.parametrize("cmd", ("gfunc --g 1 --delta 1 --eps 0.3 --x=",
                                      "sweep --delta 1 --eps 1/2 --g=",
@@ -515,6 +532,10 @@ class TestInputRange:
          "sweep grid needs at least one positive coupling"),
         ("tfunc --N 600 --eps 1/2 --delta 1 --g 0.5:0.6:0.05",   # printed T = 0
          "T-function products underflow at N=600, g=0.5"),
+        ("residue --N 60 --eps 1/2 --g 0.5 --delta 1",   # printed A = B = 0
+         "1/(N!(N+1)!) factors underflow at N=60"),
+        ("residue --N 98 --eps 0.3 --g 0.5 --delta 1",   # N!(N+1)! is past the floats
+         "1/(N!(N+1)!) factors underflow at N=98"),
     ))
     def test_refusal_message(self, capsys, argv, message):
         assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")

@@ -23,7 +23,6 @@ from aqrm.series import (
     g_function,
     k_coefficients,
     k_sequence,
-    q_functions,
     reciprocal_gamma,
     regularized_g,
     residue_numeric,
@@ -504,9 +503,13 @@ class TestDoublePole:
 
 
 class TestQFunctions:
+    """The finite parts Q, Qbar of a branch's R and Rbar at its pole, read
+    from the scaled series' 1-jet (_finite_parts)."""
+
     def test_zero_bias_symmetry(self):
         p = ModelParams(0.8, 1.0, 0.0)
-        qm, qbm, qp, qbp = q_functions(1, 0, p)
+        _, qm, _, qbm = _branch_laurent(1.0, p, "minus")
+        _, qp, _, qbp = _branch_laurent(1.0, p, "plus")
         assert qm == pytest.approx(qp, rel=1e-12)
         assert qbm == pytest.approx(qbp, rel=1e-12)
 
@@ -514,7 +517,7 @@ class TestQFunctions:
         p = ModelParams(0.8, 1.0, 0.5)
         with pytest.raises(PoleEncountered):
             g_function(1.5, p)
-        vals = q_functions(1, 1, p)
+        vals = _branch_laurent(1.5, p, "minus") + _branch_laurent(1.5, p, "plus")
         assert all(math.isfinite(v) for v in vals)
 
     @pytest.mark.parametrize("sign", ["minus", "plus"])
@@ -524,8 +527,6 @@ class TestQFunctions:
         p = ModelParams(0.8, 1.0, ell / 2.0)
         x0 = N + ell / 2.0
         res, q, res_bar, q_bar = _branch_laurent(x0, p, sign)
-        qs = q_functions(N, ell, p)
-        assert (q, q_bar) == (qs[:2] if sign == "minus" else qs[2:])
         h = 1e-4
         sp = k_coefficients(x0 + h, p, sign)
         sm = k_coefficients(x0 - h, p, sign)
@@ -536,9 +537,10 @@ class TestQFunctions:
 
     def test_regular_branch_is_the_plain_sum(self):
         # at eps = -1 the plus branch has no pole at x0 = 0 (y0 = -1)
+        from aqrm.series import _finite_parts
         p = ModelParams(0.8, 1.0, -1.0)
         sums = k_coefficients(0.0, p, "plus")
-        qp, qbp = q_functions(1, -2, p)[2:]
+        qp, qbp = _finite_parts(0.0, p, "plus")
         assert rel_close(qp, sums.sum_R, 1e-13)
         assert rel_close(qbp, sums.sum_Rbar, 1e-13)
 
@@ -546,14 +548,17 @@ class TestQFunctions:
     def test_overflowing_jet_raises(self, g):
         # the scaled sums overflow at this coupling; no inf or nan may pass
         p = ModelParams(g, 1.0, 0.5)
-        for f in (q_functions, b_function, double_pole_coefficients):
+        for sign in ("minus", "plus"):
+            with pytest.raises(NonConvergent):
+                _branch_laurent(1.5, p, sign)
+        for f in (b_function, double_pole_coefficients):
             with pytest.raises(NonConvergent):
                 f(1, 1, p)
 
     def test_finite_below_the_overflow(self):
         p = ModelParams(9.5, 1.0, 0.5)
-        vals = (*q_functions(1, 1, p), b_function(1, 1, p),
-                *double_pole_coefficients(1, 1, p))
+        vals = (*_branch_laurent(1.5, p, "minus"), *_branch_laurent(1.5, p, "plus"),
+                b_function(1, 1, p), *double_pole_coefficients(1, 1, p))
         assert all(math.isfinite(v) for v in vals)
 
 
@@ -605,7 +610,7 @@ class TestBranchJets:
 
     def test_unreachable_tail_names_the_real_point(self):
         with pytest.raises(NonConvergent) as info:
-            q_functions(2100, 1, ModelParams(0.5, 1.0, 0.5))
+            b_function(2100, 1, ModelParams(0.5, 1.0, 0.5))
         # the jet runs the series at a complex x; the message keeps its real part
         assert str(info.value).endswith("=2100.5")
 
@@ -619,6 +624,17 @@ class TestBFunction:
         pn = constraint_value(N, ell / 2.0, N, (2 * g) ** 2, delta ** 2)
         resid = b_residual(N, ell, p)
         assert rel_close(B, _C(N) * _C(N + ell) * delta ** 2 * pn * resid, 1e-10)
+
+    @given(st.integers(0, 6), st.integers(0, 4), st.floats(0.05, 3.0), st.floats(0.05, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_residue_is_the_scaled_residual(self, N, ell, g, delta):
+        # B = c b_residual, c = C(N) C(N+l) Delta^2 P_N, to the last bit: the
+        # bracket is summed once, by b_residual, not again from the finite parts
+        from aqrm.series import _C
+        p = ModelParams(g, delta, ell / 2.0)
+        _, B = double_pole_coefficients(N, ell, p)
+        pn = constraint_value(N, ell / 2.0, N, 4.0 * g ** 2, delta ** 2)
+        assert B == _C(N) * _C(N + ell) * delta ** 2 * pn * b_residual(N, ell, p)
 
     def test_residual_zero_curve_point(self):
         # bisect a residue-vanishing point in g at fixed Delta (level 1, l=2)

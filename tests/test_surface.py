@@ -97,3 +97,15 @@ def test_branch_jets_reuse_the_scaled_series():
     loops = [type(node).__name__ for node in ast.walk(jets)
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert loops == []
+
+
+def test_double_pole_coefficients_come_from_the_constraint_relations():
+    # A from t_function and B from b_residual: no second Frobenius bracket
+    # or finite-part combination beside theirs
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "double_pole_coefficients")
+    called = {node.func.id for node in ast.walk(body)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"t_function", "b_residual"} <= called
+    assert not {"_phi_tail", "_finite_parts", "a_value", "q_functions"} & called
