@@ -7,7 +7,6 @@ from .roots import isolate_real_roots
 from .series import (
     ModelParams,
     g_function,
-    reciprocal_gamma,
     regularized_g,
     t_function,
 )
@@ -19,6 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BivarPoly", "EigenvalueRecord", "ModelParams", "a_poly", "constraint_poly",
     "constraint_poly_det", "full_spectrum", "g_function", "isolate_real_roots",
-    "juddian_roots", "lowest_eigenvalues", "reciprocal_gamma", "regularized_g",
-    "t_function", "verify_divisibility",
+    "juddian_roots", "lowest_eigenvalues", "regularized_g", "t_function",
+    "verify_divisibility",
 ]

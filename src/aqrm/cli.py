@@ -121,7 +121,7 @@ def _emit_rows(rows: list[dict], args, fields=spectrum.SPECTRUM_FIELDS):
 # ---------------------------------------------------------------------------
 
 def cmd_poly(args) -> int:
-    eps = Fraction(args.eps) if not isinstance(args.eps, Fraction) else args.eps
+    eps = Fraction(args.eps)
     k = args.N if args.k is None else args.k
     if args.family == "constraint":
         p = poly.constraint_poly(args.N, eps, k)

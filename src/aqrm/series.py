@@ -90,39 +90,6 @@ def _C(*levels: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reciprocal gamma: Lanczos with reflection
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-            771.32342877765313, -176.61502916214059, 12.507343278686905,
-            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-
-
-def _gamma_lanczos(z: float) -> float:
-    """Gamma(z) for z >= 0.5."""
-    w = z - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * math.exp(-t) * acc
-
-
-def reciprocal_gamma(z: float) -> float:
-    """1/Gamma(z); exactly 0 at nonpositive integers, by branch."""
-    if z == math.floor(z) and z <= 0.0:
-        return 0.0
-    if z >= 0.5:
-        return 1.0 / _gamma_lanczos(z)
-    # reflection: 1/Gamma(z) = Gamma(1-z) sin(pi z) / pi, with the sine
-    # evaluated through its nearest-integer reduction for accuracy
-    n = round(z)
-    s = math.sin(math.pi * (z - n)) * (1.0 if n % 2 == 0 else -1.0)
-    return _gamma_lanczos(1.0 - z) * s / math.pi
-
-
-# ---------------------------------------------------------------------------
 # K-coefficient series of the G-function
 # ---------------------------------------------------------------------------
 
@@ -195,12 +162,14 @@ def _scaled_sums(x: float | complex, params: ModelParams, sign: Sign) -> SeriesS
     n >= m at most -1/2. Below m, L_n = K_n prod_{j<n} d_j follows
         n L_n = (f_{n-1} d_{n-1}) L_{n-1} - d_{n-1} d_{n-2} L_{n-2},
     whose coefficients are polynomials in x, and w_n = 1/Gamma(n - y) runs
-    down from one Lanczos value w_m by w_n = (n - y) w_{n+1}, so
+    down from one math.gamma value w_m by w_n = (n - y) w_{n+1}, so
         c_n = (-1)^n L_n w_n,    c_n / d_n = (-1)^(n+1) L_n w_{n+1}
-    are exact zeros or finite numbers at a pole. These m terms are all
-    added, since at a pole y = N the first N are exact zeros that must not
-    stop the series; from m on, _summed continues c_n under the stop rule.
-    A complex x takes m and the seed w_m from its real part: w_m stays real."""
+    are exact zeros or finite numbers at a pole. The seed's argument m - y
+    is in (1/2, 3/2] for y >= -1/2 and -y > 1/2 below, never a pole of
+    Gamma. These m terms are all added, since at a pole y = N the first N
+    are exact zeros that must not stop the series; from m on, _summed
+    continues c_n under the stop rule. A complex x takes m and the seed w_m
+    from its real part: w_m stays real."""
     s = _branch_shift(params, sign)
     g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
     y = x + s
@@ -208,7 +177,7 @@ def _scaled_sums(x: float | complex, params: ModelParams, sign: Sign) -> SeriesS
     if m > _MAX_TERMS:          # the tail would start past the term cap
         raise NonConvergent(f"G-function series not converged at x={x.real}")
     w = [0.0] * (m + 1)
-    w[m] = reciprocal_gamma(m - y.real)
+    w[m] = 1.0 / math.gamma(m - y.real)
     for n in range(m - 1, -1, -1):
         w[n] = (n - y) * w[n + 1]
     R = Rbar = c = L2 = 0.0
@@ -347,7 +316,7 @@ def _branch_jets(x0: float, params: ModelParams,
     one branch, read from the same series at x0 + i _H (complex step): real
     parts S, Sbar and imaginary parts _H S', _H Sbar', with no cancellation.
     The seed w_m is real (w'_m = 0): at a pole y0 = x0 + s = m - 1, where
-    w_m = 1/Gamma(1) = 1, the true derivatives add psi(1) S, which
+    w_m = 1/Gamma(1) = 1 exactly, the true derivatives add psi(1) S, which
     _finite_parts cancels. Raises NonConvergent unless both sums settle to
     finite values. Cached: jets are only ever read."""
     sums = _scaled_sums(complex(x0, _H), params, sign)
@@ -358,17 +327,15 @@ def _branch_jets(x0: float, params: ModelParams,
 
 
 def _finite_parts(x0: float, params: ModelParams, sign: Sign) -> tuple[float, float]:
-    """Finite parts (Q, Qbar) at x0 of the branch's R and Rbar. At a pole
-    y0 = x0 + s = N' >= 0, Gamma(-x - s) = c (-1/u + psi(N'+1) + O(u)) with
+    """Finite parts (Q, Qbar) at x0 of the branch's R and Rbar, which must
+    be a pole: y0 = x0 + s = N' >= 0 (b_function asks at y0 = N or N + l).
+    There Gamma(-x - s) = c (-1/u + psi(N'+1) + O(u)) with
     u = x - x0 and c = (-1)^N'/N'!, so R = S Gamma(-x - s) has residue
     -c S(x0) and finite part c (psi(N'+1) S(x0) - S'(x0)); the jet's missing
     psi(1) S cancels the -gamma of psi(N'+1) = H_N' - gamma, so H_N' stands in
-    for it. A regular branch (y0 < 0) gives Q = R(x0) = S(x0) / w_0."""
+    for it."""
     S, dS, Sb, dSb = _branch_jets(x0, params, sign)
     n = round(x0 + _branch_shift(params, sign))
-    if n < 0:
-        w0 = reciprocal_gamma(-n)
-        return S / w0, Sb / w0
     c = (-1) ** n / math.factorial(n)
     h = sum(1.0 / k for k in range(1, n + 1))
     return c * (h * S - dS), c * (h * Sb - dSb)

@@ -39,6 +39,9 @@ KIND_NON_JUDDIAN = "non-juddian-exceptional"
 _RATIONAL_EPS_CAP = 10 ** 4      # largest denominator recognized as exact bias
 _FLOOR = 1e-9                    # narrowest bracket split on the level count
 _H = 2.0 ** -34                  # level grid: the count's rounding band holds one point
+_JUDDIAN_TOL = Fraction(1, 2 ** 48)  # width to which a Juddian root x = (2g)^2 is refined
+_T_SCAN_STEP = 0.01              # T-zero scan in g: two zeros in one step cancel unseen
+_T_ZERO_TOL = 1e-10              # width to which a T-zero in g is bisected
 
 
 # x = lambda + g^2; branch is "plus_eps" or "minus_eps" for exceptional kinds
@@ -60,8 +63,7 @@ def exact_bias(eps: float) -> Fraction | None:
 # Juddian (quasi-exact) points
 # ---------------------------------------------------------------------------
 
-def juddian_roots(N: int, eps, delta,
-                  tol: Fraction = Fraction(1, 2 ** 48)) -> list[tuple[float, int]]:
+def juddian_roots(N: int, eps, delta) -> list[tuple[float, int]]:
     """All couplings g > 0 with P_N^(N,eps)((2g)^2, delta^2) = 0, by exact
     root isolation in x = (2g)^2; multiplicity 2 exactly when 2 eps is an
     integer (degenerate crossing), else 1."""
@@ -74,7 +76,7 @@ def juddian_roots(N: int, eps, delta,
     for lo, hi in isolate_real_roots(sf):
         if hi <= 0:
             continue
-        r = refine_root(sf, (lo, hi), tol)
+        r = refine_root(sf, (lo, hi), _JUDDIAN_TOL)
         if r > 0:
             out.append((math.sqrt(float(r)) / 2.0, mult))
     return out
@@ -115,8 +117,7 @@ def count_positive_roots(N: int, eps, y) -> int:
 # ---------------------------------------------------------------------------
 
 def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
-                      g_lo: float, g_hi: float, scan_step: float = 0.01,
-                      refine_tol: float = 1e-10) -> list[float]:
+                      g_lo: float, g_hi: float) -> list[float]:
     """Zeros of the T-function in (g_lo, g_hi) by sign-change scan plus
     bisection; these admit the exceptional eigenvalue N +/- eps - g^2 with a
     non-polynomial eigensolution, and never coincide with Juddian couplings."""
@@ -126,14 +127,14 @@ def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
     out = []
     g_prev = g_lo
     f_prev = tval(g_prev)
-    steps = max(2, int(round((g_hi - g_lo) / scan_step)))
+    steps = max(2, int(round((g_hi - g_lo) / _T_SCAN_STEP)))
     for i in range(1, steps + 1):
         g_cur = g_lo + (g_hi - g_lo) * i / steps
         f_cur = tval(g_cur)
         if f_prev == 0.0:
             out.append(g_prev)
         elif f_prev * f_cur < 0.0:
-            out.append(bisect_sign_change(tval, g_prev, g_cur, f_prev, refine_tol))
+            out.append(bisect_sign_change(tval, g_prev, g_cur, f_prev, _T_ZERO_TOL))
         g_prev, f_prev = g_cur, f_cur
     return out
 

@@ -745,7 +745,7 @@ GOLDEN = (
     ("count-roots --N 6 --eps 2/5 --y 209/10",
      "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:4:0.002",
-     "2328559a06e4060cff45dbd85026a859cb8743830c8c30b08bb47d5b65f61ae7"),
+     "83c10ced7dfad80409ff238da9ddede7d75161f0d80904f651733fc205653bb4"),
     ("tfunc --N 1 --eps 1/2 --delta 1 --g 0.1:2:0.01",
      "814d0a9e529d66e4dd367013b6b3d9159b55e8c1d9f9068c4f56f9f05c6e11bb"),
     ("residue --N 1 --eps 1/2 --g 0.9 --delta 1",

@@ -436,7 +436,7 @@ class TestJuddianMembership:
 
     def _check(self, rng, N, eps, delta):
         from aqrm.spectrum import _juddian_here
-        roots = juddian_roots(N, Fraction(eps), Fraction(delta), Fraction(1, 2 ** 52))
+        roots = juddian_roots(N, Fraction(eps), Fraction(delta))
 
         def here(g):
             return _juddian_here(N, ModelParams(g, delta, float(eps)), float(eps))
@@ -588,8 +588,9 @@ class TestFloatBisection:
         import aqrm.spectrum as spectrum_mod
         stub, calls = self.limited(lambda N, params, sign: 1.0 if params.g >= 1.2345 else -1.0)
         monkeypatch.setattr(spectrum_mod, "t_function", stub)
-        zeros = non_juddian_roots(1, 1.0, 0.3, "plus", 1.0, 1.5,
-                                  scan_step=0.1, refine_tol=1e-20)
+        monkeypatch.setattr(spectrum_mod, "_T_SCAN_STEP", 0.1)
+        monkeypatch.setattr(spectrum_mod, "_T_ZERO_TOL", 1e-20)
+        zeros = non_juddian_roots(1, 1.0, 0.3, "plus", 1.0, 1.5)
         assert zeros == [pytest.approx(1.2345, abs=1e-15)]
         assert len(calls) < 80
 

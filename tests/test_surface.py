@@ -109,3 +109,23 @@ def test_double_pole_coefficients_come_from_the_constraint_relations():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert {"t_function", "b_residual"} <= called
     assert not {"_phi_tail", "_finite_parts", "a_value", "q_functions"} & called
+
+
+def test_calg_seed_is_the_standard_library_gamma():
+    # calG's series takes its one 1/Gamma seed from math.gamma: no gamma
+    # function or coefficient table of the package's own beside it
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names += [node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        names += [target.id for node in tree.body if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)]
+    assert [n for n in names if "gamma" in n.lower() or "LANCZOS" in n.upper()] == []
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_scaled_sums")
+    called = {(node.func.value.id, node.func.attr) for node in ast.walk(body)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)}
+    assert ("math", "gamma") in called
