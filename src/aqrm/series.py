@@ -1,18 +1,18 @@
 """Series-defined analytic machinery: the K-coefficient recurrences behind the
-G-function, Frobenius solutions at the model's regular singular points, the
-constraint T-functions for exceptional eigenvalues, pole expansions of the
-G-function (residues; double-pole coefficients from the T-function and the
-regularized sums), and calG whose zeros give the complete spectrum.
+G-function, the constraint T-functions for exceptional eigenvalues, pole
+expansions of the G-function (residues; double-pole coefficients from the
+T-function and the regularized sums), and calG whose zeros give the complete
+spectrum.
 
 calG = G / (Gamma(eps-x) Gamma(-eps-x)) has no poles: each branch's series is
 summed with its reciprocal gamma factor folded into every coefficient, and
 1/Gamma is entire, so one series covers every x, the points N +/- eps
 included. G itself keeps its poles (PoleEncountered).
 
-Each series is one loop that recurs and sums together: _summed for the
-K-series of G (and the tail of calG's, whose 1-jets at a pole are the same
-series run at a complex x), _phi_tail for each Frobenius solution at its
-matching point."""
+Every series is the one loop _summed, which recurs and sums together: the
+K-series of G, the tail of calG's (whose 1-jets at a pole are the same
+series run at a complex x) and the T-function's Frobenius solutions, G's two
+branches at its pole x = N +/- eps summed past the pole."""
 
 from __future__ import annotations
 
@@ -28,9 +28,9 @@ Sign = Literal["plus", "minus"]
 
 POLE_GUARD = 1e-8          # reject direct series evaluation closer than this to a pole
 _HALF_INT_TOL = 1e-9
-# every adaptive series stops once _STREAK consecutive terms are below _TOL
-# relative to the partial sum, and raises NonConvergent after _MAX_TERMS terms
-# or on a sum that is not finite
+# _summed stops once _STREAK consecutive terms are below _TOL relative to the
+# partial sum, and reports no convergence after _MAX_TERMS terms from its
+# start or on a sum that is not finite
 _TOL = 1e-14
 _MAX_TERMS = 2000
 _STREAK = 8
@@ -70,7 +70,6 @@ class ModelParams(namedtuple("ModelParams", "g delta eps")):
 
 
 SeriesState = namedtuple("SeriesState", "sum_R sum_Rbar truncation_order converged")
-FrobeniusSolution = namedtuple("FrobeniusSolution", "kind N coeffs value_at_half")
 
 
 def is_half_integer(eps: float) -> bool:
@@ -120,12 +119,12 @@ def _summed(x: float | complex, params: ModelParams, s: float, n: int = 0,
     or -eps, until the stop rule above holds: d_n = x - n + s, K_0 = 1 and
     n K_n = f_{n-1} K_{n-1} - K_{n-2} with
     f_n = 2g + (n - x + s + Delta^2/d_n) / (2g). The pole d_n is checked
-    before term n (PoleEncountered). Seeded with a later n, (K_{n-1}, K_n) as
-    (k2, k1) and gn = g^n, it runs the same recurrence on any multiple of K
-    from there, at a real or a complex x (stop rule on moduli)."""
+    before term n (PoleEncountered). Seeded with a later n, the values
+    (k2, k1) at n - 1 and n of any solution of the recurrence and gn in place
+    of g^n, it sums that solution from n on, at a real or a complex x."""
     g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
     streak = 0
-    for n in range(n, _MAX_TERMS + 1):
+    for n in range(n, n + _MAX_TERMS + 1):
         d = x - n + s
         if abs(d) < POLE_GUARD:
             raise PoleEncountered(n, d)
@@ -143,7 +142,7 @@ def _summed(x: float | complex, params: ModelParams, s: float, n: int = 0,
             streak = 0
         f = two_g + (n - x + s + d2 / d) / two_g
         k2, k1 = k1, (f * k1 - k2) / (n + 1)
-    return SeriesState(R, Rbar, _MAX_TERMS, False)
+    return SeriesState(R, Rbar, n, False)
 
 
 def k_coefficients(x: float, params: ModelParams, sign: Sign) -> SeriesState:
@@ -195,11 +194,17 @@ def _scaled_sums(x: float | complex, params: ModelParams, sign: Sign) -> SeriesS
 
 
 def _combined(series, x: float, params: ModelParams) -> float:
-    """Delta^2 Rbar+ Rbar- - R+ R- from the two branches of one series."""
+    """Delta^2 Rbar+ Rbar- - R+ R- from the two branches of one series;
+    ArithmeticError where a product of two nonzero sums is below the smallest
+    normal float (a zero sum, as at a pole, gives a true zero)."""
     sp, sm = series(x, params, "plus"), series(x, params, "minus")
     if not (sp.converged and sm.converged):
         raise NonConvergent(f"G-function series not converged at x={x}")
-    return params.delta ** 2 * sp.sum_Rbar * sm.sum_Rbar - sp.sum_R * sm.sum_R
+    lhs, rhs = params.delta ** 2 * sp.sum_Rbar * sm.sum_Rbar, sp.sum_R * sm.sum_R
+    if any(a and b and abs(prod) < sys.float_info.min for prod, a, b in
+           ((lhs, sp.sum_Rbar, sm.sum_Rbar), (rhs, sp.sum_R, sm.sum_R))):
+        raise ArithmeticError(f"G-function products underflow at x={x}")
+    return lhs - rhs
 
 
 def g_function(x: float, params: ModelParams) -> float:
@@ -218,88 +223,41 @@ def regularized_g(x: float, params: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius solutions and constraint T-functions
+# constraint T-functions
 # ---------------------------------------------------------------------------
 
-def _phi_tail(phi: int, N: int, params: ModelParams,
-              eps: float) -> tuple[float, float, list[float], int, int | None, float]:
-    """phi1 (phi=1, near singular point) or phi2 (phi=2, far point) at bias
-    eps: its coefficients kb, from kb_{start-1} = 0 and kb_start = 1 by
-        kb_{n+1} = ((n - N + (2g)^2 - shift + Delta^2/(pole - n)) kb_n
-                    - (2g)^2 kb_{n-1}) / (n + 1),
-    until _STREAK terms kb_n 2^-n in a row are negligible, and its two values
-    at the matching point 1/2, summed in the same pass. phi1 starts at
-    L + 1 with L = N, shift 2 eps and pole N. phi2 has shift 0 and pole
-    N + 2 eps, and starts at L + 1 when N + 2 eps is within _HALF_INT_TOL of a
-    nonnegative integer L (the pole stays at N + 2 eps, not L), else at 0
-    with L = None. Returns (R, Rbar, kb, start, L, c0), kb listing kb_start,
-    kb_{start+1}, ...: R = sum kb_n 2^-n is the minus kind's value, and Rbar
-    the plus kind's, whose coefficients are Delta kb_n / (c0 - n), plus
-    (L + 1)/Delta at L, with c0 = L, or N + 2 eps without a shift. For phi1
-    (R, Rbar) are (R^(N,-), Rbar^(N,-)), for phi2 (R^(N,+), Rbar^(N,+))."""
-    g2 = 4.0 * params.g * params.g
-    d2 = params.delta * params.delta
-    ne = N + 2.0 * eps
-    if phi == 1:
-        L, shift, pole = N, 2.0 * eps, N
+def _branch_sums(x: float, params: ModelParams, s: float) -> tuple[float, float]:
+    """(R, Rbar) of the branch s at x by _summed; NonConvergent unless they
+    settle. Where x + s is within _HALF_INT_TOL of an integer L >= 0, the
+    pole d_L = 0, the sums run from L + 1 on the solution with K_L = 0 and
+    K_{L+1} g^(L+1) = 2^-(L+1), and Rbar starts at the pole's term
+    lim K_L g^L / d_L = (L + 1) 2^-L / Delta^2."""
+    L = round(x + s)
+    if abs(x + s - L) < _HALF_INT_TOL and L >= 0:
+        sums = _summed(x, params, s, L + 1, 0.0, 1.0, 0.5 ** (L + 1), 0.0,
+                       (L + 1) * 0.5 ** L / params.delta ** 2)
     else:
-        L, shift, pole = round(ne), 0.0, ne
-        if not (abs(ne - L) < _HALF_INT_TOL and L >= 0):
-            L = None
-    start = 0 if L is None else L + 1
-    c0 = ne if L is None else L
-    k2, k1 = 0.0, 1.0
-    kb = [k1]
-    n = start
-    half_n = 0.5 ** start
-    R = half_n
-    Rbar = (0.0 if L is None else (L + 1) / params.delta * 0.5 ** L) \
-        + params.delta * half_n / (c0 - start)
-    streak = 0
-    while n - start < _MAX_TERMS:
-        k2, k1 = k1, ((n - N + g2 - shift + d2 / (pole - n)) * k1 - g2 * k2) / (n + 1)
-        kb.append(k1)
-        n += 1
-        half_n *= 0.5
-        term = k1 * half_n
-        R += term
-        Rbar += params.delta * term / (c0 - n)
-        if abs(term) <= _TOL * (1.0 + abs(R)):
-            streak += 1
-            if streak >= _STREAK:
-                return R, Rbar, kb, start, L, c0
-        else:
-            streak = 0
-    raise NonConvergent(f"phi{phi} series not converged (N={N}, eps={eps})")
-
-
-def frobenius_solution(kind: str, N: int, params: ModelParams) -> FrobeniusSolution:
-    """One of the four local Frobenius solutions, as its series coefficients
-    and its value at the matching point 1/2, read off one _phi_tail pass: the
-    minus kind is kb itself, with value R, the plus kind
-    Delta kb_n / (c0 - n) with (L + 1)/Delta at L, with value Rbar."""
-    phi = {"phi1": 1, "phi2": 2}.get(kind[:4])
-    if phi is None or kind[4:] not in ("_minus", "_plus"):
-        raise ValueError(f"unknown Frobenius solution kind {kind!r}")
-    plus = kind.endswith("_plus")
-    R, Rbar, kb, start, L, c0 = _phi_tail(phi, N, params, params.eps)
-    coeffs = [0.0] * start
-    if plus and L is not None:
-        coeffs[L] = (L + 1) / params.delta
-    coeffs += [params.delta * k / (c0 - n) for n, k in enumerate(kb, start)] if plus else kb
-    return FrobeniusSolution(kind, N, coeffs, Rbar if plus else R)
+        sums = _summed(x, params, s)
+    if not sums.converged:
+        raise NonConvergent(f"T-function series not converged at x={x}")
+    return sums.sum_R, sums.sum_Rbar
 
 
 def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
     """Constraint function whose zeros in (g, Delta) admit the exceptional
-    eigenvalue lambda = N + eps - g^2 (sign="plus") or N - eps - g^2
-    (sign="minus") with a non-polynomial eigensolution. Each value is about
-    2^-N, so where either product is below the smallest normal float it
-    raises ArithmeticError rather than return a T that reads as a zero."""
-    eps = _branch_shift(params, sign)
-    Rm, Rbm = _phi_tail(1, N, params, eps)[:2]
-    Rp, Rbp = _phi_tail(2, N, params, eps)[:2]
-    lhs, rhs = Rbp * Rbm, Rp * Rm
+    eigenvalue lambda = x - g^2, x = N + e, e = eps (sign="plus") or -eps,
+    with a non-polynomial eigensolution: Delta^2 Rbar+ Rbar- - R+ R- of G's
+    branches s = +eps, -eps at x, in that order (_branch_sums), which are the
+    paper's Frobenius solutions at 1/2 (b_n = K_n g^n, plus kind Delta Rbar):
+    phi1 is the branch s = -e, seeded 2^-(N+1) past its pole at N; phi2 is
+    s = +e, seeded 1 at 0, or 2^-(L+1) past a pole at L = N + 2e >= 0
+    (PoleEncountered within POLE_GUARD of such an L otherwise). So T~(N + l)
+    at bias l/2 is T(N) bitwise. Each value is about 2^-N: where either
+    product is below the smallest normal float, ArithmeticError, not a 0."""
+    x = N + _branch_shift(params, sign)
+    Rp, Rbp = _branch_sums(x, params, params.eps)
+    Rm, Rbm = _branch_sums(x, params, -params.eps)
+    lhs, rhs = params.delta ** 2 * Rbp * Rbm, Rp * Rm
     if abs(lhs) < sys.float_info.min or abs(rhs) < sys.float_info.min:
         raise ArithmeticError(f"T-function products underflow at N={N}, g={params.g!r}")
     return lhs - rhs
@@ -397,15 +355,15 @@ def double_pole_coefficients(N: int, ell: int,
 
 
 def b_function(N: int, ell: int, params: ModelParams) -> float:
-    """Regularized T-function N!(N+1)! (Rbar+ . Delta Qbar- minus R+ . Q-) at
-    the point x = N + ell/2 with bias ell/2; defined for signed ell so the
-    residue-vanishing combination B(N+l, -l) + A_N^l B(N, l) can be formed."""
+    """Regularized T-function N!(N+1)! (Delta^2 Rbar+ Qbar- - R+ Q-) at
+    x = N + ell/2 with bias ell/2: the plus branch's sums past its pole, the
+    minus branch's finite parts. Signed ell forms B(N+l, -l) + A_N^l B(N, l)."""
     e = ell / 2.0
     local = ModelParams(params.g, params.delta, e)
     x0 = N + e
     qm, qbm = _finite_parts(x0, local, "minus")
-    Rp, Rbp = _phi_tail(2, N, local, e)[:2]
-    return (Rbp * (params.delta * qbm) - Rp * qm) / _C(N)
+    Rp, Rbp = _branch_sums(x0, local, e)
+    return (params.delta ** 2 * Rbp * qbm - Rp * qm) / _C(N)
 
 
 def b_residual(N: int, ell: int, params: ModelParams) -> float:

@@ -532,6 +532,8 @@ class TestInputRange:
          "sweep grid needs at least one positive coupling"),
         ("tfunc --N 600 --eps 1/2 --delta 1 --g 0.5:0.6:0.05",   # printed T = 0
          "T-function products underflow at N=600, g=0.5"),
+        ("gfunc --g 0.5 --delta 1 --eps 0.3 --x=-110:-100:1",   # printed calG = 0
+         "G-function products underflow at x=-110.0"),
         ("residue --N 60 --eps 1/2 --g 0.5 --delta 1",   # printed A = B = 0
          "1/(N!(N+1)!) factors underflow at N=60"),
         ("residue --N 98 --eps 0.3 --g 0.5 --delta 1",   # N!(N+1)! is past the floats
@@ -747,7 +749,7 @@ GOLDEN = (
     ("gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:4:0.002",
      "83c10ced7dfad80409ff238da9ddede7d75161f0d80904f651733fc205653bb4"),
     ("tfunc --N 1 --eps 1/2 --delta 1 --g 0.1:2:0.01",
-     "814d0a9e529d66e4dd367013b6b3d9159b55e8c1d9f9068c4f56f9f05c6e11bb"),
+     "d61350d4710a8d37236d4d40a986391e6baff5f077e0a39d15838daa06edba68"),
     ("residue --N 1 --eps 1/2 --g 0.9 --delta 1",
      "57a921e3e57defd0ab21bc8ceeec9a259efa48e7be42fdf61e499c17663c4c68"),
     ("residue --N 1 --eps 0.3 --g 0.9 --delta 1",

@@ -19,7 +19,6 @@ from aqrm.series import (
     b_function,
     b_residual,
     double_pole_coefficients,
-    frobenius_solution,
     g_function,
     k_coefficients,
     k_sequence,
@@ -152,58 +151,47 @@ class TestGFunction:
             assert g_function(x - d, p) * g_function(x + d, p) < 0.0
 
 
+# T at (N, g, Delta, eps, sign) from a 50-digit mpmath sum of the paper's
+# Frobenius solutions phi1 and phi2 matched at z = 1/2
+MATCHED_T = (
+    ((0, 0.7, 1.0, 0.3, "plus"), -2.4936973013100734985),
+    ((1, 0.9, 1.0, 0.5, "plus"), 0.35369055304371482269),
+    ((2, 0.9, 1.3, 0.41, "plus"), 0.31813503999347416817),
+    ((2, 1.1, 1.4, 1.5, "plus"), 0.0362988978633742139),
+    ((3, 1.2, 0.8, -0.25, "plus"), 1.0327894905979386586),
+    ((1, 0.8, 1.0, 0.0, "plus"), 0.35559110476780318079),
+    ((2, 0.8, 1.1, 0.37, "minus"), 1.0825889053067858709),
+    ((0, 1.3, 0.6, -0.8, "minus"), -66.575743824267325292),
+)
+
+
 class TestFrobenius:
-    def test_phi1_minus_initial_conditions(self):
-        N = 2
-        sol = frobenius_solution("phi1_minus", N, ModelParams(0.8, 1.0, 0.3))
-        assert sol.coeffs[: N + 1] == [0.0] * (N + 1)
-        assert sol.coeffs[N + 1] == 1.0
+    """The Frobenius solutions behind T are G's two branches at its pole
+    x = N +/- eps, summed past the pole (series._branch_sums)."""
 
-    def test_phi1_plus_leading_term(self):
-        N, delta = 3, 1.4
-        sol = frobenius_solution("phi1_plus", N, ModelParams(0.6, delta, 0.2))
-        assert sol.coeffs[N] == pytest.approx((N + 1) / delta, rel=1e-15)
-        assert all(c == 0.0 for c in sol.coeffs[:N])
-
-    def test_phi2_shifted_initial_conditions(self):
-        # half-integer bias: the far-point solution starts above N + 2 eps
-        N, ell = 1, 2
-        sol = frobenius_solution("phi2_minus", N, ModelParams(0.8, 1.0, ell / 2))
-        assert sol.coeffs[: N + ell + 1] == [0.0] * (N + ell + 1)
-        assert sol.coeffs[N + ell + 1] == 1.0
-
-    def test_tail_ratio_bounded(self):
-        # radius of convergence 1 evaluated at 1/2: terms decay near 2^-n
-        sol = frobenius_solution("phi1_minus", 1, ModelParams(0.9, 1.0, 0.25))
-        terms = [abs(c) * 0.5 ** n for n, c in enumerate(sol.coeffs) if c]
-        ratios = [b / a for a, b in zip(terms[10:-1], terms[11:]) if a > 1e-250]
-        assert max(ratios) < 0.62
-
-    def test_value_consistent_with_coeffs(self):
-        sol = frobenius_solution("phi2_plus", 2, ModelParams(0.7, 1.3, 0.41))
-        val = sum(c * 0.5 ** n for n, c in enumerate(sol.coeffs))
-        assert sol.value_at_half == pytest.approx(val, rel=1e-14)
-
-    @pytest.mark.parametrize("N,g,delta,eps", [(0, 0.7, 1.0, 0.3), (2, 0.9, 1.3, 0.41),
-                                               (3, 1.2, 0.8, -0.25), (1, 0.9, 1.0, 0.5),
-                                               (2, 1.1, 1.4, 1.5)])
-    def test_t_function_is_matched_solutions(self, N, g, delta, eps):
-        # T = phi2+ phi1+ - phi2- phi1- at 1/2; eps = 1/2 and 3/2 shift phi2
-        p = ModelParams(g, delta, eps)
-        v = {kind: frobenius_solution(kind, N, p).value_at_half
-             for kind in ("phi1_minus", "phi1_plus", "phi2_minus", "phi2_plus")}
-        plus, minus = v["phi2_plus"] * v["phi1_plus"], v["phi2_minus"] * v["phi1_minus"]
-        assert t_function(N, p, "plus") == plus - minus
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            frobenius_solution("phi3", 1, ModelParams(0.5, 1.0, 0.0))
+    @pytest.mark.parametrize("point,expected", MATCHED_T, ids=[
+        "-".join(map(str, pt[:4] if pt[4] == "plus" else pt)) for pt, _ in MATCHED_T])
+    def test_t_function_is_matched_solutions(self, point, expected):
+        # eps = 1/2 and 3/2 start phi2 past its pole at N + 2 eps
+        N, g, delta, eps, sign = point
+        assert rel_close(t_function(N, ModelParams(g, delta, eps), sign), expected, 1e-13)
 
     def test_nonconvergent_when_capped(self, monkeypatch):
         # 32 terms of a tail decaying like 2^-n cannot reach the streak bound
         monkeypatch.setattr(series_mod, "_MAX_TERMS", 32)
         with pytest.raises(NonConvergent):
-            frobenius_solution("phi1_minus", 1, ModelParams(0.9, 1.0, 0.25))
+            t_function(1, ModelParams(0.9, 1.0, 0.25), "plus")
+
+    def test_pole_not_summed_past_is_refused(self):
+        # N + 2 eps = 2 + 6e-9 is inside POLE_GUARD of the far branch's pole
+        # but outside _HALF_INT_TOL, so that branch is summed from 0; within
+        # _HALF_INT_TOL it is summed past the pole and T is the value at 1/2
+        with pytest.raises(PoleEncountered):
+            t_function(1, ModelParams(0.9, 1.0, 0.5 + 3e-9), "plus")
+        with pytest.raises(PoleEncountered):
+            t_function(1, ModelParams(0.9, 1.0, -0.5 - 3e-9), "minus")
+        near = t_function(1, ModelParams(0.9, 1.0, 0.5 + 3e-10), "plus")
+        assert rel_close(near, MATCHED_T[1][1], 1e-8)
 
 
 class TestTFunction:
@@ -215,7 +203,15 @@ class TestTFunction:
         p = ModelParams(g, delta, ell / 2)
         lhs = t_function(N + ell, p, "minus")
         rhs = t_function(N, p, "plus")
-        assert rel_close(lhs, rhs, 1e-8)
+        assert lhs == rhs
+
+    @given(N=st.integers(0, 8), ell=st.integers(0, 5), g=st.floats(0.05, 3.0),
+           delta=st.floats(0.1, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_shift_identity_is_exact(self, N, ell, g, delta):
+        # both sides are the branches +l/2 and -l/2 of G at x = N + l/2
+        p = ModelParams(g, delta, ell / 2)
+        assert t_function(N + ell, p, "minus") == t_function(N, p, "plus")
 
     def test_minus_sign_is_bias_flip(self):
         N, g, delta, eps = 2, 0.8, 1.1, 0.37
@@ -224,12 +220,13 @@ class TestTFunction:
         assert rel_close(a, b, 1e-13)
 
     def test_zero_bias_factorization(self):
+        # at eps = 0 both branches are one series, summed from N + 1
+        from aqrm.series import _branch_sums
         N, g, delta = 1, 0.8, 1.0
         p = ModelParams(g, delta, 0.0)
-        Rm = frobenius_solution("phi1_minus", N, p).value_at_half
-        Rbm = frobenius_solution("phi1_plus", N, p).value_at_half
+        R, Rbar = _branch_sums(float(N), p, 0.0)
         tv = t_function(N, p, "plus")
-        assert rel_close(tv, (Rbm - Rm) * (Rbm + Rm), 1e-10)
+        assert rel_close(tv, (delta * Rbar - R) * (delta * Rbar + R), 1e-13)
 
     def test_memory_is_kept_to_the_terms(self):
         # at N = 10^7 the tails start past 10^7 but take a few terms: one pass
@@ -377,6 +374,16 @@ class TestRegularizedG:
         # at x = 1e12 the series' tail starts past _MAX_TERMS
         with pytest.raises(NonConvergent):
             regularized_g(1e12, ModelParams(0.5, 1.0, 0.3))
+
+    def test_underflowing_products_are_refused(self):
+        # far to the left the branch products shrink below the normal floats,
+        # one of them from x = -102.25 and both to 0 from -107.25: calG is
+        # refused there, not read as a zero; at -100 both are still normal
+        p = ModelParams(0.5, 1.0, 0.3)
+        assert rel_close(regularized_g(-100.0, p), -6.2331410791840095e-296, 1e-12)
+        for x in (-102.25, -107.25, -110.0):
+            with pytest.raises(ArithmeticError, match="products underflow"):
+                regularized_g(x, p)
 
     def test_vanishes_at_juddian_point(self):
         p = ModelParams(0.5, 1.0, 0.5)

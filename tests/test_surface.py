@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "aqrm"
 KEPT_FOR_THE_PAPER = {
     "constraint_poly_det",     # P_N^(N,eps) as its tridiagonal determinant
     "k_sequence",              # the K_n(x) coefficients of the G-function
-    "frobenius_solution",      # the Frobenius solution at an exceptional point
     "non_juddian_roots",       # T-function zeros over g (acceptance criterion 04)
 }
 
@@ -97,6 +96,16 @@ def test_branch_jets_reuse_the_scaled_series():
     loops = [type(node).__name__ for node in ast.walk(jets)
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert loops == []
+
+
+def test_one_adaptive_series_loop():
+    # the stop rule is written once: _summed is the only function in series
+    # that names _STREAK, so T's Frobenius tails cannot get a loop of their own
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    naming = {node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and any(isinstance(n, ast.Name) and n.id == "_STREAK" for n in ast.walk(node))}
+    assert naming == {"_summed"}
 
 
 def test_double_pole_coefficients_come_from_the_constraint_relations():
