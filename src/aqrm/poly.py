@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 
 class DivisibilityError(ArithmeticError):
@@ -195,9 +194,8 @@ def constraint_poly(N: int, eps, k: int) -> BivarPoly:
     return _divided(_last(_constraint_rows(N, eps, k)), eps.denominator ** k)
 
 
-@lru_cache(maxsize=128)
 def _top_member(N: int, eps: Fraction) -> tuple:
-    """The terms of R_N, built once for all the slices of one (N, eps)."""
+    """The terms of R_N, the top member of the constraint family."""
     return tuple(_last(_constraint_rows(N, eps, N)).items())
 
 
@@ -227,7 +225,6 @@ def constraint_value(N: int, eps, k: int, x, y):
     return p1
 
 
-@lru_cache(maxsize=128)
 def _det_rows(N: int, eps: Fraction) -> tuple:
     """The rows of q (I_N y + D_N x + C_N), eps = p/q, whose determinant is
     q^N P_N^(N,eps): row i has diagonal q (i x + y) - i((2(N-i) + 1) q + 2 p),

@@ -12,7 +12,9 @@ included. G itself keeps its poles (PoleEncountered).
 Every series is the one loop _summed, which recurs and sums together: the
 K-series of G, the tail of calG's (whose 1-jets at a pole are the same
 series run at a complex x) and the T-function's Frobenius solutions, G's two
-branches at its pole x = N +/- eps summed past the pole."""
+branches at its pole x = N +/- eps summed past the pole. A branch is named by
+its shift s = +eps or -eps, and _summed alone decides convergence: it returns
+the branch's two sums or raises NonConvergent."""
 
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ Sign = Literal["plus", "minus"]
 POLE_GUARD = 1e-8          # reject direct series evaluation closer than this to a pole
 _HALF_INT_TOL = 1e-9
 # _summed stops once _STREAK consecutive terms are below _TOL relative to the
-# partial sum, and reports no convergence after _MAX_TERMS terms from its
-# start or on a sum that is not finite
+# partial sum, and raises NonConvergent after _MAX_TERMS terms from its start
+# or on a sum that is not finite
 _TOL = 1e-14
 _MAX_TERMS = 2000
 _STREAK = 8
@@ -67,9 +69,6 @@ class ModelParams(namedtuple("ModelParams", "g delta eps")):
         if not delta > 0:
             raise ValueError("delta must be positive")
         return super().__new__(cls, g, delta, eps)
-
-
-SeriesState = namedtuple("SeriesState", "sum_R sum_Rbar truncation_order converged")
 
 
 def is_half_integer(eps: float) -> bool:
@@ -114,9 +113,10 @@ def k_sequence(x: float, params: ModelParams, sign: Sign, n_max: int) -> list[fl
 
 def _summed(x: float | complex, params: ModelParams, s: float, n: int = 0,
             k2: float = 0.0, k1: float = 1.0, gn: float = 1.0, R: float = 0.0,
-            Rbar: float = 0.0) -> SeriesState:
-    """Add K_n g^n to R and K_n g^n / d_n to Rbar for the branch with s = +eps
-    or -eps, until the stop rule above holds: d_n = x - n + s, K_0 = 1 and
+            Rbar: float = 0.0) -> tuple[float, float]:
+    """(R, Rbar): K_n g^n added to R and K_n g^n / d_n to Rbar for the branch
+    with s = +eps or -eps, until the stop rule above holds on finite sums,
+    else NonConvergent: d_n = x - n + s, K_0 = 1 and
     n K_n = f_{n-1} K_{n-1} - K_{n-2} with
     f_n = 2g + (n - x + s + Delta^2/d_n) / (2g). The pole d_n is checked
     before term n (PoleEncountered). Seeded with a later n, the values
@@ -136,25 +136,20 @@ def _summed(x: float | complex, params: ModelParams, s: float, n: int = 0,
         if abs(tR) <= _TOL * (1.0 + abs(R)) and abs(tRbar) <= _TOL * (1.0 + abs(Rbar)):
             streak += 1
             if streak >= _STREAK:
-                finite = math.isfinite(abs(R)) and math.isfinite(abs(Rbar))
-                return SeriesState(R, Rbar, n, finite)
+                if math.isfinite(abs(R)) and math.isfinite(abs(Rbar)):
+                    return R, Rbar
+                break
         else:
             streak = 0
         f = two_g + (n - x + s + d2 / d) / two_g
         k2, k1 = k1, (f * k1 - k2) / (n + 1)
-    return SeriesState(R, Rbar, n, False)
+    raise NonConvergent(f"G-function series not converged at x={x.real}")
 
 
-def k_coefficients(x: float, params: ModelParams, sign: Sign) -> SeriesState:
-    """Partial sums R = sum K_n g^n and Rbar = sum K_n g^n / (x - n +/- eps)
-    of the branch's coefficients K_n, adaptively truncated."""
-    return _summed(x, params, _branch_shift(params, sign))
-
-
-def _scaled_sums(x: float | complex, params: ModelParams, sign: Sign) -> SeriesState:
-    """The partial sums of k_coefficients times 1/Gamma(-x - s), s = +eps or
-    -eps: sum c_n g^n and sum c_n g^n / d_n with c_n = K_n / Gamma(-x - s)
-    and d_n = x - n + s. Every term is finite at every x, the branch's poles
+def _scaled_sums(x: float | complex, params: ModelParams, s: float) -> tuple[float, float]:
+    """The sums of _summed for the branch s times 1/Gamma(-x - s):
+    sum c_n g^n and sum c_n g^n / d_n with c_n = K_n / Gamma(-x - s) and
+    d_n = x - n + s. Every term is finite at every x, the branch's poles
     included.
 
     With y = x + s, m = floor(y + 1/2) + 1 (at least 0) leaves every d_n with
@@ -169,7 +164,6 @@ def _scaled_sums(x: float | complex, params: ModelParams, sign: Sign) -> SeriesS
     are exact zeros that must not stop the series; from m on, _summed
     continues c_n under the stop rule. A complex x takes m and the seed w_m
     from its real part: w_m stays real."""
-    s = _branch_shift(params, sign)
     g, two_g, d2 = params.g, 2.0 * params.g, params.delta * params.delta
     y = x + s
     m = max(0, math.floor(y.real + 0.5) + 1)
@@ -194,15 +188,14 @@ def _scaled_sums(x: float | complex, params: ModelParams, sign: Sign) -> SeriesS
 
 
 def _combined(series, x: float, params: ModelParams) -> float:
-    """Delta^2 Rbar+ Rbar- - R+ R- from the two branches of one series;
-    ArithmeticError where a product of two nonzero sums is below the smallest
-    normal float (a zero sum, as at a pole, gives a true zero)."""
-    sp, sm = series(x, params, "plus"), series(x, params, "minus")
-    if not (sp.converged and sm.converged):
-        raise NonConvergent(f"G-function series not converged at x={x}")
-    lhs, rhs = params.delta ** 2 * sp.sum_Rbar * sm.sum_Rbar, sp.sum_R * sm.sum_R
+    """Delta^2 Rbar+ Rbar- - R+ R- from the branches s = eps and -eps of one
+    series, in that order; ArithmeticError where a product of two nonzero
+    sums is below the smallest normal float (a zero sum, as at a pole, gives
+    a true zero)."""
+    (Rp, Rbp), (Rm, Rbm) = series(x, params, params.eps), series(x, params, -params.eps)
+    lhs, rhs = params.delta ** 2 * Rbp * Rbm, Rp * Rm
     if any(a and b and abs(prod) < sys.float_info.min for prod, a, b in
-           ((lhs, sp.sum_Rbar, sm.sum_Rbar), (rhs, sp.sum_R, sm.sum_R))):
+           ((lhs, Rbp, Rbm), (rhs, Rp, Rm))):
         raise ArithmeticError(f"G-function products underflow at x={x}")
     return lhs - rhs
 
@@ -210,7 +203,7 @@ def _combined(series, x: float, params: ModelParams) -> float:
 def g_function(x: float, params: ModelParams) -> float:
     """G(x) = Delta^2 Rbar+ Rbar- - R+ R-; zeros give regular eigenvalues
     lambda = x - g^2. Raises PoleEncountered within POLE_GUARD of x = n +/- eps."""
-    return _combined(k_coefficients, x, params)
+    return _combined(_summed, x, params)
 
 
 def regularized_g(x: float, params: ModelParams) -> float:
@@ -227,20 +220,15 @@ def regularized_g(x: float, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _branch_sums(x: float, params: ModelParams, s: float) -> tuple[float, float]:
-    """(R, Rbar) of the branch s at x by _summed; NonConvergent unless they
-    settle. Where x + s is within _HALF_INT_TOL of an integer L >= 0, the
-    pole d_L = 0, the sums run from L + 1 on the solution with K_L = 0 and
-    K_{L+1} g^(L+1) = 2^-(L+1), and Rbar starts at the pole's term
-    lim K_L g^L / d_L = (L + 1) 2^-L / Delta^2."""
+    """(R, Rbar) of the branch s at x, from _summed. Where x + s is within
+    _HALF_INT_TOL of an integer L >= 0, the pole d_L = 0, the sums run from
+    L + 1 on the solution with K_L = 0 and K_{L+1} g^(L+1) = 2^-(L+1), and
+    Rbar starts at the pole's term lim K_L g^L / d_L = (L + 1) 2^-L / Delta^2."""
     L = round(x + s)
     if abs(x + s - L) < _HALF_INT_TOL and L >= 0:
-        sums = _summed(x, params, s, L + 1, 0.0, 1.0, 0.5 ** (L + 1), 0.0,
+        return _summed(x, params, s, L + 1, 0.0, 1.0, 0.5 ** (L + 1), 0.0,
                        (L + 1) * 0.5 ** L / params.delta ** 2)
-    else:
-        sums = _summed(x, params, s)
-    if not sums.converged:
-        raise NonConvergent(f"T-function series not converged at x={x}")
-    return sums.sum_R, sums.sum_Rbar
+    return _summed(x, params, s)
 
 
 def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
@@ -269,31 +257,27 @@ def t_function(N: int, params: ModelParams, sign: Sign = "plus") -> float:
 
 @lru_cache(maxsize=512)
 def _branch_jets(x0: float, params: ModelParams,
-                 sign: Sign) -> tuple[float, float, float, float]:
+                 s: float) -> tuple[float, float, float, float]:
     """The 1-jet (S, S', Sbar, Sbar') at x = x0 of the two _scaled_sums of
-    one branch, read from the same series at x0 + i _H (complex step): real
+    the branch s, read from the same series at x0 + i _H (complex step): real
     parts S, Sbar and imaginary parts _H S', _H Sbar', with no cancellation.
     The seed w_m is real (w'_m = 0): at a pole y0 = x0 + s = m - 1, where
     w_m = 1/Gamma(1) = 1 exactly, the true derivatives add psi(1) S, which
-    _finite_parts cancels. Raises NonConvergent unless both sums settle to
-    finite values. Cached: jets are only ever read."""
-    sums = _scaled_sums(complex(x0, _H), params, sign)
-    if not sums.converged:
-        raise NonConvergent(f"branch jets not converged at x0={x0}")
-    S, Sb = sums.sum_R, sums.sum_Rbar
+    _finite_parts cancels. Cached: jets are only ever read."""
+    S, Sb = _scaled_sums(complex(x0, _H), params, s)
     return S.real, S.imag / _H, Sb.real, Sb.imag / _H
 
 
-def _finite_parts(x0: float, params: ModelParams, sign: Sign) -> tuple[float, float]:
-    """Finite parts (Q, Qbar) at x0 of the branch's R and Rbar, which must
-    be a pole: y0 = x0 + s = N' >= 0 (b_function asks at y0 = N or N + l).
+def _finite_parts(x0: float, params: ModelParams, s: float) -> tuple[float, float]:
+    """Finite parts (Q, Qbar) at x0 of the R and Rbar of the branch s, which
+    must be a pole: y0 = x0 + s = N' >= 0 (b_function asks at y0 = N or N + l).
     There Gamma(-x - s) = c (-1/u + psi(N'+1) + O(u)) with
     u = x - x0 and c = (-1)^N'/N'!, so R = S Gamma(-x - s) has residue
     -c S(x0) and finite part c (psi(N'+1) S(x0) - S'(x0)); the jet's missing
     psi(1) S cancels the -gamma of psi(N'+1) = H_N' - gamma, so H_N' stands in
     for it."""
-    S, dS, Sb, dSb = _branch_jets(x0, params, sign)
-    n = round(x0 + _branch_shift(params, sign))
+    S, dS, Sb, dSb = _branch_jets(x0, params, s)
+    n = round(x0 + s)
     c = (-1) ** n / math.factorial(n)
     h = sum(1.0 / k for k in range(1, n + 1))
     return c * (h * S - dS), c * (h * Sb - dSb)
@@ -356,13 +340,13 @@ def double_pole_coefficients(N: int, ell: int,
 
 def b_function(N: int, ell: int, params: ModelParams) -> float:
     """Regularized T-function N!(N+1)! (Delta^2 Rbar+ Qbar- - R+ Q-) at
-    x = N + ell/2 with bias ell/2: the plus branch's sums past its pole, the
-    minus branch's finite parts. Signed ell forms B(N+l, -l) + A_N^l B(N, l)."""
+    x = N + ell/2 with bias e = ell/2: the sums of the branch s = e past its
+    pole, the finite parts of the branch s = -e (neither reads params.eps).
+    Signed ell forms B(N+l, -l) + A_N^l B(N, l)."""
     e = ell / 2.0
-    local = ModelParams(params.g, params.delta, e)
     x0 = N + e
-    qm, qbm = _finite_parts(x0, local, "minus")
-    Rp, Rbp = _branch_sums(x0, local, e)
+    qm, qbm = _finite_parts(x0, params, -e)
+    Rp, Rbp = _branch_sums(x0, params, e)
     return (params.delta ** 2 * Rbp * qbm - Rp * qm) / _C(N)
 
 

@@ -233,6 +233,22 @@ def float_count_flips(ladder, a, b):
     return any(c > d for c, d in zip(counts, counts[1:]))
 
 
+def assert_matches_reference(params, M, count):
+    """Each level within max(2e-12, 4 ulp) of reference_lowest_eigenvalues,
+    or, where the float count is non-monotone between the two, within
+    3e-9 max(1, g) of it and inside the band of the exact count: there two
+    bisections may stop on either side of a flip, and either may be off."""
+    ladder = _ladder(params, M)
+    levels = lowest_eigenvalues(params, M, count)
+    ref = reference_lowest_eigenvalues(params, M, count)
+    assert len(levels) == len(ref)
+    for k, (lam, r) in enumerate(zip(levels, ref)):
+        if abs(lam - r) > max(2e-12, 4 * math.ulp(r)):
+            assert abs(lam - r) < 3e-9 * max(1.0, params.g), (lam, r)
+            assert float_count_flips(ladder, lam, r), (lam, r)
+            assert_in_band(ladder, params, k, lam)
+
+
 class TestSharedProbes:
     """lowest_eigenvalues is oracle.locate_levels on the truncated count, each
     count shared by every level of the bracket it splits. Away from a
@@ -248,16 +264,7 @@ class TestSharedProbes:
         # a level off the unguided reference must sit where the float count
         # is non-monotone, within the band of the exact count
         count = data.draw(st.integers(0, 2 * (M + 1)))
-        params = ModelParams(g, delta, eps)
-        ladder = _ladder(params, M)
-        levels = lowest_eigenvalues(params, M, count)
-        ref = reference_lowest_eigenvalues(params, M, count)
-        assert len(levels) == len(ref)
-        for k, (lam, r) in enumerate(zip(levels, ref)):
-            if abs(lam - r) > max(2e-12, 4 * math.ulp(r)):
-                assert abs(lam - r) < 3e-9 * max(1.0, g), (lam, r)
-                assert float_count_flips(ladder, lam, r), (lam, r)
-                assert_in_band(ladder, params, k, lam)
+        assert_matches_reference(ModelParams(g, delta, eps), M, count)
 
     def test_juddian_doublet(self):
         # g = 1/2, delta = 1, eps = 1/2: levels 3 and 4 meet at lambda = 1.25,
@@ -349,7 +356,18 @@ class TestSharedProbes:
         roots = juddian_roots(N, eps, delta)
         assume(roots)
         g = data.draw(st.sampled_from([r for r, _ in roots]))
-        assert_near_reference(ModelParams(g, delta, sign * eps), M, 2 * N + 6)
+        assert_matches_reference(ModelParams(g, delta, sign * eps), M, 2 * N + 6)
+
+    @pytest.mark.parametrize("N,eps,delta,M", ((2, 1.5, 2.0, 15), (2, 1.5, 2.5, 15)))
+    def test_juddian_doublets_at_a_leading_block(self, N, eps, delta, M):
+        # draws of the test above where the float count flips next to a level
+        # of the leading block: at delta = 2, g = 1, level 7 comes back
+        # 2.4999999996839506 and the unguided reference 2.500000001472617,
+        # 7.9e-10 below and 1.0e-9 above the exact level; at delta = 2.5,
+        # g = 0.77299680906914..., level 8 is 2.5e-11 off the reference
+        for g, _ in juddian_roots(N, eps, delta):
+            for sign in (1.0, -1.0):
+                assert_matches_reference(ModelParams(g, delta, sign * eps), M, 2 * N + 6)
 
     @pytest.mark.parametrize("args,level", (
         ((0.9847084463043705, 0.56, 0.651), 7),

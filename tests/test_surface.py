@@ -108,6 +108,18 @@ def test_one_adaptive_series_loop():
     assert naming == {"_summed"}
 
 
+def test_one_exit_for_a_branch_sum():
+    # _summed decides convergence: it and _scaled_sums (whose tail would start
+    # past the term cap) are the only functions in series that raise
+    # NonConvergent, so no caller tests a sum's convergence again
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    raising = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and any(isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+                       and isinstance(r.exc.func, ast.Name)
+                       and r.exc.func.id == "NonConvergent" for r in ast.walk(node))}
+    assert raising == {"_summed", "_scaled_sums"}
+
+
 def test_double_pole_coefficients_come_from_the_constraint_relations():
     # A from t_function and B from b_residual: no second Frobenius bracket
     # or finite-part combination beside theirs
