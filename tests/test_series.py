@@ -109,7 +109,7 @@ class TestKCoefficients:
         rhs = constraint_value(N, 0.25, N, (2 * g) ** 2, delta ** 2)
         assert rel_close(lhs, rhs, 1e-12)
 
-    def test_sums_or_raises(self, monkeypatch):
+    def test_state_contract(self, monkeypatch):
         # _summed returns the pair (R, Rbar) once the stop rule holds, and
         # raises where it cannot hold within the term cap
         p = ModelParams(0.8, 1.0, 0.3)
