@@ -40,7 +40,7 @@ def main() -> int:
         while g <= args.g_max + args.g_step / 2:
             params = ModelParams(g, d, eps)
             resid = b_residual(args.N, args.ell, params)
-            tval = t_function(args.N, params, "plus")
+            tval = t_function(args.N, params)
             pval = constraint_value(args.N, eps, args.N, (2 * g) ** 2, d * d)
             lines.append(f"{g:.6f},{d:.6f},{resid:.10e},{tval:.10e},{pval:.10e}")
             g += args.g_step

@@ -168,19 +168,16 @@ def cmd_tfunc(args) -> int:
     rows = []
     for g in parse_range(args.g):
         params = ModelParams(g, args.delta, float(args.eps))
-        rows.append({"g": g, "T": t_function(args.N, params, args.sign)})
+        rows.append({"g": g, "T": t_function(args.N, params)})
     _emit_rows(rows, args, ("g", "T"))
     return 0
 
 
 def cmd_residue(args) -> int:
-    eps, sign = float(args.eps), args.sign
-    if is_half_integer(eps) and round(2 * eps) < 0:
-        # H_eps and H_-eps are unitarily equivalent: G(x; eps) = G(x; -eps)
-        eps, sign = -eps, "minus" if sign == "plus" else "plus"
+    eps = float(args.eps)
     params = ModelParams(args.g, args.delta, eps)
     out = {}
-    if is_half_integer(eps) and sign == "plus":
+    if is_half_integer(eps) and round(2 * eps) >= 0:
         ell = round(2 * eps)
         A, B = double_pole_coefficients(args.N, ell, params)
         x0 = args.N + ell / 2.0
@@ -189,8 +186,8 @@ def cmd_residue(args) -> int:
                "A_numeric": An, "B_numeric": Bn,
                "b_residual": b_residual(args.N, ell, params)}
     else:
-        x0 = args.N + (eps if sign == "plus" else -eps)
-        res = residue_simple(args.N, params, sign)
+        x0 = args.N + eps
+        res = residue_simple(args.N, params)
         out = {"x0": x0, "order": 1, "residue": res,
                "residue_numeric": residue_numeric(x0, params, order=1)}
     _emit("".join(f"{k}={fmt_float(v) if isinstance(v, float) else v}\n"
@@ -264,8 +261,8 @@ def _verify_ode(max_n: int, k_max: int):
 
 def _verify_t_identity():
     for (N, ell, g, d) in ((2, 1, 0.9, 1.3), (1, 2, 0.7, 0.8), (3, 3, 1.1, 2.0)):
-        lhs = t_function(N + ell, ModelParams(g, d, ell / 2.0), "minus")
-        rhs = t_function(N, ModelParams(g, d, ell / 2.0), "plus")
+        lhs = t_function(N + ell, ModelParams(g, d, -ell / 2.0))
+        rhs = t_function(N, ModelParams(g, d, ell / 2.0))
         if abs(lhs - rhs) > 1e-8 * max(abs(lhs), abs(rhs), 1e-30):
             return False, f"N={N} ell={ell}"
     return True, "shift identity at 3 parameter points"
@@ -460,6 +457,8 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(attached)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
+    if getattr(args, "sign", "plus") == "minus":
+        args.eps = -args.eps        # N - eps is N + eps' at eps' = -eps (G is even in eps)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -120,9 +120,10 @@ def non_juddian_roots(N: int, delta: float, eps: float, sign: str,
                       g_lo: float, g_hi: float) -> list[float]:
     """Zeros of the T-function in (g_lo, g_hi) by sign-change scan plus
     bisection; these admit the exceptional eigenvalue N +/- eps - g^2 with a
-    non-polynomial eigensolution, and never coincide with Juddian couplings."""
+    non-polynomial eigensolution, and never coincide with Juddian couplings.
+    The point N - eps ("minus") is the T-function at the bias -eps."""
     def tval(g):
-        return t_function(N, ModelParams(g, delta, eps), sign)
+        return t_function(N, ModelParams(g, delta, eps if sign == "plus" else -eps))
 
     out = []
     g_prev = g_lo

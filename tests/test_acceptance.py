@@ -122,7 +122,8 @@ def test_criterion_04b_t_zero_non_half_integer_anchor():
 
 
 def test_criterion_05_series_polynomial_bridge():
-    """(N!)^2 (2g)^N K_N^-(N+eps) vs the exact constraint polynomial, relative
+    """(N!)^2 (2g)^N K_N^-(N+eps) = (N!)^2 2^N b_N (b_N = K_N g^N of the
+    branch -eps, the bias -eps) vs the exact constraint polynomial, relative
     1e-9 over 50 random points with N <= 8."""
     t0 = time.time()
     rng = random.Random(20250808)
@@ -132,9 +133,8 @@ def test_criterion_05_series_polynomial_bridge():
         eps = Fraction(rng.randint(-8, 16), rng.randint(1, 8))
         g = rng.uniform(0.05, 2.0)
         delta = rng.uniform(0.05, 3.0)
-        params = ModelParams(g, delta, float(eps))
-        ks = k_sequence(N + float(eps), params, "minus", N)
-        lhs = math.factorial(N) ** 2 * (2 * g) ** N * ks[N]
+        bs = k_sequence(N + float(eps), ModelParams(g, delta, -float(eps)), N)
+        lhs = math.factorial(N) ** 2 * 2 ** N * bs[N]
         rhs = float(constraint_value(N, eps, N, Fraction(2 * g) ** 2,
                                      Fraction(delta) ** 2))
         err = abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -157,9 +157,10 @@ def test_criterion_06_residue_formulas():
         g = rng.uniform(0.4, 1.2)
         delta = rng.uniform(0.6, 1.8)
         sign = rng.choice(["plus", "minus"])
-        params = ModelParams(g, delta, eps)
-        x0 = N + (eps if sign == "plus" else -eps)
-        closed = residue_simple(N, params, sign)
+        # the pole N - eps is the pole N + eps' at the bias eps' = -eps
+        params = ModelParams(g, delta, eps if sign == "plus" else -eps)
+        x0 = N + params.eps
+        closed = residue_simple(N, params)
         numeric = residue_numeric(x0, params, order=1, h0=5e-3)
         if abs(closed) < 1e-4:      # stay away from accidental zeros
             continue

@@ -352,10 +352,12 @@ class TestSubcommands:
         ("--N 1 --eps -1/2 --sign minus", "--N 1 --eps 1/2"),
         ("--N 0 --eps -1/2", "--N 0 --eps 1/2 --sign minus"),
         ("--N 2 --eps -3/2 --sign minus", "--N 2 --eps 3/2"),
+        ("--N 1 --eps 0 --sign minus", "--N 1 --eps 0"),
     ))
     def test_residue_at_a_negative_half_integer_bias(self, capsys, argv, mirror):
         # G(x; eps) = G(x; -eps): each pole of the negative bias is a pole of
-        # the positive one with the other sign, printed alike
+        # the positive one with the other sign, printed alike; at eps = 0
+        # both signs name the double pole x = N
         tail = ("--g", "0.9", "--delta", "1")
         code, out, err = run(capsys, "residue", *argv.split(), *tail)
         assert (code, err) == (0, "")
@@ -532,6 +534,8 @@ class TestInputRange:
          "sweep grid needs at least one positive coupling"),
         ("tfunc --N 600 --eps 1/2 --delta 1 --g 0.5:0.6:0.05",   # printed T = 0
          "T-function products underflow at N=600, g=0.5"),
+        ("tfunc --N 1 --eps 1/2 --delta 1 --g 14",   # printed T = nan
+         "T-function overflows at N=1, g=14.0"),
         ("gfunc --g 0.5 --delta 1 --eps 0.3 --x=-110:-100:1",   # printed calG = 0
          "G-function products underflow at x=-110.0"),
         ("residue --N 60 --eps 1/2 --g 0.5 --delta 1",   # printed A = B = 0
@@ -557,12 +561,16 @@ class TestInputRange:
         assert err == f"error: M must be at least 8 and at most {oracle.M_MAX}\n"
 
     def test_overflowing_series_exit_two(self, capsys):
-        # at g = 10 the term g^n overflows before the series converges: the
-        # non-finite sum is refused instead of printed as calG = nan
-        code, out, err = run(capsys, "gfunc", "--g", "10", "--delta", "1",
+        # at g = 19 the terms b_n = K_n g^n overflow before the series
+        # converges, and at g = 13.5 the sums converge but a product of two
+        # overflows: each is refused instead of printed as calG = nan
+        code, out, err = run(capsys, "gfunc", "--g", "19", "--delta", "1",
                              "--eps", "0.3", "--x", "7:8:0.5")
         assert code == 2 and out == ""
         assert err == "error: G-function series not converged at x=7.0\n"
+        code, out, err = run(capsys, *"gfunc --g 13.5 --delta 1 --eps 0.3 --x 2.37".split())
+        assert code == 2 and out == ""
+        assert err == "error: G-function products overflow at x=2.37\n"
 
     def test_incomplete_spectrum_exit_two(self, capsys):
         # two levels 5e-11 apart: the level count cannot separate them
@@ -698,10 +706,47 @@ class TestStrongCoupling:
         assert built == []
 
 
+class TestSeriesAtStrongCoupling:
+    """The series carry the terms b_n = K_n g^n, not K_n and g^n apart, so G,
+    calG and the pole coefficients are printed past g = 10, up to where a
+    product of two branch sums overflows (g = 13 to 14; see TestInputRange).
+    The literals are from a 160-digit mpmath sum of the same series."""
+
+    # G and calG at g = 10, Delta = 1, eps = 0.3 (the float 0.3); the terms
+    # peak near 1e82, and a separate factor g^n would overflow at n = 309
+    STRONG_COUPLING = (
+        (7.0, -3.1220342157258953440049201992868382487254208994651e+169,
+         5.3225471074364061645083924168417589512695234813863e+175),
+        (7.5, -1.5613332585015034467459619508497873631432400980037e+169,
+         -1.0886844270962460799416016961796998785212846338908e+176),
+        (8.0, -7.8095306094382078501280600004278546584298707407232e+168,
+         8.5089428061800301246624689649752186791260007592167e+176),
+    )
+
+    def test_strong_coupling_against_a_50_digit_sum(self, capsys):
+        code, out, err = run(capsys, *"gfunc --g 10 --delta 1 --eps 0.3 --x 7:8:0.5".split())
+        assert (code, err) == (0, "")
+        rows = [tuple(map(float, line.split(","))) for line in out.split()[1:]]
+        assert len(rows) == len(self.STRONG_COUPLING)
+        for (x, G, calG), (x_ref, G_ref, calG_ref) in zip(rows, self.STRONG_COUPLING):
+            assert x == x_ref
+            assert G == pytest.approx(G_ref, rel=1e-12)
+            assert calG == pytest.approx(calG_ref, rel=1e-12)
+
+    def test_strong_coupling_double_pole(self, capsys):
+        # A at x0 = 3/2, g = 12, read from the 160-digit G as the mean of
+        # h^2 G(x0 + h) and h^2 G(x0 - h), h = 1e-70
+        code, out, err = run(capsys, *"residue --N 1 --eps 1/2 --g 12 --delta 1".split())
+        assert (code, err) == (0, "")
+        fields = dict(line.split("=") for line in out.split())
+        A_ref = -5.3351011275785796526097488970862136840316320536648e+243
+        assert float(fields["A"]) == pytest.approx(A_ref, rel=1e-12)
+
+
 class TestCountLocatesLevels:
     """The level count alone locates every regular level, also where float
-    calG cannot: at g = 10 its series overflows below the first level, and in
-    the large-x draw its zero had drifted out of the level's count bracket."""
+    calG is of no help: at g = 10 its values reach 1e175, and in the large-x
+    draw its zero had drifted out of the level's count bracket."""
 
     @pytest.mark.parametrize("argv", (
         "spectrum --g 10 --delta 1 --eps 0.3 --x-max 3",
@@ -747,13 +792,13 @@ GOLDEN = (
     ("count-roots --N 6 --eps 2/5 --y 209/10",
      "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:4:0.002",
-     "83c10ced7dfad80409ff238da9ddede7d75161f0d80904f651733fc205653bb4"),
+     "b7977c9e17eee8ce1863917185aa4bc6fe879d52f3c2b0cf13ea28f37150a015"),
     ("tfunc --N 1 --eps 1/2 --delta 1 --g 0.1:2:0.01",
-     "d61350d4710a8d37236d4d40a986391e6baff5f077e0a39d15838daa06edba68"),
+     "d2cf92bffc8516c1fad26886151baff5174a821d5adb81c7d4e819bf073e32fc"),
     ("residue --N 1 --eps 1/2 --g 0.9 --delta 1",
-     "57a921e3e57defd0ab21bc8ceeec9a259efa48e7be42fdf61e499c17663c4c68"),
+     "aa210013a2ee912d4450f09d23e80929e8b309775c193e39ac2236a792c3d4d2"),
     ("residue --N 1 --eps 0.3 --g 0.9 --delta 1",
-     "2716cedd84dc9669c5d51d41be3736b1ff9e62a11dbd2ab3d6752219c9c16835"),
+     "fd33afab2af4dc7fa0d2a093120267ab7024e0f792e3d1342202a92a025265ed"),
     ("spectrum --g 0.5 --delta 1 --eps 1/2 --x-max 5",
      "3e08d8bc497a56388b6dcce80e2a2e12676327b8b343d6eafdaaefbd607d0250"),
     ("spectrum --g 0.5 --delta 1 --eps 0.123456789 --x-max 5",

@@ -1,6 +1,7 @@
 """The experiment scripts import cleanly: each is loaded as a module (their
 `main` only runs under `__main__`), so a package name they use that is moved
-or deleted fails here."""
+or deleted fails here. The scripts that call into the package are also run
+on a small grid, so a stale call fails too."""
 
 import importlib.util
 import sys
@@ -45,3 +46,14 @@ def test_gfunction_profiles_are_aqrm_gfunc_tables(tmp_path, monkeypatch, capsys)
     assert mod.main() == 2
     assert capsys.readouterr().err == "error: need step > 0 and b >= a\n"
     assert list((tmp_path / "bad").iterdir()) == []
+
+
+def test_residue_vanishing_scan_runs(monkeypatch, capsys):
+    mod = load(next(p for p in SCRIPTS if p.stem == "residue_vanishing_scan"))
+    monkeypatch.setattr(sys, "argv", ["residue_vanishing_scan.py", "--g-min", "0.5",
+                                      "--g-max", "0.6", "--g-step", "0.1", "--delta-min", "1",
+                                      "--delta-max", "1.5", "--delta-step", "0.5"])
+    assert mod.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "g,delta,b_residual,T,P"
+    assert len(lines) == 1 + 2 * 2

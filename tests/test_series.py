@@ -48,62 +48,62 @@ class TestKCoefficients:
     def test_initial_terms(self):
         p = ModelParams(0.8, 1.0, 0.3)
         x = 0.55
-        ks = k_sequence(x, p, "plus", 3)
-        assert ks[0] == 1.0
+        bs = k_sequence(x, p, 3)
+        assert bs[0] == 1.0
+        # b_1 = K_1 g with K_1 = f_0
         f0 = 2 * p.g + (0 - x + p.eps + p.delta ** 2 / (x + p.eps)) / (2 * p.g)
-        assert ks[1] == pytest.approx(f0, rel=1e-15)
+        assert bs[1] == pytest.approx(f0 * p.g, rel=1e-15)
 
     @given(st.floats(0.05, 0.9), st.floats(0.3, 2.0), st.floats(0.3, 2.5),
            st.floats(0.01, 0.9))
     @settings(max_examples=25, deadline=None)
     def test_sign_symmetry_exact(self, x, g, delta, eps):
-        # flipping the bias swaps the two branches, coefficient by coefficient
+        # a branch reads the bias only through its shift s, so flipping the
+        # bias swaps the two branches, sum by sum
         assume(all(abs(x - n + s) > 1e-6 for n in range(13) for s in (eps, -eps)))
         p1 = ModelParams(g, delta, eps)
         p2 = ModelParams(g, delta, -eps)
-        assert k_sequence(x, p1, "plus", 12) == k_sequence(x, p2, "minus", 12)
-        assert k_sequence(x, p1, "minus", 12) == k_sequence(x, p2, "plus", 12)
+        for s in (eps, -eps):
+            assert series_mod._summed(x, p1, s) == series_mod._summed(x, p2, s)
 
     def test_pole_guard(self):
-        # x - 2 - eps ~ 0: d_2 is checked before K_3 is formed and before
-        # term 2 is summed, never for K_2 itself
-        p = ModelParams(0.8, 1.0, 0.3)
+        # x - 2 - eps ~ 0: d_2 is checked before b_3 is formed and before
+        # term 2 is summed, never for b_2 itself
+        p, minus = ModelParams(0.8, 1.0, 0.3), ModelParams(0.8, 1.0, -0.3)
         x = 2.3 + 1e-12
-        assert len(k_sequence(x, p, "minus", 2)) == 3
-        for call in (lambda: k_sequence(x, p, "minus", 3),
-                     lambda: k_sequence(x, p, "minus", 8),
+        assert len(k_sequence(x, minus, 2)) == 3
+        for call in (lambda: k_sequence(x, minus, 3),
+                     lambda: k_sequence(x, minus, 8),
                      lambda: series_mod._summed(x, p, -p.eps)):
             with pytest.raises(PoleEncountered) as info:
                 call()
             assert info.value.n == 2
 
     @given(st.floats(-3.0, 9.0), st.floats(0.05, 3.0), st.floats(0.2, 2.5),
-           st.floats(-1.5, 1.5), st.sampled_from(["plus", "minus"]))
+           st.floats(-1.5, 1.5))
     @settings(max_examples=60, deadline=None)
-    def test_sum_is_the_sequence_summed(self, x, g, delta, eps, sign):
-        # _summed and k_sequence each run the K recurrence; the sum R is the
-        # sequence times g^n added in order, to the last bit: one of its
-        # partial sums
-        s = eps if sign == "plus" else -eps
-        assume(all(abs(x - n + s) > 1e-6 for n in range(14)))
+    def test_sum_is_the_sequence_summed(self, x, g, delta, eps):
+        # _summed and k_sequence each run the recurrence of b_n = K_n g^n;
+        # the sum R is the sequence added in order, to the last bit: one of
+        # its partial sums
+        assume(all(abs(x - n + eps) > 1e-6 for n in range(14)))
         p = ModelParams(g, delta, eps)
         try:
-            R_summed, _ = series_mod._summed(x, p, s)
+            R_summed, _ = series_mod._summed(x, p, eps)
         except NonConvergent:
             assume(False)
-        partial, R, gn = set(), 0.0, 1.0
-        for k in k_sequence(x, p, sign, series_mod._MAX_TERMS):
-            R += k * gn
-            gn *= g
+        partial, R = set(), 0.0
+        for b in k_sequence(x, p, series_mod._MAX_TERMS):
+            R += b
             partial.add(R)
         assert R_summed in partial
 
     def test_series_bridge_to_constraint_poly(self):
-        # (N!)^2 (2g)^N K_N^-(N+eps) = P_N((2g)^2, Delta^2)
+        # (N!)^2 (2g)^N K_N^-(N+eps) = (N!)^2 2^N b_N = P_N((2g)^2, Delta^2),
+        # b_N of the branch -eps, which is the bias -eps
         N, eps, g, delta = 3, 0.25, 0.7, 1.1
-        p = ModelParams(g, delta, eps)
-        ks = k_sequence(N + eps, p, "minus", N)
-        lhs = math.factorial(N) ** 2 * (2 * g) ** N * ks[N]
+        bs = k_sequence(N + eps, ModelParams(g, delta, -eps), N)
+        lhs = math.factorial(N) ** 2 * 2 ** N * bs[N]
         rhs = float(constraint_value(N, Fraction(1, 4), N,
                                      Fraction(49, 25) * 4 / 4, Fraction(121, 100)))
         rhs = constraint_value(N, 0.25, N, (2 * g) ** 2, delta ** 2)
@@ -121,11 +121,19 @@ class TestKCoefficients:
 
 
 class TestGFunction:
-    def test_bias_sign_symmetry(self):
-        x, g, delta, eps = 0.37, 0.8, 1.0, 0.45
-        a = g_function(x, ModelParams(g, delta, eps))
-        b = g_function(x, ModelParams(g, delta, -eps))
-        assert rel_close(a, b, 1e-10)
+    @given(x=st.floats(-3.0, 9.0), g=st.floats(0.05, 3.0), delta=st.floats(0.2, 2.5),
+           eps=st.floats(-1.5, 1.5))
+    @example(0.37, 0.8, 1.0, 0.45)
+    @settings(max_examples=60, deadline=None)
+    def test_bias_sign_symmetry(self, x, g, delta, eps):
+        # G(x; eps) = G(x; -eps) to the bit: the flip swaps the branches,
+        # and both products are symmetric in them
+        assume(all(abs(x - n + s) > 1e-6 for n in range(14) for s in (eps, -eps)))
+        try:
+            a = g_function(x, ModelParams(g, delta, eps))
+        except NonConvergent:
+            assume(False)
+        assert g_function(x, ModelParams(g, delta, -eps)) == a
 
     def test_zero_bias_parity_factorization(self):
         # the symmetric model's function splits into the two parity pieces;
@@ -134,9 +142,9 @@ class TestGFunction:
         # the zero sets coincide either way
         x, g, delta = 0.45, 0.7, 1.0
         p = ModelParams(g, delta, 0.0)
-        ks = k_sequence(x, p, "plus", 400)
-        gp = sum(ks[n] * (1 - delta / (x - n)) * g ** n for n in range(400))
-        gm = sum(ks[n] * (1 + delta / (x - n)) * g ** n for n in range(400))
+        bs = k_sequence(x, p, 400)
+        gp = sum(bs[n] * (1 - delta / (x - n)) for n in range(400))
+        gm = sum(bs[n] * (1 + delta / (x - n)) for n in range(400))
         assert rel_close(g_function(x, p), -(gp * gm), 1e-10)
 
     def test_truncation_robustness(self, monkeypatch):
@@ -179,25 +187,25 @@ class TestFrobenius:
     @pytest.mark.parametrize("point,expected", MATCHED_T, ids=[
         "-".join(map(str, pt[:4] if pt[4] == "plus" else pt)) for pt, _ in MATCHED_T])
     def test_t_function_is_matched_solutions(self, point, expected):
-        # eps = 1/2 and 3/2 start phi2 past its pole at N + 2 eps
+        # eps = 1/2 and 3/2 start phi2 past its pole at N + 2 eps; the point
+        # N - eps is the T-function at the bias -eps
         N, g, delta, eps, sign = point
-        assert rel_close(t_function(N, ModelParams(g, delta, eps), sign), expected, 1e-13)
+        bias = eps if sign == "plus" else -eps
+        assert rel_close(t_function(N, ModelParams(g, delta, bias)), expected, 1e-13)
 
     def test_nonconvergent_when_capped(self, monkeypatch):
         # 32 terms of a tail decaying like 2^-n cannot reach the streak bound
         monkeypatch.setattr(series_mod, "_MAX_TERMS", 32)
         with pytest.raises(NonConvergent):
-            t_function(1, ModelParams(0.9, 1.0, 0.25), "plus")
+            t_function(1, ModelParams(0.9, 1.0, 0.25))
 
     def test_pole_not_summed_past_is_refused(self):
         # N + 2 eps = 2 + 6e-9 is inside POLE_GUARD of the far branch's pole
         # but outside _HALF_INT_TOL, so that branch is summed from 0; within
         # _HALF_INT_TOL it is summed past the pole and T is the value at 1/2
         with pytest.raises(PoleEncountered):
-            t_function(1, ModelParams(0.9, 1.0, 0.5 + 3e-9), "plus")
-        with pytest.raises(PoleEncountered):
-            t_function(1, ModelParams(0.9, 1.0, -0.5 - 3e-9), "minus")
-        near = t_function(1, ModelParams(0.9, 1.0, 0.5 + 3e-10), "plus")
+            t_function(1, ModelParams(0.9, 1.0, 0.5 + 3e-9))
+        near = t_function(1, ModelParams(0.9, 1.0, 0.5 + 3e-10))
         assert rel_close(near, MATCHED_T[1][1], 1e-8)
 
 
@@ -207,9 +215,8 @@ class TestTFunction:
     def test_shift_identity(self, N, ell):
         # T-tilde at level N+l with bias l/2 equals T at level N
         g, delta = 0.9, 1.3
-        p = ModelParams(g, delta, ell / 2)
-        lhs = t_function(N + ell, p, "minus")
-        rhs = t_function(N, p, "plus")
+        lhs = t_function(N + ell, ModelParams(g, delta, -ell / 2))
+        rhs = t_function(N, ModelParams(g, delta, ell / 2))
         assert lhs == rhs
 
     @given(N=st.integers(0, 8), ell=st.integers(0, 5), g=st.floats(0.05, 3.0),
@@ -217,14 +224,25 @@ class TestTFunction:
     @settings(max_examples=200, deadline=None)
     def test_shift_identity_is_exact(self, N, ell, g, delta):
         # both sides are the branches +l/2 and -l/2 of G at x = N + l/2
-        p = ModelParams(g, delta, ell / 2)
-        assert t_function(N + ell, p, "minus") == t_function(N, p, "plus")
+        assert (t_function(N + ell, ModelParams(g, delta, -ell / 2))
+                == t_function(N, ModelParams(g, delta, ell / 2)))
 
-    def test_minus_sign_is_bias_flip(self):
-        N, g, delta, eps = 2, 0.8, 1.1, 0.37
-        a = t_function(N, ModelParams(g, delta, eps), "minus")
-        b = t_function(N, ModelParams(g, delta, -eps), "plus")
-        assert rel_close(a, b, 1e-13)
+    @given(N=st.integers(0, 8), g=st.floats(0.05, 3.0), delta=st.floats(0.1, 3.0),
+           eps=st.floats(-2.0, 2.0))
+    @example(2, 0.8, 1.1, 0.37)
+    @settings(max_examples=100, deadline=None)
+    def test_minus_sign_is_bias_flip(self, N, g, delta, eps):
+        # T at the point N - eps of the bias eps, from that bias's branches
+        # s = eps, -eps in that order, is the call at the bias -eps to the bit
+        from aqrm.series import _branch_sums
+        p = ModelParams(g, delta, eps)
+        try:
+            (Rp, Rbp), (Rm, Rbm) = (_branch_sums(N - eps, p, eps),
+                                    _branch_sums(N - eps, p, -eps))
+        except PoleEncountered:
+            assume(False)
+        lhs, rhs = delta ** 2 * (Rbp * Rbm), Rp * Rm
+        assert t_function(N, ModelParams(g, delta, -eps)) == lhs - rhs
 
     def test_zero_bias_factorization(self):
         # at eps = 0 both branches are one series, summed from N + 1
@@ -232,19 +250,18 @@ class TestTFunction:
         N, g, delta = 1, 0.8, 1.0
         p = ModelParams(g, delta, 0.0)
         R, Rbar = _branch_sums(float(N), p, 0.0)
-        tv = t_function(N, p, "plus")
+        tv = t_function(N, p)
         assert rel_close(tv, (delta * Rbar - R) * (delta * Rbar + R), 1e-13)
 
     def test_memory_is_kept_to_the_terms(self):
         # at N = 10^7 the tails start past 10^7 but take a few terms: one pass
         # keeps those terms only, with no list padded up to the start; each
         # value is about 2^-N, so both products underflow and T is refused
-        p = ModelParams(0.5, 1.0, 0.5)
         tracemalloc.start()
         try:
-            for sign in ("plus", "minus"):
+            for eps in (0.5, -0.5):
                 with pytest.raises(ArithmeticError, match="underflow at N=10000000"):
-                    t_function(10 ** 7, p, sign)
+                    t_function(10 ** 7, ModelParams(0.5, 1.0, eps))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,15 +271,15 @@ class TestTFunction:
         # at N = 540 the product R^+ R^- is 0.0 while both factors are about
         # 1e-163; at N = 500 the smaller product, 1.2e-302, is still normal
         p = ModelParams(0.5, 1.0, 0.5)
-        assert t_function(500, p, "plus") != 0.0
+        assert t_function(500, p) != 0.0
         for N in (540, 560):
             with pytest.raises(ArithmeticError, match=f"underflow at N={N}"):
-                t_function(N, p, "plus")
+                t_function(N, p)
 
     def test_zero_location_with_unit_delta(self):
         # the non-Juddian point for bias 1/2, level 1; the zero verified by
         # independent diagonalization sits near 1.39303
-        f = lambda g: t_function(1, ModelParams(g, 1.0, 0.5), "plus")
+        f = lambda g: t_function(1, ModelParams(g, 1.0, 0.5))
         assert f(1.38) > 0 > f(1.40)
         lo, hi = 1.38, 1.40
         for _ in range(40):
@@ -318,8 +335,8 @@ class TestRegularizedG:
         p = ModelParams(g, delta, eps)
         w = rgamma(eps - x) * rgamma(-eps - x)
         sizes = []
-        for sign, s in (("plus", eps), ("minus", -eps)):
-            terms = [abs(k) * g ** n for n, k in enumerate(k_sequence(x, p, sign, 80))]
+        for s in (eps, -eps):
+            terms = [abs(b) for b in k_sequence(x, ModelParams(g, delta, s), 80)]
             sizes.append((sum(terms), sum(t / abs(x - n + s) for n, t in enumerate(terms))))
         (a, abar), (b, bbar) = sizes
         scale = abs(w) * (delta ** 2 * abar * bbar + a * b)
@@ -347,7 +364,7 @@ class TestRegularizedG:
         assume(abs(2 * eps - round(2 * eps)) > 1e-3)
         p = ModelParams(g, delta, eps)
         v = regularized_g(N + eps, p)
-        expect = ((-1) ** (N + 1) * math.factorial(N) * residue_simple(N, p, "plus")
+        expect = ((-1) ** (N + 1) * math.factorial(N) * residue_simple(N, p)
                   * rgamma(-2 * eps - N))
         assert abs(v - expect) <= 1e-10 * (1 + abs(v))
 
@@ -416,27 +433,29 @@ class TestResidues:
     def test_simple_pole_formula_vs_numeric(self):
         p = ModelParams(0.7, 1.0, 0.2)
         N = 2
-        closed = residue_simple(N, p, "plus")
+        closed = residue_simple(N, p)
         numeric = residue_numeric(N + p.eps, p, order=1)
         assert rel_close(closed, numeric, 1e-6)
 
     def test_minus_branch(self):
+        # the pole 1 - eps is the residue at the bias -eps
         p = ModelParams(0.6, 0.9, 0.31)
-        closed = residue_simple(1, p, "minus")
+        closed = residue_simple(1, ModelParams(0.6, 0.9, -0.31))
         numeric = residue_numeric(1 - p.eps, p, order=1)
         assert rel_close(closed, numeric, 1e-6)
 
     def test_juddian_kills_the_pole(self):
         g = math.sqrt(27.0 / 20.0) / 2.0
         p = ModelParams(g, 0.5, 0.3)
-        closed = residue_simple(1, p, "plus")
-        probe = residue_simple(1, ModelParams(g * 1.05, 0.5, 0.3), "plus")
+        closed = residue_simple(1, p)
+        probe = residue_simple(1, ModelParams(g * 1.05, 0.5, 0.3))
         assert abs(closed) < 1e-10 * max(1.0, abs(probe) / 0.05)
 
     def test_prop_simple_pole_below_half_integer(self):
         # bias 3/2: x = 1 - 3/2 is a simple pole; its residue vanishes at the
-        # T-zero near g = 1.6318 (level 1, minus branch, Delta = 3)
-        f = lambda g: t_function(1, ModelParams(g, 3.0, 1.5), "minus")
+        # T-zero near g = 1.6318 (level 1, minus branch: the bias -3/2,
+        # Delta = 3)
+        f = lambda g: t_function(1, ModelParams(g, 3.0, -1.5))
         lo, hi = 1.55, 1.70
         flo = f(lo)
         assert flo * f(hi) < 0
@@ -448,17 +467,16 @@ class TestResidues:
                 hi = mid
         gstar = 0.5 * (lo + hi)
         assert gstar == pytest.approx(1.6318, abs=2e-4)
-        p = ModelParams(gstar, 3.0, 1.5)
-        res = residue_simple(1, p, "minus")
-        scale = abs(residue_simple(1, ModelParams(gstar * 1.05, 3.0, 1.5), "minus"))
+        res = residue_simple(1, ModelParams(gstar, 3.0, -1.5))
+        scale = abs(residue_simple(1, ModelParams(gstar * 1.05, 3.0, -1.5)))
         assert abs(res) < 1e-7 * max(1.0, scale / 0.05)
 
     def test_wrong_pole_order_raises(self):
         p = ModelParams(0.9, 1.0, 0.5)
         with pytest.raises(WrongPoleOrder):
-            residue_simple(1, p, "plus")
+            residue_simple(1, p)
         with pytest.raises(WrongPoleOrder):
-            residue_simple(0, ModelParams(0.7, 1.0, 0.0), "plus")
+            residue_simple(0, ModelParams(0.7, 1.0, 0.0))
 
 
 def _branch_laurent(x0, p, sign):
@@ -498,7 +516,7 @@ class TestDoublePole:
 
     def test_non_juddian_leaves_simple_pole(self):
         # at the T-zero the squared term vanishes but the residue survives
-        f = lambda g: t_function(1, ModelParams(g, 1.0, 0.5), "plus")
+        f = lambda g: t_function(1, ModelParams(g, 1.0, 0.5))
         lo, hi = 1.38, 1.40
         for _ in range(50):
             mid = 0.5 * (lo + hi)
@@ -549,9 +567,10 @@ class TestQFunctions:
         assert rel_close(q_bar, (Rbp + Rbm) / 2.0, 1e-5)
         assert rel_close(res_bar, (h * Rbp - h * Rbm) / 2.0, 1e-5)
 
-    @pytest.mark.parametrize("g", [10.0, 11.0, 13.0])
+    @pytest.mark.parametrize("g", [19.0, 20.0, 30.0])
     def test_overflowing_jet_raises(self, g):
-        # the scaled sums overflow at this coupling; no inf or nan may pass
+        # the terms b_n of the scaled sums overflow at this coupling before
+        # the sums converge; no inf or nan may pass
         p = ModelParams(g, 1.0, 0.5)
         for sign in ("minus", "plus"):
             with pytest.raises(NonConvergent):
@@ -560,8 +579,17 @@ class TestQFunctions:
             with pytest.raises(NonConvergent):
                 f(1, 1, p)
 
+    @pytest.mark.parametrize("g", [14.0, 18.5])
+    def test_overflowing_products_raise(self, g):
+        # the jets converge, but the products of two of them overflow
+        p = ModelParams(g, 1.0, 0.5)
+        assert all(math.isfinite(v) for v in _branch_laurent(1.5, p, "minus"))
+        for f in (b_function, b_residual, double_pole_coefficients):
+            with pytest.raises(ArithmeticError, match=r"overflows at N=\d, g="):
+                f(1, 1, p)
+
     def test_finite_below_the_overflow(self):
-        p = ModelParams(9.5, 1.0, 0.5)
+        p = ModelParams(13.0, 1.0, 0.5)
         vals = (*_branch_laurent(1.5, p, "minus"), *_branch_laurent(1.5, p, "plus"),
                 b_function(1, 1, p), *double_pole_coefficients(1, 1, p))
         assert all(math.isfinite(v) for v in vals)
@@ -673,7 +701,7 @@ class TestBFunction:
     def test_t_function_truncation_robustness(self, monkeypatch):
         p = ModelParams(1.1, 1.0, 0.5)
         monkeypatch.setattr(series_mod, "_MAX_TERMS", 300)
-        v1 = t_function(1, p, "plus")
+        v1 = t_function(1, p)
         monkeypatch.setattr(series_mod, "_MAX_TERMS", 600)
-        v2 = t_function(1, p, "plus")
+        v2 = t_function(1, p)
         assert rel_close(v1, v2, 1e-12)

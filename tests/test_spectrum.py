@@ -286,9 +286,9 @@ class TestSpectra:
         from fractions import Fraction as F
         for (N, eps, delta) in ((2, F(1), F(3, 2)), (1, F(3, 10), F(1, 2))):
             for g, _ in juddian_roots(N, eps, delta):
-                p = ModelParams(g, float(delta), float(eps))
-                ks = k_sequence(N + float(eps), p, "minus", N)
-                assert abs(ks[N]) < 1e-8
+                p = ModelParams(g, float(delta), -float(eps))     # the branch -eps
+                bs = k_sequence(N + float(eps), p, N)
+                assert abs(bs[N]) < 1e-8
 
 
 class TestCountBrackets:
@@ -586,7 +586,7 @@ class TestFloatBisection:
 
     def test_t_function_scan(self, monkeypatch):
         import aqrm.spectrum as spectrum_mod
-        stub, calls = self.limited(lambda N, params, sign: 1.0 if params.g >= 1.2345 else -1.0)
+        stub, calls = self.limited(lambda N, params: 1.0 if params.g >= 1.2345 else -1.0)
         monkeypatch.setattr(spectrum_mod, "t_function", stub)
         monkeypatch.setattr(spectrum_mod, "_T_SCAN_STEP", 0.1)
         monkeypatch.setattr(spectrum_mod, "_T_ZERO_TOL", 1e-20)

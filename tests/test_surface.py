@@ -17,7 +17,7 @@ PACKAGE = ROOT / "src" / "aqrm"
 # This list may only shrink.
 KEPT_FOR_THE_PAPER = {
     "constraint_poly_det",     # P_N^(N,eps) as its tridiagonal determinant
-    "k_sequence",              # the K_n(x) coefficients of the G-function
+    "k_sequence",              # the terms b_n = K_n(x) g^n of a G-function branch
     "non_juddian_roots",       # T-function zeros over g (acceptance criterion 04)
 }
 
@@ -118,6 +118,21 @@ def test_one_exit_for_a_branch_sum():
                        and isinstance(r.exc.func, ast.Name)
                        and r.exc.func.id == "NonConvergent" for r in ast.walk(node))}
     assert raising == {"_summed", "_scaled_sums"}
+
+
+def test_a_branch_is_named_by_its_bias():
+    # the minus branch at eps is the call at the bias -eps, so no function in
+    # series takes a sign, and each series term is b_n = K_n g^n, with no g^n
+    # carried apart. spectrum.non_juddian_roots keeps a sign of its own,
+    # mapped to the bias inside, because acceptance criterion 04a, which
+    # stays as written, passes "plus"
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    params = {a.arg for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for a in node.args.args + node.args.kwonlyargs}
+    assert not {"sign", "gn"} & params
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "Literal" not in imported
 
 
 def test_double_pole_coefficients_come_from_the_constraint_relations():
