@@ -3,8 +3,10 @@ P_k^(N,eps), their determinant form, the integer quotient A_N^l, the Q_k
 variant, the Laguerre limit, and the exact identities between them. Each
 exact family is written once, as the integer rows of a three-term
 recurrence, and runs through one packed-integer loop. With eps = p/q the
-constraint family runs on the integer members R_k = q^k P_k: the identity
-checks, the divisibility and the x-slices for root counting read those."""
+constraint family runs on the integer members R_k = q^k P_k. Each identity
+check builds the rows of its families once, takes one digit width from
+their l1 bounds, and compares packed integers without unpacking either side;
+the x-slices for root counting unpack R_N once."""
 
 from __future__ import annotations
 
@@ -106,10 +108,10 @@ def _row_bounds(rows) -> list[int]:
     """[B_0, ..., B_K]: B_k bounds the sum of the absolute coefficients of
     M_k, by the triangle inequality on the recurrence:
         B_k = (|a_k| + |b_k| + |c_k|) B_{k-1} + (|d_k| + |e_k|) B_{k-2}."""
-    out, prev = [1], 0
+    out, prev, cur = [1], 0, 1
     for a, b, c, d, e in rows:
-        out.append((abs(a) + abs(b) + abs(c)) * out[-1] + (abs(d) + abs(e)) * prev)
-        prev = out[-2]
+        prev, cur = cur, (abs(a) + abs(b) + abs(c)) * cur + (abs(d) + abs(e)) * prev
+        out.append(cur)
     return out
 
 
@@ -120,11 +122,10 @@ def _packed(rows, s: int, w: int) -> list[int]:
     is 0 exactly when its packed integer is, once 2^(s-1) exceeds its l1
     bound and w its x-degree: its balanced base-2^s digits, the coefficients
     of x^i y^j at digit i + w j, are then unique."""
-    fam, prev = [1], 0
+    fam, prev, r, sw = [1], 0, 1, s * w
     for a, b, c, d, e in rows:
-        r = fam[-1]
-        fam.append(((a * r - d * prev) << s) + ((b * r) << s * w) + c * r - e * prev)
-        prev = r
+        prev, r = r, ((a * r - d * prev) << s) + ((b * r) << sw) + c * r - e * prev
+        fam.append(r)
     return fam
 
 
@@ -172,17 +173,6 @@ def _constraint_rows(N: int, eps: Fraction, k_max: int) -> tuple:
                  for k in range(1, k_max + 1))
 
 
-def _l1_bounds(N: int, eps: Fraction, k_max: int) -> list[int]:
-    """_row_bounds of the constraint rows: B_k bounds the l1 norm of R_k."""
-    return _row_bounds(_constraint_rows(N, eps, k_max))
-
-
-def _family(N: int, eps: Fraction, k_max: int, s: int, w: int) -> list[int]:
-    """[r_0, ..., r_{k_max}], r_k = R_k(2^s, 2^(s w)): the packed constraint
-    members, which the identity checks compare."""
-    return _packed(_constraint_rows(N, eps, k_max), s, w)
-
-
 def constraint_poly(N: int, eps, k: int) -> BivarPoly:
     """P_k^(N,eps)(x,y) by the three-term recurrence
 
@@ -194,11 +184,6 @@ def constraint_poly(N: int, eps, k: int) -> BivarPoly:
     return _divided(_last(_constraint_rows(N, eps, k)), eps.denominator ** k)
 
 
-def _top_member(N: int, eps: Fraction) -> tuple:
-    """The terms of R_N, the top member of the constraint family."""
-    return tuple(_last(_constraint_rows(N, eps, N)).items())
-
-
 def constraint_slice(N: int, eps, y) -> tuple[int, ...]:
     """b^N R_N(x, a/b) for y = a/b as integer coefficients in x, ascending
     (R_N has degree N in y): a positive multiple of P_N^(N,eps)(x, y), which
@@ -207,7 +192,7 @@ def constraint_slice(N: int, eps, y) -> tuple[int, ...]:
     a, b = y.numerator, y.denominator
     powers = [a ** j * b ** (N - j) for j in range(N + 1)]
     out = [0] * (N + 1)
-    for (i, j), v in _top_member(N, _frac(eps)):
+    for (i, j), v in _last(_constraint_rows(N, _frac(eps), N)).items():
         out[i] += v * powers[j]
     return tuple(out)
 
@@ -237,11 +222,13 @@ def _det_rows(N: int, eps: Fraction) -> tuple:
 
 
 def determinant_check(N: int, eps) -> bool:
-    """Exact identity R_N = q^N det(I_N y + D_N x + C_N), eps = p/q: the built
-    top member against the determinant of _det_rows, both unpacked from the
-    packed recurrence."""
+    """Exact identity R_N = q^N det(I_N y + D_N x + C_N), eps = p/q: the top
+    constraint member against the determinant of _det_rows, as two packed
+    integers at one width, taken from the sum of their row bounds."""
     eps = _frac(eps)
-    return _last(_det_rows(N, eps)) == dict(_top_member(N, eps))
+    left, right = _constraint_rows(N, eps, N), _det_rows(N, eps)
+    s = _width(_row_bounds(left)[-1] + _row_bounds(right)[-1])
+    return _packed(left, s, N + 1)[-1] == _packed(right, s, N + 1)[-1]
 
 
 def q_poly(N: int, eps, k: int) -> BivarPoly:
@@ -270,17 +257,22 @@ def constraint_poly_det(N: int, eps) -> BivarPoly:
 # the quotient A_N^l and divisibility
 # ---------------------------------------------------------------------------
 
-def a_poly(N: int, ell: int) -> BivarPoly:
-    """The degree-l quotient A_N^l(x,y) = P_{N+l}^(N+l,-l/2) / P_N^(N,l/2),
-    from its own tridiagonal determinant with row i times N + i, which
-    scales it by (N+l)!/N! and leaves integer entries: diagonal
+def _a_rows(N: int, ell: int) -> tuple:
+    """The rows of A_N^l's own tridiagonal determinant with row i times N + i,
+    which scales it by (N+l)!/N! and leaves integer entries: diagonal
     (N+i)(x - l + 2i - 1) + y, off-diagonal product of rows i-1 and i
     (i-1)(i-1-l)(N+i-1)(N+i)."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return BivarPoly(_last(tuple(
-        (N + i, 1, -(N + i) * (ell - 2 * i + 1), 0,
-         (i - 1) * (i - 1 - ell) * (N + i - 1) * (N + i)) for i in range(1, ell + 1))))
+    return tuple((N + i, 1, -(N + i) * (ell - 2 * i + 1), 0,
+                  (i - 1) * (i - 1 - ell) * (N + i - 1) * (N + i))
+                 for i in range(1, ell + 1))
+
+
+def a_poly(N: int, ell: int) -> BivarPoly:
+    """The degree-l quotient A_N^l(x,y) = P_{N+l}^(N+l,-l/2) / P_N^(N,l/2),
+    the last member of _a_rows."""
+    return BivarPoly(_last(_a_rows(N, ell)))
 
 
 def a_value(N: int, ell: int, x, y):
@@ -296,51 +288,53 @@ def a_value(N: int, ell: int, x, y):
 def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
     """Exact division of P_{N+l}^(N+l,-l/2) by P_N^(N,l/2), checked as the
     product identity R_{N+l} = q^l A_N^l R_N of the integer members (q the
-    denominator of l/2), A_N^l from a_poly, on their packed integers. The
-    divisor's leading x-coefficient is the constant N! q^N, so division by it
-    is unique: the identity holds exactly when the remainder is 0 and the
+    denominator of l/2), each family's rows (_a_rows for A_N^l) built once
+    and packed at one width s, taken from their row bounds. The divisor's
+    leading x-coefficient is the constant N! q^N, so division by it is
+    unique: the identity holds exactly when the remainder is 0 and the
     quotient is q^l A_N^l.
 
     Returns (quotient, exact). A failed identity raises DivisibilityError
     since it would falsify a proven theorem.
     """
+    a = _a_rows(N, ell)
     half = Fraction(ell, 2)
     scale = half.denominator ** ell
-    a = a_poly(N, ell)
-    s = _width(_l1_bounds(N + ell, -half, N + ell)[-1] + scale
-               * sum(map(abs, a.terms.values())) * _l1_bounds(N, half, N)[-1])
-    w = N + ell + 1
-    packed_a = sum(c << s * (i + w * j) for (i, j), c in a.terms.items())
-    if (_family(N + ell, -half, N + ell, s, w)[-1]
-            != scale * packed_a * _family(N, half, N, s, w)[-1]):
+    big, small = _constraint_rows(N + ell, -half, N + ell), _constraint_rows(N, half, N)
+    s, w = _width(_row_bounds(big)[-1] + scale * _row_bounds(a)[-1]
+                  * _row_bounds(small)[-1]), N + ell + 1
+    if _packed(big, s, w)[-1] != scale * _packed(a, s, w)[-1] * _packed(small, s, w)[-1]:
         raise DivisibilityError(f"P_N does not divide P_(N+l) as q^l A_N^l "
                                 f"for N={N}, ell={ell}")
-    return a, True
+    return BivarPoly(_last(a)), True
 
 
 # ---------------------------------------------------------------------------
 # Laguerre limit (Delta = 0)
 # ---------------------------------------------------------------------------
 
-def laguerre_poly(k: int, alpha) -> BivarPoly:
-    """Generalized Laguerre polynomial L_k^(alpha)(x) as a polynomial in x,
-    via the standard recurrence (independent of the constraint recurrence)
-    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1}, run on the integer
-    polynomials M_j = b^j j! L_j, alpha = a/b:
-        M_{j+1} = ((2j+1) b + a - b x) M_j - b j (j b + a) M_{j-1},
-    as packed rows; only M_k is unpacked and divided, by b^k k!."""
-    alpha = _frac(alpha)
+def _laguerre_rows(k: int, alpha: Fraction) -> tuple:
+    """The rows of M_j = b^j j! L_j^(alpha)(x), alpha = a/b, j <= k: the
+    standard Laguerre recurrence (independent of the constraint recurrence)
+    (j+1) L_{j+1} = (2j+1+alpha-x) L_j - (j+alpha) L_{j-1} on integer
+    polynomials,
+        M_{j+1} = ((2j+1) b + a - b x) M_j - b j (j b + a) M_{j-1}."""
     a, b = alpha.numerator, alpha.denominator
-    return _divided(_last(tuple((-b, 0, (2 * j + 1) * b + a, 0, b * j * (j * b + a))
-                                for j in range(k))), b ** k * math.factorial(k))
+    return tuple((-b, 0, (2 * j + 1) * b + a, 0, b * j * (j * b + a)) for j in range(k))
 
 
 def laguerre_check(k: int, eps) -> bool:
-    """Exact identity P_k^(k,eps)(x,0) = (-1)^k (k!)^2 L_k^(2 eps)(x) in Q[x]."""
+    """Exact identity P_k^(k,eps)(x,0) = (-1)^k (k!)^2 L_k^(2 eps)(x) in Q[x],
+    eps = p/q, 2 eps = a/b: b^k k! R_k(x, 0), from the constraint rows with
+    their y entry dropped, against (-1)^k (k!)^2 q^k M_k, from _laguerre_rows,
+    as two packed integers at one width."""
     eps = _frac(eps)
-    scale = (-1) ** k * math.factorial(k) ** 2
-    lhs0 = {(i, j): c for (i, j), c in constraint_poly(k, eps, k).terms.items() if j == 0}
-    return lhs0 == {key: c * scale for key, c in laguerre_poly(k, 2 * eps).terms.items()}
+    alpha, fk = 2 * eps, math.factorial(k)
+    left = tuple((a, 0, c, d, e) for a, _, c, d, e in _constraint_rows(k, eps, k))
+    right = _laguerre_rows(k, alpha)
+    ls, rs = alpha.denominator ** k * fk, (-1) ** k * fk * fk * eps.denominator ** k
+    s = _width(ls * _row_bounds(left)[-1] + abs(rs) * _row_bounds(right)[-1])
+    return ls * _packed(left, s, k + 1)[-1] == rs * _packed(right, s, k + 1)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +347,22 @@ def generating_identity_check(N: int, ell: int, k_max: int) -> bool:
 
     Checked on the packed integer members R_k = q^k P_k (q the denominator
     of l/2) after multiplying by q^k k! (k+1)!, which turns each weight into
-    the integer binom(l, k-i) q^(k-i) k! (k+1)! / (i! (i+1)!).
+    the integer binom(l, k-i) q^(k-i) k! (k+1)! / (i! (i+1)!). The l1 bound
+    of the difference grows with k (the row bounds do, and going from k to
+    k+1 multiplies the weight of each shifted term by
+    (k+1)(k+2) / ((i+1)(i+2)) >= 1), so its value at k_max sets the width.
     """
     half = Fraction(ell, 2)
     q = half.denominator
-    weights = [[(i, math.comb(ell, k - i) * math.factorial(k) * math.factorial(k + 1)
-                 // (math.factorial(i) * math.factorial(i + 1)) * q ** (k - i))
+    f = [1]                                     # f_i = i! (i+1)!
+    for i in range(1, k_max + 1):
+        f.append(f[-1] * i * (i + 1))
+    weights = [[(i, math.comb(ell, k - i) * f[k] // f[i] * q ** (k - i))
                 for i in range(max(0, k - ell), k + 1)] for k in range(k_max + 1)]
-    lb, rb = _l1_bounds(N + ell, -half, k_max), _l1_bounds(N, half, k_max)
-    s = _width(max(lb[k] + sum(v * rb[i] for i, v in ws) for k, ws in enumerate(weights)))
-    left = _family(N + ell, -half, k_max, s, k_max + 1)
-    right = _family(N, half, k_max, s, k_max + 1)
+    lrows, rrows = _constraint_rows(N + ell, -half, k_max), _constraint_rows(N, half, k_max)
+    lb, rb = _row_bounds(lrows), _row_bounds(rrows)
+    s = _width(lb[-1] + sum(v * rb[i] for i, v in weights[-1]))
+    left, right = _packed(lrows, s, k_max + 1), _packed(rrows, s, k_max + 1)
     return all(left[k] == sum(v * right[i] for i, v in ws) for k, ws in enumerate(weights))
 
 
@@ -385,9 +384,10 @@ def ode_coefficient_check(N: int, eps, k_max: int) -> bool:
     # R_{m+1} - (a x + q y - c) R_m + d x R_{m-1}
     steps = [(m, (m + 1) * q, q * (m * (m - 1) + 3 * m + 1) + 2 * p * (m + 1),
               q * q * m * (m + 1) * (N - m)) for m in range(1, k_max)]
-    bd = _l1_bounds(N, eps, k_max)
+    rows = _constraint_rows(N, eps, k_max)
+    bd = _row_bounds(rows)
     s = _width(max(bd[m + 1] + (a + q + abs(c)) * bd[m] + abs(d) * bd[m - 1]
                    for m, a, c, d in steps))
-    r = _family(N, eps, k_max, s, k_max + 1)
+    r = _packed(rows, s, k_max + 1)
     return all(r[m + 1] + c * r[m] == ((a * r[m] - d * r[m - 1]) << s)
                + ((q * r[m]) << s * (k_max + 1)) for m, a, c, d in steps)

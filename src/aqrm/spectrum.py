@@ -95,18 +95,25 @@ def count_positive_roots(N: int, eps, y) -> int:
     are the sign changes, zeros dropped, of the leading minors of A, a Sturm
     sequence (Wilkinson, The Algebraic Eigenvalue Problem, 1965, 5.37): a
     zero minor lies between two of opposite sign, and a zero m_N is the root
-    x = 0. The minors run on the integer rows (a_i, b_i, c_i, 0, e_i) of
-    q (D x + A), eps = p/q, at x = 0, each row times v for y = u/v:
-        m_i = (b_i u + c_i v) m_{i-1} - v^2 e_i m_{i-2}.
-    Elsewhere a product can be 0 or negative, and the count is read from the
-    Sturm chain of constraint_slice."""
+    x = 0. They are counted by _sign_changes, the one loop that `verify
+    rootcounts` also runs, on rows it builds once per (N, eps). Elsewhere a
+    product can be 0 or negative, and the count is read from the Sturm
+    chain of constraint_slice."""
     eps, y = Fraction(eps), Fraction(y)
     if N >= 2 and eps.denominator + 2 * eps.numerator <= 0:
         return count_real_roots(constraint_slice(N, eps, y), lo=0)
-    u, v = y.numerator, y.denominator
-    changes, last, m, prev = 0, 1, 1, 0
-    for _, b, c, _, e in _det_rows(N, eps):
-        m, prev = (b * u + c * v) * m - v * v * e * prev, m
+    return _sign_changes(_det_rows(N, eps), y.numerator, y.denominator)
+
+
+def _sign_changes(rows, u: int, v: int) -> int:
+    """The sign changes, zeros dropped, of the leading minors at x = 0 of the
+    integer rows (a_i, b_i, c_i, 0, e_i) of q (D x + A), eps = p/q, each row
+    times v for y = u/v, v > 0 (in lowest terms or not: row i's scale v is
+    positive, so it moves no sign):
+        m_i = (b_i u + c_i v) m_{i-1} - v^2 e_i m_{i-2}."""
+    changes, last, m, prev, vv = 0, 1, 1, 0, v * v
+    for _, b, c, _, e in rows:
+        m, prev = (b * u + c * v) * m - vv * e * prev, m
         if m and (m > 0) != (last > 0):
             changes, last = changes + 1, m
     return changes

@@ -406,6 +406,44 @@ class TestVerifyAndExitCodes:
         assert code == 0 and out == "rootcounts     PASS  N<=8\n"
         assert calls == []
 
+    def test_root_counts_check_the_fraction_grid(self, capsys, monkeypatch):
+        # the integer points u/(3q) are the rational grid the suite has always
+        # checked: for each (N, eps), lo, lo + (hi - lo)/3 and lo + 2(hi - lo)/3
+        # with lo, hi = c_k, c_{k+1}, expecting N - k roots, then the top c_N,
+        # expecting none; recorded through the one count
+        import aqrm.poly as poly_mod
+        import aqrm.spectrum as spectrum_mod
+        from aqrm.poly import c_weight
+
+        built, seen = [], []
+        real_rows, real_count = poly_mod._det_rows, spectrum_mod._sign_changes
+
+        def rows(N, eps):
+            out = real_rows(N, eps)
+            built.append((out, (N, eps)))
+            return out
+
+        def count(rows, u, v):
+            n = real_count(rows, u, v)
+            N, eps = next(key for r, key in built if r is rows)
+            seen.append((N, eps, Fraction(u, v), n))
+            return n
+
+        monkeypatch.setattr(poly_mod, "_det_rows", rows)
+        monkeypatch.setattr(spectrum_mod, "_sign_changes", count)
+        code, out, _ = run(capsys, "verify", "rootcounts")
+        assert code == 0 and out == "rootcounts     PASS  N<=8\n"
+        expected = []
+        for N in range(1, 9):
+            for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+                for k in range(N):
+                    lo, hi = c_weight(k, eps), c_weight(k + 1, eps)
+                    expected += [(N, eps, y, N - k) for y in
+                                 (lo, lo + (hi - lo) / 3, lo + Fraction(2, 3) * (hi - lo))]
+                expected.append((N, eps, c_weight(N, eps), 0))
+        assert len(expected) == 464
+        assert seen == expected
+
     def test_verify_failure_exit_one(self, capsys, monkeypatch):
         import aqrm.cli as cli_mod
         monkeypatch.setattr(cli_mod, "_verify_g_symmetry",
@@ -545,6 +583,30 @@ class TestInputRange:
     ))
     def test_refusal_message(self, capsys, argv, message):
         assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", ("verify all --max-N 41",
+                                      "verify divisibility --max-ell 11",
+                                      "verify laguerre --max-N 41 --max-ell 11"))
+    def test_verify_above_its_bound_exit_two(self, capsys, monkeypatch, argv):
+        # refused before any suite runs
+        import aqrm.cli as cli_mod
+
+        def no_suite(*args):
+            raise AssertionError("a suite ran")
+
+        for name in ("_verify_divisibility", "_verify_laguerre", "_verify_generating",
+                     "_verify_ode", "_verify_t_identity", "_verify_g_symmetry",
+                     "_verify_root_counts"):
+            monkeypatch.setattr(cli_mod, name, no_suite)
+        assert run(capsys, *argv.split()) == (
+            2, "", "error: verify takes --max-N up to 40 and --max-ell up to 10\n")
+
+    def test_verify_at_its_bound_runs(self, capsys):
+        # the suites that do not grow with the bounds, at the bounds themselves
+        code, out, _ = run(capsys, "verify", "laguerre", "--max-N", "40", "--max-ell", "10")
+        assert (code, out) == (0, "laguerre       PASS  k<=8\n")
+        code, out, _ = run(capsys, "verify", "rootcounts", "--max-N", "40", "--max-ell", "10")
+        assert (code, out) == (0, "rootcounts     PASS  N<=8\n")
 
     def test_truncation_above_the_cap_exit_two(self, capsys, monkeypatch):
         # refused before any rung is built: a ladder for M = 10^9 would need

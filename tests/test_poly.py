@@ -14,8 +14,8 @@ from aqrm.poly import (
     a_poly,
     a_value,
     DivisibilityError,
-    _family,
-    _l1_bounds,
+    _constraint_rows,
+    _laguerre_rows,
     _last,
     _packed,
     _row_bounds,
@@ -29,7 +29,6 @@ from aqrm.poly import (
     determinant_check,
     generating_identity_check,
     laguerre_check,
-    laguerre_poly,
     lambda_weight,
     ode_coefficient_check,
     q_poly,
@@ -170,26 +169,40 @@ def scaled_family(N, eps, k_max):
     """P_0, ..., P_{k_max} unpacked from the packed integer members of
     R_k = q^k P_k."""
     eps = Fraction(eps)
-    s, w = _width(max(_l1_bounds(N, eps, k_max))), k_max + 1
+    rows = _constraint_rows(N, eps, k_max)
+    s, w = _width(max(_row_bounds(rows))), k_max + 1
     return [BivarPoly({key: Fraction(v, eps.denominator ** k)
                        for key, v in _unpack(r, s, w, w).items()})
-            for k, r in enumerate(_family(N, eps, k_max, s, w))]
+            for k, r in enumerate(_packed(rows, s, w))]
+
+
+class ConstraintRows(tuple):
+    """Constraint rows that remember the (N, eps) they were built for."""
 
 
 def corrupt_member(monkeypatch, target_N, k, delta):
-    """Make _family add delta(eps, s, w) to the packed member r_k of every family
-    with N = target_N (None: every family) that reaches k."""
+    """Make _packed add delta(eps, s, w) to the packed member r_k of every
+    constraint family with N = target_N (None: every one) that reaches k.
+    Every identity check builds its rows once and packs them, so _packed is
+    the seam they all read."""
     import aqrm.poly as poly_mod
 
-    real_family = poly_mod._family
+    real_rows, real_packed = poly_mod._constraint_rows, poly_mod._packed
 
-    def corrupted(N, eps, k_max, s, w):
-        fam = real_family(N, eps, k_max, s, w)
-        if target_N in (None, N) and k_max >= k:
+    def tagged(N, eps, k_max):
+        rows = ConstraintRows(real_rows(N, eps, k_max))
+        rows.family = (N, eps)
+        return rows
+
+    def corrupted(rows, s, w):
+        fam = real_packed(rows, s, w)
+        N, eps = getattr(rows, "family", (None, None))
+        if N is not None and target_N in (None, N) and len(rows) >= k:
             fam[k] += delta(eps, s, w)
         return fam
 
-    monkeypatch.setattr(poly_mod, "_family", corrupted)
+    monkeypatch.setattr(poly_mod, "_constraint_rows", tagged)
+    monkeypatch.setattr(poly_mod, "_packed", corrupted)
 
 
 class TestConstraintFamily:
@@ -235,18 +248,10 @@ class TestConstraintFamily:
                 == scale * evaluate(p.terms, xv, y)
 
     def test_corrupted_member_fails_root_counts(self, monkeypatch, capsys):
-        import aqrm.poly as poly_mod
         from aqrm.cli import main
 
-        real_member = poly_mod._top_member
-
-        def corrupted(N, eps):
-            r = dict(real_member(N, eps))
-            if N == 3:                  # P_3 + 1, i.e. R_3 + q^3
-                r[(0, 0)] = r.get((0, 0), 0) + eps.denominator ** 3
-            return tuple(r.items())
-
-        monkeypatch.setattr(poly_mod, "_top_member", corrupted)
+        # P_3 + 1, i.e. R_3 + q^3, in the top member of the N = 3 family
+        corrupt_member(monkeypatch, 3, 3, lambda eps, s, w: eps.denominator ** 3)
         assert main(["verify", "rootcounts"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -257,7 +262,7 @@ class TestPackedMembers:
         # B_k >= sum |c| over the coefficients of R_k = q^k P_k, so every
         # coefficient is at most B_k in absolute value
         for N in range(13):
-            bounds = _l1_bounds(N, eps, 12)
+            bounds = _row_bounds(_constraint_rows(N, eps, 12))
             for k, p in enumerate(generic_recurrence_family(N, eps, 12)):
                 l1 = sum(abs(c) for c in p.terms.values()) * eps.denominator ** k
                 assert l1 <= bounds[k], (N, eps, k)
@@ -339,19 +344,14 @@ class TestDeterminantForm:
             assert determinant_check(N, eps), (N, eps)
 
     def test_packed_check_fails_on_a_corrupted_member(self, monkeypatch):
-        # +-1 at any one (i, j) slot, i, j <= 4, of R_3 or R_4
-        import aqrm.poly as poly_mod
-
-        real_member = poly_mod._top_member
+        # +-1 at any one (i, j) slot, i, j <= 4, of R_3 or R_4: the packed
+        # image of R_N +- x^i y^j, since packing is a ring map
         for N, eps in ((3, Fraction(3, 10)), (4, Fraction(-1, 4))):
             for i in range(5):
                 for j in range(5):
                     for sign in (1, -1):
-                        r = dict(real_member(N, eps))
-                        r[(i, j)] = r.get((i, j), 0) + sign
                         with monkeypatch.context() as m:
-                            m.setattr(poly_mod, "_top_member",
-                                      lambda N, eps, r=r: tuple(r.items()))
+                            corrupt_member(m, N, N, lambda eps, s, w: sign << s * (i + w * j))
                             assert not determinant_check(N, eps), (N, eps, i, j, sign)
 
     def test_corrupted_row_table_fails_root_counts(self, monkeypatch, capsys):
@@ -533,12 +533,21 @@ class TestQPoly:
             q_poly(3, Fraction(0), 4)
 
 
+def laguerre_from_rows(k, alpha):
+    """L_k^(alpha) from the last member M_k = b^k k! L_k of _laguerre_rows,
+    alpha = a/b."""
+    alpha = Fraction(alpha)
+    den = alpha.denominator ** k * math.factorial(k)
+    return BivarPoly({key: Fraction(v, den)
+                      for key, v in _last(_laguerre_rows(k, alpha)).items()})
+
+
 class TestLaguerre:
     def test_first_two(self):
         assert laguerre_check(0, Fraction(1, 5))
         eps = Fraction(2, 3)
         # L_1^(2e) = 1 + 2e - x, and P_1(x, 0) = x - 1 - 2e
-        assert laguerre_poly(1, 2 * eps) == BivarPoly({(0, 0): 1 + 2 * eps, (1, 0): -1})
+        assert laguerre_from_rows(1, 2 * eps) == BivarPoly({(0, 0): 1 + 2 * eps, (1, 0): -1})
         assert laguerre_check(1, eps)
 
     @pytest.mark.parametrize("eps", [Fraction(0), Fraction(3, 4), Fraction(-1, 4), Fraction(2)])
@@ -560,7 +569,31 @@ class TestLaguerre:
     @given(st.integers(0, 10), small_fracs)
     @settings(max_examples=40, deadline=None)
     def test_integer_recurrence_matches_rational_one(self, k, alpha):
-        assert laguerre_poly(k, alpha) == self.reference_laguerre(k, alpha)
+        assert laguerre_from_rows(k, alpha) == self.reference_laguerre(k, alpha)
+
+    @pytest.mark.parametrize("side", ("constraint", "laguerre"))
+    @pytest.mark.parametrize("eps", (Fraction(1, 2), Fraction(-1, 4)))
+    def test_single_slot_corruption_fails(self, eps, side, monkeypatch):
+        # +-1 at any x-slot i <= 3 of either packed side of the k = 3 check
+        import aqrm.poly as poly_mod
+
+        real_packed, laguerre_rows = poly_mod._packed, _laguerre_rows(3, 2 * eps)
+        assert laguerre_check(3, eps)
+        for i in range(4):
+            for sign in (1, -1):
+                hit = []
+
+                def corrupted(rows, s, w, i=i, sign=sign):
+                    fam = real_packed(rows, s, w)
+                    if (rows == laguerre_rows) == (side == "laguerre"):
+                        fam[-1] += sign << s * i
+                        hit.append(rows)
+                    return fam
+
+                with monkeypatch.context() as m:
+                    m.setattr(poly_mod, "_packed", corrupted)
+                    assert not laguerre_check(3, eps), (side, i, sign)
+                assert len(hit) == 1
 
 
 class TestGeneratingIdentities:
