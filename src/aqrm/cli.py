@@ -281,19 +281,23 @@ def _verify_g_symmetry():
 def _verify_root_counts(max_n: int):
     # P_N(x, y) has N - k positive roots for y in [c_k, c_{k+1}) and none at
     # c_N, checked at c_k and a third and two thirds of the way to c_{k+1}:
-    # y = u/(3q) with q c_k = k(k q + 2 p), counted on rows built once per (N, eps)
+    # y = u/(3q) on the integers q c_k = c_weight(k q, p)/q, eps = p/q, as
+    # c_weight(k, eps) = k(k + 2 eps) is homogeneous of degree 2
+    biases = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+    scaled = {eps: [poly.c_weight(k * eps.denominator, eps.numerator) // eps.denominator
+                    for k in range(max_n + 1)] for eps in biases}
     for N in range(1, max_n + 1):
-        for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+        for eps in biases:
             if not poly.determinant_check(N, eps):
                 return False, f"N={N} eps={eps} determinant"
-            p, q = eps.numerator, eps.denominator
-            rows, c = poly._det_rows(N, eps), [k * (k * q + 2 * p) for k in range(N + 1)]
-            for k in range(N):
-                for u in (3 * c[k], 2 * c[k] + c[k + 1], c[k] + 2 * c[k + 1]):
-                    if spectrum._sign_changes(rows, u, 3 * q) != N - k:
-                        return False, f"N={N} eps={eps} y={Fraction(u, 3 * q)}"
-            top = poly.c_weight(N, eps)
-            if spectrum._sign_changes(rows, top.numerator, top.denominator) != 0:
+            c, q = scaled[eps], eps.denominator
+            points = [(u, 3 * q) for k in range(N)
+                      for u in (3 * c[k], 2 * c[k] + c[k + 1], c[k] + 2 * c[k + 1])]
+            counts = spectrum.positive_root_counts(N, eps, points + [(c[N], q)])
+            for i, (u, v) in enumerate(points):
+                if counts[i] != N - i // 3:
+                    return False, f"N={N} eps={eps} y={Fraction(u, v)}"
+            if counts[-1] != 0:
                 return False, f"N={N} eps={eps} top"
     return True, f"N<={max_n}"
 

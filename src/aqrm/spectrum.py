@@ -84,25 +84,33 @@ def juddian_roots(N: int, eps, delta) -> list[tuple[float, int]]:
 
 def count_positive_roots(N: int, eps, y) -> int:
     """Exact number of distinct positive roots in x of P_N^(N,eps)(x, y), for
-    any N, rational eps and y.
+    any N, rational eps and y: positive_root_counts at the one point y."""
+    y = Fraction(y)
+    return positive_root_counts(N, eps, ((y.numerator, y.denominator),))[0]
+
+
+def positive_root_counts(N: int, eps, points) -> list[int]:
+    """The number of distinct positive roots in x of P_N^(N,eps)(x, u/v) for
+    each integer pair (u, v), v > 0, in points.
 
     Where N <= 1 or 1 + 2 eps > 0 it is read from the determinant form
-    det(D x + A), D = diag(1..N), A = C_N + y I (the rows of poly._det_rows).
-    Every off-diagonal product i(i+1) c_{N-i} of A is then positive, so A is
-    diagonally similar to an unreduced symmetric tridiagonal S, and the roots
-    are x = -eig(D^(-1/2) S D^(-1/2)): real and simple, the positive ones as
-    many as the negative eigenvalues of S (Sylvester's law of inertia). Those
-    are the sign changes, zeros dropped, of the leading minors of A, a Sturm
-    sequence (Wilkinson, The Algebraic Eigenvalue Problem, 1965, 5.37): a
-    zero minor lies between two of opposite sign, and a zero m_N is the root
-    x = 0. They are counted by _sign_changes, the one loop that `verify
-    rootcounts` also runs, on rows it builds once per (N, eps). Elsewhere a
-    product can be 0 or negative, and the count is read from the Sturm
-    chain of constraint_slice."""
-    eps, y = Fraction(eps), Fraction(y)
+    det(D x + A), D = diag(1..N), A = C_N + y I (the rows of poly._det_rows,
+    built once for all points). Every off-diagonal product i(i+1) c_{N-i} of
+    A is then positive, so A is diagonally similar to an unreduced symmetric
+    tridiagonal S, and the roots are x = -eig(D^(-1/2) S D^(-1/2)): real and
+    simple, the positive ones as many as the negative eigenvalues of S
+    (Sylvester's law of inertia). Those are the sign changes, zeros dropped,
+    of the leading minors of A, a Sturm sequence (Wilkinson, The Algebraic
+    Eigenvalue Problem, 1965, 5.37): a zero minor lies between two of
+    opposite sign, and a zero m_N is the root x = 0; _sign_changes counts
+    them. Elsewhere a product can be 0 or negative, and each count is read
+    from the Sturm chain of constraint_slice."""
+    eps = Fraction(eps)
     if N >= 2 and eps.denominator + 2 * eps.numerator <= 0:
-        return count_real_roots(constraint_slice(N, eps, y), lo=0)
-    return _sign_changes(_det_rows(N, eps), y.numerator, y.denominator)
+        return [count_real_roots(constraint_slice(N, eps, Fraction(u, v)), lo=0)
+                for u, v in points]
+    rows = _det_rows(N, eps)
+    return [_sign_changes(rows, u, v) for u, v in points]
 
 
 def _sign_changes(rows, u: int, v: int) -> int:

@@ -6,12 +6,10 @@ Matrix Anal. Appl. 13 (1992)). Also all eigenvalues of a real symmetric
 tridiagonal matrix by Sturm-count bisection, the reference for the parity
 chains and for the y-roots of the constraint polynomials, and the parity-ladder
 count run over every rung, the reference for its certified early stop, in
-floats and in exact rationals, and the level count of the untruncated
-Hamiltonian in exact rationals."""
+floats and in exact rationals."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -166,36 +164,3 @@ def band_count_exact(ladder, sigma: float) -> int:
         count += 1 if det < 0 else 2 * (p < 0)
         u, v, w = d / det, -b / det, p / det
     return count
-
-
-def level_count_exact(params, x: float) -> int:
-    """The number of levels below x = lambda + g^2 of the untruncated
-    Hamiltonian, in exact rationals on the parameters' floats: the recursion
-    of band_count_exact on c_{k-1}^2 = g^2 k and sigma = x - g^2, both exact
-    (not the ladder's rounded floats), to the first rung that certifies the
-    tail as in aqrm.oracle._band_count_below: S_k > 0, with
-    mu = det / tr S_k <= lambda_min(S_k) (no slack is needed without
-    rounding), mu > g^2 and (k + 1)(1 - g^2/mu) - sigma - mu >= r,
-    r^2 = delta^2 + eps^2. Raises ZeroDivisionError where sigma is an
-    eigenvalue of a leading block, which random floats never hit."""
-    g2, delta, eps = Fraction(params.g) ** 2, Fraction(params.delta), Fraction(params.eps)
-    r2 = delta * delta + eps * eps
-    s = Fraction(x) - g2
-    count = 0
-    u = v = w = Fraction(0)               # S_{k-1}^{-1} = [[u, v], [v, w]]
-    for k in itertools.count():
-        c2, split = g2 * k, delta if k % 2 == 0 else -delta
-        p = k + split - s - c2 * u
-        b = eps - c2 * v
-        d = k - split - s - c2 * w
-        det = p * d - b * b
-        if det < 0:
-            count += 1
-        elif p < 0:
-            count += 2
-        else:
-            mu = det / (p + d)
-            t = (k + 1) * (1 - g2 / mu) - s - mu if mu > g2 else -1
-            if t >= 0 and t * t >= r2:
-                return count
-        u, v, w = d / det, -b / det, p / det

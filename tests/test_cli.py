@@ -411,12 +411,11 @@ class TestVerifyAndExitCodes:
         # checked: for each (N, eps), lo, lo + (hi - lo)/3 and lo + 2(hi - lo)/3
         # with lo, hi = c_k, c_{k+1}, expecting N - k roots, then the top c_N,
         # expecting none; recorded through the one count
-        import aqrm.poly as poly_mod
         import aqrm.spectrum as spectrum_mod
         from aqrm.poly import c_weight
 
         built, seen = [], []
-        real_rows, real_count = poly_mod._det_rows, spectrum_mod._sign_changes
+        real_rows, real_count = spectrum_mod._det_rows, spectrum_mod._sign_changes
 
         def rows(N, eps):
             out = real_rows(N, eps)
@@ -429,7 +428,7 @@ class TestVerifyAndExitCodes:
             seen.append((N, eps, Fraction(u, v), n))
             return n
 
-        monkeypatch.setattr(poly_mod, "_det_rows", rows)
+        monkeypatch.setattr(spectrum_mod, "_det_rows", rows)
         monkeypatch.setattr(spectrum_mod, "_sign_changes", count)
         code, out, _ = run(capsys, "verify", "rootcounts")
         assert code == 0 and out == "rootcounts     PASS  N<=8\n"

@@ -319,6 +319,118 @@ class TestPackedMembers:
                         assert not held, (check, i, j, sign)
 
 
+def l1(terms) -> int:
+    return sum(abs(v) for v in terms.values())
+
+
+def x_degree(terms) -> int:
+    return max((i for i, _ in terms), default=0)
+
+
+def member(N, eps, k) -> dict:
+    """R_k = q^k P_k^(N,eps) as integer term dicts, from the reference
+    recurrence on rationals."""
+    eps = Fraction(eps)
+    return {key: int(v * eps.denominator ** k)
+            for key, v in generic_recurrence_family(N, eps, k)[k].terms.items()}
+
+
+def added(p, r, f=1) -> dict:
+    """p + f r on term dicts."""
+    out = dict(p)
+    for key, v in r.items():
+        out[key] = out.get(key, 0) + f * v
+    return out
+
+
+class TestPackingWidths:
+    """Each identity check compares two packed integers at one (s, w). That
+    decides the polynomial identity only if 2^(s-1) exceeds the l1 norm of
+    the difference of the two sides, here bounded by the sum of their l1
+    norms, and w exceeds their x-degree. The sides are computed from the
+    reference recurrences on term dicts, and (s, w) is recorded from the
+    check's own calls to _packed: the pair most of them use, since
+    verify_divisibility packs its quotient once more to unpack it."""
+
+    @staticmethod
+    def width(monkeypatch, run):
+        import aqrm.poly as poly_mod
+
+        real, seen = poly_mod._packed, []
+
+        def recorded(rows, s, w):
+            seen.append((s, w))
+            return real(rows, s, w)
+
+        with monkeypatch.context() as m:
+            m.setattr(poly_mod, "_packed", recorded)
+            assert run()
+        return max(seen, key=seen.count)
+
+    @staticmethod
+    def assert_covers(s, w, sides):
+        for left, right in sides:
+            assert 2 ** (s - 1) > l1(left) + l1(right)
+            assert w > max(x_degree(left), x_degree(right))
+
+    @pytest.mark.parametrize("N,eps", [(3, Fraction(3, 10)), (4, Fraction(-1, 4)),
+                                       (8, Fraction(-7, 3)), (10, Fraction(1))])
+    def test_determinant(self, N, eps, monkeypatch):
+        # R_N against q^N det(I_N y + D_N x + C_N), both R_N
+        s, w = self.width(monkeypatch, lambda: determinant_check(N, eps))
+        r = member(N, eps, N)
+        self.assert_covers(s, w, [(r, r)])
+
+    @pytest.mark.parametrize("k,eps", [(3, Fraction(1, 2)), (3, Fraction(-1, 4)),
+                                       (8, Fraction(3, 4)), (8, Fraction(-1, 4))])
+    def test_laguerre(self, k, eps, monkeypatch):
+        # b^k k! R_k(x, 0) against (-1)^k (k!)^2 q^k b^k k! L_k^(2 eps)
+        s, w = self.width(monkeypatch, lambda: laguerre_check(k, eps))
+        alpha, fk = 2 * eps, math.factorial(k)
+        left = {key: alpha.denominator ** k * fk * v
+                for key, v in member(k, eps, k).items() if key[1] == 0}
+        right = {key: int((-1) ** k * fk ** 3 * (eps.denominator * alpha.denominator) ** k * v)
+                 for key, v in TestLaguerre.reference_laguerre(k, alpha).terms.items()}
+        self.assert_covers(s, w, [(left, right)])
+
+    @pytest.mark.parametrize("N,ell,k_max", [(2, 2, 8), (4, 3, 12), (1, 4, 10), (3, 0, 6)])
+    def test_generating(self, N, ell, k_max, monkeypatch):
+        # for each k: R_k^(N+l,-l/2) against the sum over i of
+        # binom(l, k-i) q^(k-i) k! (k+1)! / (i! (i+1)!) R_i^(N,l/2)
+        s, w = self.width(monkeypatch, lambda: generating_identity_check(N, ell, k_max))
+        half = Fraction(ell, 2)
+        q, f = half.denominator, [math.factorial(i) * math.factorial(i + 1)
+                                  for i in range(k_max + 1)]
+        sides = []
+        for k in range(k_max + 1):
+            right = {}
+            for i in range(max(0, k - ell), k + 1):
+                right = added(right, member(N, half, i),
+                              math.comb(ell, k - i) * q ** (k - i) * f[k] // f[i])
+            sides.append((member(N + ell, -half, k), right))
+        self.assert_covers(s, w, sides)
+
+    @pytest.mark.parametrize("N,eps,k_max", [(2, Fraction(1, 2), 8), (4, Fraction(-1, 2), 12),
+                                             (3, Fraction(2, 3), 12)])
+    def test_ode(self, N, eps, k_max, monkeypatch):
+        # at m: R_(m+1) + q c_(m+1) R_m against (q (m+1) x + q y) R_m
+        # - q^2 lambda_(m+1) x R_(m-1), both R_(m+1) + q c_(m+1) R_m
+        s, w = self.width(monkeypatch, lambda: ode_coefficient_check(N, eps, k_max))
+        q = eps.denominator
+        sides = []
+        for m in range(1, k_max):
+            side = added(member(N, eps, m + 1), member(N, eps, m), int(q * c_weight(m + 1, eps)))
+            sides.append((side, side))
+        self.assert_covers(s, w, sides)
+
+    @pytest.mark.parametrize("N,ell", [(1, 2), (5, 3), (4, 4), (10, 4)])
+    def test_divisibility(self, N, ell, monkeypatch):
+        # R_(N+l)^(N+l,-l/2) against q^l A_N^l R_N^(N,l/2), both R_(N+l)
+        s, w = self.width(monkeypatch, lambda: verify_divisibility(N, ell)[1])
+        r = member(N + ell, Fraction(-ell, 2), N + ell)
+        self.assert_covers(s, w, [(r, r)])
+
+
 class TestDeterminantForm:
     def test_one_by_one(self):
         eps = Fraction(2, 7)
@@ -344,10 +456,11 @@ class TestDeterminantForm:
             assert determinant_check(N, eps), (N, eps)
 
     def test_packed_check_fails_on_a_corrupted_member(self, monkeypatch):
-        # +-1 at any one (i, j) slot, i, j <= 4, of R_3 or R_4: the packed
-        # image of R_N +- x^i y^j, since packing is a ring map
+        # +-1 at any one (i, j) slot, i <= N, j <= 4, of R_3 or R_4: the
+        # packed image of R_N +- x^i y^j, since packing is a ring map (at
+        # w = N + 1 a slot i > N would be the slot (i - w, j + 1))
         for N, eps in ((3, Fraction(3, 10)), (4, Fraction(-1, 4))):
-            for i in range(5):
+            for i in range(N + 1):
                 for j in range(5):
                     for sign in (1, -1):
                         with monkeypatch.context() as m:
