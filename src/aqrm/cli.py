@@ -13,30 +13,22 @@ The commands are described once, in a table (`_commands`). A well-formed
 command line is parsed from it directly (`_parse_strict`); argparse, built
 from the same table by `build_parser`, is imported only for help, usage
 errors and the spellings the strict reader declines, so a plain command
-pays for neither argparse nor the gettext and locale imports it brings."""
+pays for neither argparse nor the gettext and locale imports it brings.
+
+Only `poly` is imported here: each command imports the layers it runs
+(`series`, `spectrum`, `oracle`) in its own body, so `poly` and `divide` load
+none of them. A process ends in `run`, which exits without interpreter
+teardown once its output is flushed."""
 
 from __future__ import annotations
 
-import gc
 import math
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import oracle, poly, spectrum
-from .series import (
-    ModelParams,
-    PoleEncountered,
-    b_residual,
-    double_pole_coefficients,
-    g_function,
-    is_half_integer,
-    regularized_g,
-    residue_numeric,
-    residue_simple,
-    t_function,
-)
-from .spectrum import fmt_float, rows_to_csv
+from . import poly
 
 
 def parse_eps(text: str):
@@ -112,8 +104,9 @@ def _emit(text: str, args, obj=None, indent: int | None = None):
         sys.stdout.write(text)
 
 
-def _emit_rows(rows: list[dict], args, fields=spectrum.SPECTRUM_FIELDS):
-    _emit(rows_to_csv(rows, fields), args, rows, indent=2)
+def _emit_rows(rows: list[dict], args, fields=None):
+    from .spectrum import SPECTRUM_FIELDS, rows_to_csv
+    _emit(rows_to_csv(rows, fields or SPECTRUM_FIELDS), args, rows, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +139,14 @@ def cmd_divide(args) -> int:
 
 
 def cmd_count_roots(args) -> int:
+    from . import spectrum
     n = spectrum.count_positive_roots(args.N, Fraction(args.eps), Fraction(args.y))
     _emit(f"{n}\n", args)
     return 0
 
 
 def cmd_gfunc(args) -> int:
+    from .series import ModelParams, PoleEncountered, g_function, regularized_g
     params = ModelParams(args.g, args.delta, float(args.eps))
     rows = []
     for x in parse_range(args.x):
@@ -165,6 +160,7 @@ def cmd_gfunc(args) -> int:
 
 
 def cmd_tfunc(args) -> int:
+    from .series import ModelParams, t_function
     rows = []
     for g in parse_range(args.g):
         params = ModelParams(g, args.delta, float(args.eps))
@@ -174,6 +170,9 @@ def cmd_tfunc(args) -> int:
 
 
 def cmd_residue(args) -> int:
+    from .series import (ModelParams, b_residual, double_pole_coefficients,
+                         is_half_integer, residue_numeric, residue_simple)
+    from .spectrum import fmt_float
     eps = float(args.eps)
     params = ModelParams(args.g, args.delta, eps)
     out = {}
@@ -196,6 +195,8 @@ def cmd_residue(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectrum
+    from .series import ModelParams
     params = ModelParams(args.g, args.delta, float(args.eps))
     recs = spectrum.full_spectrum(params, args.x_max)
     _emit_rows(spectrum.records_to_rows(recs, args.g), args)
@@ -203,6 +204,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import spectrum
     grid = tuple(g for g in parse_range(args.g) if g > 0)
     if not grid:
         raise ValueError("sweep grid needs at least one positive coupling")
@@ -211,6 +213,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle, spectrum
+    from .series import ModelParams
     params = ModelParams(args.g, args.delta, float(args.eps))
     eigs = oracle.lowest_eigenvalues(params, args.M, args.count)
     warning = eigs and oracle.truncation_warning(params, args.M, eigs[-1] + 1e-6)
@@ -260,6 +264,7 @@ def _verify_ode(max_n: int, k_max: int):
 
 
 def _verify_t_identity():
+    from .series import ModelParams, t_function
     for (N, ell, g, d) in ((2, 1, 0.9, 1.3), (1, 2, 0.7, 0.8), (3, 3, 1.1, 2.0)):
         lhs = t_function(N + ell, ModelParams(g, d, -ell / 2.0))
         rhs = t_function(N, ModelParams(g, d, ell / 2.0))
@@ -269,6 +274,7 @@ def _verify_t_identity():
 
 
 def _verify_g_symmetry():
+    from .series import ModelParams, g_function
     pts = ((0.37, 0.8, 1.0, 0.45), (1.2, 0.6, 1.4, 0.27), (2.3, 1.1, 0.7, 0.81))
     for (x, g, d, e) in pts:
         a = g_function(x, ModelParams(g, d, e))
@@ -279,6 +285,7 @@ def _verify_g_symmetry():
 
 
 def _verify_root_counts(max_n: int):
+    from . import spectrum
     # P_N(x, y) has N - k positive roots for y in [c_k, c_{k+1}) and none at
     # c_N, checked at c_k and a third and two thirds of the way to c_{k+1}:
     # y = u/(3q) on the integers q c_k = c_weight(k q, p)/q, eps = p/q, as
@@ -485,14 +492,19 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """Process entry point (`aqrm` and `python -m aqrm.cli`): `main` on the
-    command line, then `gc.freeze()`. Freezing moves every object the cyclic
-    collector tracks to its permanent generation, which the collections at
-    interpreter exit skip, so exit does not walk the ~13k objects alive after
-    `import aqrm.cli`. `main` itself changes no process-wide state: the tests
-    call it in process."""
+    command line, then stdout and stderr flushed and the process ended with
+    `main`'s status by `os._exit`, which skips interpreter teardown (module
+    and heap clean-up the output no longer needs). Where a flush fails (a
+    closed stdout), the status is returned instead, so the interpreter's own
+    exit reports the failure. `main` itself changes no process-wide state:
+    the tests call it in process."""
     status = main()
-    gc.freeze()
-    return status
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return status
+    os._exit(status)
 
 
 if __name__ == "__main__":

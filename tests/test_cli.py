@@ -899,11 +899,24 @@ def test_negative_grid_with_a_space_gives_the_golden_digest(capsys):
 
 # ---------------------------------------------------------------------------
 # the process path: `python -m aqrm.cli` in a fresh interpreter, entered
-# through `run`, which freezes the collector's heap once `main` returns
+# through `run`, which ends the process once `main` returns
 # ---------------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
 PROCESS_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+# stdout block-buffered even where the caller runs unbuffered, so that output
+# left unflushed at exit goes missing
+BUFFERED_ENV = {k: v for k, v in PROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
+def imports_of(*args):
+    """Exit code and the names of the modules imported by `python -S -X
+    importtime args...` with PYTHONPATH=src (-S: no site .pth file imports
+    anything on its own), read from the import-time lines on stderr."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], capture_output=True,
+                          text=True, env=PROCESS_ENV, cwd=ROOT, timeout=60)
+    return proc.returncode, {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
 
 
 def run_process(*argv):
@@ -942,16 +955,45 @@ class TestProcess:
         assert err.startswith(message) and "Traceback" not in err
 
     def test_well_formed_line_imports_no_argparse(self):
-        # -S: no site .pth file imports anything on its own
-        code = ("import runpy, sys; sys.path.insert(0, sys.argv[1]); "
-                "sys.argv[1:] = ['count-roots', '--N', '3', '--eps', '0', '--y', '1']\n"
-                "try: runpy.run_module('aqrm.cli', run_name='__main__', alter_sys=True)\n"
-                "except SystemExit as exc: status = exc.code\n"
-                "print(status, [m for m in ('argparse', 'gettext', 'locale', 'json')"
-                " if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
-                             capture_output=True, text=True, check=True, timeout=60).stdout
-        assert out.splitlines()[-1] == "0 []"
+        code, names = imports_of("-m", "aqrm.cli", "count-roots", "--N", "3", "--eps", "0",
+                                 "--y", "1")
+        assert code == 0
+        assert names & {"argparse", "gettext", "locale", "json"} == set()
+
+    @pytest.mark.parametrize("cmd", ("poly --N 3 --eps 1/2", "divide --N 3 --ell 2"))
+    def test_exact_commands_load_no_other_layer(self, cmd):
+        code, names = imports_of("-m", "aqrm.cli", *cmd.split())
+        assert code == 0
+        assert names & {"aqrm.roots", "aqrm.series", "aqrm.spectrum", "aqrm.oracle"} == set()
+
+    def test_cli_import_loads_only_poly(self):
+        code, names = imports_of("-c", "import aqrm.cli")
+        assert code == 0
+        package = {n for n in names if n.split(".")[0] == "aqrm"}
+        assert package == {"aqrm", "aqrm.cli", "aqrm.poly"}
+
+    # stdout is a pipe whose read end is closed before the child starts. The
+    # poly line fits the stream's buffer, so only the flush at exit fails and
+    # the interpreter reports it (exit 120); the gfunc table overflows the
+    # buffer, so the command's own write fails (exit 2)
+    @pytest.mark.parametrize("cmd,code,err", (
+        ("poly --N 3 --eps 1/2", 120,
+         "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+         "BrokenPipeError: [Errno 32] Broken pipe\n"),
+        ("gfunc --g 1 --delta 1 --eps 0.3 --x 0:25:0.01", 2,
+         "error: [Errno 32] Broken pipe\n"),
+    ))
+    def test_closed_stdout(self, cmd, code, err):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "aqrm.cli", *cmd.split()],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env={**BUFFERED_ENV, "PYTHONIOENCODING": "utf-8"}, cwd=ROOT,
+                                  timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, err)
 
     # SHA-256 of stdout + NUL + stderr on the argparse path, as recorded
     # before the command table existed; argparse words its help differently
@@ -991,14 +1033,15 @@ class TestFreezeScope:
         assert run(capsys, "count-roots", "--N", "3", "--eps", "0", "--y", "1")[0] == 0
         assert gc.get_freeze_count() == before
 
-    def test_run_freezes_the_heap(self):
-        code = ("import gc, sys; from aqrm.cli import run; "
-                "sys.argv[1:] = ['count-roots', '--N', '3', '--eps', '0', '--y', '1']; "
-                "before = gc.get_freeze_count(); status = run(); "
-                "print(status, before, gc.get_freeze_count() > 0)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=PROCESS_ENV, check=True, timeout=60).stdout
-        assert out.splitlines()[-1] == "0 0 True"
+    def test_run_ends_the_process_with_mains_status(self):
+        # nothing after run() runs: it ends the process once the output is out
+        code = "from aqrm.cli import run; run(); print('after run')"
+        for cmd, status in (("count-roots --N 3 --eps 0 --y 1", 0),
+                            ("poly --N notanint --eps 0", 2)):
+            proc = subprocess.run([sys.executable, "-c", code, *cmd.split()], capture_output=True,
+                                  text=True, env=BUFFERED_ENV, cwd=ROOT, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == run_process(*cmd.split())
+            assert proc.returncode == status and "after run" not in proc.stdout
 
     def test_script_entry_is_the_main_block_entry(self):
         # a regex, not tomllib, which Python 3.10 lacks
