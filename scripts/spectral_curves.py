@@ -14,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from aqrm.spectrum import rows_to_csv, spectral_sweep  # noqa: E402
+from aqrm.cli import rows_to_csv  # noqa: E402
+from aqrm.spectrum import SPECTRUM_FIELDS, spectral_sweep  # noqa: E402
 
 
 def main() -> int:
@@ -33,7 +34,7 @@ def main() -> int:
         grid.append(round(g, 12))
         g += args.step
     rows = spectral_sweep(args.delta, args.eps, grid, args.levels)
-    text = rows_to_csv(rows)
+    text = rows_to_csv(rows, SPECTRUM_FIELDS)
     if args.out:
         Path(args.out).write_text(text)
         crossings = sorted({(r["g"], r["x"]) for r in rows

@@ -10,8 +10,8 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {
-    "BivarPoly": "poly", "a_poly": "poly", "constraint_poly": "poly",
-    "constraint_poly_det": "poly", "verify_divisibility": "poly",
+    "a_poly": "poly", "constraint_poly": "poly", "constraint_poly_det": "poly",
+    "verify_divisibility": "poly",
     "isolate_real_roots": "roots",
     "ModelParams": "series", "g_function": "series", "regularized_g": "series",
     "t_function": "series",

@@ -5,9 +5,13 @@ oracle eigenvalues. Exit codes: 0 success, 1 a verified identity failed,
 `--out` file that cannot be written, or a spectrum the level count shows to
 be incomplete (the level count's one refusal, IncompleteSpectrum).
 
-Every command writes its result through one writer, `_emit`: its text, or
-under --format json its object as JSON with sorted keys and each non-finite
-float as null, importing json only then.
+The layers return plain data (a polynomial as its term dict, a spectrum or
+table as rows) and only this module writes it out: a polynomial as text
+(`_poly_text`) or JSON terms (`_poly_json`), rows as CSV (`rows_to_csv`),
+floats to 17 significant digits (`fmt_float`). Every command writes its
+result through one writer, `_emit`: its text, or under --format json its
+object as JSON with sorted keys and each non-finite float as null,
+importing json only then.
 
 The commands are described once, in a table (`_commands`). A well-formed
 command line is parsed from it directly (`_parse_strict`); argparse, built
@@ -17,8 +21,9 @@ pays for neither argparse nor the gettext and locale imports it brings.
 
 Only `poly` is imported here: each command imports the layers it runs
 (`series`, `spectrum`, `oracle`) in its own body, so `poly` and `divide` load
-none of them. A process ends in `run`, which exits without interpreter
-teardown once its output is flushed."""
+none of them, and `gfunc`, `tfunc` and `residue` load only `series`. A
+process ends in `run`, which exits without interpreter teardown once its
+output is flushed."""
 
 from __future__ import annotations
 
@@ -104,9 +109,50 @@ def _emit(text: str, args, obj=None, indent: int | None = None):
         sys.stdout.write(text)
 
 
-def _emit_rows(rows: list[dict], args, fields=None):
-    from .spectrum import SPECTRUM_FIELDS, rows_to_csv
-    _emit(rows_to_csv(rows, fields or SPECTRUM_FIELDS), args, rows, indent=2)
+def fmt_float(v: float) -> str:
+    return format(float(v), ".17g")
+
+
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    return fmt_float(v) if isinstance(v, float) else str(v)
+
+
+def rows_to_csv(rows: list[dict], fields) -> str:
+    """CSV with a header line: floats to 17 significant digits, None empty."""
+    lines = [",".join(fields)]
+    lines += [",".join(_csv_field(r[k]) for k in fields) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _emit_rows(rows: list[dict], args, fields):
+    _emit(rows_to_csv(rows, fields), args, rows, indent=2)
+
+
+def _poly_text(terms: dict) -> str:
+    """A polynomial {(deg_x, deg_y): c} as text, its terms by total degree
+    and then x-degree, both descending; "0" when it has none."""
+    if not terms:
+        return "0"
+    parts = []
+    for i, j in sorted(terms, key=lambda t: (-(t[0] + t[1]), -t[0])):
+        c = terms[(i, j)]
+        mono = "*".join(([f"x^{i}" if i > 1 else "x"] if i else [])
+                        + ([f"y^{j}" if j > 1 else "y"] if j else []))
+        mag = abs(c)
+        cs = str(mag) if (mag != 1 or not mono) else ""
+        body = "*".join([p for p in (cs, mono) if p])
+        parts.append(("- " if c < 0 else "+ ") + body)
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
+def _poly_json(terms: dict) -> dict:
+    """A polynomial's JSON object: its terms [deg_x, deg_y, "num/den"] in
+    (deg_x, deg_y) order, an int c written c/1."""
+    return {"terms": [[i, j, f"{c.numerator}/{c.denominator}"]
+                      for (i, j), c in sorted(terms.items())]}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +168,7 @@ def cmd_poly(args) -> int:
         p = poly.a_poly(args.N, args.ell)
     else:
         p = poly.q_poly(args.N, eps, k)
-    _emit(f"{p}\n", args, p.to_json_obj())
+    _emit(f"{_poly_text(p)}\n", args, _poly_json(p))
     return 0
 
 
@@ -133,8 +179,8 @@ def cmd_divide(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         quot, exact = None, False
     obj = {"N": args.N, "ell": args.ell, "exact": exact,
-           "quotient": quot.to_json_obj() if exact else None}
-    _emit(f"exact={exact}\nquotient={quot}\n", args, obj)
+           "quotient": _poly_json(quot) if exact else None}
+    _emit(f"exact={exact}\nquotient={_poly_text(quot) if exact else None}\n", args, obj)
     return 0 if exact else 1
 
 
@@ -172,7 +218,6 @@ def cmd_tfunc(args) -> int:
 def cmd_residue(args) -> int:
     from .series import (ModelParams, b_residual, double_pole_coefficients,
                          is_half_integer, residue_numeric, residue_simple)
-    from .spectrum import fmt_float
     eps = float(args.eps)
     params = ModelParams(args.g, args.delta, eps)
     out = {}
@@ -199,7 +244,7 @@ def cmd_spectrum(args) -> int:
     from .series import ModelParams
     params = ModelParams(args.g, args.delta, float(args.eps))
     recs = spectrum.full_spectrum(params, args.x_max)
-    _emit_rows(spectrum.records_to_rows(recs, args.g), args)
+    _emit_rows(spectrum.records_to_rows(recs, args.g), args, spectrum.SPECTRUM_FIELDS)
     return 0
 
 
@@ -208,7 +253,8 @@ def cmd_sweep(args) -> int:
     grid = tuple(g for g in parse_range(args.g) if g > 0)
     if not grid:
         raise ValueError("sweep grid needs at least one positive coupling")
-    _emit_rows(spectrum.spectral_sweep(args.delta, float(args.eps), grid, args.levels), args)
+    rows = spectrum.spectral_sweep(args.delta, float(args.eps), grid, args.levels)
+    _emit_rows(rows, args, spectrum.SPECTRUM_FIELDS)
     return 0
 
 
@@ -221,7 +267,7 @@ def cmd_oracle(args) -> int:
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     recs = [spectrum.EigenvalueRecord(lam + args.g ** 2, lam, "oracle") for lam in eigs]
-    _emit_rows(spectrum.records_to_rows(recs, args.g), args)
+    _emit_rows(spectrum.records_to_rows(recs, args.g), args, spectrum.SPECTRUM_FIELDS)
     return 0
 
 

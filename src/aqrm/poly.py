@@ -6,7 +6,9 @@ recurrence, and runs through one packed-integer loop. With eps = p/q the
 constraint family runs on the integer members R_k = q^k P_k. Each identity
 check builds the rows of its families once, takes one digit width from
 their l1 bounds, and compares packed integers without unpacking either side;
-the x-slices for root counting unpack R_N once."""
+the x-slices for root counting unpack R_N once. A computed member is plain
+data, its term dict {(deg_x, deg_y): c}, c an int or a Fraction, with no
+zero coefficient stored; the CLI writes it out as text or JSON."""
 
 from __future__ import annotations
 
@@ -23,62 +25,6 @@ class DivisibilityError(ArithmeticError):
 
 def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
-
-
-class BivarPoly:
-    """A computed member of a polynomial family, as the finite map
-    terms: (deg_x, deg_y) -> coefficient, an int or a Fraction, with zero
-    coefficients never stored; equal to another BivarPoly with the same
-    terms, and written out as text or JSON. It holds results and does no
-    arithmetic: every family is computed on the integer rows of _packed.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        t = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if type(c) is not int:
-                    c = _frac(c)
-                if c != 0:
-                    t[(int(i), int(j))] = c
-        self.terms = t
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- serialization -------------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple]:
-        """Terms sorted by (deg_x, deg_y)."""
-        return [(i, j, self.terms[(i, j)]) for i, j in sorted(self.terms)]
-
-    def to_json_obj(self) -> dict:
-        return {"terms": [[i, j, f"{c.numerator}/{c.denominator}"]
-                          for i, j, c in self.sorted_terms()]}
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        def key(t):
-            i, j, _ = t
-            return (-(i + j), -i)
-        parts = []
-        for i, j, c in sorted(self.sorted_terms(), key=key):
-            mono = "*".join(([f"x^{i}" if i > 1 else "x"] if i else [])
-                            + ([f"y^{j}" if j > 1 else "y"] if j else []))
-            mag = abs(c)
-            cs = str(mag) if (mag != 1 or not mono) else ""
-            body = "*".join([p for p in (cs, mono) if p])
-            parts.append(("- " if c < 0 else "+ ") + body)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +99,9 @@ def _last(rows) -> dict:
     return _unpack(_packed(rows, s, n)[-1], s, n, n)
 
 
-def _divided(terms: dict, den: int) -> BivarPoly:
-    out = BivarPoly()
-    out.terms = {key: Fraction(v, den) for key, v in terms.items()}
-    return out
+def _divided(terms: dict, den: int) -> dict:
+    """The term dict of the integer terms over den, as Fractions."""
+    return {key: Fraction(v, den) for key, v in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +118,7 @@ def _constraint_rows(N: int, eps: Fraction, k_max: int) -> tuple:
                  for k in range(1, k_max + 1))
 
 
-def constraint_poly(N: int, eps, k: int) -> BivarPoly:
+def constraint_poly(N: int, eps, k: int) -> dict:
     """P_k^(N,eps)(x,y) by the three-term recurrence
 
         P_k = (k x + y - k(k + 2 eps)) P_{k-1} - k(k-1)(N-k+1) x P_{k-2},
@@ -231,7 +176,7 @@ def determinant_check(N: int, eps) -> bool:
     return _packed(left, s, N + 1)[-1] == _packed(right, s, N + 1)[-1]
 
 
-def q_poly(N: int, eps, k: int) -> BivarPoly:
+def q_poly(N: int, eps, k: int) -> dict:
     """Q_k^(N,eps)(x,y): the determinant of the leading k x k block of
     I_N y + D_N x + C_N (the first k of _det_rows, divided by q^k);
     Q_N = P_N^(N,eps).
@@ -246,7 +191,7 @@ def q_poly(N: int, eps, k: int) -> BivarPoly:
     return _divided(_last(_det_rows(N, eps)[:k]), eps.denominator ** k)
 
 
-def constraint_poly_det(N: int, eps) -> BivarPoly:
+def constraint_poly_det(N: int, eps) -> dict:
     """P_N^(N,eps)(x,y) from its tridiagonal determinant form,
     q_poly(N, eps, N); must agree with constraint_poly(N, eps, N)
     identically."""
@@ -269,10 +214,10 @@ def _a_rows(N: int, ell: int) -> tuple:
                  for i in range(1, ell + 1))
 
 
-def a_poly(N: int, ell: int) -> BivarPoly:
+def a_poly(N: int, ell: int) -> dict:
     """The degree-l quotient A_N^l(x,y) = P_{N+l}^(N+l,-l/2) / P_N^(N,l/2),
     the last member of _a_rows."""
-    return BivarPoly(_last(_a_rows(N, ell)))
+    return _last(_a_rows(N, ell))
 
 
 def a_value(N: int, ell: int, x, y):
@@ -285,7 +230,7 @@ def a_value(N: int, ell: int, x, y):
     return m * (math.factorial(N + ell) // math.factorial(N))
 
 
-def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
+def verify_divisibility(N: int, ell: int) -> tuple[dict, bool]:
     """Exact division of P_{N+l}^(N+l,-l/2) by P_N^(N,l/2), checked as the
     product identity R_{N+l} = q^l A_N^l R_N of the integer members (q the
     denominator of l/2), each family's rows (_a_rows for A_N^l) built once
@@ -294,8 +239,9 @@ def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
     unique: the identity holds exactly when the remainder is 0 and the
     quotient is q^l A_N^l.
 
-    Returns (quotient, exact). A failed identity raises DivisibilityError
-    since it would falsify a proven theorem.
+    Returns (quotient, exact), the quotient as a_poly's integer term dict.
+    A failed identity raises DivisibilityError since it would falsify a
+    proven theorem.
     """
     a = _a_rows(N, ell)
     half = Fraction(ell, 2)
@@ -306,7 +252,7 @@ def verify_divisibility(N: int, ell: int) -> tuple[BivarPoly, bool]:
     if _packed(big, s, w)[-1] != scale * _packed(a, s, w)[-1] * _packed(small, s, w)[-1]:
         raise DivisibilityError(f"P_N does not divide P_(N+l) as q^l A_N^l "
                                 f"for N={N}, ell={ell}")
-    return BivarPoly(_last(a)), True
+    return _last(a), True
 
 
 # ---------------------------------------------------------------------------

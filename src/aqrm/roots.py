@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 
 class ZeroPolynomialError(ValueError):

@@ -8,7 +8,8 @@ count cannot settle the spectrum it raises oracle's IncompleteSpectrum,
 never a short list: levels closer than _FLOOR, or a count no rung
 certifies (UncertifiedCount, raised by the count itself). Also
 classification with multiplicities, positive-root counting, T-function zero
-scans over g, and coupling sweeps that produce spectral-curve tables."""
+scans over g, and coupling sweeps that produce spectral-curve rows, plain
+dicts of SPECTRUM_FIELDS, which the CLI writes as CSV or JSON."""
 
 from __future__ import annotations
 
@@ -277,21 +278,17 @@ def spectral_sweep(delta: float, eps: float, g_grid, n_levels: int) -> list[dict
                                      n_levels)
                 for _ in range(r.multiplicity)]
         if len(flat) < n_levels:
-            raise IncompleteSpectrum(f"{len(flat)} of {n_levels} levels at g = {fmt_float(g)}")
+            raise IncompleteSpectrum(f"{len(flat)} of {n_levels} levels at g = {float(g):.17g}")
         rows.extend(records_to_rows(flat[:n_levels], g))
     return rows
 
 
 # ---------------------------------------------------------------------------
-# emission
+# rows: the schema of a spectrum or sweep, which the CLI and scripts write
 # ---------------------------------------------------------------------------
 
 SPECTRUM_FIELDS = ("g", "index", "lambda", "x", "kind", "multiplicity",
                    "level_N", "branch")
-
-
-def fmt_float(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def records_to_rows(records: list[EigenvalueRecord], g: float) -> list[dict]:
@@ -299,16 +296,3 @@ def records_to_rows(records: list[EigenvalueRecord], g: float) -> list[dict]:
              "multiplicity": r.multiplicity, "level_N": r.level_N,
              "branch": r.branch}
             for i, r in enumerate(records)]
-
-
-def _csv_field(v) -> str:
-    if v is None:
-        return ""
-    return fmt_float(v) if isinstance(v, float) else str(v)
-
-
-def rows_to_csv(rows: list[dict], fields=SPECTRUM_FIELDS) -> str:
-    """CSV with a header line: floats to 17 significant digits, None empty."""
-    lines = [",".join(fields)]
-    lines += [",".join(_csv_field(r[k]) for k in fields) for r in rows]
-    return "\n".join(lines) + "\n"

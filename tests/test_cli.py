@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqrm.cli import _commands, _parse_strict, build_parser, main, parse_eps, parse_range
+from aqrm.cli import (_commands, _parse_strict, _poly_json, _poly_text, build_parser, main,
+                      parse_eps, parse_range)
 
 
 def run(capsys, *argv):
@@ -217,6 +218,28 @@ class TestStrictParser:
         assert _parse_strict("poly --N 1 --eps 1/3".split()).eps == ("traced", "1/3")
 
 
+class TestPolynomialText:
+    """The text and JSON that poly and divide write for a term dict
+    {(deg_x, deg_y): c}, c an int or a Fraction."""
+
+    def test_text_and_json(self):
+        assert _poly_text({}) == "0" and _poly_json({}) == {"terms": []}
+        p = {(0, 1): 3, (0, 0): Fraction(-3, 4)}
+        assert _poly_text(p) == "3*y - 3/4"
+        assert _poly_json(p) == {"terms": [[0, 0, "-3/4"], [0, 1, "3/1"]]}
+        q = {(1, 1): Fraction(-2, 3), (0, 0): 1}
+        assert _poly_text(q) == "-2/3*x*y + 1"
+        assert _poly_json(q) == {"terms": [[0, 0, "1/1"], [1, 1, "-2/3"]]}
+        assert _poly_text({(0, 2): Fraction(-1), (1, 0): 1, (0, 0): -1}) == "-y^2 + x - 1"
+
+    def test_serialization_round_trip_forms(self):
+        from aqrm.poly import constraint_poly
+        p = constraint_poly(6, 0, 2)
+        assert _poly_json(p)["terms"] == [[0, 0, "4/1"], [0, 1, "-5/1"], [0, 2, "1/1"],
+                                          [1, 0, "-16/1"], [1, 1, "3/1"], [2, 0, "2/1"]]
+        assert _poly_text(p) == "2*x^2 + 3*x*y + y^2 - 16*x - 5*y + 4"
+
+
 class TestSubcommands:
     def test_poly_string(self, capsys):
         code, out, _ = run(capsys, "poly", "--N", "6", "--eps", "0", "--k", "2")
@@ -234,9 +257,9 @@ class TestSubcommands:
         from aqrm.poly import a_poly, q_poly
         base = ("poly", "--N", "3", "--eps", "1/2")
         assert run(capsys, *base, "--ell", "2", "--family", "quotient") == (
-            0, f"{a_poly(3, 2)}\n", "")
+            0, f"{_poly_text(a_poly(3, 2))}\n", "")
         assert run(capsys, *base, "--k", "2", "--family", "q") == (
-            0, f"{q_poly(3, Fraction(1, 2), 2)}\n", "")
+            0, f"{_poly_text(q_poly(3, Fraction(1, 2), 2))}\n", "")
 
     @pytest.mark.parametrize("cmd", (
         "gfunc --g 0.5809 --delta 0.5 --eps 0.3 --x=-1:1:0.25",
@@ -965,6 +988,21 @@ class TestProcess:
         code, names = imports_of("-m", "aqrm.cli", *cmd.split())
         assert code == 0
         assert names & {"aqrm.roots", "aqrm.series", "aqrm.spectrum", "aqrm.oracle"} == set()
+
+    @pytest.mark.parametrize("cmd", ("gfunc --g 1 --delta 1 --eps 0.3 --x 1",
+                                     "tfunc --N 1 --eps 1/2 --delta 1 --g 0.5",
+                                     "residue --N 1 --eps 0.3 --g 0.9 --delta 1"))
+    def test_series_commands_load_only_the_series(self, cmd):
+        code, names = imports_of("-m", "aqrm.cli", *cmd.split())
+        assert code == 0
+        assert "aqrm.series" in names
+        assert names & {"aqrm.spectrum", "aqrm.oracle", "aqrm.roots"} == set()
+
+    def test_spectrum_loads_no_typing(self):
+        code, names = imports_of("-m", "aqrm.cli", "spectrum", "--g", "0.5", "--delta", "1",
+                                 "--eps", "1/2", "--x-max", "2")
+        assert code == 0
+        assert "aqrm.roots" in names and "typing" not in names
 
     def test_cli_import_loads_only_poly(self):
         code, names = imports_of("-c", "import aqrm.cli")

@@ -69,8 +69,8 @@ def exact_roots(p, tol=Fraction(1, 2 ** 48)):
 
 def y_poly(p, xv) -> list:
     """The coefficients of p(xv, y) in y, ascending."""
-    out = [0] * (max(j for _, j in p.terms) + 1)
-    for (i, j), c in p.terms.items():
+    out = [0] * (max(j for _, j in p) + 1)
+    for (i, j), c in p.items():
         out[j] += c * Fraction(xv) ** i
     return out
 
@@ -134,7 +134,7 @@ class TestDeterminantForms:
         diag = [y + i * x - i * (2 * (N - i) + 1 + 2 * eps) for i in range(1, k + 1)]
         lower = [i * (i + 1) * c_weight(N - i, eps) for i in range(1, k)]
         dense = tridiag_to_dense(diag, [1] * len(lower), lower)
-        assert sum(c * x ** i * y ** j for (i, j), c in q_poly(N, eps, k).terms.items()) \
+        assert sum(c * x ** i * y ** j for (i, j), c in q_poly(N, eps, k).items()) \
             == dense_det(dense)
 
     @given(st.integers(0, 6), st.integers(0, 6), fr, fr)
@@ -146,7 +146,7 @@ class TestDeterminantForms:
         upper = [i * (i - ell) for i in range(1, ell)]
         scale = math.factorial(N + ell) // math.factorial(N)
         dense = tridiag_to_dense(diag, upper, [1] * len(upper))
-        assert sum(c * x ** i * y ** j for (i, j), c in a_poly(N, ell).terms.items()) \
+        assert sum(c * x ** i * y ** j for (i, j), c in a_poly(N, ell).items()) \
             == scale * dense_det(dense)
 
 

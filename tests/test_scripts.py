@@ -57,3 +57,20 @@ def test_residue_vanishing_scan_runs(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "g,delta,b_residual,T,P"
     assert len(lines) == 1 + 2 * 2
+
+
+def test_spectral_curves_writes_the_sweep_csv(tmp_path, monkeypatch, capsys):
+    mod = load(next(p for p in SCRIPTS if p.stem == "spectral_curves"))
+    argv = ["spectral_curves.py", "--g-max", "0.2", "--step", "0.1", "--levels", "3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert mod.main() == 0
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    assert lines[0] == "g,index,lambda,x,kind,multiplicity,level_N,branch"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [g, i] for g in ("0.10000000000000001", "0.20000000000000001") for i in "012"]
+    out = tmp_path / "curves.csv"
+    monkeypatch.setattr(sys, "argv", argv + ["--out", str(out)])
+    assert mod.main() == 0
+    assert capsys.readouterr().out == f"wrote 6 rows to {out}; 0 degenerate crossing(s)\n"
+    assert out.read_text() == text

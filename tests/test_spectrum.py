@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _dense import band_count_exact
 from aqrm import oracle
 from aqrm import spectrum as spectrum_mod
+from aqrm.cli import rows_to_csv
 from aqrm.poly import c_weight, constraint_slice
 from aqrm.roots import count_real_roots
 from aqrm.series import ModelParams, is_half_integer, regularized_g
@@ -20,17 +21,16 @@ from aqrm.spectrum import (
     KIND_JUDDIAN,
     KIND_NON_JUDDIAN,
     KIND_REGULAR,
+    SPECTRUM_FIELDS,
     EigenvalueRecord,
     IncompleteSpectrum,
     count_positive_roots,
     exact_bias,
     expand_multiplicities,
-    fmt_float,
     full_spectrum,
     juddian_roots,
     non_juddian_roots,
     records_to_rows,
-    rows_to_csv,
     spectral_sweep,
 )
 
@@ -573,7 +573,7 @@ class TestHelpers:
     def test_csv_shape(self):
         p = ModelParams(0.5, 1.0, 0.5)
         rows = records_to_rows(full_spectrum(p, 3.0), p.g)
-        text = rows_to_csv(rows)
+        text = rows_to_csv(rows, SPECTRUM_FIELDS)
         lines = text.strip().split("\n")
         assert lines[0] == "g,index,lambda,x,kind,multiplicity,level_N,branch"
         assert all(len(line.split(",")) == 8 for line in lines[1:])
@@ -761,7 +761,7 @@ def reference_assemble(params, n, x_lo, x_max, cap=math.inf):
         elif nb != na:
             if b - a <= _FLOOR:
                 raise IncompleteSpectrum(
-                    f"{nb - na} levels within {b - a:.1e} of x = {fmt_float(a)}")
+                    f"{nb - na} levels within {b - a:.1e} of x = {format(a, '.17g')}")
             mid = 0.5 * (a + b)
             nm = n(mid)
             todo += [t for t in ((a, mid, na, nm), (mid, b, nm, nb)) if t[2] < cap]

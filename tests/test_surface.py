@@ -1,12 +1,14 @@
 """Public-surface ratchet: every public module-level function or class in
 src/aqrm, and every public method or property of a public class, is used by
-the package, the experiment scripts or the benchmark, not only by the tests.
+the package, the experiment scripts or the benchmark, not only by the tests;
+and the package's classes are its exceptions and two namedtuples.
 
 The check is a name search, so it cannot see operators: a dunder such as
 __add__ runs without its name being written. Those are kept to what a line
 trace of the CLI, the scripts and the benchmark shows running."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -71,6 +73,27 @@ def test_public_methods_have_a_caller_outside_the_tests():
             if not any(re.search(rf"\.{node.name}\b", t) for t in rest):
                 unused.append(f"{path.stem}.{cls.name}.{node.name}")
     assert unused == [], "public, but only tests name it"
+
+
+def test_classes_are_exceptions_and_two_named_tuples():
+    # results are plain data: a polynomial is its term dict, a spectrum its
+    # records and rows, and the CLI writes them out. The package defines its
+    # exceptions and the namedtuples ModelParams and EigenvalueRecord, and no
+    # other class, at module level (a class statement or a namedtuple call)
+    # or nested, so a result class with text of its own cannot come back
+    classes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "aqrm" if path.stem == "__init__" else f"aqrm.{path.stem}"
+        module = importlib.import_module(name)
+        names = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ClassDef)}
+        names |= {k for k, v in vars(module).items()
+                  if isinstance(v, type) and v.__module__ == name}
+        classes.update({f"{path.stem}.{n}": getattr(module, n, None) for n in names})
+    data = {n: cls for n, cls in classes.items()
+            if not (isinstance(cls, type) and issubclass(cls, BaseException))}
+    assert sorted(data) == ["series.ModelParams", "spectrum.EigenvalueRecord"]
+    assert all(issubclass(cls, tuple) and hasattr(cls, "_fields") for cls in data.values())
 
 
 def test_exact_families_do_not_import_the_root_finder():
