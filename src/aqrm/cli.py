@@ -164,8 +164,6 @@ def cmd_poly(args) -> int:
     k = args.N if args.k is None else args.k
     if args.family == "constraint":
         p = poly.constraint_poly(args.N, eps, k)
-    elif args.family == "quotient":
-        p = poly.a_poly(args.N, args.ell)
     else:
         p = poly.q_poly(args.N, eps, k)
     _emit(f"{_poly_text(p)}\n", args, _poly_json(p))
@@ -220,7 +218,6 @@ def cmd_residue(args) -> int:
                          is_half_integer, residue_numeric, residue_simple)
     eps = float(args.eps)
     params = ModelParams(args.g, args.delta, eps)
-    out = {}
     if is_half_integer(eps) and round(2 * eps) >= 0:
         ell = round(2 * eps)
         A, B = double_pole_coefficients(args.N, ell, params)
@@ -408,12 +405,10 @@ def _commands() -> dict:
     N, ell = opt("--N", nonneg_int, True), opt("--ell", nonneg_int, default=0)
     out = opt("--out", default=None)
     emit = (out, opt("--format", choices=("csv", "json"), default="csv"))
-    sign = opt("--sign", choices=("plus", "minus"), default="plus")
     return {
         "poly": ("print a polynomial family member", cmd_poly, (
-            eps, N, ell, *emit, opt("--k", nonneg_int, default=None),
-            opt("--family", choices=("constraint", "quotient", "q"),
-                default="constraint"))),
+            eps, N, *emit, opt("--k", nonneg_int, default=None),
+            opt("--family", choices=("constraint", "q"), default="constraint"))),
         "divide": ("exact constraint-polynomial division", cmd_divide, (N, ell, *emit)),
         "count-roots": ("positive-root count of P_N(x, y)", cmd_count_roots, (
             eps, N, *emit, opt("--y", required=True,
@@ -423,9 +418,9 @@ def _commands() -> dict:
             opt("--x", required=True, help="grid a:b:step or single value"))),
         "tfunc": ("table of the constraint T-function over g", cmd_tfunc, (
             delta, eps, N, *emit,
-            opt("--g", required=True, help="grid a:b:step or single value"), sign)),
+            opt("--g", required=True, help="grid a:b:step or single value"))),
         "residue": ("pole coefficients of G at x = N +/- eps", cmd_residue, (
-            g, delta, eps, N, *emit, sign)),
+            g, delta, eps, N, *emit)),
         "spectrum": ("full classified spectrum at one coupling", cmd_spectrum, (
             g, delta, eps, *emit, opt("--x-max", float, default=6.0))),
         "sweep": ("spectral curves over a coupling grid", cmd_sweep, (
@@ -527,8 +522,6 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(attached)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "sign", "plus") == "minus":
-        args.eps = -args.eps        # N - eps is N + eps' at eps' = -eps (G is even in eps)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError) as exc:

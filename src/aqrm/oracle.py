@@ -153,11 +153,7 @@ def _band_count_below(ladder: list[tuple[float, float, float, float]],
 
 class IncompleteSpectrum(ArithmeticError):
     """The level count cannot settle the spectrum: levels closer than the
-    assembly's floor, or a count that no rung certifies."""
-
-
-class UncertifiedCount(IncompleteSpectrum):
-    """No rung up to M_MAX certifies the eigenvalue count below some sigma."""
+    assembly's floor, or a count that no rung up to M_MAX certifies."""
 
 
 def certified_count(params: ModelParams):
@@ -166,7 +162,7 @@ def certified_count(params: ModelParams):
     every truncation from k on, and by Cauchy interlacing the truncated counts
     tend to N(sigma), so it is N(sigma). The rung list, built at the first
     probe, doubles from _M_FIRST while a probe runs to its last rung M (the
-    count's last_rung()). Past M_MAX it raises UncertifiedCount, and at once
+    count's last_rung()). Past M_MAX it raises IncompleteSpectrum, and at once
     where sigma + r + g^2 > 0 and 2 g^2 + r + sigma >= M_MAX + 2: a rung k
     certifies only if k + 1 >= mu (mu + r + sigma) / (mu - g^2) for some
     mu > g^2 (_band_count_below), and that exceeds 2 g^2 + r + sigma.
@@ -179,7 +175,7 @@ def certified_count(params: ModelParams):
     def count(sigma: float, newton: bool = False):
         nonlocal M, rungs
         if sigma + r + g2 > 0.0 and sigma + r + 2.0 * g2 >= M_MAX + 2:
-            raise UncertifiedCount(f"level count not certified by M={M_MAX}")
+            raise IncompleteSpectrum(f"level count not certified by M={M_MAX}")
         rungs = rungs or _ladder(params, M)
         probe = _band_count_below(rungs, sigma, newton)
         while probe[1] == M and M < M_MAX:
@@ -187,7 +183,7 @@ def certified_count(params: ModelParams):
             rungs = _ladder(params, M)
             probe = _band_count_below(rungs, sigma, newton)
         if probe[1] == M:
-            raise UncertifiedCount(f"level count not certified by M={M}")
+            raise IncompleteSpectrum(f"level count not certified by M={M}")
         return (probe[0], probe[2]) if newton else probe[0]
 
     count.last_rung = lambda: M     # no reference back to count: no cycle
@@ -218,7 +214,7 @@ def truncation_warning(params: ModelParams, M: int, sigma: float) -> str | None:
     try:
         exact = n if k < M else certified_count(params)(sigma)
         why = f"{exact} without truncation"
-    except UncertifiedCount as exc:
+    except IncompleteSpectrum as exc:
         exact, why = None, str(exc)
     return None if exact == n else (f"truncation M={M} not converged: {n} eigenvalues "
                                     f"below {format(sigma, '.17g')} at M={M}, {why}")
@@ -309,7 +305,7 @@ def lowest_eigenvalues(params: ModelParams, M: int, count: int) -> list[float]:
 def certified_eigenvalues(params: ModelParams, count: int) -> tuple[list[float], int]:
     """(levels, M): the lowest count eigenvalues of the untruncated Hamiltonian,
     each by bisection on certified_count inside its level_bracket, and the last
-    rung M of the rung list that count ended on. Raises UncertifiedCount."""
+    rung M of the rung list that count ended on. Raises IncompleteSpectrum."""
     n = certified_count(params)
     g2 = params.g ** 2
     out = []

@@ -6,7 +6,7 @@ each regular level, a zero of the regularized G-function, at the midpoint
 of a dyadic cell of the same count, and calG is left to check it. Where the
 count cannot settle the spectrum it raises oracle's IncompleteSpectrum,
 never a short list: levels closer than _FLOOR, or a count no rung
-certifies (UncertifiedCount, raised by the count itself). Also
+certifies (raised by the count itself). Also
 classification with multiplicities, positive-root counting, T-function zero
 scans over g, and coupling sweeps that produce spectral-curve rows, plain
 dicts of SPECTRUM_FIELDS, which the CLI writes as CSV or JSON."""
@@ -181,7 +181,7 @@ def _juddian_here(N: int, params: ModelParams, branch_eps: float) -> bool:
 
 def _level_count(params: ModelParams):
     """x -> the number of levels below x = lambda + g^2, by
-    oracle.certified_count, whose UncertifiedCount is an IncompleteSpectrum."""
+    oracle.certified_count, which raises IncompleteSpectrum past M_MAX."""
     count = oracle.certified_count(params)
     return lambda x, newton=False: count(x - params.g ** 2, newton)
 

@@ -254,11 +254,11 @@ class TestSubcommands:
         assert obj["terms"] == [[0, 0, "-2/1"], [0, 1, "1/1"], [1, 0, "1/1"]]
 
     def test_poly_other_families(self, capsys):
+        # the quotient A_N^ell is divide's alone
         from aqrm.poly import a_poly, q_poly
-        base = ("poly", "--N", "3", "--eps", "1/2")
-        assert run(capsys, *base, "--ell", "2", "--family", "quotient") == (
-            0, f"{_poly_text(a_poly(3, 2))}\n", "")
-        assert run(capsys, *base, "--k", "2", "--family", "q") == (
+        assert run(capsys, "divide", "--N", "3", "--ell", "2") == (
+            0, f"exact=True\nquotient={_poly_text(a_poly(3, 2))}\n", "")
+        assert run(capsys, "poly", "--N", "3", "--eps", "1/2", "--k", "2", "--family", "q") == (
             0, f"{_poly_text(q_poly(3, Fraction(1, 2), 2))}\n", "")
 
     @pytest.mark.parametrize("cmd", (
@@ -371,24 +371,29 @@ class TestSubcommands:
         assert obj["A"] == pytest.approx(obj["A_numeric"], rel=1e-5)
         assert obj["B"] == pytest.approx(obj["B_numeric"], rel=1e-5)
 
-    @pytest.mark.parametrize("argv,mirror", (
-        ("--N 1 --eps -1/2 --sign minus", "--N 1 --eps 1/2"),
-        ("--N 0 --eps -1/2", "--N 0 --eps 1/2 --sign minus"),
-        ("--N 2 --eps -3/2 --sign minus", "--N 2 --eps 3/2"),
-        ("--N 1 --eps 0 --sign minus", "--N 1 --eps 0"),
+    @pytest.mark.parametrize("argv,order,x0", (
+        ("--N 1 --eps 1/2", 2, 1.5),
+        ("--N 0 --eps -1/2", 1, -0.5),
+        ("--N 2 --eps 3/2", 2, 3.5),
+        ("--N 1 --eps 0", 2, 1.0),
     ))
-    def test_residue_at_a_negative_half_integer_bias(self, capsys, argv, mirror):
-        # G(x; eps) = G(x; -eps): each pole of the negative bias is a pole of
-        # the positive one with the other sign, printed alike; at eps = 0
-        # both signs name the double pole x = N
-        tail = ("--g", "0.9", "--delta", "1")
-        code, out, err = run(capsys, "residue", *argv.split(), *tail)
+    def test_residue_at_a_negative_half_integer_bias(self, capsys, argv, order, x0):
+        # the bias names the branch: x0 = N + eps, a double pole at a
+        # half-integer eps >= 0 (x = N at eps = 0) and a simple one at
+        # N = 0, eps = -1/2, the point N - 1/2 of the bias 1/2
+        from aqrm.series import ModelParams, residue_simple
+        code, out, err = run(capsys, "residue", *argv.split(), "--g", "0.9", "--delta", "1",
+                             "--format", "json")
         assert (code, err) == (0, "")
-        assert run(capsys, "residue", *mirror.split(), *tail) == (0, out, "")
+        obj = json.loads(out)
+        assert (obj["order"], obj["x0"]) == (order, x0)
+        if order == 1:
+            assert obj["residue"] == residue_simple(0, ModelParams(0.9, 1, -0.5))
 
     def test_double_pole_at_a_negative_bias_matches_its_own_series(self, capsys):
         from aqrm.series import ModelParams, residue_numeric
-        code, out, _ = run(capsys, "residue", "--N", "1", "--eps", "-1/2", "--sign", "minus",
+        # G is even in eps: the double pole of --eps 1/2 is that of the bias -1/2
+        code, out, _ = run(capsys, "residue", "--N", "1", "--eps", "1/2",
                            "--g", "0.9", "--delta", "1", "--format", "json")
         assert code == 0
         obj = json.loads(out)
@@ -588,7 +593,7 @@ class TestInputRange:
 
     @pytest.mark.parametrize("argv,message", (
         ("gfunc --g 0.5 --delta 1 --eps 0.3 --x 1:2", "range must be a:b:step"),
-        ("residue --N 1 --eps -1/2 --g 0.9 --delta 1",    # read as --eps 1/2 --sign minus
+        ("residue --N 1 --eps -1/2 --g 0.9 --delta 1",    # the double pole of --N 0 --eps 1/2
          "x = 0.5 is in the double-pole regime"),
         ("sweep --delta 1 --eps 0.3 --g=-1:0:0.5",
          "sweep grid needs at least one positive coupling"),
@@ -1041,7 +1046,7 @@ class TestProcess:
         ("sweep -h", 0, "6869eeaa77ce8086701398de9b9f311a0d8e77d06b332c73b262605fc22025e5"),
         ("verify -h", 0, "f5792c37ff9b7b09da8bdadf0c9f1e3d61c9c898b27c7c6bb65cf9fa06cd29bc"),
         ("poly --N notanint --eps 0", 2,
-         "1b8ff53013a2db454366bedce8352b8f0a933bd2045075389f6d9af56037ad1f"),
+         "ef82307dd3d9beb87e70a006ede430ee25370293ec6ed2b56110a86cfdd00758"),
         ("count-roots --N 3", 2,
          "2199e331e125173b60bc34b7f8c2261f8ed1a6b7fdeb4c2664104f0dd2c64c92"),
         ("oracle --g 1 --del 1 --eps 0.2 --M 20 --count 2", 0,

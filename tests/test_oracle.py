@@ -20,7 +20,7 @@ from aqrm import oracle
 from aqrm.oracle import (
     _WIDTH,
     M_MAX,
-    UncertifiedCount,
+    IncompleteSpectrum,
     _band_count_below,
     _ladder,
     certified_count,
@@ -156,7 +156,7 @@ class TestConvergence:
         p = ModelParams(1000.0, 1.0, 0.2)
         sigma = lowest_eigenvalues(p, 80, 1)[0] + 1e-6
         assert _band_count_below(_ladder(p, 100), sigma)[0] == 8
-        with pytest.raises(UncertifiedCount, match=f"not certified by M={M_MAX}$"):
+        with pytest.raises(IncompleteSpectrum, match=f"not certified by M={M_MAX}$"):
             certified_count(p)(sigma)
         assert truncation_warning(p, 80, sigma) == (
             f"truncation M=80 not converged: 1 eigenvalues below "
@@ -758,7 +758,7 @@ class TestCertifiedCount:
         # g = 1000: no rung up to M_MAX can certify, so none is built
         monkeypatch.setattr(oracle, "M_MAX", 200)
         built.clear()
-        with pytest.raises(UncertifiedCount, match="not certified by M=200$"):
+        with pytest.raises(IncompleteSpectrum, match="not certified by M=200$"):
             certified_count(ModelParams(1000.0, 1.0, 0.2))(-1e6)
         assert built == []
 

@@ -12,6 +12,8 @@ import importlib
 import re
 from pathlib import Path
 
+from aqrm.cli import _commands
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "aqrm"
 
@@ -156,6 +158,17 @@ def test_a_branch_is_named_by_its_bias():
     imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for a in node.names}
     assert "Literal" not in imported
+    # at the command line too: the point N - eps is asked for as --eps -eps
+    assert all(flag != "--sign" for _, _, options in _commands().values()
+               for flag, _ in options)
+
+
+def test_every_poly_option_changes_every_poly_run():
+    # the quotient A_N^ell is divide's alone, so poly has no --ell, which
+    # its constraint and q families would ignore
+    options = dict(_commands()["poly"][2])
+    assert list(options) == ["--eps", "--N", "--out", "--format", "--k", "--family"]
+    assert options["--family"]["choices"] == ("constraint", "q")
 
 
 def test_double_pole_coefficients_come_from_the_constraint_relations():
